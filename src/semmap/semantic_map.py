@@ -14,8 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatch, EmptyCloud, UnknownKeyframe
-from .geometry import KEYFRAME, WORLD, PointCloud, RigidPose, voxel_downsample
-from .nn_grid import GridIndex
+from .geometry import WORLD, PointCloud, RigidPose, voxel_downsample
+
+
+# Pairs per block of the nearest-neighbour scan: the block's difference
+# array stays near 1.5 MB of float64 however large the clouds are.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _nearest_sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Squared distance from each query point to its nearest reference point,
+    by an exact scan over blocks of query rows."""
+    rows = max(1, _BLOCK_PAIRS // len(refs))
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), rows):
+        q = queries[start:start + rows]
+        out[start:start + rows] = \
+            ((q[:, None, :] - refs[None, :, :]) ** 2).sum(-1).min(1)
+    return out
 
 
 def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
@@ -24,19 +40,17 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
         raise EmptyCloud("chamfer distance needs non-empty clouds")
     if a.frame != b.frame:
         raise ValueError(f"frame mismatch: {a.frame!r} vs {b.frame!r}")
-    idx_b = GridIndex(b.points)
-    d_ab = np.array([idx_b.nearest_distance(p) for p in a.points])
-    idx_a = GridIndex(a.points)
-    d_ba = np.array([idx_a.nearest_distance(p) for p in b.points])
+    # sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt)
+    d_ab = np.sqrt(_nearest_sq_distances(a.points, b.points))
+    d_ba = np.sqrt(_nearest_sq_distances(b.points, a.points))
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
 def overlap_ratio(a: np.ndarray, b: np.ndarray, radius: float) -> float:
     """Fraction of the smaller cloud's points within `radius` of the larger."""
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    idx = GridIndex(large, cell=radius)
-    hits = sum(idx.has_within(p, radius) for p in small)
-    return hits / len(small)
+    d2 = _nearest_sq_distances(small, large)
+    return int(np.count_nonzero(d2 <= radius * radius)) / len(small)
 
 
 @dataclass
@@ -208,8 +222,3 @@ class SemanticMap:
             })
         return {"objects": objs}
 
-
-def local_observation(candidate: PointCloud, keyframe_pose: RigidPose) -> PointCloud:
-    """Convert a world-frame candidate cloud into keyframe-local coordinates."""
-    candidate.require_frame(WORLD)
-    return candidate.transformed(keyframe_pose.inverse(), KEYFRAME)

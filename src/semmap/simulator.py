@@ -130,7 +130,7 @@ def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
     return pts
 
 
-def _build_trajectory(spec, fps: float) -> list:
+def _build_trajectory(spec) -> list:
     if isinstance(spec, list):
         return [RigidPose.from_dict(p) if isinstance(p, dict) else p
                 for p in spec]
@@ -219,7 +219,7 @@ class Scenario:
                 for p in d.get("persons", [])
             ]
             fps = float(d.get("fps", 10.0))
-            trajectory = _build_trajectory(d["trajectory"], fps)
+            trajectory = _build_trajectory(d["trajectory"])
             drift = None
             if d.get("drift"):
                 dd = d["drift"]
@@ -232,14 +232,24 @@ class Scenario:
                 )
             corrections = []
             for ev in d.get("correction_events", []):
+                frame = int(ev["frame"])
+                if not 0 <= frame < len(trajectory):
+                    raise ScenarioError(
+                        f"correction frame {frame} outside "
+                        f"[0, {len(trajectory)})")
                 poses = ev.get("poses", "true")
                 if isinstance(poses, dict):
                     poses = {int(k): RigidPose.from_dict(v)
                              for k, v in poses.items()}
+                    outside = sorted(k for k in poses if not 0 <= k <= frame)
+                    if outside:
+                        raise ScenarioError(
+                            f"correction at frame {frame} names keyframes "
+                            f"{outside} outside [0, {frame}]")
                 elif poses != "true":
                     raise ScenarioError(
                         "correction poses must be 'true' or a mapping")
-                corrections.append(CorrectionEvent(int(ev["frame"]), poses))
+                corrections.append(CorrectionEvent(frame, poses))
             noise = NoiseModel(**d.get("noise", {}))
             return cls(
                 seed=int(d["seed"]),

@@ -15,8 +15,7 @@ from .errors import NonMonotonicFrame
 
 KIND_OBJECT = "object"
 KIND_PERSON = "person"
-KIND_FACE = "face"
-_KINDS = (KIND_OBJECT, KIND_PERSON, KIND_FACE)
+_KINDS = (KIND_OBJECT, KIND_PERSON)
 
 
 @dataclass(frozen=True)

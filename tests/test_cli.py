@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semmap.cli import main
+from semmap.geometry import RigidPose
 from semmap.headpose import FaceModel3D, project_model, rotation_from_euler
 
 INTRINSICS = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
@@ -80,6 +81,19 @@ class TestRun:
         code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
                      "--out", str(tmp_path / "out")])
         assert code == 3
+
+    @pytest.mark.parametrize("event", [
+        {"frame": 500, "poses": "true"},
+        {"frame": 3, "poses": {"7": RigidPose.identity().to_dict()}},
+    ])
+    def test_bad_correction_event_exit_3(self, tmp_path, capsys, event):
+        d = dict(SCENARIO, correction_events=[event])
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "scenario error" in capsys.readouterr().err
 
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

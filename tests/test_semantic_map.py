@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import ClassMismatch, EmptyCloud, UnknownKeyframe
@@ -11,7 +11,7 @@ from semmap.semantic_map import (
     overlap_ratio,
 )
 
-from conftest import brute_force_chamfer, random_pose
+from conftest import brute_force_chamfer, brute_force_overlap, random_pose
 
 
 def world(points):
@@ -52,6 +52,23 @@ class TestChamfer:
         d = chamfer_distance(a, b)
         assert d >= 0
         assert chamfer_distance(b, a) == d
+
+
+class TestOverlapRatio:
+    @given(seed=st.integers(0, 2**32 - 1),
+           radius=st.sampled_from([0.05, 0.25, 1.0]),
+           sizes=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+           jitter=st.booleans())
+    # 400 x 400 points: more than 2**16 pairs, so a block boundary is crossed
+    @example(seed=0, radius=0.25, sizes=(400, 400), jitter=False)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_exactly(self, seed, radius, sizes, jitter):
+        rng = np.random.default_rng(seed)
+        # lattice coordinates put many pairs exactly `radius` apart
+        a, b = (rng.integers(-4, 5, (n, 3)) * radius for n in sizes)
+        if jitter:
+            b = b + rng.uniform(-radius, radius, b.shape)
+        assert overlap_ratio(a, b, radius) == brute_force_overlap(a, b, radius)
 
 
 def make_map(**kw):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semmap.errors import FrameOutOfRange, ScenarioError
+from semmap.geometry import RigidPose
 from semmap.simulator import (
     Scenario,
     _sample_box_surface,
@@ -150,6 +151,24 @@ class TestSchema:
     def test_bad_correction_poses(self):
         with pytest.raises(ScenarioError):
             scenario(correction_events=[{"frame": 3, "poses": "guess"}])
+
+    @pytest.mark.parametrize("frame", [-1, 12, 500])
+    def test_correction_frame_out_of_range(self, frame):
+        with pytest.raises(ScenarioError, match="correction frame"):
+            scenario(correction_events=[{"frame": frame, "poses": "true"}])
+
+    @pytest.mark.parametrize("keyframe", [-1, 4])
+    def test_correction_names_keyframe_outside_range(self, keyframe):
+        pose = RigidPose.identity().to_dict()
+        with pytest.raises(ScenarioError, match="keyframes"):
+            scenario(correction_events=[
+                {"frame": 3, "poses": {"0": pose, str(keyframe): pose}}])
+
+    def test_correction_at_last_frame_accepted(self):
+        pose = RigidPose.identity().to_dict()
+        sc = scenario(correction_events=[
+            {"frame": 11, "poses": {"0": pose, "11": pose}}])
+        assert [ev.frame for ev in sc.correction_events] == [11]
 
     def test_bad_noise_field(self):
         with pytest.raises(ScenarioError):

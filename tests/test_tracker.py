@@ -37,6 +37,12 @@ class TestIou:
         assert iou(b, a) == pytest.approx(v)
 
 
+class TestDetection2D:
+    def test_face_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown detection kind"):
+            det((0, 0, 10, 10), kind="face")
+
+
 class TestStep:
     def test_single_confirmation_at_threshold(self):
         tracker = IoUTracker(min_track_length=5)

@@ -19,11 +19,13 @@ from .geometry import CameraIntrinsics
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Cross-product matrix [v]x, batched over the leading axes of v."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def rodrigues(w: np.ndarray) -> np.ndarray:
@@ -35,21 +37,6 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
     k = w / theta
     kx = skew(k)
     return np.eye(3) + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
-
-
-def _rotation_point_jacobian(w: np.ndarray, rot: np.ndarray,
-                             x: np.ndarray) -> np.ndarray:
-    """d(R(w) x)/dw, 3x3 (Gallego-Yezzi closed form)."""
-    theta2 = float(w @ w)
-    rx = rot @ x
-    if theta2 < 1e-16:
-        return -skew(x)
-    jac = np.empty((3, 3))
-    eye = np.eye(3)
-    for i in range(3):
-        vi = np.cross(w, (eye - rot) @ eye[:, i])
-        jac[:, i] = ((w[i] * skew(w) + skew(vi)) @ rx) / theta2
-    return jac
 
 
 @dataclass(frozen=True)
@@ -140,26 +127,32 @@ def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
     w = np.asarray(params[:3], dtype=np.float64)
     t = np.asarray(params[3:6], dtype=np.float64)
     rot = rodrigues(w)
-    cam = model_points @ rot.T + t
+    rx = model_points @ rot.T
+    cam = rx + t
     if np.any(cam[:, 2] <= 1e-9):
         raise PointBehindCamera("model point at non-positive camera depth")
-    n = len(model_points)
-    res = np.empty(2 * n)
-    jac = np.empty((2 * n, 6))
-    for i, x in enumerate(model_points):
-        px, py, pz = cam[i]
-        u = k.cx + k.fx * px / pz
-        v = k.cy + k.fy * py / pz
-        res[2 * i] = u - observed[i, 0]
-        res[2 * i + 1] = v - observed[i, 1]
-        du_dp = np.array([k.fx / pz, 0.0, -k.fx * px / (pz * pz)])
-        dv_dp = np.array([0.0, k.fy / pz, -k.fy * py / (pz * pz)])
-        dp_dw = _rotation_point_jacobian(w, rot, x)
-        jac[2 * i, :3] = du_dp @ dp_dw
-        jac[2 * i, 3:] = du_dp
-        jac[2 * i + 1, :3] = dv_dp @ dp_dw
-        jac[2 * i + 1, 3:] = dv_dp
-    return res, jac
+    px, py, pz = cam.T
+    u = k.cx + k.fx * px / pz
+    v = k.cy + k.fy * py / pz
+    res = (np.column_stack([u, v]) - observed).ravel()
+    zero = np.zeros_like(pz)
+    # d(u, v)/d(camera point), one 2x3 block per landmark: (N, 2, 3)
+    dpix = np.array([
+        [k.fx / pz, zero, -k.fx * px / (pz * pz)],
+        [zero, k.fy / pz, -k.fy * py / (pz * pz)],
+    ]).transpose(2, 0, 1)
+    # d(R x)/dw in Gallego-Yezzi matrix form (arXiv 1312.0788):
+    # -[R x]x (w w^T + [w]x (I - R)) / theta^2, and -[x]x near w = 0.
+    # For an exact R this equals -R [x]x (w w^T + (R^T - I)[w]x) / theta^2;
+    # with a rounded R that form drifts ~1e-10 relative at |w| = 1e-7.
+    theta2 = float(w @ w)
+    if theta2 < 1e-16:
+        dp_dw = -skew(model_points)
+    else:
+        m = (np.outer(w, w) + skew(w) @ (np.eye(3) - rot)) / theta2
+        dp_dw = -skew(rx) @ m
+    jac = np.concatenate([dpix @ dp_dw, dpix], axis=2)
+    return res, jac.reshape(2 * len(model_points), 6)
 
 
 def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import EmptyCloud, FrameOutOfRange, ScenarioError
+from .errors import (
+    DegenerateConfiguration,
+    EmptyCloud,
+    FrameOutOfRange,
+    NoConvergence,
+    PointBehindCamera,
+    ScenarioError,
+)
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -117,17 +124,20 @@ def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
     probs = face_areas / face_areas.sum()
     faces = rng.choice(6, size=count, p=probs)
     uv = rng.uniform(-0.5, 0.5, size=(count, 2))
-    pts = np.empty((count, 3))
-    for i, f in enumerate(faces):
-        axis = f // 2
-        sign = 1.0 if f % 2 == 0 else -1.0
-        others = [a for a in range(3) if a != axis]
-        p = np.empty(3)
-        p[axis] = sign * 0.5 * e[axis]
-        p[others[0]] = uv[i, 0] * e[others[0]]
-        p[others[1]] = uv[i, 1] * e[others[1]]
-        pts[i] = c + p
-    return pts
+    axis = faces // 2
+    sign = np.where(faces % 2 == 0, 1.0, -1.0)
+    others = np.array([[1, 2], [0, 2], [0, 1]])[axis]
+    rows = np.arange(count)
+    p = np.empty((count, 3))
+    p[rows, axis] = sign * 0.5 * e[axis]
+    p[rows[:, None], others] = uv * e[others]
+    return c + p
+
+
+def _reject_unknown_keys(d: dict, known: set, where: str):
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ScenarioError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
 def _build_trajectory(spec) -> list:
@@ -199,30 +209,41 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         try:
+            _reject_unknown_keys(d, {
+                "seed", "intrinsics", "world_objects", "persons", "fps",
+                "trajectory", "max_range", "background_depth", "drift",
+                "correction_events", "noise"}, "scenario")
             intr = CameraIntrinsics.from_dict(d["intrinsics"])
-            objs = [
-                WorldObject(
+            objs = []
+            for o in d.get("world_objects", []):
+                _reject_unknown_keys(
+                    o, {"class", "centroid", "extents", "sample_count"},
+                    "world object")
+                objs.append(WorldObject(
                     class_label=o["class"],
                     centroid=tuple(o["centroid"]),
                     extents=tuple(o["extents"]),
                     sample_count=int(o.get("sample_count", 400)),
-                )
-                for o in d.get("world_objects", [])
-            ]
-            persons = [
-                PersonSpec(
+                ))
+            persons = []
+            for p in d.get("persons", []):
+                _reject_unknown_keys(
+                    p, {"position", "attention_windows", "away_yaw_deg"},
+                    "person")
+                persons.append(PersonSpec(
                     position=tuple(p["position"]),
                     attention_windows=tuple(
                         tuple(w) for w in p.get("attention_windows", [])),
                     away_yaw_deg=float(p.get("away_yaw_deg", 60.0)),
-                )
-                for p in d.get("persons", [])
-            ]
+                ))
             fps = float(d.get("fps", 10.0))
             trajectory = _build_trajectory(d["trajectory"])
             drift = None
             if d.get("drift"):
                 dd = d["drift"]
+                _reject_unknown_keys(dd, {
+                    "start_frame", "translation_per_frame",
+                    "rotation_deg_per_frame"}, "drift")
                 drift = DriftModel(
                     start_frame=int(dd.get("start_frame", 0)),
                     translation_per_frame=tuple(
@@ -230,8 +251,14 @@ class Scenario:
                     rotation_deg_per_frame=tuple(
                         dd.get("rotation_deg_per_frame", (0, 0, 0))),
                 )
+                if not 0 <= drift.start_frame < len(trajectory):
+                    raise ScenarioError(
+                        f"drift start_frame {drift.start_frame} outside "
+                        f"[0, {len(trajectory)})")
             corrections = []
             for ev in d.get("correction_events", []):
+                _reject_unknown_keys(ev, {"frame", "poses"},
+                                     "correction event")
                 frame = int(ev["frame"])
                 if not 0 <= frame < len(trajectory):
                     raise ScenarioError(
@@ -614,14 +641,23 @@ def run_scenario_detailed(scenario: Scenario,
             lmks = data.landmarks.get(pi)
             if lmks is None:
                 continue
-            pose = lm_solve_pose(
-                lmks, face_model, k,
-                lambda_init=config.lm_lambda_init,
-                step_tol=config.lm_step_tol,
-                cost_tol=config.lm_cost_tol,
-                max_iterations=config.lm_max_iterations,
-                accept_rms=config.lm_accept_rms_px,
-            )
+            try:
+                pose = lm_solve_pose(
+                    lmks, face_model, k,
+                    lambda_init=config.lm_lambda_init,
+                    step_tol=config.lm_step_tol,
+                    cost_tol=config.lm_cost_tol,
+                    max_iterations=config.lm_max_iterations,
+                    accept_rms=config.lm_accept_rms_px,
+                )
+            except (NoConvergence, DegenerateConfiguration,
+                    PointBehindCamera) as e:
+                # one bad face is recorded, not fatal; willingness sees
+                # no observation for it this frame
+                person_rows.append({"track": track.track_id, "person": pi,
+                                    "error": type(e).__name__,
+                                    "attending": False})
+                continue
             attending = is_attending(pose, config.attention_cone_deg)
             observations.append((track.track_id, attending))
             person_rows.append({

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from semmap.cli import main
 from semmap.geometry import RigidPose
 from semmap.headpose import FaceModel3D, project_model, rotation_from_euler
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 
 INTRINSICS = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
               "width": 640, "height": 480}
@@ -104,6 +107,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bogus_knob" in err
         assert not (tmp_path / "out").exists()
+
+    def test_unsolvable_face_recorded_not_fatal(self, tmp_path):
+        # 2 px landmark jitter cannot fit within a 0.5 px accept bound
+        d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
+        d["noise"] = {"landmark_jitter_px": 2.0}
+        d["trajectory"]["segments"][0]["frames"] = 8
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lm_accept_rms_px": 0.5}))
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        events = [json.loads(line) for line in
+                  (out / "events.jsonl").read_text().splitlines()]
+        assert [ev["frame"] for ev in events] == list(range(8))
+        rows = [row for ev in events for row in ev["persons"]]
+        assert len(rows) == 16
+        for row in rows:
+            assert set(row) == {"track", "person", "error", "attending",
+                                "value", "triggered"}
+            assert row["error"] == "NoConvergence"
+            assert row["attending"] is False
 
     def test_seed_override_changes_nothing_when_equal(self, tmp_path):
         scenario = write_scenario(tmp_path)

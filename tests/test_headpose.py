@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_landmark_jacobian
+
 from semmap.errors import DegenerateConfiguration, PointBehindCamera
 from semmap.geometry import CameraIntrinsics
 from semmap.headpose import (
@@ -120,6 +122,30 @@ class TestResidualsAndJacobian:
                                              K)
             fd[:, j] = (r_hi - r_lo) / (2 * eps)
         assert np.abs(jac - fd).max() < 1e-4
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           angle=st.sampled_from([0.0, 1e-9, 1e-7, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_landmark_reference(self, seed, angle):
+        # angle None draws an ordinary pose; 1e-9 takes the small-angle
+        # branch (theta^2 < 1e-16) and 1e-7 the general one just above it
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0, 0.6, 3)
+        if angle is not None:
+            w *= angle / np.linalg.norm(w)
+        params = np.concatenate([w, [rng.normal(0, 0.1), rng.normal(0, 0.1),
+                                     rng.uniform(0.6, 3.0)]])
+        observed = rng.uniform([0, 0], [640, 480], (len(MODEL.points), 2))
+        try:
+            ref_res, ref_jac = per_landmark_jacobian(params, MODEL.points,
+                                                     observed, K)
+        except PointBehindCamera:
+            with pytest.raises(PointBehindCamera):
+                residuals_and_jacobian(params, MODEL.points, observed, K)
+            return
+        res, jac = residuals_and_jacobian(params, MODEL.points, observed, K)
+        assert res.tobytes() == ref_res.tobytes()
+        assert np.abs(jac - ref_jac).max() <= 1e-12 * np.abs(ref_jac).max()
 
     def test_behind_camera_raises(self, intrinsics):
         params = np.array([0, 0, 0, 0, 0, -1.0])

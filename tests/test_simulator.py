@@ -170,6 +170,30 @@ class TestSchema:
             {"frame": 11, "poses": {"0": pose, "11": pose}}])
         assert [ev.frame for ev in sc.correction_events] == [11]
 
+    @pytest.mark.parametrize("overrides", [
+        {"correction_event": [{"frame": 3, "poses": "true"}]},
+        {"drift": {"start_frame": 0, "translation": [0.1, 0.0, 0.0]}},
+        {"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                            "extents": [0.1, 0.1, 0.12], "samples": 50}]},
+        {"persons": [{"position": [0.0, 0.0, 1.5], "away_yaw": 30.0}]},
+        {"correction_events": [{"frame": 3, "pose": "true"}]},
+    ])
+    def test_unknown_key_rejected(self, overrides):
+        with pytest.raises(ScenarioError, match="unknown .* keys"):
+            scenario(**overrides)
+
+    @pytest.mark.parametrize("start", [-5, 12, 500])
+    def test_drift_start_out_of_range(self, start):
+        with pytest.raises(ScenarioError, match="start_frame"):
+            scenario(drift={"start_frame": start,
+                            "translation_per_frame": [0.1, 0, 0]})
+
+    def test_drift_start_at_last_frame_accepted(self):
+        sc = scenario(drift={"start_frame": 11,
+                             "translation_per_frame": [0.1, 0, 0]})
+        np.testing.assert_allclose(sc.drift_pose(11).translation,
+                                   [0.1, 0, 0])
+
     def test_bad_noise_field(self):
         with pytest.raises(ScenarioError):
             scenario(noise={"dropout_prob": 1.5})

@@ -11,6 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,7 @@ from .willingness import PersonWillingnessMap
 
 NEAR_PLANE = 0.05
 MIN_VISIBLE_SAMPLES = 5
+MAX_FOOTPRINT_PX = 9  # side of the largest square a depth sample covers
 
 _face_model_cache = None
 
@@ -79,12 +81,28 @@ class WorldObject:
     extents: tuple
     sample_count: int = 400
 
+    def __post_init__(self):
+        if len(self.extents) != 3 or not all(
+                0 < e < math.inf for e in self.extents):
+            raise ScenarioError(
+                f"extents must be three positive finite sizes, got "
+                f"{list(self.extents)}")
+        if self.sample_count < 1:
+            raise ScenarioError(
+                f"sample_count must be >= 1, got {self.sample_count}")
+
 
 @dataclass(frozen=True)
 class PersonSpec:
     position: tuple  # head center, world frame
     attention_windows: tuple  # ((t_start, t_end), ...) seconds
     away_yaw_deg: float = 60.0
+
+    def __post_init__(self):
+        for w in self.attention_windows:
+            if len(w) != 2 or not w[0] < w[1]:
+                raise ScenarioError(
+                    f"attention window {list(w)} is not [t0, t1] with t0 < t1")
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,9 @@ class NoiseModel:
             raise ScenarioError("dropout_prob must be in [0, 1]")
         if self.false_positive_rate < 0:
             raise ScenarioError("false_positive_rate must be >= 0")
+        for name in ("bbox_jitter_px", "depth_noise_m", "landmark_jitter_px"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,17 +211,43 @@ class Scenario:
     drift: DriftModel | None = None
     correction_events: list = field(default_factory=list)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    object_samples: list = field(init=False)
+    # every object's surface samples, stacked in object order, (N, 3)
+    samples: np.ndarray = field(init=False, repr=False)
+    sample_owner: np.ndarray = field(init=False, repr=False)  # object index
+    sample_spacing: np.ndarray = field(init=False, repr=False)  # per object, m
+    object_samples: list = field(init=False)  # per object, views of samples
 
     def __post_init__(self):
         if not self.trajectory:
             raise ScenarioError("trajectory must be non-empty")
-        self.object_samples = []
-        for idx, obj in enumerate(self.world_objects):
-            rng = np.random.default_rng([self.seed, 7, idx])
-            self.object_samples.append(
-                _sample_box_surface(obj.centroid, obj.extents,
-                                    obj.sample_count, rng))
+        if not 0 < self.fps < math.inf:
+            raise ScenarioError(
+                f"fps must be positive and finite, got {self.fps}")
+        if not self.max_range > NEAR_PLANE:
+            raise ScenarioError(
+                f"max_range must exceed the near plane ({NEAR_PLANE} m), "
+                f"got {self.max_range}")
+        if not 0 <= self.background_depth < math.inf:
+            raise ScenarioError(
+                f"background_depth must be finite and >= 0, got "
+                f"{self.background_depth}")
+        parts = [
+            _sample_box_surface(obj.centroid, obj.extents, obj.sample_count,
+                                np.random.default_rng([self.seed, 7, idx]))
+            for idx, obj in enumerate(self.world_objects)]
+        counts = [len(part) for part in parts]
+        self.samples = np.concatenate(parts or [np.empty((0, 3))])
+        # the narrowest unsigned type lets a stable sort by owner use radix
+        owner_type = np.min_scalar_type(len(parts))
+        self.sample_owner = np.repeat(
+            np.arange(len(parts), dtype=owner_type), counts)
+        ends = np.cumsum(counts, dtype=int)
+        self.object_samples = [self.samples[end - n:end]
+                               for n, end in zip(counts, ends)]
+        e = np.array([obj.extents for obj in self.world_objects],
+                     dtype=np.float64).reshape(-1, 3)
+        area = 2 * (e[:, 0] * e[:, 1] + e[:, 1] * e[:, 2] + e[:, 0] * e[:, 2])
+        self.sample_spacing = np.sqrt(np.maximum(area, 1e-9) / counts)
 
     @property
     def num_frames(self) -> int:
@@ -336,10 +383,6 @@ class FrameData:
     attending_gt: dict  # person index -> bool
 
 
-def _project_points_cam(points, pose: RigidPose):
-    return pose.inverse().transform(points)
-
-
 def _jittered_bbox(bbox, rng, sigma, width, height):
     x0, y0, x1, y1 = bbox
     if sigma > 0:
@@ -356,19 +399,6 @@ def _jittered_bbox(bbox, rng, sigma, width, height):
     return (x0, y0, x1, y1)
 
 
-def _splat_depth(depth_min, us, vs, ds, footprint, width, height):
-    half = footprint // 2
-    flat = depth_min.ravel()
-    for dy in range(-half, footprint - half):
-        for dx in range(-half, footprint - half):
-            uu = us + dx
-            vv = vs + dy
-            ok = (uu >= 0) & (uu < width) & (vv >= 0) & (vv < height)
-            if not np.any(ok):
-                continue
-            np.minimum.at(flat, vv[ok] * width + uu[ok], ds[ok])
-
-
 def synthesize_frame(scenario: Scenario, frame_idx: int):
     """Detections, depth image, and (possibly drifted) pose estimate."""
     data = synthesize_frame_data(scenario, frame_idx)
@@ -379,51 +409,82 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     if not 0 <= frame_idx < scenario.num_frames:
         raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
     k = scenario.intrinsics
-    true_pose = scenario.trajectory[frame_idx]
+    to_cam = scenario.trajectory[frame_idx].inverse()
     noise = scenario.noise
     rng_det = np.random.default_rng([scenario.seed, 2, frame_idx])
     rng_depth = np.random.default_rng([scenario.seed, 3, frame_idx])
     rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
     rng_lmk = np.random.default_rng([scenario.seed, 5, frame_idx])
 
+    # every object's samples in one pass; masking keeps them in object order
+    cam = to_cam.transform(scenario.samples)
+    z = cam[:, 2]
+    vis = (z > NEAR_PLANE) & (z <= scenario.max_range)
+    z = z[vis]
+    u = k.cx + k.fx * cam[vis, 0] / z
+    v = k.cy + k.fy * cam[vis, 1] / z
+    inb = (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
+    u, v, d = u[inb], v[inb], z[inb]
+    owner = scenario.sample_owner[vis][inb]
+    # depth comes from geometry regardless of detection dropout
+    if noise.depth_noise_m > 0:
+        d = np.maximum(d + rng_depth.normal(0.0, noise.depth_noise_m, d.size),
+                       0.01)
+
+    # per object seen: its segment of the arrays above, its median depth
+    # (np.median's rule: the mean of the two middle values for an even
+    # count), footprint and bbox
+    counts = np.bincount(owner, minlength=len(scenario.world_objects))
+    seen = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[seen]
+    seen_counts = counts[seen]
+    order = np.argsort(d)
+    d_sorted = d[order[np.argsort(owner[order], kind="stable")]]
+    median = (d_sorted[starts + (seen_counts - 1) // 2]
+              + d_sorted[starts + seen_counts // 2]) / 2
+    fpx = np.zeros(len(counts), dtype=int)
+    fpx[seen] = np.clip(np.ceil(k.fx * scenario.sample_spacing[seen] / median),
+                        1, MAX_FOOTPRINT_PX)
+    boxes = np.stack([np.minimum.reduceat(u, starts) - 0.5,
+                      np.minimum.reduceat(v, starts) - 0.5,
+                      np.maximum.reduceat(u, starts) + 0.5,
+                      np.maximum.reduceat(v, starts) + 0.5], axis=1)
+
+    # z-buffer with its far plane at the background: one exact scatter-min
+    # over the in-image footprint pixels of every sample, grouped by
+    # footprint. Samples run along the last axis, so numpy's inner loops
+    # are long; min is exact and order-free, so the grouping changes no bit
+    zbuf = np.full(k.height * k.width, scenario.background_depth or np.inf)
+    us, vs = u.astype(np.intp), v.astype(np.intp)
+    point_fpx = fpx[owner]
+    pixels, depths = [], []
+    for f in np.unique(fpx[seen]):
+        sel = point_fpx == f
+        offsets = np.arange(f)[:, None] - f // 2
+        cols = us[sel] + offsets
+        rows = vs[sel] + offsets
+        ok = (((rows >= 0) & (rows < k.height))[:, None]
+              & ((cols >= 0) & (cols < k.width)))
+        pixels.append((rows[:, None] * k.width + cols)[ok])
+        depths.append(np.broadcast_to(d[sel], ok.shape)[ok])
+    if pixels:
+        np.minimum.at(zbuf, np.concatenate(pixels), np.concatenate(depths))
+    if scenario.background_depth == 0:
+        zbuf[np.isinf(zbuf)] = 0.0  # no sample, no background: invalid
+
     detections = []
     provenance = []
-    depth_min = np.full((k.height, k.width), np.inf)
-
-    for oi, obj in enumerate(scenario.world_objects):
-        cam = _project_points_cam(scenario.object_samples[oi], true_pose)
-        z = cam[:, 2]
-        vis = (z > NEAR_PLANE) & (z <= scenario.max_range)
-        if np.any(vis):
-            u = k.cx + k.fx * cam[vis, 0] / z[vis]
-            v = k.cy + k.fy * cam[vis, 1] / z[vis]
-            inb = (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
-            u, v = u[inb], v[inb]
-            d = z[vis][inb]
-        else:
-            u = v = d = np.empty(0)
-        # depth comes from geometry regardless of detection dropout
-        if d.size:
-            if noise.depth_noise_m > 0:
-                d = d + rng_depth.normal(0.0, noise.depth_noise_m, d.size)
-                d = np.maximum(d, 0.01)
-            else:
-                rng_depth.normal(0.0, 1.0, d.size)
-            e = np.asarray(obj.extents)
-            area = 2 * (e[0] * e[1] + e[1] * e[2] + e[0] * e[2])
-            spacing = np.sqrt(max(area, 1e-9) / obj.sample_count)
-            fpx = int(np.clip(np.ceil(k.fx * spacing / np.median(d)), 1, 9))
-            _splat_depth(depth_min, u.astype(np.int64), v.astype(np.int64),
-                         d, fpx, k.width, k.height)
-        if u.size >= MIN_VISIBLE_SAMPLES:
-            bbox = (u.min() - 0.5, v.min() - 0.5, u.max() + 0.5, v.max() + 0.5)
-            bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                                  k.width, k.height)
-            dropped = rng_det.uniform() < noise.dropout_prob
-            if not dropped:
-                detections.append(Detection2D(bbox, obj.class_label,
-                                              score=1.0, kind=KIND_OBJECT))
-                provenance.append(("object", oi))
+    for oi, n, bbox in zip(seen, seen_counts, boxes):
+        if n < MIN_VISIBLE_SAMPLES:
+            continue
+        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
+                              k.width, k.height)
+        dropped = rng_det.uniform() < noise.dropout_prob
+        if not dropped:
+            detections.append(Detection2D(
+                bbox, scenario.world_objects[oi].class_label, score=1.0,
+                kind=KIND_OBJECT))
+            provenance.append(("object", int(oi)))
 
     face_model = _default_face_model()
     landmarks = {}
@@ -431,8 +492,8 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     for pi, person in enumerate(scenario.persons):
         attending = scenario.attending_gt(pi, frame_idx)
         attending_gt[pi] = attending
-        head_cam = _project_points_cam(
-            np.asarray(person.position, dtype=np.float64), true_pose)
+        head_cam = to_cam.transform(
+            np.asarray(person.position, dtype=np.float64))
         if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
             continue
         hc = np.asarray(person.position)
@@ -440,7 +501,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             hc + (sx * 0.25, sy * 0.25, dz)
             for sx in (-1, 1) for sy in (-1, 1) for dz in (-1.5, 0.15)
         ])
-        cam = _project_points_cam(corners, true_pose)
+        cam = to_cam.transform(corners)
         zc = np.maximum(cam[:, 2], NEAR_PLANE)
         u = k.cx + k.fx * cam[:, 0] / zc
         v = k.cy + k.fy * cam[:, 1] / zc
@@ -488,15 +549,9 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
                                           kind=KIND_OBJECT))
             provenance.append(("fp", j))
 
-    if scenario.background_depth > 0:
-        depth = np.minimum(depth_min, scenario.background_depth)
-    else:
-        depth = np.where(np.isinf(depth_min), 0.0, depth_min)
-    depth = np.where(np.isinf(depth), scenario.background_depth, depth)
-
     return FrameData(
         detections=detections,
-        depth=DepthImage(depth),
+        depth=DepthImage(zbuf.reshape(k.height, k.width)),
         pose_estimate=scenario.estimated_pose(frame_idx),
         provenance=provenance,
         landmarks=landmarks,

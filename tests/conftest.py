@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from semmap.errors import PointBehindCamera
-from semmap.geometry import CameraIntrinsics, RigidPose
-from semmap.headpose import rodrigues, skew
+from semmap.errors import FrameOutOfRange, PointBehindCamera
+from semmap.geometry import CameraIntrinsics, DepthImage, RigidPose
+from semmap.headpose import (
+    LandmarkSet2D,
+    project_model,
+    rodrigues,
+    rotation_from_euler,
+    skew,
+)
+from semmap.simulator import (
+    MIN_VISIBLE_SAMPLES,
+    NEAR_PLANE,
+    FrameData,
+    _default_face_model,
+    _jittered_bbox,
+)
+from semmap.tracker import KIND_OBJECT, KIND_PERSON, Detection2D
 
 
 @pytest.fixture
@@ -69,3 +83,151 @@ def per_landmark_jacobian(params, model_points, observed, k):
         jac[2 * i + 1, :3] = dv_dp @ dp_dw
         jac[2 * i + 1, 3:] = dv_dp
     return res, jac
+
+
+def _project_points_cam(points, pose: RigidPose):
+    return pose.inverse().transform(points)
+
+
+def _splat_depth(depth_min, us, vs, ds, footprint, width, height):
+    half = footprint // 2
+    flat = depth_min.ravel()
+    for dy in range(-half, footprint - half):
+        for dx in range(-half, footprint - half):
+            uu = us + dx
+            vv = vs + dy
+            ok = (uu >= 0) & (uu < width) & (vv >= 0) & (vv < height)
+            if not np.any(ok):
+                continue
+            np.minimum.at(flat, vv[ok] * width + uu[ok], ds[ok])
+
+
+def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
+    """Reference for `simulator.synthesize_frame_data`: projects and splats
+    one object per pass, one `np.minimum.at` per footprint offset."""
+    if not 0 <= frame_idx < scenario.num_frames:
+        raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
+    k = scenario.intrinsics
+    true_pose = scenario.trajectory[frame_idx]
+    noise = scenario.noise
+    rng_det = np.random.default_rng([scenario.seed, 2, frame_idx])
+    rng_depth = np.random.default_rng([scenario.seed, 3, frame_idx])
+    rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
+    rng_lmk = np.random.default_rng([scenario.seed, 5, frame_idx])
+
+    detections = []
+    provenance = []
+    depth_min = np.full((k.height, k.width), np.inf)
+
+    for oi, obj in enumerate(scenario.world_objects):
+        cam = _project_points_cam(scenario.object_samples[oi], true_pose)
+        z = cam[:, 2]
+        vis = (z > NEAR_PLANE) & (z <= scenario.max_range)
+        if np.any(vis):
+            u = k.cx + k.fx * cam[vis, 0] / z[vis]
+            v = k.cy + k.fy * cam[vis, 1] / z[vis]
+            inb = (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
+            u, v = u[inb], v[inb]
+            d = z[vis][inb]
+        else:
+            u = v = d = np.empty(0)
+        # depth comes from geometry regardless of detection dropout
+        if d.size:
+            if noise.depth_noise_m > 0:
+                d = d + rng_depth.normal(0.0, noise.depth_noise_m, d.size)
+                d = np.maximum(d, 0.01)
+            else:
+                rng_depth.normal(0.0, 1.0, d.size)
+            e = np.asarray(obj.extents)
+            area = 2 * (e[0] * e[1] + e[1] * e[2] + e[0] * e[2])
+            spacing = np.sqrt(max(area, 1e-9) / obj.sample_count)
+            fpx = int(np.clip(np.ceil(k.fx * spacing / np.median(d)), 1, 9))
+            _splat_depth(depth_min, u.astype(np.int64), v.astype(np.int64),
+                         d, fpx, k.width, k.height)
+        if u.size >= MIN_VISIBLE_SAMPLES:
+            bbox = (u.min() - 0.5, v.min() - 0.5, u.max() + 0.5, v.max() + 0.5)
+            bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
+                                  k.width, k.height)
+            dropped = rng_det.uniform() < noise.dropout_prob
+            if not dropped:
+                detections.append(Detection2D(bbox, obj.class_label,
+                                              score=1.0, kind=KIND_OBJECT))
+                provenance.append(("object", oi))
+
+    face_model = _default_face_model()
+    landmarks = {}
+    attending_gt = {}
+    for pi, person in enumerate(scenario.persons):
+        attending = scenario.attending_gt(pi, frame_idx)
+        attending_gt[pi] = attending
+        head_cam = _project_points_cam(
+            np.asarray(person.position, dtype=np.float64), true_pose)
+        if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
+            continue
+        hc = np.asarray(person.position)
+        corners = np.array([
+            hc + (sx * 0.25, sy * 0.25, dz)
+            for sx in (-1, 1) for sy in (-1, 1) for dz in (-1.5, 0.15)
+        ])
+        cam = _project_points_cam(corners, true_pose)
+        zc = np.maximum(cam[:, 2], NEAR_PLANE)
+        u = k.cx + k.fx * cam[:, 0] / zc
+        v = k.cy + k.fy * cam[:, 1] / zc
+        bbox = (u.min(), v.min(), u.max(), v.max())
+        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
+                              k.width, k.height)
+        dropped = rng_det.uniform() < noise.dropout_prob
+        if not dropped:
+            detections.append(Detection2D(bbox, "person", score=1.0,
+                                          kind=KIND_PERSON))
+            provenance.append(("person", pi))
+        head_rot = np.eye(3) if attending else rotation_from_euler(
+            person.away_yaw_deg, 0.0, 0.0)
+        try:
+            lmks = project_model(face_model, head_rot, head_cam, k)
+        except Exception:
+            continue
+        inside = all(0 <= uu < k.width and 0 <= vv < k.height
+                     for uu, vv in lmks.values())
+        if not inside:
+            continue
+        if noise.landmark_jitter_px > 0:
+            lmks = {
+                n: (uu + rng_lmk.normal(0, noise.landmark_jitter_px),
+                    vv + rng_lmk.normal(0, noise.landmark_jitter_px))
+                for n, (uu, vv) in lmks.items()
+            }
+        landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
+
+    if noise.false_positive_rate > 0:
+        n_fp = int(rng_fp.poisson(noise.false_positive_rate))
+        class_pool = sorted({o.class_label for o in scenario.world_objects}) \
+            or ["clutter"]
+        for j in range(n_fp):
+            cls = class_pool[int(rng_fp.integers(len(class_pool)))]
+            cx_ = rng_fp.uniform(0, k.width)
+            cy_ = rng_fp.uniform(0, k.height)
+            w = rng_fp.uniform(10, 80)
+            h = rng_fp.uniform(10, 80)
+            x0 = float(np.clip(cx_ - w / 2, 0, k.width - 2))
+            y0 = float(np.clip(cy_ - h / 2, 0, k.height - 2))
+            x1 = float(np.clip(cx_ + w / 2, x0 + 1, k.width))
+            y1 = float(np.clip(cy_ + h / 2, y0 + 1, k.height))
+            detections.append(Detection2D((x0, y0, x1, y1), cls, score=0.3,
+                                          kind=KIND_OBJECT))
+            provenance.append(("fp", j))
+
+    if scenario.background_depth > 0:
+        depth = np.minimum(depth_min, scenario.background_depth)
+    else:
+        depth = np.where(np.isinf(depth_min), 0.0, depth_min)
+    depth = np.where(np.isinf(depth), scenario.background_depth, depth)
+
+    return FrameData(
+        detections=detections,
+        depth=DepthImage(depth),
+        pose_estimate=scenario.estimated_pose(frame_idx),
+        provenance=provenance,
+        landmarks=landmarks,
+        attending_gt=attending_gt,
+    )

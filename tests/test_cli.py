@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -98,6 +99,28 @@ class TestRun:
         assert not out.exists()
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["persons"][0].update(attention_windows=[[1.0, 2.0, 3.0]]),
+        lambda d: d["persons"][0].update(attention_windows=[[3.0, 1.0]]),
+        lambda d: d.update(fps=0),
+        lambda d: d.update(fps=-10),
+        lambda d: d.update(max_range=-1.0),
+        lambda d: d["world_objects"][0].update(sample_count=0),
+        lambda d: d["world_objects"][0].update(extents=[0.08, 0.0, 0.12]),
+        lambda d: d.update(noise={"landmark_jitter_px": -1.0}),
+    ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
+            "max_range_negative", "no_samples", "flat_extents",
+            "negative_jitter"])
+    def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
+        d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
+        edit(d)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "scenario error" in capsys.readouterr().err
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"iou_threshold": 0.4, "bogus_knob": 1}))
@@ -139,6 +162,52 @@ class TestRun:
               "--seed", str(SCENARIO["seed"])])
         assert (out_a / "events.jsonl").read_bytes() \
             == (out_b / "events.jsonl").read_bytes()
+
+
+class TestShippedDigests:
+    """sha256 of the files `semmap run` writes for each shipped scenario.
+
+    These pin the project's byte-identical reference outputs. They were
+    taken with numpy 2.4.6 on Python 3.11.7 (x86-64); another numpy may
+    round some float in the last bit and change a digest. interaction's
+    events.jsonl carries the vectorized head-pose Jacobian's last bits.
+    """
+
+    EXPECTED = {
+        "desk_orbit": {
+            "map.json": "715b49268edcbf799bd31b4eaee26ad8"
+                        "752ee50de8c3a094cfdad95a9b02440f",
+            "metrics.json": "e6cc567aacecee37833379a41a5b26d8"
+                            "88216cb23af207cb06baeccfabecfdcb",
+            "events.jsonl": "d5d280052dd27f6be4fa45b310244f69"
+                            "dab387b56fc0e738d5c6920245b24257",
+        },
+        "drift_loop": {
+            "map.json": "fc032114f893ff7cbcb41ac25f5932a3"
+                        "c99c42d4f501c9b5fc58cf4f395544a4",
+            "metrics.json": "eb2dcacce174575a8d0aba49928593c9"
+                            "d50075cbad59af167e874954bb879b45",
+            "events.jsonl": "7ccb584c1f84d709167f757b335b7c76"
+                            "d162a55ea2b82653660d2c73a34217f2",
+        },
+        "interaction": {
+            "map.json": "b5e1594fe2ef3daf770a320f9ccb272e"
+                        "16cc05e6f5caa55be37feeb4db1b2a54",
+            "metrics.json": "c10df717be9fffc0bfec0a91057cdb2a"
+                            "a5eaa39f771aae7d6b29ab01ef6099d3",
+            "events.jsonl": "9b676a1469153d25e428bda5960279c7"
+                            "34c32ad175b21ae03e383f939ea26298",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_outputs_match_reference(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                   for f in self.EXPECTED[name]}
+        assert digests == self.EXPECTED[name]
 
 
 class TestHeadpose:

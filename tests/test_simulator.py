@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semmap.errors import FrameOutOfRange, ScenarioError
 from semmap.geometry import RigidPose
@@ -17,6 +19,8 @@ from semmap.simulator import (
     synthesize_frame,
     synthesize_frame_data,
 )
+
+from conftest import per_object_frame_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 
@@ -69,7 +73,111 @@ class TestBoxSampling:
         assert np.all(rel <= 1.0 + 1e-12)
 
 
+def frame_scenario(seed=0, objects=(), max_range=15.0, background_depth=0.0,
+                   noise=None, persons=()):
+    """One frame seen from (0, 0, 1) along +y through a 160x120 camera.
+
+    objects: (right, ahead, up, extents, sample_count), placed relative to
+    the camera; persons: (right, ahead) of a head at the camera's height.
+    """
+    return Scenario.from_dict({
+        "seed": seed,
+        "intrinsics": {"fx": 120.0, "fy": 120.0, "cx": 80.0, "cy": 60.0,
+                       "width": 160, "height": 120},
+        "world_objects": [
+            {"class": f"c{i % 3}", "centroid": [right, ahead, 1.0 + up],
+             "extents": list(extents), "sample_count": count}
+            for i, (right, ahead, up, extents, count) in enumerate(objects)],
+        "persons": [{"position": [right, ahead, 1.0],
+                     "attention_windows": [[0.0, 1.0]]}
+                    for right, ahead in persons],
+        "trajectory": {"kind": "segments", "segments": [
+            {"position": [0.0, 0.0, 1.0], "look_at": [0.0, 1.0, 1.0],
+             "frames": 1}]},
+        "max_range": max_range,
+        "background_depth": background_depth,
+        "noise": noise or {},
+    })
+
+
+FRAME_OBJECT = st.tuples(
+    st.floats(-4.0, 4.0),  # right: wide offsets leave the image
+    st.floats(-2.0, 20.0),  # ahead: behind the camera to beyond max_range
+    st.floats(-1.5, 1.5),
+    st.tuples(*[st.floats(0.02, 1.5)] * 3),
+    st.integers(1, 300),
+)
+FRAME_NOISE = st.fixed_dictionaries({
+    "bbox_jitter_px": st.sampled_from([0.0, 1.5]),
+    "depth_noise_m": st.sampled_from([0.0, 0.02]),
+    "dropout_prob": st.sampled_from([0.0, 0.3]),
+    "false_positive_rate": st.sampled_from([0.0, 1.5]),
+})
+CUBE = (0.1, 0.1, 0.1)
+BIG_CUBE = (1.0, 1.0, 1.0)
+
+
 class TestSynthesizeFrame:
+    @given(seed=st.integers(0, 2**16),
+           objects=st.lists(FRAME_OBJECT, max_size=6),
+           max_range=st.sampled_from([4.0, 15.0]),
+           background_depth=st.sampled_from([0.0, 6.0]), noise=FRAME_NOISE,
+           persons=st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                      st.floats(1.0, 4.0)), max_size=1))
+    # zero objects
+    @example(seed=1, objects=[], max_range=15.0, background_depth=6.0,
+             noise={}, persons=[])
+    # footprint 1 (many samples, far), and the clip at 9 (five samples of
+    # a metre cube, near); no noise, then depth noise and background
+    @example(seed=2, objects=[(0.0, 6.0, 0.0, CUBE, 300),
+                              (0.0, 1.5, 0.0, BIG_CUBE, 5)],
+             max_range=15.0, background_depth=0.0, noise={}, persons=[])
+    @example(seed=3, objects=[(0.0, 6.0, 0.0, CUBE, 300),
+                              (0.0, 1.5, 0.0, BIG_CUBE, 5)],
+             max_range=15.0, background_depth=6.0,
+             noise={"depth_noise_m": 0.02}, persons=[])
+    # partly off the image, behind the camera, beyond max_range; dropout
+    # and false positives
+    @example(seed=4, objects=[(1.5, 2.0, 0.0, BIG_CUBE, 200),
+                              (0.0, -1.0, 0.0, CUBE, 50),
+                              (0.0, 5.0, 0.0, CUBE, 50),
+                              (-0.2, 2.5, -0.3, (0.3, 0.2, 0.1), 120)],
+             max_range=4.0, background_depth=0.0,
+             noise={"bbox_jitter_px": 1.5, "dropout_prob": 0.3,
+                    "false_positive_rate": 1.5}, persons=[(0.5, 2.0)])
+    # even counts whose two middle depths straddle a footprint step: the
+    # upper (first) or the lower (second) middle value alone gives another
+    # footprint than their mean
+    @example(seed=70, objects=[(-0.49, 1.78, 0.0, (0.09, 0.41, 0.2), 76)],
+             max_range=15.0, background_depth=0.0, noise={}, persons=[])
+    @example(seed=16, objects=[(0.09, 1.22, 0.0, (0.39, 0.06, 0.11), 28)],
+             max_range=15.0, background_depth=0.0, noise={}, persons=[])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_object_reference(self, seed, objects, max_range,
+                                          background_depth, noise, persons):
+        sc = frame_scenario(seed, objects, max_range, background_depth, noise,
+                            persons)
+        got = synthesize_frame_data(sc, 0)
+        want = per_object_frame_reference(sc, 0)
+        assert got.depth.data.shape == want.depth.data.shape
+        assert got.depth.data.tobytes() == want.depth.data.tobytes()
+        assert [(d.bbox, d.class_label, d.kind, d.score)
+                for d in got.detections] \
+            == [(d.bbox, d.class_label, d.kind, d.score)
+                for d in want.detections]
+        assert got.provenance == want.provenance
+        assert {p: lm.landmarks for p, lm in got.landmarks.items()} \
+            == {p: lm.landmarks for p, lm in want.landmarks.items()}
+        assert got.attending_gt == want.attending_gt
+
+    def test_object_samples_are_views_of_one_array(self):
+        sc = frame_scenario(objects=[(0.0, 2.0, 0.0, CUBE, 30),
+                                     (0.5, 3.0, 0.0, CUBE, 20)])
+        assert sc.samples.shape == (50, 3)
+        assert [len(s) for s in sc.object_samples] == [30, 20]
+        assert all(s.base is sc.samples for s in sc.object_samples)
+        assert sc.sample_owner.tolist() == [0] * 30 + [1] * 20
+
     def test_noiseless_bbox_is_sample_hull(self):
         sc = scenario()
         dets, depth, pose = synthesize_frame(sc, 0)
@@ -197,6 +305,41 @@ class TestSchema:
     def test_bad_noise_field(self):
         with pytest.raises(ScenarioError):
             scenario(noise={"dropout_prob": 1.5})
+
+    @pytest.mark.parametrize("window", [
+        [1.0, 2.0, 3.0], [1.0], [], [3.0, 1.0], [2.0, 2.0],
+        [float("nan"), 2.0]])
+    def test_bad_attention_window_rejected(self, window):
+        with pytest.raises(ScenarioError, match="attention window"):
+            scenario(persons=[{"position": [0.0, 0.0, 1.5],
+                               "attention_windows": [[0.0, 0.5], window]}])
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"fps": 0}, "fps"),
+        ({"fps": -10}, "fps"),
+        ({"fps": float("inf")}, "fps"),
+        ({"max_range": -1.0}, "max_range"),
+        ({"max_range": 0.05}, "max_range"),
+        ({"background_depth": -1.0}, "background_depth"),
+        ({"background_depth": float("inf")}, "background_depth"),
+        ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                             "extents": [0.1, 0.1, 0.12],
+                             "sample_count": 0}]}, "sample_count"),
+        ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                             "extents": [0.1, 0.0, 0.12]}]}, "extents"),
+        ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                             "extents": [0.1, -0.1, 0.12]}]}, "extents"),
+        ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                             "extents": [0.1, 0.1]}]}, "extents"),
+        ({"noise": {"bbox_jitter_px": -1.0}}, "bbox_jitter_px"),
+        ({"noise": {"bbox_jitter_px": float("nan")}}, "bbox_jitter_px"),
+        ({"noise": {"depth_noise_m": -0.01}}, "depth_noise_m"),
+        ({"noise": {"depth_noise_m": float("inf")}}, "depth_noise_m"),
+        ({"noise": {"landmark_jitter_px": -1.0}}, "landmark_jitter_px"),
+    ])
+    def test_out_of_range_field_rejected(self, overrides, field):
+        with pytest.raises(ScenarioError, match=field):
+            scenario(**overrides)
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

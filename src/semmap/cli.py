@@ -1,6 +1,6 @@
 """Command line entry points.
 
-Exit codes: 0 success, 2 config error, 3 scenario schema error,
+Exit codes: 0 success, 2 config or input error, 3 scenario schema error,
 4 degenerate head-pose configuration, 5 non-monotone timeline.
 No output files are written on a nonzero exit.
 """
@@ -19,6 +19,8 @@ from .errors import (
     ClockWentBackwards,
     ConfigError,
     DegenerateConfiguration,
+    NoConvergence,
+    PointBehindCamera,
     ScenarioError,
 )
 from .geometry import WORLD, CameraIntrinsics, PointCloud, write_ply
@@ -97,38 +99,47 @@ def cmd_headpose(args) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    lines = []
     try:
-        with open(args.landmarks) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                obs = LandmarkSet2D(
-                    {n: tuple(uv) for n, uv in rec["landmarks"].items()},
-                    face_id=rec.get("face_id"),
-                )
-                try:
-                    pose = lm_solve_pose(obs, model, k)
-                except DegenerateConfiguration as e:
-                    print(f"degenerate configuration at frame "
-                          f"{rec.get('frame')}: {e}", file=sys.stderr)
-                    return EXIT_DEGENERATE
-                lines.append(_dump_json({
-                    "frame": rec.get("frame"),
-                    "face_id": rec.get("face_id"),
-                    "yaw": pose.yaw,
-                    "pitch": pose.pitch,
-                    "roll": pose.roll,
-                    "rms": pose.rms_residual,
-                }))
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+        faces = _read_faces(args.landmarks)
+    except (OSError, KeyError, ValueError) as e:
         print(f"landmark input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    lines = []
+    for rec, obs in faces:
+        row = {"frame": rec.get("frame"), "face_id": rec.get("face_id")}
+        try:
+            pose = lm_solve_pose(obs, model, k)
+        except DegenerateConfiguration as e:
+            print(f"degenerate configuration at frame "
+                  f"{rec.get('frame')}: {e}", file=sys.stderr)
+            return EXIT_DEGENERATE
+        except (NoConvergence, PointBehindCamera) as e:
+            # one unsolvable face is recorded, not fatal
+            row["error"] = type(e).__name__
+        else:
+            row.update(yaw=pose.yaw, pitch=pose.pitch, roll=pose.roll,
+                       rms=pose.rms_residual)
+        lines.append(_dump_json(row))
     for line in lines:
         print(line)
     return EXIT_OK
+
+
+def _read_faces(path) -> list:
+    """(record, LandmarkSet2D) per non-blank JSONL line; ValueError (which
+    covers bad JSON) or KeyError on malformed input."""
+    faces = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"record is not a JSON object: {line}")
+            faces.append((rec, LandmarkSet2D(rec["landmarks"],
+                                             face_id=rec.get("face_id"))))
+    return faces
 
 
 def cmd_willingness(args) -> int:

@@ -9,13 +9,20 @@ Identity rotation corresponds to a head facing the camera.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Real
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, NoConvergence, PointBehindCamera
 from .geometry import CameraIntrinsics
+
+
+_EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -28,15 +35,21 @@ def skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _skew3(v: np.ndarray) -> np.ndarray:
+    """[v]x of one 3-vector; the same values as `skew(v)`."""
+    x, y, z = v.tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
 def rodrigues(w: np.ndarray) -> np.ndarray:
     """Axis-angle 3-vector -> rotation matrix."""
     w = np.asarray(w, dtype=np.float64)
     theta = np.linalg.norm(w)
     if theta < 1e-12:
-        return np.eye(3) + skew(w)
+        return _EYE3 + _skew3(w)
     k = w / theta
-    kx = skew(k)
-    return np.eye(3) + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
+    kx = _skew3(k)
+    return _EYE3 + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,19 @@ class FaceModel3D:
                            self.points[[index[n] for n in names]])
 
 
+def _pixel(name, uv) -> tuple:
+    """(u, v) as two finite floats; ValueError for anything else."""
+    try:
+        u, v = uv
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"landmark {name!r} is not a (u, v) pair: {uv!r}") from None
+    if not all(isinstance(c, Real) and math.isfinite(c) for c in (u, v)):
+        raise ValueError(
+            f"landmark {name!r} needs two finite numbers, got {uv!r}")
+    return float(u), float(v)
+
+
 @dataclass(frozen=True)
 class LandmarkSet2D:
     """Observed pixel landmarks for one face, keyed by model landmark name."""
@@ -94,10 +120,12 @@ class LandmarkSet2D:
     face_id: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.landmarks, Mapping):
+            raise ValueError("landmarks must map names to (u, v) pairs")
         object.__setattr__(
             self,
             "landmarks",
-            {n: (float(u), float(v)) for n, (u, v) in self.landmarks.items()},
+            {n: _pixel(n, uv) for n, uv in self.landmarks.items()},
         )
 
     def __len__(self) -> int:
@@ -117,30 +145,40 @@ class HeadPose:
     rms_residual: float
 
 
-def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
-                           observed: np.ndarray, k: CameraIntrinsics):
-    """Reprojection residuals (2N,) and analytic Jacobian (2N, 6).
+def _residuals(params: np.ndarray, model_points: np.ndarray,
+               observed: np.ndarray, k: CameraIntrinsics):
+    """Reprojection residuals (2N,) and the terms `_jacobian` reuses.
 
-    params = [axis-angle rotation (3), translation (3)], model-to-camera.
-    Residual ordering: (u_i - u_obs_i, v_i - v_obs_i) per landmark.
+    Returns (res, (w, rot, rx, cam)); raises PointBehindCamera when a model
+    point lies at non-positive camera depth.
     """
     w = np.asarray(params[:3], dtype=np.float64)
     t = np.asarray(params[3:6], dtype=np.float64)
     rot = rodrigues(w)
     rx = model_points @ rot.T
     cam = rx + t
-    if np.any(cam[:, 2] <= 1e-9):
+    if (cam[:, 2] <= 1e-9).any():
         raise PointBehindCamera("model point at non-positive camera depth")
     px, py, pz = cam.T
-    u = k.cx + k.fx * px / pz
-    v = k.cy + k.fy * py / pz
-    res = (np.column_stack([u, v]) - observed).ravel()
-    zero = np.zeros_like(pz)
-    # d(u, v)/d(camera point), one 2x3 block per landmark: (N, 2, 3)
-    dpix = np.array([
-        [k.fx / pz, zero, -k.fx * px / (pz * pz)],
-        [zero, k.fy / pz, -k.fy * py / (pz * pz)],
-    ]).transpose(2, 0, 1)
+    uv = np.empty((len(model_points), 2))
+    uv[:, 0] = k.cx + k.fx * px / pz
+    uv[:, 1] = k.cy + k.fy * py / pz
+    return (uv - observed).ravel(), (w, rot, rx, cam)
+
+
+def _jacobian(model_points: np.ndarray, k: CameraIntrinsics, w: np.ndarray,
+              rot: np.ndarray, rx: np.ndarray, cam: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian (2N, 6) of `_residuals` at the point it evaluated."""
+    px, py, pz = cam.T
+    jac = np.empty((len(model_points), 2, 6))
+    # d(u, v)/d(camera point), one 2x3 block per landmark, which is also
+    # the translation block
+    dpix = jac[:, :, 3:]
+    dpix[:, 0, 0] = k.fx / pz
+    dpix[:, 0, 2] = -k.fx * px / (pz * pz)
+    dpix[:, 1, 1] = k.fy / pz
+    dpix[:, 1, 2] = -k.fy * py / (pz * pz)
+    dpix[:, 0, 1] = dpix[:, 1, 0] = 0.0
     # d(R x)/dw in Gallego-Yezzi matrix form (arXiv 1312.0788):
     # -[R x]x (w w^T + [w]x (I - R)) / theta^2, and -[x]x near w = 0.
     # For an exact R this equals -R [x]x (w w^T + (R^T - I)[w]x) / theta^2;
@@ -149,10 +187,21 @@ def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
     if theta2 < 1e-16:
         dp_dw = -skew(model_points)
     else:
-        m = (np.outer(w, w) + skew(w) @ (np.eye(3) - rot)) / theta2
+        m = (np.outer(w, w) + _skew3(w) @ (_EYE3 - rot)) / theta2
         dp_dw = -skew(rx) @ m
-    jac = np.concatenate([dpix @ dp_dw, dpix], axis=2)
-    return res, jac.reshape(2 * len(model_points), 6)
+    jac[:, :, :3] = dpix @ dp_dw
+    return jac.reshape(2 * len(model_points), 6)
+
+
+def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
+                           observed: np.ndarray, k: CameraIntrinsics):
+    """Reprojection residuals (2N,) and analytic Jacobian (2N, 6).
+
+    params = [axis-angle rotation (3), translation (3)], model-to-camera.
+    Residual ordering: (u_i - u_obs_i, v_i - v_obs_i) per landmark.
+    """
+    res, terms = _residuals(params, model_points, observed, k)
+    return res, _jacobian(model_points, k, *terms)
 
 
 def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,
@@ -179,22 +228,26 @@ def _lm_minimize(params, points, observed, k, lambda_init, step_tol,
     """One damped Gauss-Newton descent; returns (params, cost).
 
     Damping exhaustion (a stall) terminates the descent; only a singular
-    system that damping cannot regularize raises.
+    system that damping cannot regularize raises. The Jacobian is built
+    only at accepted points that the descent goes on from.
     """
     params = params.copy()
-    res, jac = residuals_and_jacobian(params, points, observed, k)
+    res, terms = _residuals(params, points, observed, k)
     cost = float(res @ res)
     lam = lambda_init
     for _ in range(max_iterations):
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
+        if terms is not None:  # a new point: build its normal equations
+            jac = _jacobian(points, k, *terms)
+            jtj = jac.T @ jac
+            jtr = jac.T @ res
+            terms = None
         step = None
         while lam <= 1e12:
             try:
-                step = np.linalg.solve(jtj + lam * np.eye(6), -jtr)
+                step = np.linalg.solve(jtj + lam * _EYE6, -jtr)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and np.all(np.isfinite(step)):
+            if step is not None and np.isfinite(step).all():
                 break
             step = None
             lam *= 10.0
@@ -203,14 +256,14 @@ def _lm_minimize(params, points, observed, k, lambda_init, step_tol,
                 "normal equations singular beyond damping rescue")
         trial = params + step
         try:
-            trial_res, trial_jac = residuals_and_jacobian(
-                trial, points, observed, k)
+            trial_res, trial_terms = _residuals(trial, points, observed, k)
             trial_cost = float(trial_res @ trial_res)
         except PointBehindCamera:
             trial_cost = np.inf
         if trial_cost < cost:
             decrease = cost - trial_cost
-            params, res, jac, cost = trial, trial_res, trial_jac, trial_cost
+            params, cost = trial, trial_cost
+            res, terms = trial_res, trial_terms
             lam = max(lam / 10.0, 1e-12)
             if np.linalg.norm(step) < step_tol or decrease < cost_tol:
                 break
@@ -239,7 +292,7 @@ def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
     if len(names) < 6:
         raise DegenerateConfiguration(
             f"need >= 6 aligned landmarks, got {len(names)}")
-    sub = model.subset(names)
+    sub = model if len(names) == len(model.names) else model.subset(names)
     observed = obs.array_for(names)
     params0 = np.asarray(init, dtype=np.float64).copy() if init is not None \
         else _initial_params(sub, obs, k)
@@ -255,9 +308,12 @@ def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
                              rot[1, 0] - rot[0, 1]])
             norm = np.linalg.norm(axis)
             alt[:3] = theta * axis / norm if norm > 1e-12 else 0.0
-            cand, cand_cost = _lm_minimize(alt, sub.points, observed, k,
-                                           lambda_init, step_tol, cost_tol,
-                                           max_iterations)
+            try:
+                cand, cand_cost = _lm_minimize(alt, sub.points, observed, k,
+                                               lambda_init, step_tol,
+                                               cost_tol, max_iterations)
+            except PointBehindCamera:
+                continue  # this start is infeasible: its cost is inf
             if cand_cost < cost:
                 params, cost = cand, cand_cost
             if np.sqrt(cost / len(names)) <= 3.0:

@@ -392,10 +392,10 @@ def _jittered_bbox(bbox, rng, sigma, width, height):
         rng.normal(0.0, 1.0, 4)  # keep the stream position fixed
     x0, x1 = sorted((x0, x1))
     y0, y1 = sorted((y0, y1))
-    x0 = float(np.clip(x0, 0, width - 2))
-    y0 = float(np.clip(y0, 0, height - 2))
-    x1 = float(np.clip(x1, x0 + 1.0, width))
-    y1 = float(np.clip(y1, y0 + 1.0, height))
+    x0 = float(min(max(x0, 0), width - 2))
+    y0 = float(min(max(y0, 0), height - 2))
+    x1 = float(min(max(x1, x0 + 1.0), width))
+    y1 = float(min(max(y1, y0 + 1.0), height))
     return (x0, y0, x1, y1)
 
 
@@ -541,10 +541,10 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             cy_ = rng_fp.uniform(0, k.height)
             w = rng_fp.uniform(10, 80)
             h = rng_fp.uniform(10, 80)
-            x0 = float(np.clip(cx_ - w / 2, 0, k.width - 2))
-            y0 = float(np.clip(cy_ - h / 2, 0, k.height - 2))
-            x1 = float(np.clip(cx_ + w / 2, x0 + 1, k.width))
-            y1 = float(np.clip(cy_ + h / 2, y0 + 1, k.height))
+            x0 = float(min(max(cx_ - w / 2, 0), k.width - 2))
+            y0 = float(min(max(cy_ - h / 2, 0), k.height - 2))
+            x1 = float(min(max(cx_ + w / 2, x0 + 1), k.width))
+            y1 = float(min(max(cy_ + h / 2, y0 + 1), k.height))
             detections.append(Detection2D((x0, y0, x1, y1), cls, score=0.3,
                                           kind=KIND_OBJECT))
             provenance.append(("fp", j))

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from semmap.errors import FrameOutOfRange, PointBehindCamera
+from semmap.errors import (
+    DegenerateConfiguration,
+    FrameOutOfRange,
+    NoConvergence,
+    PointBehindCamera,
+)
 from semmap.geometry import CameraIntrinsics, DepthImage, RigidPose
 from semmap.headpose import (
+    HeadPose,
     LandmarkSet2D,
+    _initial_params,
+    euler_from_rotation,
     project_model,
     rodrigues,
     rotation_from_euler,
@@ -83,6 +91,137 @@ def per_landmark_jacobian(params, model_points, observed, k):
         jac[2 * i + 1, :3] = dv_dp @ dp_dw
         jac[2 * i + 1, 3:] = dv_dp
     return res, jac
+
+
+# Reference for `headpose.lm_solve_pose`: the solver as it was before the
+# Jacobian was split from the residuals. It builds the Jacobian at every
+# trial point and lets an infeasible restart start abort the solve. The
+# bodies are unchanged except for the names of the functions they call.
+
+def _reference_rodrigues(w: np.ndarray) -> np.ndarray:
+    """Axis-angle 3-vector -> rotation matrix."""
+    w = np.asarray(w, dtype=np.float64)
+    theta = np.linalg.norm(w)
+    if theta < 1e-12:
+        return np.eye(3) + skew(w)
+    k = w / theta
+    kx = skew(k)
+    return np.eye(3) + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
+
+
+def _reference_residuals_and_jacobian(params, model_points, observed, k):
+    w = np.asarray(params[:3], dtype=np.float64)
+    t = np.asarray(params[3:6], dtype=np.float64)
+    rot = _reference_rodrigues(w)
+    rx = model_points @ rot.T
+    cam = rx + t
+    if np.any(cam[:, 2] <= 1e-9):
+        raise PointBehindCamera("model point at non-positive camera depth")
+    px, py, pz = cam.T
+    u = k.cx + k.fx * px / pz
+    v = k.cy + k.fy * py / pz
+    res = (np.column_stack([u, v]) - observed).ravel()
+    zero = np.zeros_like(pz)
+    # d(u, v)/d(camera point), one 2x3 block per landmark: (N, 2, 3)
+    dpix = np.array([
+        [k.fx / pz, zero, -k.fx * px / (pz * pz)],
+        [zero, k.fy / pz, -k.fy * py / (pz * pz)],
+    ]).transpose(2, 0, 1)
+    theta2 = float(w @ w)
+    if theta2 < 1e-16:
+        dp_dw = -skew(model_points)
+    else:
+        m = (np.outer(w, w) + skew(w) @ (np.eye(3) - rot)) / theta2
+        dp_dw = -skew(rx) @ m
+    jac = np.concatenate([dpix @ dp_dw, dpix], axis=2)
+    return res, jac.reshape(2 * len(model_points), 6)
+
+
+def _reference_lm_minimize(params, points, observed, k, lambda_init,
+                           step_tol, cost_tol, max_iterations):
+    params = params.copy()
+    res, jac = _reference_residuals_and_jacobian(params, points, observed, k)
+    cost = float(res @ res)
+    lam = lambda_init
+    for _ in range(max_iterations):
+        jtj = jac.T @ jac
+        jtr = jac.T @ res
+        step = None
+        while lam <= 1e12:
+            try:
+                step = np.linalg.solve(jtj + lam * np.eye(6), -jtr)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                break
+            step = None
+            lam *= 10.0
+        if step is None:
+            raise DegenerateConfiguration(
+                "normal equations singular beyond damping rescue")
+        trial = params + step
+        try:
+            trial_res, trial_jac = _reference_residuals_and_jacobian(
+                trial, points, observed, k)
+            trial_cost = float(trial_res @ trial_res)
+        except PointBehindCamera:
+            trial_cost = np.inf
+        if trial_cost < cost:
+            decrease = cost - trial_cost
+            params, res, jac, cost = trial, trial_res, trial_jac, trial_cost
+            lam = max(lam / 10.0, 1e-12)
+            if np.linalg.norm(step) < step_tol or decrease < cost_tol:
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e12:
+                break  # stalled; caller judges the residual
+    return params, cost
+
+
+_REFERENCE_RESTART_ANGLES = (
+    (40.0, 0.0), (-40.0, 0.0), (0.0, 30.0), (0.0, -30.0),
+    (40.0, -30.0), (-40.0, 30.0), (80.0, 0.0), (-80.0, 0.0),
+)
+
+
+def reference_lm_solve_pose(obs, model, k, init=None, lambda_init=1e-3,
+                            step_tol=1e-8, cost_tol=1e-12,
+                            max_iterations=100,
+                            accept_rms=100.0) -> HeadPose:
+    names = tuple(n for n in model.names if n in obs.landmarks)
+    if len(names) < 6:
+        raise DegenerateConfiguration(
+            f"need >= 6 aligned landmarks, got {len(names)}")
+    sub = model.subset(names)
+    observed = obs.array_for(names)
+    params0 = np.asarray(init, dtype=np.float64).copy() if init is not None \
+        else _initial_params(sub, obs, k)
+    params, cost = _reference_lm_minimize(params0, sub.points, observed, k,
+                                          lambda_init, step_tol, cost_tol,
+                                          max_iterations)
+    if np.sqrt(cost / len(names)) > 3.0 and init is None:
+        for yaw, pitch in _REFERENCE_RESTART_ANGLES:
+            alt = params0.copy()
+            rot = rotation_from_euler(yaw, pitch, 0.0)
+            theta = np.arccos(np.clip((np.trace(rot) - 1) / 2, -1.0, 1.0))
+            axis = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0],
+                             rot[1, 0] - rot[0, 1]])
+            norm = np.linalg.norm(axis)
+            alt[:3] = theta * axis / norm if norm > 1e-12 else 0.0
+            cand, cand_cost = _reference_lm_minimize(
+                alt, sub.points, observed, k, lambda_init, step_tol,
+                cost_tol, max_iterations)
+            if cand_cost < cost:
+                params, cost = cand, cand_cost
+            if np.sqrt(cost / len(names)) <= 3.0:
+                break
+    rms = float(np.sqrt(cost / len(names)))
+    if rms > accept_rms:
+        raise NoConvergence(f"rms {rms:.2f} px above accept bound {accept_rms}")
+    rot = _reference_rodrigues(params[:3])
+    yaw, pitch, roll = euler_from_rotation(rot)
+    return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms)
 
 
 def _project_points_cam(points, pose: RigidPose):

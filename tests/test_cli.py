@@ -276,6 +276,98 @@ class TestHeadpose:
         assert code == 4
 
 
+    def face_record(self, frame, landmarks):
+        return {"frame": frame, "face_id": 0,
+                "landmarks": {n: list(uv) for n, uv in landmarks.items()}}
+
+    def frontal(self, model=None, spread=1.0):
+        from semmap.geometry import CameraIntrinsics
+        k = CameraIntrinsics.from_dict(INTRINSICS)
+        lmks = project_model(model or FaceModel3D.default(), np.eye(3),
+                             np.array([0.0, 0.0, 1.2]), k)
+        return {n: (k.cx + spread * (u - k.cx), k.cy + spread * (v - k.cy))
+                for n, (u, v) in lmks.items()}
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], "ab", None, [1.0],
+                                     ["1", "2"]])
+    def test_malformed_landmark_exit_2(self, tmp_path, capsys, bad):
+        rec = self.face_record(0, self.frontal())
+        rec["landmarks"]["chin"] = bad
+        kpath, lpath = self.write_inputs(tmp_path, [rec])
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "landmark input error" in captured.err
+        assert "chin" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("record", [[1, 2], "face",
+                                        {"frame": 0, "landmarks": [[1, 2]]}])
+    def test_malformed_record_exit_2(self, tmp_path, capsys, record):
+        kpath, lpath = self.write_inputs(tmp_path, [record])
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 2
+        assert "landmark input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_landmark_exit_2(self, tmp_path, capsys, bad):
+        # Python's json reads NaN and Infinity; they are not pixels
+        rec = self.face_record(0, self.frontal())
+        rec["landmarks"]["nose_tip"] = [bad, 250.0]
+        kpath, lpath = self.write_inputs(tmp_path, [rec])
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 2
+        assert "landmark input error" in capsys.readouterr().err
+
+    def test_unconverged_face_recorded_not_fatal(self, tmp_path, capsys):
+        # a scrambled face: the best fit stays ~460 px rms, above the
+        # 100 px accept bound
+        scrambled = {"left_eye_outer": (320, -180),
+                     "right_eye_outer": (350, 720), "nose_tip": (-340, 240),
+                     "mouth_left": (1160, -330), "mouth_right": (-490, 870),
+                     "chin": (1220, 810)}
+        records = [self.face_record(0, self.frontal()),
+                   self.face_record(1, scrambled),
+                   self.face_record(2, self.frontal())]
+        kpath, lpath = self.write_inputs(tmp_path, records)
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 0
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert [r["frame"] for r in rows] == [0, 1, 2]
+        assert rows[1] == {"frame": 1, "face_id": 0,
+                           "error": "NoConvergence"}
+        for r in (rows[0], rows[2]):
+            assert "error" not in r
+            assert r["rms"] < 1e-6
+
+    def test_behind_camera_face_recorded_not_fatal(self, tmp_path, capsys):
+        # a model whose nose lies 0.2 m behind the eye plane; a face 40x
+        # too large starts at the 0.05 m depth floor, nose behind camera
+        mpath = tmp_path / "model.json"
+        points = {n: list(p) for n, p in zip(FaceModel3D.default().names,
+                                              FaceModel3D.default().points)}
+        points["nose_tip"][2] = -0.2
+        mpath.write_text(json.dumps(points))
+        model = FaceModel3D.from_json(mpath)
+        records = [self.face_record(0, self.frontal(model, spread=40.0)),
+                   self.face_record(1, self.frontal(model))]
+        kpath, lpath = self.write_inputs(tmp_path, records)
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath), "--model", str(mpath)])
+        assert code == 0
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert rows[0] == {"frame": 0, "face_id": 0,
+                           "error": "PointBehindCamera"}
+        assert rows[1]["rms"] < 1e-6
+
+
 class TestWillingness:
     def write_timeline(self, tmp_path, rows):
         path = tmp_path / "timeline.jsonl"

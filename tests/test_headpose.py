@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import per_landmark_jacobian
+from conftest import per_landmark_jacobian, reference_lm_solve_pose
 
-from semmap.errors import DegenerateConfiguration, PointBehindCamera
+from semmap.errors import (
+    DegenerateConfiguration,
+    NoConvergence,
+    PointBehindCamera,
+)
 from semmap.geometry import CameraIntrinsics
 from semmap.headpose import (
     FaceModel3D,
     HeadPose,
     LandmarkSet2D,
+    _initial_params,
     euler_from_rotation,
     is_attending,
     lm_solve_pose,
@@ -24,6 +29,14 @@ from semmap.headpose import (
 MODEL = FaceModel3D.default()
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
                      width=640, height=480)
+
+
+# the default landmarks plus three more, so that faces can be observed with
+# a strict subset of the model's landmarks
+EXTENDED_MODEL = FaceModel3D(
+    MODEL.names + ("forehead", "left_cheek", "right_cheek"),
+    np.vstack([MODEL.points, [[0.0, -0.06, 0.02], [-0.055, 0.05, 0.0],
+                              [0.055, 0.05, 0.0]]]))
 
 
 def synth_obs(rotation, translation, k, jitter=0.0, rng=None):
@@ -186,6 +199,21 @@ class TestSolve:
         pose = lm_solve_pose(LandmarkSet2D(extra), MODEL, intrinsics)
         assert pose.rms_residual < 1e-6
 
+    def test_infeasible_restart_start_is_skipped(self):
+        # a frontal face spread 40x about the principal point: the depth
+        # from the interocular scale clips to 0.05 m, the first descent
+        # ends far above 3 px, and a pitched restart start puts the chin
+        # behind the camera; that start is skipped, not fatal
+        k = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0,
+                             width=320, height=240)
+        pixels = project_model(MODEL, np.eye(3), np.array([0.0, 0.0, 1.0]), k)
+        obs = LandmarkSet2D({
+            n: (k.cx + 40 * (u - k.cx), k.cy + 40 * (v - k.cy))
+            for n, (u, v) in pixels.items()})
+        pose = lm_solve_pose(obs, MODEL, k, accept_rms=1000.0)
+        assert isinstance(pose, HeadPose)
+        assert 3.0 < pose.rms_residual < 1000.0
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_noise_free_recovery_within_cone(self, seed):
@@ -199,6 +227,85 @@ class TestSolve:
         assert pose.yaw == pytest.approx(yaw, abs=0.1)
         assert pose.pitch == pytest.approx(pitch, abs=0.1)
         assert np.abs(pose.translation - t).max() < 1e-4
+
+
+def solver_case(seed, jitter, extended, drop, warm, distance):
+    """A face seen at `distance` m with `jitter` px noise and `drop` model
+    landmarks missing; `warm` adds an init near the true pose."""
+    rng = np.random.default_rng(seed)
+    model = EXTENDED_MODEL if extended else MODEL
+    rot = rotation_from_euler(*rng.uniform(-70, 70, 2), rng.uniform(-20, 20))
+    t = np.array([rng.uniform(-0.3, 0.3) * distance,
+                  rng.uniform(-0.2, 0.2) * distance, distance])
+    pixels = project_model(model, rot, t, K)
+    missing = set(rng.choice(model.names, drop, replace=False))
+    obs = LandmarkSet2D({n: (u + rng.normal(0, jitter),
+                             v + rng.normal(0, jitter))
+                         for n, (u, v) in pixels.items() if n not in missing})
+    init = None
+    if warm:
+        w = rng.normal(0, 0.5, 3)
+        init = np.concatenate([w, t + rng.normal(0, 0.05, 3) * distance])
+    return obs, model, init
+
+
+def _first_start_feasible(obs, model, init):
+    names = tuple(n for n in model.names if n in obs.landmarks)
+    sub = model.subset(names)
+    params0 = init if init is not None else _initial_params(sub, obs, K)
+    try:
+        residuals_and_jacobian(params0, sub.points, obs.array_for(names), K)
+    except PointBehindCamera:
+        return False
+    return True
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        pose = solve(*args, **kwargs)
+    except (DegenerateConfiguration, NoConvergence, PointBehindCamera) as e:
+        return type(e)
+    return (pose.rotation.tobytes(), pose.translation.tobytes(), pose.yaw,
+            pose.pitch, pose.roll, pose.rms_residual)
+
+
+class TestSolverMatchesReference:
+    @given(seed=st.integers(0, 2**32 - 1),
+           jitter=st.sampled_from([0.0, 1.0, 5.0]) | st.floats(0.0, 5.0),
+           extended=st.booleans(), drop=st.integers(0, 3),
+           warm=st.booleans(),
+           distance=st.sampled_from([0.12, 0.2, 0.6, 1.5]),
+           accept_rms=st.sampled_from([100.0, 2.0, 0.01]))
+    @settings(max_examples=150, deadline=None)
+    # explicit cases, one per path: cold restarts, a rejected trial behind
+    # the camera, NoConvergence, a landmark subset, a given init. Every
+    # cold start builds its first Jacobian at w = 0 (the small-angle branch)
+    @example(seed=3285177209, jitter=5.0, extended=True, drop=0, warm=False,
+             distance=1.5, accept_rms=100.0)
+    @example(seed=2190705799, jitter=1.0, extended=True, drop=3, warm=False,
+             distance=0.2, accept_rms=2.0)
+    @example(seed=1630040365, jitter=5.0, extended=True, drop=2, warm=True,
+             distance=0.6, accept_rms=0.01)
+    @example(seed=3653403231, jitter=1.0, extended=True, drop=1, warm=False,
+             distance=0.12, accept_rms=100.0)
+    @example(seed=70985654, jitter=0.0, extended=True, drop=2, warm=True,
+             distance=0.6, accept_rms=2.0)
+    def test_bitwise_equal(self, seed, jitter, extended, drop, warm,
+                           distance, accept_rms):
+        # equal bytes of rotation and translation, equal yaw, pitch, roll
+        # and rms, or the same exception class
+        obs, model, init = solver_case(seed, jitter, extended, drop, warm,
+                                       distance)
+        want = _outcome(reference_lm_solve_pose, obs, model, K, init=init,
+                        accept_rms=accept_rms)
+        if want is PointBehindCamera and _first_start_feasible(obs, model,
+                                                               init):
+            # a restart started behind the camera: the reference aborts,
+            # the solver skips that start (see test_infeasible_restart_*)
+            reject()
+        got = _outcome(lm_solve_pose, obs, model, K, init=init,
+                       accept_rms=accept_rms)
+        assert got == want
 
 
 class TestEuler:

@@ -19,8 +19,14 @@ from .headpose import (
     is_attending,
     lm_solve_pose,
 )
+from .pipeline import FrameInput, Pipeline
 from .semantic_map import MergeReport, SemanticMap, SemanticObject, chamfer_distance
-from .simulator import MetricsReport, Scenario, run_scenario, synthesize_frame
+from .simulator import (
+    MetricsReport,
+    Scenario,
+    run_scenario_detailed,
+    synthesize_frame_data,
+)
 from .tracker import Detection2D, IoUTracker, Track, iou
 from .willingness import PersonWillingnessMap, WillingnessState, update
 
@@ -30,8 +36,10 @@ __all__ = [
     "project", "backproject", "extract_object_cloud", "voxel_downsample",
     "FaceModel3D", "HeadPose", "LandmarkSet2D",
     "euler_from_rotation", "is_attending", "lm_solve_pose",
+    "FrameInput", "Pipeline",
     "MergeReport", "SemanticMap", "SemanticObject", "chamfer_distance",
-    "MetricsReport", "Scenario", "run_scenario", "synthesize_frame",
+    "MetricsReport", "Scenario", "run_scenario_detailed",
+    "synthesize_frame_data",
     "Detection2D", "IoUTracker", "Track", "iou",
     "PersonWillingnessMap", "WillingnessState", "update",
 ]

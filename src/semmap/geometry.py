@@ -44,8 +44,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

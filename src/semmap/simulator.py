@@ -1,11 +1,12 @@
-"""Deterministic scenario engine and end-to-end pipeline runner.
+"""Deterministic scenario engine, end-to-end runner, and metrics.
 
 Replaces the robot, cameras, and neural detectors with a seeded synthetic
 world: box-shaped objects sampled on their surfaces, persons with scripted
 attention windows, a scripted camera trajectory with optional pose drift,
 and correction events that hand the pipeline the true keyframe poses.
 All randomness derives from the scenario seed, so runs are reproducible
-byte for byte.
+byte for byte. The runner feeds each frame to a `pipeline.Pipeline`, which
+sees no ground truth; only the metrics compare against it.
 """
 
 from __future__ import annotations
@@ -17,31 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import (
-    DegenerateConfiguration,
-    EmptyCloud,
-    FrameOutOfRange,
-    NoConvergence,
-    PointBehindCamera,
-    ScenarioError,
-)
-from .geometry import (
-    CameraIntrinsics,
-    DepthImage,
-    RigidPose,
-    extract_object_cloud,
-)
+from .errors import FrameOutOfRange, ScenarioError
+from .geometry import CameraIntrinsics, DepthImage, RigidPose
 from .headpose import (
     FaceModel3D,
     LandmarkSet2D,
-    is_attending,
-    lm_solve_pose,
     project_model,
     rotation_from_euler,
 )
+from .pipeline import FrameInput, Pipeline
 from .semantic_map import SemanticMap
-from .tracker import KIND_OBJECT, KIND_PERSON, Detection2D, IoUTracker
-from .willingness import PersonWillingnessMap
+from .tracker import KIND_OBJECT, KIND_PERSON, Detection2D
 
 NEAR_PLANE = 0.05
 MIN_VISIBLE_SAMPLES = 5
@@ -399,12 +386,6 @@ def _jittered_bbox(bbox, rng, sigma, width, height):
     return (x0, y0, x1, y1)
 
 
-def synthesize_frame(scenario: Scenario, frame_idx: int):
-    """Detections, depth image, and (possibly drifted) pose estimate."""
-    data = synthesize_frame_data(scenario, frame_idx)
-    return data.detections, data.depth, data.pose_estimate
-
-
 def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     if not 0 <= frame_idx < scenario.num_frames:
         raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
@@ -633,134 +614,58 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
     )
 
 
-def run_scenario(scenario: Scenario, config: PipelineConfig | None = None):
-    """Stream every frame through tracking, registration, head pose, and
-    willingness; returns (map export dict, MetricsReport, event log list)."""
-    registry, metrics, events = run_scenario_detailed(scenario, config)
-    return registry.export(), metrics, events
+M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
+M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_heap() -> bool:
+    """Have glibc keep freed heap memory for reuse; True if it took.
+
+    Every frame allocates and frees megabytes of numpy temporaries and a
+    0.6 MB depth image. With glibc's default, adaptive thresholds the
+    heap top goes back to the OS up to once a frame and is faulted in
+    again by the next one (cluttered_drift: 40,000-60,000 page faults a
+    second), and heap layout alone decides whether those trims fall in
+    the frame source or in the pipeline step. Fixed thresholds keep
+    arrays under 16 MiB on the heap and its free top in the process.
+    The setting is process-wide. Other C libraries are left as they are.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, 16 << 20)
+                and mallopt(M_TRIM_THRESHOLD, 256 << 20))
 
 
 def run_scenario_detailed(scenario: Scenario,
                           config: PipelineConfig | None = None):
-    """Like run_scenario but returns the live SemanticMap for inspection."""
-    config = config or PipelineConfig()
-    k = scenario.intrinsics
-    tracker = IoUTracker(config.iou_threshold, config.min_track_length,
-                         config.track_ttl)
-    registry = SemanticMap(
-        assoc_dist=config.assoc_dist_m,
-        merge_overlap=config.merge_overlap_ratio,
-        overlap_radius=config.overlap_radius_m,
-        voxel_leaf=config.voxel_leaf_m,
-        max_cloud_points=config.max_cloud_points,
-    )
-    willing = PersonWillingnessMap(config.willingness_rate_up,
-                                   config.willingness_rate_down,
-                                   config.willingness_reset)
-    face_model = _default_face_model()
-    corrections_by_frame = {}
+    """Stream every frame through a Pipeline; returns (SemanticMap,
+    MetricsReport, event rows). A "true" correction hands the pipeline
+    the true poses of keyframes 0..frame."""
+    keep_freed_heap()
+    pipeline = Pipeline(scenario.intrinsics, config)
+    corrections = {}
     for ev in scenario.correction_events:
-        corrections_by_frame.setdefault(ev.frame, []).append(ev)
-
+        corrections.setdefault(ev.frame, []).append(
+            list(enumerate(scenario.trajectory[:ev.frame + 1]))
+            if ev.poses == "true" else sorted(ev.poses.items()))
     events = []
-    trigger_events = []
     for i in range(scenario.num_frames):
         data = synthesize_frame_data(scenario, i)
-        registry.add_keyframe(i, data.pose_estimate)
-        confirmations = tracker.step(data.detections, i)
-
-        registered = []
-        for track_id, det in confirmations:
-            if det.kind != KIND_OBJECT:
-                continue
-            try:
-                cloud = extract_object_cloud(
-                    det.bbox, data.depth, data.pose_estimate, k,
-                    stride=config.extraction_stride)
-            except EmptyCloud:
-                continue
-            obj_id = registry.register_candidate(cloud, det.class_label, i)
-            registered.append({"track": track_id, "object": obj_id,
-                               "class": det.class_label})
-
-        person_rows = []
-        observations = []
-        for track in tracker.tracks:
-            if track.kind != KIND_PERSON or track.last_frame != i \
-                    or track.last_detection_index is None:
-                continue
-            src = data.provenance[track.last_detection_index]
-            if src[0] != "person":
-                continue
-            pi = src[1]
-            lmks = data.landmarks.get(pi)
-            if lmks is None:
-                continue
-            try:
-                pose = lm_solve_pose(
-                    lmks, face_model, k,
-                    lambda_init=config.lm_lambda_init,
-                    step_tol=config.lm_step_tol,
-                    cost_tol=config.lm_cost_tol,
-                    max_iterations=config.lm_max_iterations,
-                    accept_rms=config.lm_accept_rms_px,
-                )
-            except (NoConvergence, DegenerateConfiguration,
-                    PointBehindCamera) as e:
-                # one bad face is recorded, not fatal; willingness sees
-                # no observation for it this frame
-                person_rows.append({"track": track.track_id, "person": pi,
-                                    "error": type(e).__name__,
-                                    "attending": False})
-                continue
-            attending = is_attending(pose, config.attention_cone_deg)
-            observations.append((track.track_id, attending))
-            person_rows.append({
-                "track": track.track_id, "person": pi,
-                "yaw": pose.yaw, "pitch": pose.pitch, "roll": pose.roll,
-                "rms": pose.rms_residual, "attending": attending,
-            })
-
-        t_now = i / scenario.fps
-        triggers = willing.step_frame(observations, t_now)
-        live_person_ids = [t.track_id for t in tracker.tracks
-                           if t.kind == KIND_PERSON]
-        willing.prune(live_person_ids)
-        track_to_person = {row["track"]: row["person"] for row in person_rows}
-        for pid in triggers:
-            trigger_events.append({
-                "t": t_now, "track_id": pid,
-                "person_index": track_to_person.get(pid),
-            })
-        for row in person_rows:
-            state = willing.states.get(row["track"])
-            row["value"] = state.value if state else 0.0
-            row["triggered"] = state.triggered if state else False
-
-        merges = []
-        for ev in corrections_by_frame.get(i, []):
-            if ev.poses == "true":
-                corrected = [(kf_id, scenario.trajectory[kf_id])
-                             for kf_id in sorted(registry.keyframes)]
-            else:
-                corrected = sorted(ev.poses.items())
-            report = registry.apply_trajectory_correction(corrected)
-            merges.append(report.to_dict())
-
-        events.append({
-            "frame": i,
-            "t": t_now,
-            "num_detections": len(data.detections),
-            "confirmations": [
-                {"track": tid, "class": det.class_label, "kind": det.kind}
-                for tid, det in confirmations
-            ],
-            "registered": registered,
-            "registry_size": len(registry.objects),
-            "merges": merges,
-            "persons": person_rows,
-            "triggers": triggers,
-        })
-
-    metrics = compute_map_metrics(scenario, registry, trigger_events)
-    return registry, metrics, events
+        events.append(pipeline.step(FrameInput(
+            i, i / scenario.fps, data.detections, data.depth,
+            data.pose_estimate, list(data.landmarks.values()),
+            corrections.get(i, []))))
+    triggers = []
+    for row in events:
+        person = {p["track"]: p["person"] for p in row["persons"]}
+        triggers += [{"t": row["t"], "track_id": pid,
+                      "person_index": person.get(pid)}
+                     for pid in row["triggers"]]
+    metrics = compute_map_metrics(scenario, pipeline.registry, triggers)
+    return pipeline.registry, metrics, events

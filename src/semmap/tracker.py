@@ -93,12 +93,19 @@ class IoUTracker:
             )
         self._last_frame = frame_id
 
+        boxes_by_class: dict[str, list] = {}
+        for di, det in enumerate(detections):
+            boxes_by_class.setdefault(det.class_label, []).append(
+                (di, det.bbox))
         pairs = []
         for track in self.tracks:
-            for di, det in enumerate(detections):
-                if det.class_label != track.class_label:
+            tx0, ty0, tx1, ty1 = box = track.last_bbox
+            for di, bbox in boxes_by_class.get(track.class_label, ()):
+                # disjoint boxes have IoU 0, below any threshold
+                if (bbox[0] >= tx1 or bbox[2] <= tx0
+                        or bbox[1] >= ty1 or bbox[3] <= ty0):
                     continue
-                score = iou(track.last_bbox, det.bbox)
+                score = iou(box, bbox)
                 if score >= self.iou_threshold:
                     pairs.append((-score, track.track_id, di))
         pairs.sort()

@@ -121,6 +121,17 @@ class TestRun:
         assert not out.exists()
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["fx", "fy"])
+    def test_infinite_focal_length_exit_3(self, tmp_path, capsys, axis):
+        d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
+        d["intrinsics"][axis] = float("inf")
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "focal lengths" in capsys.readouterr().err
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"iou_threshold": 0.4, "bogus_knob": 1}))
@@ -249,6 +260,23 @@ class TestHeadpose:
                      "--intrinsics", str(kpath)])
         assert code == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("axis", ["fx", "fy"])
+    def test_infinite_focal_length_exit_2(self, tmp_path, capsys, axis):
+        from semmap.geometry import CameraIntrinsics
+        k = CameraIntrinsics.from_dict(INTRINSICS)
+        lmks = project_model(FaceModel3D.default(), np.eye(3),
+                             np.array([0.0, 0.0, 1.0]), k)
+        kpath, lpath = self.write_inputs(tmp_path, [
+            {"frame": 0, "landmarks": {n: list(uv)
+                                       for n, uv in lmks.items()}}])
+        kpath.write_text(json.dumps(dict(INTRINSICS, **{axis: float("inf")})))
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "focal lengths" in captured.err
 
     def test_too_few_landmarks_exit_4(self, tmp_path, capsys):
         from semmap.geometry import CameraIntrinsics

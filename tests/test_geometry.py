@@ -10,6 +10,7 @@ from semmap.errors import (
     PixelOutOfBounds,
 )
 from semmap.geometry import (
+    CameraIntrinsics,
     DepthImage,
     PointCloud,
     RigidPose,
@@ -22,6 +23,16 @@ from semmap.geometry import (
 )
 
 from conftest import random_pose
+
+
+class TestIntrinsics:
+    @pytest.mark.parametrize("axis", ["fx", "fy"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -500.0])
+    def test_focal_length_must_be_positive_and_finite(self, axis, bad):
+        d = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
+             "width": 640, "height": 480, axis: bad}
+        with pytest.raises(ValueError, match="focal lengths"):
+            CameraIntrinsics.from_dict(d)
 
 
 class TestProject:

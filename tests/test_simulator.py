@@ -1,4 +1,6 @@
+import ctypes
 import json
+import platform
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,10 +15,9 @@ from semmap.simulator import (
     Scenario,
     _sample_box_surface,
     compute_map_metrics,
+    keep_freed_heap,
     look_at,
-    run_scenario,
     run_scenario_detailed,
-    synthesize_frame,
     synthesize_frame_data,
 )
 
@@ -180,9 +181,10 @@ class TestSynthesizeFrame:
 
     def test_noiseless_bbox_is_sample_hull(self):
         sc = scenario()
-        dets, depth, pose = synthesize_frame(sc, 0)
+        data = synthesize_frame_data(sc, 0)
+        dets = data.detections
         assert len(dets) == 1
-        cam = pose.inverse().transform(sc.object_samples[0])
+        cam = data.pose_estimate.inverse().transform(sc.object_samples[0])
         u = sc.intrinsics.cx + sc.intrinsics.fx * cam[:, 0] / cam[:, 2]
         v = sc.intrinsics.cy + sc.intrinsics.fy * cam[:, 1] / cam[:, 2]
         x0, y0, x1, y1 = dets[0].bbox
@@ -193,9 +195,9 @@ class TestSynthesizeFrame:
 
     def test_depth_inside_bbox_matches_range(self):
         sc = scenario()
-        dets, depth, pose = synthesize_frame(sc, 0)
-        x0, y0, x1, y1 = dets[0].bbox
-        patch = depth.data[int(y0) + 1:int(y1), int(x0) + 1:int(x1)]
+        data = synthesize_frame_data(sc, 0)
+        x0, y0, x1, y1 = data.detections[0].bbox
+        patch = data.depth.data[int(y0) + 1:int(y1), int(x0) + 1:int(x1)]
         valid = patch[patch > 0]
         assert valid.size > 0
         # camera sits 2 m from the cup centroid
@@ -203,8 +205,7 @@ class TestSynthesizeFrame:
 
     def test_full_dropout_removes_detections(self):
         sc = scenario(noise={"dropout_prob": 1.0})
-        dets, _, _ = synthesize_frame(sc, 0)
-        assert dets == []
+        assert synthesize_frame_data(sc, 0).detections == []
 
     def test_fixed_seed_bitwise_identity(self):
         noisy = dict(BASE, noise={"bbox_jitter_px": 1.0, "depth_noise_m": 0.01,
@@ -219,17 +220,17 @@ class TestSynthesizeFrame:
             np.testing.assert_array_equal(da.depth.data, db.depth.data)
 
     def test_noise_changes_the_frame(self):
-        clean = synthesize_frame(scenario(), 0)[0][0].bbox
-        noisy = synthesize_frame(
-            scenario(noise={"bbox_jitter_px": 2.0}), 0)[0][0].bbox
+        clean = synthesize_frame_data(scenario(), 0).detections[0].bbox
+        noisy = synthesize_frame_data(
+            scenario(noise={"bbox_jitter_px": 2.0}), 0).detections[0].bbox
         assert clean != noisy
 
     def test_frame_out_of_range(self):
         sc = scenario()
         with pytest.raises(FrameOutOfRange):
-            synthesize_frame(sc, sc.num_frames)
+            synthesize_frame_data(sc, sc.num_frames)
         with pytest.raises(FrameOutOfRange):
-            synthesize_frame(sc, -1)
+            synthesize_frame_data(sc, -1)
 
     def test_person_landmarks_present_when_visible(self):
         sc = scenario(persons=[{"position": [0.0, 0.0, 1.3],
@@ -456,7 +457,7 @@ class TestRunScenario:
             "trajectory": {"kind": "orbit", "center": [0, 0, 0.8],
                            "radius": 2.0, "frames": 50},
         })
-        export, metrics, events = run_scenario(sc)
+        _, metrics, events = run_scenario_detailed(sc)
         assert metrics.registered_count == 1
         assert metrics.recall == 1.0
         assert metrics.centroid_rmse_m < 0.02
@@ -464,7 +465,7 @@ class TestRunScenario:
 
     def test_event_log_is_json_serializable(self):
         sc = scenario()
-        _, metrics, events = run_scenario(sc)
+        _, metrics, events = run_scenario_detailed(sc)
         json.dumps(events, sort_keys=True)
         json.dumps(metrics.to_dict(), sort_keys=True)
 
@@ -482,9 +483,43 @@ class TestRunScenario:
 
     def test_interaction_trigger_timing(self):
         sc = Scenario.from_json(SCENARIO_DIR / "interaction.json")
-        _, metrics, _ = run_scenario(sc)
+        _, metrics, _ = run_scenario_detailed(sc)
         times = [ev["t"] for ev in metrics.willingness_trigger_times]
         assert times, "expected at least one willingness trigger"
         window_start = sc.persons[0].attention_windows[0][0]
         # 3 s of sustained attention after the window opens
         assert times[0] == pytest.approx(window_start + 3.0, abs=0.2)
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+class TestKeepFreedHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="mallopt thresholds are glibc's")
+    def test_large_array_stays_on_heap_after_free(self):
+        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+        if mallinfo2 is None:
+            pytest.skip("glibc before 2.33 has no mallinfo2")
+        mallinfo2.argtypes = ()
+        mallinfo2.restype = _MallInfo2
+        assert keep_freed_heap()
+        before = mallinfo2()
+        block = np.ones(1 << 20)  # 8 MiB: mmapped under the defaults
+        held = mallinfo2()
+        del block
+        after = mallinfo2()
+        assert held.hblkhd == before.hblkhd  # from the heap, not mmap
+        assert after.arena >= held.arena  # and not trimmed when freed
+
+    def test_runs_without_mallopt(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert keep_freed_heap() is False
+        _, _, events = run_scenario_detailed(scenario())
+        assert len(events) == 12

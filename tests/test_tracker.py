@@ -135,6 +135,46 @@ class TestStep:
             runs.append(out)
         assert runs[0] == runs[1]
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_all_pairs_greedy(self, seed):
+        """Same tracks and confirmations as scoring every same-class
+        (track, detection) pair, touching and disjoint boxes included."""
+        rng = np.random.default_rng(seed)
+        frames = []
+        for _ in range(20):
+            boxes = []
+            for _ in range(rng.integers(0, 7)):
+                # integer corners on a coarse grid make shared edges common
+                x0, y0 = rng.integers(0, 12, 2) * 5.0
+                w, h = rng.integers(1, 5, 2) * 5.0
+                boxes.append((x0, y0, x0 + w, y0 + h))
+            frames.append([det(b, label=str(rng.choice(["a", "b", "c"])))
+                           for b in boxes])
+        tracker = IoUTracker(iou_threshold=0.3, min_track_length=2, ttl=1)
+        for i, dets in enumerate(frames):
+            expected = reference_matches(tracker, dets)
+            tracker.step(dets, i)
+            got = {t.track_id: t.last_detection_index for t in tracker.tracks
+                   if t.last_frame == i and t.length > 1}
+            assert got == expected
+
+
+def reference_matches(tracker, dets):
+    """Greedy global-best matching over all same-class pairs, before the
+    step: {track_id: detection index}."""
+    pairs = sorted(
+        (-iou(t.last_bbox, d.bbox), t.track_id, di)
+        for t in tracker.tracks for di, d in enumerate(dets)
+        if d.class_label == t.class_label
+        and iou(t.last_bbox, d.bbox) >= tracker.iou_threshold)
+    matched, used = {}, set()
+    for _, tid, di in pairs:
+        if tid not in matched and di not in used:
+            matched[tid] = di
+            used.add(di)
+    return matched
+
 
 def test_detection_log_round_trip(tmp_path):
     path = tmp_path / "dets.jsonl"

@@ -156,7 +156,9 @@ class DepthImage:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2:
             raise ValueError("depth image must be 2D")
-        if not np.all(np.isfinite(d)) or np.any(d < 0):
+        # two reductions, no image-sized temporaries; NaN fails both
+        # comparisons. An empty image has no min or max, and nothing to check.
+        if d.size and not (d.min() >= 0 and d.max() < np.inf):
             raise ValueError("depth values must be finite and >= 0")
         object.__setattr__(self, "data", _freeze(d))
 

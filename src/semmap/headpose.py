@@ -16,6 +16,7 @@ from importlib import resources
 from numbers import Real
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateConfiguration, NoConvergence, PointBehindCamera
 from .geometry import CameraIntrinsics
@@ -23,6 +24,11 @@ from .geometry import CameraIntrinsics
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
+# -[v]x as a gather from (x, y, z, 0) times a sign per entry; the diagonal
+# comes out -0.0, as in -skew(v)
+_NEG_SKEW_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
+_NEG_SKEW_SIGN = np.array([[-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0],
+                           [1.0, -1.0, -1.0]])
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -41,14 +47,21 @@ def _skew3(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _neg_skew(v: np.ndarray) -> np.ndarray:
+    """-skew(v) of an (N, 3) array, signed zeros included."""
+    padded = np.zeros((len(v), 4))
+    padded[:, :3] = v
+    # C order, as -skew(v) has it, so that a matmul on it takes the same path
+    return np.multiply(padded[:, _NEG_SKEW_INDEX], _NEG_SKEW_SIGN, order="C")
+
+
 def rodrigues(w: np.ndarray) -> np.ndarray:
     """Axis-angle 3-vector -> rotation matrix."""
     w = np.asarray(w, dtype=np.float64)
-    theta = np.linalg.norm(w)
+    theta = math.sqrt(w @ w)  # np.linalg.norm(w), without its wrapper
     if theta < 1e-12:
         return _EYE3 + _skew3(w)
-    k = w / theta
-    kx = _skew3(k)
+    kx = _skew3(w / theta)
     return _EYE3 + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
 
 
@@ -146,51 +159,49 @@ class HeadPose:
 
 
 def _residuals(params: np.ndarray, model_points: np.ndarray,
-               observed: np.ndarray, k: CameraIntrinsics):
+               observed: np.ndarray, focal: np.ndarray, center: np.ndarray):
     """Reprojection residuals (2N,) and the terms `_jacobian` reuses.
 
-    Returns (res, (w, rot, rx, cam)); raises PointBehindCamera when a model
-    point lies at non-positive camera depth.
+    `params` is a float64 6-vector; `focal` is (fx, fy) and `center` is
+    (cx, cy). Returns (res, (w, rot, rx, cam)); raises PointBehindCamera
+    when a model point lies at non-positive camera depth.
     """
-    w = np.asarray(params[:3], dtype=np.float64)
-    t = np.asarray(params[3:6], dtype=np.float64)
+    w = params[:3]
     rot = rodrigues(w)
     rx = model_points @ rot.T
-    cam = rx + t
-    if (cam[:, 2] <= 1e-9).any():
+    cam = rx + params[3:]
+    depth = cam[:, 2:]
+    if depth.min() <= 1e-9:
         raise PointBehindCamera("model point at non-positive camera depth")
-    px, py, pz = cam.T
-    uv = np.empty((len(model_points), 2))
-    uv[:, 0] = k.cx + k.fx * px / pz
-    uv[:, 1] = k.cy + k.fy * py / pz
+    # (c + f p / z) - observed: this order keeps the shipped outputs' bits
+    uv = center + focal * cam[:, :2] / depth
     return (uv - observed).ravel(), (w, rot, rx, cam)
 
 
-def _jacobian(model_points: np.ndarray, k: CameraIntrinsics, w: np.ndarray,
+def _jacobian(model_points: np.ndarray, focal: np.ndarray, w: np.ndarray,
               rot: np.ndarray, rx: np.ndarray, cam: np.ndarray) -> np.ndarray:
     """Analytic Jacobian (2N, 6) of `_residuals` at the point it evaluated."""
-    px, py, pz = cam.T
-    jac = np.empty((len(model_points), 2, 6))
+    n = len(cam)
+    depth = cam[:, 2:]
+    jac = np.zeros((n, 2, 6))
     # d(u, v)/d(camera point), one 2x3 block per landmark, which is also
-    # the translation block
-    dpix = jac[:, :, 3:]
-    dpix[:, 0, 0] = k.fx / pz
-    dpix[:, 0, 2] = -k.fx * px / (pz * pz)
-    dpix[:, 1, 1] = k.fy / pz
-    dpix[:, 1, 2] = -k.fy * py / (pz * pz)
-    dpix[:, 0, 1] = dpix[:, 1, 0] = 0.0
+    # the translation block. Of a landmark's 12 entries, f/z sits at 3 and
+    # 10 and -f p/z^2 at 5 and 11; 4 and 9 stay zero.
+    flat = jac.reshape(n, 12)
+    flat[:, 3::7] = focal / depth
+    flat[:, 5::6] = -focal * cam[:, :2] / (depth * depth)
     # d(R x)/dw in Gallego-Yezzi matrix form (arXiv 1312.0788):
     # -[R x]x (w w^T + [w]x (I - R)) / theta^2, and -[x]x near w = 0.
     # For an exact R this equals -R [x]x (w w^T + (R^T - I)[w]x) / theta^2;
     # with a rounded R that form drifts ~1e-10 relative at |w| = 1e-7.
     theta2 = float(w @ w)
     if theta2 < 1e-16:
-        dp_dw = -skew(model_points)
+        dp_dw = _neg_skew(model_points)
     else:
-        m = (np.outer(w, w) + _skew3(w) @ (_EYE3 - rot)) / theta2
-        dp_dw = -skew(rx) @ m
-    jac[:, :, :3] = dpix @ dp_dw
-    return jac.reshape(2 * len(model_points), 6)
+        m = (w[:, None] * w + _skew3(w) @ (_EYE3 - rot)) / theta2
+        dp_dw = _neg_skew(rx) @ m
+    jac[:, :, :3] = jac[:, :, 3:] @ dp_dw
+    return jac.reshape(2 * n, 6)
 
 
 def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
@@ -200,8 +211,11 @@ def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
     params = [axis-angle rotation (3), translation (3)], model-to-camera.
     Residual ordering: (u_i - u_obs_i, v_i - v_obs_i) per landmark.
     """
-    res, terms = _residuals(params, model_points, observed, k)
-    return res, _jacobian(model_points, k, *terms)
+    focal = np.array([k.fx, k.fy])
+    res, terms = _residuals(np.asarray(params, dtype=np.float64),
+                            model_points, observed, focal,
+                            np.array([k.cx, k.cy]))
+    return res, _jacobian(model_points, focal, *terms)
 
 
 def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,
@@ -211,61 +225,67 @@ def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,
     eye_names = [n for n in model.names if "eye" in n]
     if len(eye_names) >= 2 and all(n in obs.landmarks for n in eye_names[:2]):
         a, b = eye_names[:2]
-        idx = {n: i for i, n in enumerate(model.names)}
-        model_d = np.linalg.norm(model.points[idx[a]] - model.points[idx[b]])
-        pix_d = np.linalg.norm(
-            np.subtract(obs.landmarks[a], obs.landmarks[b]))
+        d = (model.points[model.names.index(a)]
+             - model.points[model.names.index(b)])
+        model_d = math.sqrt(d @ d)
+        d = np.subtract(obs.landmarks[a], obs.landmarks[b])
+        pix_d = math.sqrt(d @ d)
         if pix_d > 1e-6:
-            z0 = float(np.clip(k.fx * model_d / pix_d, 0.05, 50.0))
+            z0 = min(max(k.fx * model_d / pix_d, 0.05), 50.0)
     uv = obs.array_for(model.names)
     tx = (uv[:, 0].mean() - k.cx) * z0 / k.fx
     ty = (uv[:, 1].mean() - k.cy) * z0 / k.fy
     return np.array([0.0, 0.0, 0.0, tx, ty, z0])
 
 
-def _lm_minimize(params, points, observed, k, lambda_init, step_tol,
-                 cost_tol, max_iterations):
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve(a, b)` for one float64 system and a 1-D `b`.
+
+    The same LAPACK gesv call, without the wrapper's checks and casts. A
+    singular `a` gives NaN, with no exception and no warning.
+    """
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve1(a, b)
+
+
+def _lm_minimize(params, points, observed, focal, center, lambda_init,
+                 step_tol, cost_tol, max_iterations):
     """One damped Gauss-Newton descent; returns (params, cost).
 
     Damping exhaustion (a stall) terminates the descent; only a singular
     system that damping cannot regularize raises. The Jacobian is built
     only at accepted points that the descent goes on from.
     """
-    params = params.copy()
-    res, terms = _residuals(params, points, observed, k)
+    res, terms = _residuals(params, points, observed, focal, center)
     cost = float(res @ res)
     lam = lambda_init
     for _ in range(max_iterations):
         if terms is not None:  # a new point: build its normal equations
-            jac = _jacobian(points, k, *terms)
+            jac = _jacobian(points, focal, *terms)
             jtj = jac.T @ jac
-            jtr = jac.T @ res
+            neg_jtr = -(jac.T @ res)
             terms = None
-        step = None
         while lam <= 1e12:
-            try:
-                step = np.linalg.solve(jtj + lam * _EYE6, -jtr)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.isfinite(step).all():
+            step = _solve(jtj + lam * _EYE6, neg_jtr)
+            if np.isfinite(step).all():
                 break
-            step = None
             lam *= 10.0
-        if step is None:
+        else:
             raise DegenerateConfiguration(
                 "normal equations singular beyond damping rescue")
         trial = params + step
         try:
-            trial_res, trial_terms = _residuals(trial, points, observed, k)
+            trial_res, trial_terms = _residuals(trial, points, observed,
+                                                focal, center)
             trial_cost = float(trial_res @ trial_res)
         except PointBehindCamera:
-            trial_cost = np.inf
+            trial_cost = math.inf
         if trial_cost < cost:
             decrease = cost - trial_cost
             params, cost = trial, trial_cost
             res, terms = trial_res, trial_terms
             lam = max(lam / 10.0, 1e-12)
-            if np.linalg.norm(step) < step_tol or decrease < cost_tol:
+            if math.sqrt(step @ step) < step_tol or decrease < cost_tol:
                 break
         else:
             lam *= 10.0
@@ -274,12 +294,16 @@ def _lm_minimize(params, points, observed, k, lambda_init, step_tol,
     return params, cost
 
 
-# deterministic restart rotations (yaw, pitch) tried when the first descent
-# lands in a poor local minimum
-_RESTART_ANGLES = (
-    (40.0, 0.0), (-40.0, 0.0), (0.0, 30.0), (0.0, -30.0),
-    (40.0, -30.0), (-40.0, 30.0), (80.0, 0.0), (-80.0, 0.0),
-)
+def _checked_init(init) -> np.ndarray:
+    """A caller's start as a fresh float64 6-vector; ValueError for anything
+    but six finite numbers."""
+    try:
+        params = np.array(init, dtype=np.float64)
+    except (TypeError, ValueError):
+        params = np.empty(0)
+    if params.shape != (6,) or not np.isfinite(params).all():
+        raise ValueError(f"init must be six finite numbers, got {init!r}")
+    return params
 
 
 def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
@@ -287,38 +311,40 @@ def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
                   step_tol: float = 1e-8, cost_tol: float = 1e-12,
                   max_iterations: int = 100,
                   accept_rms: float = 100.0) -> HeadPose:
-    """Fit the model pose by damped Gauss-Newton on reprojection error."""
+    """Fit the model pose by damped Gauss-Newton on reprojection error.
+
+    `init`, six finite numbers (axis-angle rotation, translation), replaces
+    the frontal start and turns off the restarts.
+    """
     names = tuple(n for n in model.names if n in obs.landmarks)
     if len(names) < 6:
         raise DegenerateConfiguration(
             f"need >= 6 aligned landmarks, got {len(names)}")
     sub = model if len(names) == len(model.names) else model.subset(names)
     observed = obs.array_for(names)
-    params0 = np.asarray(init, dtype=np.float64).copy() if init is not None \
+    params0 = _checked_init(init) if init is not None \
         else _initial_params(sub, obs, k)
-    params, cost = _lm_minimize(params0, sub.points, observed, k,
+    focal = np.array([k.fx, k.fy])
+    center = np.array([k.cx, k.cy])
+    params, cost = _lm_minimize(params0, sub.points, observed, focal, center,
                                 lambda_init, step_tol, cost_tol,
                                 max_iterations)
-    if np.sqrt(cost / len(names)) > 3.0 and init is None:
-        for yaw, pitch in _RESTART_ANGLES:
+    if init is None and math.sqrt(cost / len(names)) > 3.0:
+        for start in _RESTART_STARTS:
             alt = params0.copy()
-            rot = rotation_from_euler(yaw, pitch, 0.0)
-            theta = np.arccos(np.clip((np.trace(rot) - 1) / 2, -1.0, 1.0))
-            axis = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0],
-                             rot[1, 0] - rot[0, 1]])
-            norm = np.linalg.norm(axis)
-            alt[:3] = theta * axis / norm if norm > 1e-12 else 0.0
+            alt[:3] = start
             try:
-                cand, cand_cost = _lm_minimize(alt, sub.points, observed, k,
-                                               lambda_init, step_tol,
-                                               cost_tol, max_iterations)
+                cand, cand_cost = _lm_minimize(alt, sub.points, observed,
+                                               focal, center, lambda_init,
+                                               step_tol, cost_tol,
+                                               max_iterations)
             except PointBehindCamera:
                 continue  # this start is infeasible: its cost is inf
             if cand_cost < cost:
                 params, cost = cand, cand_cost
-            if np.sqrt(cost / len(names)) <= 3.0:
+            if math.sqrt(cost / len(names)) <= 3.0:
                 break
-    rms = float(np.sqrt(cost / len(names)))
+    rms = math.sqrt(cost / len(names))
     if rms > accept_rms:
         raise NoConvergence(f"rms {rms:.2f} px above accept bound {accept_rms}")
     rot = rodrigues(params[:3])
@@ -336,6 +362,24 @@ def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
     rx = np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]])
     rz = np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]])
     return ry @ rx @ rz
+
+
+def _axis_angle_start(yaw: float, pitch: float) -> np.ndarray:
+    """Axis-angle 3-vector of `rotation_from_euler(yaw, pitch, 0)`."""
+    rot = rotation_from_euler(yaw, pitch, 0.0)
+    theta = np.arccos(np.clip((np.trace(rot) - 1) / 2, -1.0, 1.0))
+    axis = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0],
+                     rot[1, 0] - rot[0, 1]])
+    norm = np.linalg.norm(axis)
+    return theta * axis / norm if norm > 1e-12 else np.zeros(3)
+
+
+# deterministic restart rotations (yaw, pitch), as axis-angle starts, tried
+# when the first descent lands in a poor local minimum
+_RESTART_STARTS = tuple(_axis_angle_start(yaw, pitch) for yaw, pitch in (
+    (40.0, 0.0), (-40.0, 0.0), (0.0, 30.0), (0.0, -30.0),
+    (40.0, -30.0), (-40.0, 30.0), (80.0, 0.0), (-80.0, 0.0),
+))
 
 
 def euler_from_rotation(rot: np.ndarray):

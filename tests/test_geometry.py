@@ -114,6 +114,20 @@ def _flat_depth(value, width=640, height=480):
     return DepthImage(np.full((height, width), value))
 
 
+class TestDepthImage:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_or_negative_rejected(self, bad):
+        data = np.full((4, 5), 2.0)
+        data[2, 3] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            DepthImage(data)
+
+    def test_zero_and_negative_zero_accepted(self):
+        data = np.zeros((4, 5))
+        data[1, 1] = -0.0
+        assert DepthImage(data).width == 5
+
+
 class TestExtractObjectCloud:
     def test_flat_wall_keeps_all_strided_pixels(self, intrinsics):
         cloud = extract_object_cloud((0, 0, 100, 100), _flat_depth(2.0),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import per_landmark_jacobian, reference_lm_solve_pose
 
+from semmap import headpose
 from semmap.errors import (
     DegenerateConfiguration,
     NoConvergence,
@@ -16,6 +19,7 @@ from semmap.headpose import (
     HeadPose,
     LandmarkSet2D,
     _initial_params,
+    _solve,
     euler_from_rotation,
     is_attending,
     lm_solve_pose,
@@ -192,6 +196,32 @@ class TestSolve:
         with pytest.raises(DegenerateConfiguration):
             lm_solve_pose(partial, MODEL, intrinsics)
 
+    @pytest.mark.parametrize("init", [
+        np.zeros(5), np.zeros(7), np.zeros((1, 6)),
+        [0.0, 0.0, 0.0, 0.0, 0.0, np.nan], [0.0, 0.0, 0.0, 0.0, 0.0, np.inf],
+        [0.0, 0.0, 0.0, 0.0, 0.0, None], "abcdef",
+    ])
+    def test_bad_init_rejected(self, intrinsics, init):
+        obs = synth_obs(np.eye(3), [0, 0, 1.0], intrinsics)
+        with pytest.raises(ValueError, match="init must be six finite"):
+            lm_solve_pose(obs, MODEL, intrinsics, init=init)
+
+    def test_residuals_and_jacobian_called_as_module_globals(
+            self, intrinsics, monkeypatch):
+        # per-solve counters wrap these two names from outside the module
+        counts = {"_residuals": 0, "_jacobian": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(headpose, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(headpose, name, counted)
+        obs = synth_obs(rotation_from_euler(20.0, -10.0, 0.0),
+                        np.array([0.05, 0.0, 1.2]), intrinsics)
+        lm_solve_pose(obs, MODEL, intrinsics)
+        # the descent evaluates residuals at its start and at every trial,
+        # and builds a Jacobian at some of those points only
+        assert counts["_residuals"] > counts["_jacobian"] >= 1
+
     def test_extra_observed_landmarks_ignored(self, intrinsics):
         obs = synth_obs(np.eye(3), [0, 0, 1.0], intrinsics)
         extra = dict(obs.landmarks)
@@ -306,6 +336,30 @@ class TestSolverMatchesReference:
         got = _outcome(lm_solve_pose, obs, model, K, init=init,
                        accept_rms=accept_rms)
         assert got == want
+
+
+class TestSolveHelper:
+    @given(seed=st.integers(0, 2**32 - 1),
+           lam=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_numpy(self, seed, lam):
+        # damped normal equations as the descent builds them
+        rng = np.random.default_rng(seed)
+        jac = rng.normal(0.0, 10.0 ** rng.uniform(0, 4), (12, 6))
+        res = rng.normal(0.0, 5.0, 12)
+        a = jac.T @ jac + lam * np.eye(6)
+        b = -(jac.T @ res)
+        assert _solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_singular_system_gives_nan_without_warning(self):
+        a = np.ones((6, 6))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = _solve(a, np.ones(6))
+        assert step.shape == (6,)
+        assert np.isnan(step).all()
 
 
 class TestEuler:

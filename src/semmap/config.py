@@ -25,7 +25,7 @@ class PipelineConfig:
     willingness_rate_down: float = 1.0 / 9.0
     willingness_reset: float = 0.5
     lm_lambda_init: float = 1e-3
-    lm_step_tol: float = 1e-8
+    lm_step_tol: float = 1e-6
     lm_cost_tol: float = 1e-12
     lm_max_iterations: int = 100
     lm_accept_rms_px: float = 100.0

@@ -156,6 +156,9 @@ class HeadPose:
     pitch: float
     roll: float
     rms_residual: float
+    # the solver's axis-angle rotation, so a later solve can start from
+    # (axis_angle, translation) without a log map
+    axis_angle: np.ndarray | None = None
 
 
 def _residuals(params: np.ndarray, model_points: np.ndarray,
@@ -254,12 +257,14 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
 
     Damping exhaustion (a stall) terminates the descent; only a singular
     system that damping cannot regularize raises. The Jacobian is built
-    only at accepted points that the descent goes on from.
+    only at accepted points that the descent goes on from. A first step
+    shorter than `step_tol` means the start is already a minimum: the
+    descent stops there, without a trial.
     """
     res, terms = _residuals(params, points, observed, focal, center)
     cost = float(res @ res)
     lam = lambda_init
-    for _ in range(max_iterations):
+    for iteration in range(max_iterations):
         if terms is not None:  # a new point: build its normal equations
             jac = _jacobian(points, focal, *terms)
             jtj = jac.T @ jac
@@ -273,6 +278,8 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
         else:
             raise DegenerateConfiguration(
                 "normal equations singular beyond damping rescue")
+        if iteration == 0 and math.sqrt(step @ step) < step_tol:
+            break
         trial = params + step
         try:
             trial_res, trial_terms = _residuals(trial, points, observed,
@@ -314,7 +321,8 @@ def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
     """Fit the model pose by damped Gauss-Newton on reprojection error.
 
     `init`, six finite numbers (axis-angle rotation, translation), replaces
-    the frontal start and turns off the restarts.
+    the frontal start and turns off the restarts. A pose's own
+    `(axis_angle, translation)` is such a start.
     """
     names = tuple(n for n in model.names if n in obs.landmarks)
     if len(names) < 6:
@@ -349,7 +357,8 @@ def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
         raise NoConvergence(f"rms {rms:.2f} px above accept bound {accept_rms}")
     rot = rodrigues(params[:3])
     yaw, pitch, roll = euler_from_rotation(rot)
-    return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms)
+    return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms,
+                    params[:3].copy())
 
 
 def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:

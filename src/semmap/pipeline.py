@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import PipelineConfig
 from .errors import (
     DegenerateConfiguration,
@@ -25,7 +27,7 @@ from .geometry import (
     RigidPose,
     extract_object_cloud,
 )
-from .headpose import FaceModel3D, is_attending, lm_solve_pose
+from .headpose import FaceModel3D, HeadPose, is_attending, lm_solve_pose
 from .semantic_map import SemanticMap
 from .tracker import KIND_OBJECT, KIND_PERSON, IoUTracker
 from .willingness import PersonWillingnessMap
@@ -58,6 +60,12 @@ def pair_faces(tracks, faces) -> list:
             if sum(row) == 1 and holders[row.index(True)] == 1]
 
 
+SOLVER_ERRORS = (NoConvergence, DegenerateConfiguration, PointBehindCamera)
+# a warm fit is kept unless its rms exceeds both this bound and twice the
+# rms of the track's last accepted pose
+WARM_RESTART_RMS_PX = 3.0
+
+
 class Pipeline:
     """Tracker, semantic map, willingness and face model of one run."""
 
@@ -78,6 +86,40 @@ class Pipeline:
                                                 config.willingness_rate_down,
                                                 config.willingness_reset)
         self.face_model = FaceModel3D.default()
+        self.lm_options = dict(lambda_init=config.lm_lambda_init,
+                               step_tol=config.lm_step_tol,
+                               cost_tol=config.lm_cost_tol,
+                               max_iterations=config.lm_max_iterations,
+                               accept_rms=config.lm_accept_rms_px)
+        self.head_poses = {}  # person track id -> its last accepted HeadPose
+
+    def head_pose(self, track_id: int, face) -> HeadPose:
+        """Head pose of one person track's face, as a per-track estimate.
+
+        The descent starts warm from the track's last accepted pose. The
+        cold solve (frontal start, then the restarts) runs when the track
+        has none, when the warm descent raises, or when the warm rms
+        exceeds both WARM_RESTART_RMS_PX and twice the last pose's rms. A
+        solve that raises leaves the track without a pose.
+        """
+        last = self.head_poses.pop(track_id, None)
+        if last is not None:
+            try:
+                pose = lm_solve_pose(
+                    face, self.face_model, self.intrinsics,
+                    init=np.concatenate((last.axis_angle, last.translation)),
+                    **self.lm_options)
+            except SOLVER_ERRORS:
+                pass
+            else:
+                if pose.rms_residual <= max(WARM_RESTART_RMS_PX,
+                                            2.0 * last.rms_residual):
+                    self.head_poses[track_id] = pose
+                    return pose
+        pose = lm_solve_pose(face, self.face_model, self.intrinsics,
+                             **self.lm_options)
+        self.head_poses[track_id] = pose
+        return pose
 
     def step(self, inp: FrameInput) -> dict:
         """Advance one frame; returns its `events.jsonl` row."""
@@ -110,16 +152,8 @@ class Pipeline:
             row = {"track": track.track_id, "person": face.face_id}
             person_rows.append(row)
             try:
-                pose = lm_solve_pose(
-                    face, self.face_model, self.intrinsics,
-                    lambda_init=config.lm_lambda_init,
-                    step_tol=config.lm_step_tol,
-                    cost_tol=config.lm_cost_tol,
-                    max_iterations=config.lm_max_iterations,
-                    accept_rms=config.lm_accept_rms_px,
-                )
-            except (NoConvergence, DegenerateConfiguration,
-                    PointBehindCamera) as e:
+                pose = self.head_pose(track.track_id, face)
+            except SOLVER_ERRORS as e:
                 # one bad face is recorded, not fatal; willingness sees
                 # no observation for it this frame
                 row.update(error=type(e).__name__, attending=False)
@@ -130,8 +164,11 @@ class Pipeline:
                        rms=pose.rms_residual, attending=attending)
 
         triggers = willing.step_frame(observations, inp.t)
-        willing.prune([t.track_id for t in self.tracker.tracks
-                       if t.kind == KIND_PERSON])
+        live = [t.track_id for t in self.tracker.tracks
+                if t.kind == KIND_PERSON]
+        willing.prune(live)
+        self.head_poses = {tid: self.head_poses[tid] for tid in live
+                           if tid in self.head_poses}
         for row in person_rows:
             state = willing.states.get(row["track"])
             row["value"] = state.value if state else 0.0

@@ -352,7 +352,10 @@ class Scenario:
         return RigidPose(rodrigues(w), t)
 
     def estimated_pose(self, frame_idx: int) -> RigidPose:
-        return self.drift_pose(frame_idx).compose(self.trajectory[frame_idx])
+        pose = self.trajectory[frame_idx]
+        if self.drift is None or frame_idx < self.drift.start_frame:
+            return pose  # no drift yet: the true pose itself
+        return self.drift_pose(frame_idx).compose(pose)
 
     def attending_gt(self, person_idx: int, frame_idx: int) -> bool:
         t = frame_idx / self.fps

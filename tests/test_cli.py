@@ -181,7 +181,8 @@ class TestShippedDigests:
     These pin the project's byte-identical reference outputs. They were
     taken with numpy 2.4.6 on Python 3.11.7 (x86-64); another numpy may
     round some float in the last bit and change a digest. interaction's
-    events.jsonl carries the vectorized head-pose Jacobian's last bits.
+    events.jsonl carries the last bits of the head-pose fits, which start
+    warm from each person track's previous pose.
     """
 
     EXPECTED = {
@@ -206,8 +207,8 @@ class TestShippedDigests:
                         "16cc05e6f5caa55be37feeb4db1b2a54",
             "metrics.json": "c10df717be9fffc0bfec0a91057cdb2a"
                             "a5eaa39f771aae7d6b29ab01ef6099d3",
-            "events.jsonl": "9b676a1469153d25e428bda5960279c7"
-                            "34c32ad175b21ae03e383f939ea26298",
+            "events.jsonl": "781ca4d98851f8ae121db56e91c1ce13"
+                            "22eb0b55e210711044592280a0085b24",
         },
     }
 

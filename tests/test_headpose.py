@@ -222,6 +222,40 @@ class TestSolve:
         # and builds a Jacobian at some of those points only
         assert counts["_residuals"] > counts["_jacobian"] >= 1
 
+    @pytest.mark.parametrize("jitter", [0.0, 1.0, 5.0])
+    def test_start_at_own_solution_stops_at_once(self, intrinsics, jitter,
+                                                 monkeypatch):
+        # a warm start on an unchanged face: the first step is below
+        # step_tol, so the descent stops without a trial and the pose
+        # comes back unchanged
+        rng = np.random.default_rng(7)
+        obs = synth_obs(rotation_from_euler(50.0, -20.0, 5.0),
+                        np.array([0.1, -0.05, 1.5]), intrinsics, jitter, rng)
+        pose = lm_solve_pose(obs, MODEL, intrinsics, step_tol=1e-6)
+        init = np.concatenate((pose.axis_angle, pose.translation))
+        evals = []
+
+        def counted(*args, _real=headpose._residuals):
+            evals.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(headpose, "_residuals", counted)
+        again = lm_solve_pose(obs, MODEL, intrinsics, step_tol=1e-6,
+                              init=init)
+        assert len(evals) <= 2
+        for name in ("rotation", "translation", "axis_angle"):
+            assert getattr(again, name).tobytes() \
+                == getattr(pose, name).tobytes()
+        assert (again.yaw, again.pitch, again.roll, again.rms_residual) \
+            == (pose.yaw, pose.pitch, pose.roll, pose.rms_residual)
+
+    def test_pose_carries_solver_axis_angle(self, intrinsics):
+        w = np.array([0.3, -0.4, 0.1])
+        obs = synth_obs(rodrigues(w), np.array([0.0, 0.1, 1.2]), intrinsics)
+        pose = lm_solve_pose(obs, MODEL, intrinsics)
+        assert np.abs(pose.axis_angle - w).max() < 1e-9
+        assert rodrigues(pose.axis_angle).tobytes() == pose.rotation.tobytes()
+
     def test_extra_observed_landmarks_ignored(self, intrinsics):
         obs = synth_obs(np.eye(3), [0, 0, 1.0], intrinsics)
         extra = dict(obs.landmarks)

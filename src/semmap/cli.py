@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import PipelineConfig
+from .config import PipelineConfig, read_json_object, read_json_records
 from .errors import (
     ClockWentBackwards,
     ConfigError,
@@ -55,12 +55,12 @@ def cmd_run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        with open(args.scenario) as f:
-            scenario_dict = json.load(f)
+        scenario_dict = read_json_object(args.scenario, ScenarioError,
+                                         "scenario")
         if args.seed is not None:
             scenario_dict["seed"] = args.seed
         scenario = Scenario.from_dict(scenario_dict)
-    except (ScenarioError, json.JSONDecodeError, OSError) as e:
+    except (ScenarioError, OSError) as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
 
@@ -90,12 +90,12 @@ def cmd_headpose(args) -> int:
     try:
         model = FaceModel3D.from_json(args.model) if args.model \
             else FaceModel3D.default()
-        with open(args.intrinsics) as f:
-            k = CameraIntrinsics.from_dict(json.load(f))
+        k = CameraIntrinsics.from_dict(
+            read_json_object(args.intrinsics, ValueError, "intrinsics"))
     except DegenerateConfiguration as e:
         print(f"degenerate model: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -126,20 +126,10 @@ def cmd_headpose(args) -> int:
 
 
 def _read_faces(path) -> list:
-    """(record, LandmarkSet2D) per non-blank JSONL line; ValueError (which
-    covers bad JSON) or KeyError on malformed input."""
-    faces = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError(f"record is not a JSON object: {line}")
-            faces.append((rec, LandmarkSet2D(rec["landmarks"],
-                                             face_id=rec.get("face_id"))))
-    return faces
+    """(record, LandmarkSet2D) per JSONL record; ValueError or KeyError on
+    malformed input."""
+    return [(rec, LandmarkSet2D(rec["landmarks"], face_id=rec.get("face_id")))
+            for rec in read_json_records(path, ValueError, "landmarks")]
 
 
 def cmd_willingness(args) -> int:
@@ -155,28 +145,24 @@ def cmd_willingness(args) -> int:
     out_lines = []
     trigger_summary = []
     try:
-        with open(args.timeline) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                t = float(rec["t"])
-                observations = [(p["id"], bool(p["attending"]))
-                                for p in rec.get("persons", [])]
-                triggers = wmap.step_frame(observations, t)
-                for pid in sorted(wmap.states):
-                    state = wmap.states[pid]
-                    out_lines.append(_dump_json({
-                        "t": t, "id": pid, "value": state.value,
-                        "triggered": state.triggered,
-                    }))
-                for pid in triggers:
-                    trigger_summary.append({"t": t, "id": pid})
+        for rec in read_json_records(args.timeline, ValueError, "timeline"):
+            t = float(rec["t"])
+            observations = [(p["id"], bool(p["attending"]))
+                            for p in rec.get("persons", [])]
+            triggers = wmap.step_frame(observations, t)
+            for pid in sorted(wmap.states):
+                state = wmap.states[pid]
+                out_lines.append(_dump_json({
+                    "t": t, "id": pid, "value": state.value,
+                    "triggered": state.triggered,
+                }))
+            for pid in triggers:
+                trigger_summary.append({"t": t, "id": pid})
     except ClockWentBackwards as e:
         print(f"timeline error: {e}", file=sys.stderr)
         return EXIT_CLOCK
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    # all of the loop reads input: a TypeError is a malformed timeline
+    except (OSError, KeyError, TypeError, ValueError) as e:
         print(f"timeline input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     for line in out_lines:

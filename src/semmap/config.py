@@ -1,4 +1,9 @@
-"""Pipeline tunables. Strict loading: unknown keys are rejected."""
+"""Strict JSON input loading, and the pipeline tunables.
+
+Every JSON input is read by `read_json_object` or `read_json_records`, and
+every object in it that becomes a dataclass is built by `build`: the
+dataclass's init fields are its schema.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,68 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
+
+
+# "class" is a Python keyword: it names `class_label`, which is no JSON key
+_RENAMED = {"class": "class_label", "class_label": None}
+
+
+def _json_object(value, error, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got "
+                    f"{type(value).__name__}")
+    return value
+
+
+def _parse_object(text: str, error, what: str) -> dict:
+    try:
+        return _json_object(json.loads(text), error, what)
+    except json.JSONDecodeError as e:
+        raise error(f"malformed {what} JSON: {e}") from e
+
+
+def read_json_object(path, error, what: str) -> dict:
+    """The JSON object a file holds; `error` if it is malformed or holds
+    anything else. OSError propagates."""
+    with open(path) as f:
+        return _parse_object(f.read(), error, what)
+
+
+def read_json_records(path, error, what: str):
+    """Yield the JSON object on each non-blank line of a JSON-lines file;
+    `error` names the first line that is malformed or not an object."""
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                yield _parse_object(line, error, f"{what} line {n}")
+
+
+def build(cls, value, error, what: str, **parse):
+    """`cls(**value)` for a dataclass `cls` and a JSON object `value`.
+
+    Each key must name an init field of `cls` ("class" names `class_label`),
+    and a field typed `int` takes only a JSON integer. `parse` maps a key to
+    a function from its JSON value to the field's. Any other TypeError,
+    ValueError or LookupError from a bad value is raised as `error` too.
+    """
+    names = {key: _RENAMED.get(key, key)
+             for key in _json_object(value, error, what)}
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(key for key, name in names.items() if name not in types)
+    if unknown:
+        raise error(f"unknown {what} keys: {', '.join(unknown)}")
+    # bool is a subclass of int, but JSON true is not an integer
+    not_int = sorted(key for key, name in names.items()
+                     if types[name] in ("int", int)
+                     and type(value[key]) is not int)
+    if not_int:
+        raise error(f"{what} keys must be JSON integers: "
+                    f"{', '.join(not_int)}")
+    try:
+        return cls(**{name: parse[key](value[key]) if key in parse
+                      else value[key] for key, name in names.items()})
+    except (LookupError, TypeError, ValueError) as e:
+        raise error(f"bad {what}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -60,25 +127,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(str(e)) from e
+        return build(cls, d, ConfigError, "config")
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        try:
-            with open(path) as f:
-                d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"malformed config JSON: {e}") from e
-        if not isinstance(d, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(d)
+        return cls.from_dict(read_json_object(path, ConfigError, "config"))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import build
 from .errors import (
     EmptyCloud,
     FrameMismatch,
@@ -44,6 +45,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        # JSON may give integers; numpy arrays of them are cast at each use
+        for name in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -60,15 +64,8 @@ class CameraIntrinsics:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-        )
+    def from_dict(cls, d: dict, error=ValueError) -> "CameraIntrinsics":
+        return build(cls, d, error, "intrinsics")
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,8 @@ class RigidPose:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RigidPose":
-        return cls(np.asarray(d["rotation"]), np.asarray(d["translation"]))
+    def from_dict(cls, d: dict, error=ValueError) -> "RigidPose":
+        return build(cls, d, error, "pose")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ Identity rotation corresponds to a head facing the camera.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from numbers import Real
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .config import read_json_object
 from .errors import DegenerateConfiguration, NoConvergence, PointBehindCamera
 from .geometry import CameraIntrinsics
 
@@ -94,14 +94,11 @@ class FaceModel3D:
 
     @classmethod
     def from_json(cls, path) -> "FaceModel3D":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json_object(path, ValueError, "face model"))
 
     @classmethod
     def default(cls) -> "FaceModel3D":
-        text = resources.files("semmap.data").joinpath(
-            "face_model.json").read_text()
-        return cls.from_dict(json.loads(text))
+        return cls.from_json(resources.files("semmap.data") / "face_model.json")
 
     def subset(self, names) -> "FaceModel3D":
         index = {n: i for i, n in enumerate(self.names)}

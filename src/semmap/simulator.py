@@ -11,13 +11,12 @@ sees no ground truth; only the metrics compare against it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, build, read_json_object
 from .errors import FrameOutOfRange, ScenarioError
 from .geometry import CameraIntrinsics, DepthImage, RigidPose
 from .headpose import (
@@ -82,7 +81,7 @@ class WorldObject:
 @dataclass(frozen=True)
 class PersonSpec:
     position: tuple  # head center, world frame
-    attention_windows: tuple  # ((t_start, t_end), ...) seconds
+    attention_windows: tuple = ()  # ((t_start, t_end), ...) seconds
     away_yaw_deg: float = 60.0
 
     def __post_init__(self):
@@ -122,6 +121,15 @@ class CorrectionEvent:
     frame: int
     poses: object = "true"  # "true" or {keyframe_id: RigidPose}
 
+    def __post_init__(self):
+        if isinstance(self.poses, dict):  # JSON object keys are strings
+            object.__setattr__(self, "poses", {
+                int(k): p if isinstance(p, RigidPose)
+                else RigidPose.from_dict(p, ScenarioError)
+                for k, p in self.poses.items()})
+        elif self.poses != "true":
+            raise ScenarioError("correction poses must be 'true' or a mapping")
+
 
 def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
     """Uniform points on the surface of an axis-aligned box."""
@@ -142,47 +150,78 @@ def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
     return c + p
 
 
-def _reject_unknown_keys(d: dict, known: set, where: str):
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ScenarioError(f"unknown {where} keys: {', '.join(unknown)}")
+@dataclass(frozen=True)
+class Orbit:
+    """`frames` camera poses on a circle about `center`, each looking at it."""
+    center: tuple
+    radius: float
+    frames: int
+    height: float | None = None  # None: the height of `center`
+    start_deg: float = 0.0
+    sweep_deg: float = 360.0
 
-
-def _build_trajectory(spec) -> list:
-    if isinstance(spec, list):
-        return [RigidPose.from_dict(p) if isinstance(p, dict) else p
-                for p in spec]
-    kind = spec.get("kind")
-    if kind == "orbit":
-        center = np.asarray(spec["center"], dtype=np.float64)
-        radius = float(spec["radius"])
-        height = float(spec.get("height", center[2]))
-        frames = int(spec["frames"])
-        start = np.radians(float(spec.get("start_deg", 0.0)))
-        sweep = np.radians(float(spec.get("sweep_deg", 360.0)))
+    def trajectory(self) -> list:
+        center = np.asarray(self.center, dtype=np.float64)
+        height = center[2] if self.height is None else self.height
+        start, sweep = np.radians(self.start_deg), np.radians(self.sweep_deg)
         poses = []
-        for i in range(frames):
-            ang = start + sweep * i / max(frames, 1)
-            pos = center + np.array([radius * np.cos(ang),
-                                     radius * np.sin(ang),
+        for i in range(self.frames):
+            ang = start + sweep * i / max(self.frames, 1)
+            pos = center + np.array([self.radius * np.cos(ang),
+                                     self.radius * np.sin(ang),
                                      height - center[2]])
             poses.append(look_at(pos, center))
         return poses
-    if kind == "segments":
-        poses = []
-        for seg in spec["segments"]:
-            pose = look_at(seg["position"], seg["look_at"])
-            poses.extend([pose] * int(seg["frames"]))
-        return poses
-    if kind == "poses":
-        out = []
-        for p in spec["poses"]:
-            if "look_at" in p:
-                out.append(look_at(p["position"], p["look_at"]))
-            else:
-                out.append(RigidPose.from_dict(p))
-        return out
-    raise ScenarioError(f"unknown trajectory kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class Sight:
+    """A camera at `position` looking at `look_at`."""
+    position: tuple
+    look_at: tuple
+
+    def pose(self) -> RigidPose:
+        return look_at(self.position, self.look_at)
+
+
+@dataclass(frozen=True)
+class Segment(Sight):
+    frames: int  # the camera holds the pose this many frames
+
+
+@dataclass(frozen=True)
+class Segments:
+    segments: list  # {position, look_at, frames} objects, in order
+
+    def trajectory(self) -> list:
+        segments = [build(Segment, s, ScenarioError, "segment")
+                    for s in self.segments]
+        return [pose for s in segments for pose in [s.pose()] * s.frames]
+
+
+@dataclass(frozen=True)
+class Poses:
+    poses: list  # per frame {position, look_at} or {rotation, translation}
+
+    def trajectory(self) -> list:
+        return [build(Sight, p, ScenarioError, "pose").pose() if "look_at" in p
+                else RigidPose.from_dict(p, ScenarioError) for p in self.poses]
+
+
+_GENERATORS = {"orbit": Orbit, "segments": Segments, "poses": Poses}
+
+
+def _trajectory(spec) -> list:
+    """True camera pose per frame from a scenario's `trajectory`: a list of
+    RigidPose objects, or a generator object named by its `kind`."""
+    if isinstance(spec, list):
+        return [RigidPose.from_dict(p, ScenarioError) for p in spec]
+    spec = dict(spec)
+    kind = spec.pop("kind", None)
+    if kind not in _GENERATORS:
+        raise ScenarioError(f"unknown trajectory kind {kind!r}")
+    return build(_GENERATORS[kind], spec, ScenarioError,
+                 f"{kind} trajectory").trajectory()
 
 
 @dataclass
@@ -205,7 +244,8 @@ class Scenario:
     object_samples: list = field(init=False)  # per object, views of samples
 
     def __post_init__(self):
-        if not self.trajectory:
+        frames = len(self.trajectory)
+        if not frames:
             raise ScenarioError("trajectory must be non-empty")
         if not 0 < self.fps < math.inf:
             raise ScenarioError(
@@ -214,10 +254,26 @@ class Scenario:
             raise ScenarioError(
                 f"max_range must exceed the near plane ({NEAR_PLANE} m), "
                 f"got {self.max_range}")
+        # an integer would give the z-buffer an integer dtype
+        self.background_depth = float(self.background_depth)
         if not 0 <= self.background_depth < math.inf:
             raise ScenarioError(
                 f"background_depth must be finite and >= 0, got "
                 f"{self.background_depth}")
+        start = self.drift.start_frame if self.drift is not None else 0
+        if not 0 <= start < frames:
+            raise ScenarioError(
+                f"drift start_frame {start} outside [0, {frames})")
+        for ev in self.correction_events:
+            if not 0 <= ev.frame < frames:
+                raise ScenarioError(
+                    f"correction frame {ev.frame} outside [0, {frames})")
+            keyframes = ev.poses if isinstance(ev.poses, dict) else {}
+            outside = sorted(k for k in keyframes if not 0 <= k <= ev.frame)
+            if outside:
+                raise ScenarioError(
+                    f"correction at frame {ev.frame} names keyframes "
+                    f"{outside} outside [0, {ev.frame}]")
         parts = [
             _sample_box_surface(obj.centroid, obj.extents, obj.sample_count,
                                 np.random.default_rng([self.seed, 7, idx]))
@@ -242,104 +298,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        try:
-            _reject_unknown_keys(d, {
-                "seed", "intrinsics", "world_objects", "persons", "fps",
-                "trajectory", "max_range", "background_depth", "drift",
-                "correction_events", "noise"}, "scenario")
-            intr = CameraIntrinsics.from_dict(d["intrinsics"])
-            objs = []
-            for o in d.get("world_objects", []):
-                _reject_unknown_keys(
-                    o, {"class", "centroid", "extents", "sample_count"},
-                    "world object")
-                objs.append(WorldObject(
-                    class_label=o["class"],
-                    centroid=tuple(o["centroid"]),
-                    extents=tuple(o["extents"]),
-                    sample_count=int(o.get("sample_count", 400)),
-                ))
-            persons = []
-            for p in d.get("persons", []):
-                _reject_unknown_keys(
-                    p, {"position", "attention_windows", "away_yaw_deg"},
-                    "person")
-                persons.append(PersonSpec(
-                    position=tuple(p["position"]),
-                    attention_windows=tuple(
-                        tuple(w) for w in p.get("attention_windows", [])),
-                    away_yaw_deg=float(p.get("away_yaw_deg", 60.0)),
-                ))
-            fps = float(d.get("fps", 10.0))
-            trajectory = _build_trajectory(d["trajectory"])
-            drift = None
-            if d.get("drift"):
-                dd = d["drift"]
-                _reject_unknown_keys(dd, {
-                    "start_frame", "translation_per_frame",
-                    "rotation_deg_per_frame"}, "drift")
-                drift = DriftModel(
-                    start_frame=int(dd.get("start_frame", 0)),
-                    translation_per_frame=tuple(
-                        dd.get("translation_per_frame", (0, 0, 0))),
-                    rotation_deg_per_frame=tuple(
-                        dd.get("rotation_deg_per_frame", (0, 0, 0))),
-                )
-                if not 0 <= drift.start_frame < len(trajectory):
-                    raise ScenarioError(
-                        f"drift start_frame {drift.start_frame} outside "
-                        f"[0, {len(trajectory)})")
-            corrections = []
-            for ev in d.get("correction_events", []):
-                _reject_unknown_keys(ev, {"frame", "poses"},
-                                     "correction event")
-                frame = int(ev["frame"])
-                if not 0 <= frame < len(trajectory):
-                    raise ScenarioError(
-                        f"correction frame {frame} outside "
-                        f"[0, {len(trajectory)})")
-                poses = ev.get("poses", "true")
-                if isinstance(poses, dict):
-                    poses = {int(k): RigidPose.from_dict(v)
-                             for k, v in poses.items()}
-                    outside = sorted(k for k in poses if not 0 <= k <= frame)
-                    if outside:
-                        raise ScenarioError(
-                            f"correction at frame {frame} names keyframes "
-                            f"{outside} outside [0, {frame}]")
-                elif poses != "true":
-                    raise ScenarioError(
-                        "correction poses must be 'true' or a mapping")
-                corrections.append(CorrectionEvent(frame, poses))
-            noise = NoiseModel(**d.get("noise", {}))
-            return cls(
-                seed=int(d["seed"]),
-                intrinsics=intr,
-                world_objects=objs,
-                trajectory=trajectory,
-                persons=persons,
-                fps=fps,
-                max_range=float(d.get("max_range", 15.0)),
-                background_depth=float(d.get("background_depth", 0.0)),
-                drift=drift,
-                correction_events=corrections,
-                noise=noise,
-            )
-        except ScenarioError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise ScenarioError(f"bad scenario schema: {e!r}") from e
+        """A scenario from its JSON object. ScenarioError names an unknown
+        key or a bad value at any level."""
+        def each(kind, what):
+            return lambda items: [build(kind, v, ScenarioError, what)
+                                  for v in items]
+        return build(
+            cls, d, ScenarioError, "scenario",
+            intrinsics=lambda v: CameraIntrinsics.from_dict(v, ScenarioError),
+            world_objects=each(WorldObject, "world object"),
+            persons=each(PersonSpec, "person"),
+            trajectory=_trajectory,
+            drift=lambda v: build(DriftModel, v, ScenarioError, "drift")
+            if v else None,
+            correction_events=each(CorrectionEvent, "correction event"),
+            noise=lambda v: build(NoiseModel, v, ScenarioError, "noise"))
 
     @classmethod
     def from_json(cls, path) -> "Scenario":
-        try:
-            with open(path) as f:
-                d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"malformed scenario JSON: {e}") from e
-        if not isinstance(d, dict):
-            raise ScenarioError("scenario root must be a JSON object")
-        return cls.from_dict(d)
+        return cls.from_dict(read_json_object(path, ScenarioError, "scenario"))
 
     def drift_pose(self, frame_idx: int) -> RigidPose:
         """Accumulated world-frame drift perturbation at a frame."""

@@ -8,9 +8,9 @@ dropped after a few missed frames.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .config import build, read_json_records
 from .errors import NonMonotonicFrame
 
 KIND_OBJECT = "object"
@@ -160,20 +160,8 @@ class IoUTracker:
 
 
 def read_detection_log(path):
-    """Yield (frame, [Detection2D]) from a JSON-lines detection log."""
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            dets = [
-                Detection2D(
-                    bbox=tuple(d["bbox"]),
-                    class_label=d["class"],
-                    score=d.get("score", 1.0),
-                    kind=d.get("kind", KIND_OBJECT),
-                )
-                for d in rec["detections"]
-            ]
-            yield rec["frame"], dets
+    """Yield (frame, [Detection2D]) from a JSON-lines detection log; a
+    malformed record raises ValueError, a missing key KeyError."""
+    for rec in read_json_records(path, ValueError, "detection log"):
+        yield rec["frame"], [build(Detection2D, d, ValueError, "detection")
+                             for d in rec["detections"]]

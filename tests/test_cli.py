@@ -142,6 +142,48 @@ class TestRun:
         assert "bogus_knob" in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_object_scenario_with_seed_exit_3(self, tmp_path, capsys):
+        # the seed override once indexed the file's value before any check
+        out = tmp_path / "out"
+        code = main(["run", "--scenario",
+                     str(write_scenario(tmp_path, [SCENARIO])),
+                     "--seed", "3", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d["intrinsics"].update(k1=-0.2), "k1"),
+        (lambda d: d.update(trajectory={
+            "kind": "orbit", "center": [0.0, 0.0, 1.0], "radius": 2.0,
+            "frames": 10, "sweep": 90}), "sweep"),
+    ], ids=["intrinsics_distortion", "orbit_sweep"])
+    def test_unknown_nested_key_exit_3(self, tmp_path, capsys, edit, key):
+        # both were ignored: a distortion term, and a misspelled sweep_deg
+        # that left the orbit at a full 360 degrees
+        d = json.loads(json.dumps(SCENARIO))
+        edit(d)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_config_field_exit_2(self, tmp_path, capsys, value):
+        # 2.5 passed validation, then the first head-pose solve died on it
+        d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
+        d["trajectory"]["segments"][0]["frames"] = 2
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lm_max_iterations": value}))
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "lm_max_iterations" in capsys.readouterr().err
+
     def test_unsolvable_face_recorded_not_fatal(self, tmp_path):
         # 2 px landmark jitter cannot fit within a 0.5 px accept bound
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
@@ -305,6 +347,24 @@ class TestHeadpose:
         assert code == 4
 
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--intrinsics", "[500.0, 500.0, 320.0, 240.0, 640, 480]"),
+        ("--intrinsics", json.dumps(dict(INTRINSICS, k1=-0.2))),
+        ("--model", "[[0.0, 0.0, 0.0]]"),
+    ], ids=["intrinsics_list", "intrinsics_distortion", "model_list"])
+    def test_bad_input_file_exit_2(self, tmp_path, capsys, flag, text):
+        # a list crashed the loader; an unknown intrinsics key was ignored
+        kpath, lpath = self.write_inputs(tmp_path, [
+            self.face_record(0, self.frontal())])
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args = {"--landmarks": lpath, "--intrinsics": kpath, flag: bad}
+        code = main(["headpose"] + [str(a) for kv in args.items() for a in kv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err
+
     def face_record(self, frame, landmarks):
         return {"frame": frame, "face_id": 0,
                 "landmarks": {n: list(uv) for n, uv in landmarks.items()}}
@@ -423,6 +483,24 @@ class TestWillingness:
         code = main(["willingness", "--timeline", str(path)])
         assert code == 0
         assert json.loads(capsys.readouterr().out.strip()) == {"triggers": []}
+
+    @pytest.mark.parametrize("line", [
+        [{"id": 1, "attending": True}],
+        {"t": [0.2], "persons": []},
+        {"t": 0.2, "persons": [5]},
+        {"t": 0.2, "persons": [{"id": [1], "attending": True}]},
+        {"t": 0.2, "persons": [{"id": "a", "attending": True}]},
+    ], ids=["record_not_object", "t_not_number", "person_not_object",
+            "unhashable_id", "ids_of_two_types"])
+    def test_malformed_timeline_exit_2(self, tmp_path, capsys, line):
+        # each raised a TypeError traceback (exit 1)
+        path = self.write_timeline(tmp_path, [
+            {"t": 0.1, "persons": [{"id": 1, "attending": True}]}, line])
+        code = main(["willingness", "--timeline", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeline input error" in captured.err
 
     def test_clock_backwards_exit_5(self, tmp_path, capsys):
         rows = [

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import platform
 from pathlib import Path
@@ -286,9 +287,55 @@ class TestSchema:
                             "extents": [0.1, 0.1, 0.12], "samples": 50}]},
         {"persons": [{"position": [0.0, 0.0, 1.5], "away_yaw": 30.0}]},
         {"correction_events": [{"frame": 3, "pose": "true"}]},
+        {"intrinsics": dict(BASE["intrinsics"], k1=0.1)},
+        {"noise": {"bbox_jitter": 1.0}},
+        {"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                        "radius": 2.0, "frames": 12, "sweep": 90}},
+        {"trajectory": {"kind": "segments", "segments": [
+            {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
+             "frames": 12, "speed": 1.0}]}},
+        {"trajectory": {"kind": "segments", "segments": [], "loop": True}},
+        {"trajectory": {"kind": "poses", "poses": [
+            {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
+             "up": [0.0, 0.0, 1.0]}]}},
+        {"trajectory": [dict(RigidPose.identity().to_dict(), scale=1.0)]},
+        {"correction_events": [{"frame": 3, "poses": {
+            "0": dict(RigidPose.identity().to_dict(), scale=1.0)}}]},
     ])
     def test_unknown_key_rejected(self, overrides):
         with pytest.raises(ScenarioError, match="unknown .* keys"):
+            scenario(**overrides)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"seed": 7.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"intrinsics": dict(BASE["intrinsics"], width=640.5)}, "width"),
+        ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                             "extents": [0.1, 0.1, 0.12],
+                             "sample_count": 50.5}]}, "sample_count"),
+        ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                         "radius": 2.0, "frames": 12.5}}, "frames"),
+        ({"drift": {"start_frame": 1.5}}, "start_frame"),
+        ({"correction_events": [{"frame": 3.5, "poses": "true"}]}, "frame"),
+    ], ids=["seed_float", "seed_bool", "width", "sample_count", "frames",
+            "start_frame", "correction_frame"])
+    def test_integer_field_takes_only_json_integers(self, overrides, key):
+        # these were truncated by int() before
+        with pytest.raises(ScenarioError, match=f"JSON integers: {key}"):
+            scenario(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"world_objects": 5}, {"persons": [5]}, {"noise": [0.1]},
+        {"trajectory": 5}, {"trajectory": {"kind": "orbit"}},
+        {"trajectory": {"kind": "orbit", "center": [0.0, 0.0],
+                        "radius": 2.0, "frames": 12}},
+        {"trajectory": {"kind": "poses", "poses": [5]}},
+        {"correction_events": [{"frame": 3, "poses": {"a": {}}}]},
+    ], ids=["objects_not_list", "person_not_object", "noise_not_object",
+            "trajectory_not_object", "orbit_incomplete", "orbit_center_2d",
+            "pose_not_object", "keyframe_id_not_integer"])
+    def test_malformed_value_is_a_scenario_error(self, overrides):
+        with pytest.raises(ScenarioError):
             scenario(**overrides)
 
     @pytest.mark.parametrize("start", [-5, 12, 500])
@@ -342,10 +389,25 @@ class TestSchema:
         with pytest.raises(ScenarioError, match=field):
             scenario(**overrides)
 
+    def test_integer_background_depth_keeps_depths_in_metres(self):
+        # np.full takes the z-buffer's dtype from its fill value: an int
+        # background truncated every depth to whole metres
+        sc = Scenario.from_json(SCENARIO_DIR / "desk_orbit.json")
+        depth = synthesize_frame_data(sc, 0).depth.data
+        as_int = synthesize_frame_data(
+            dataclasses.replace(sc, background_depth=8), 0).depth.data
+        np.testing.assert_array_equal(as_int, depth)
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ScenarioError):
+            Scenario.from_json(path)
+
+    def test_non_object_json_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ScenarioError, match="must be a JSON object"):
             Scenario.from_json(path)
 
     def test_shipped_scenarios_parse(self):

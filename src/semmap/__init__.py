@@ -18,6 +18,7 @@ from .headpose import (
     euler_from_rotation,
     is_attending,
     lm_solve_pose,
+    lm_solve_poses,
 )
 from .pipeline import FrameInput, Pipeline
 from .semantic_map import MergeReport, SemanticMap, SemanticObject, chamfer_distance
@@ -35,7 +36,7 @@ __all__ = [
     "CameraIntrinsics", "DepthImage", "PointCloud", "RigidPose",
     "project", "backproject", "extract_object_cloud", "voxel_downsample",
     "FaceModel3D", "HeadPose", "LandmarkSet2D",
-    "euler_from_rotation", "is_attending", "lm_solve_pose",
+    "euler_from_rotation", "is_attending", "lm_solve_pose", "lm_solve_poses",
     "FrameInput", "Pipeline",
     "MergeReport", "SemanticMap", "SemanticObject", "chamfer_distance",
     "MetricsReport", "Scenario", "run_scenario_detailed",

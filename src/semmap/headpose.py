@@ -24,45 +24,62 @@ from .geometry import CameraIntrinsics
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
-# -[v]x as a gather from (x, y, z, 0) times a sign per entry; the diagonal
-# comes out -0.0, as in -skew(v)
-_NEG_SKEW_INDEX = np.array([[3, 2, 1], [2, 3, 0], [1, 0, 3]])
-_NEG_SKEW_SIGN = np.array([[-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0],
-                           [1.0, -1.0, -1.0]])
+# [v]x and -[v]x as gathers from (x, y, z, 0, -x, -y, -z, -0): every entry
+# is v's component, its negation or a zero of the sign a negation leaves
+_SKEW_INDEX = np.array([3, 6, 1, 2, 3, 4, 5, 0, 3])
+_NEG_SKEW_INDEX = np.array([7, 2, 5, 6, 7, 0, 1, 4, 7])
+
+
+def _skew_gather(v: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """[v]x or -[v]x, by index, as C-order (..., 3, 3) matrices."""
+    signed = np.zeros(v.shape[:-1] + (8,))
+    signed[..., :3] = v
+    np.negative(signed[..., :4], out=signed[..., 4:])
+    return signed.take(index, axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]x, batched over the leading axes of v."""
-    v = np.asarray(v, dtype=np.float64)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
-    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
-    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
-    return out
+    return _skew_gather(np.asarray(v, dtype=np.float64), _SKEW_INDEX)
 
 
-def _skew3(v: np.ndarray) -> np.ndarray:
-    """[v]x of one 3-vector; the same values as `skew(v)`."""
-    x, y, z = v.tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """v @ v of each row of a 2-D array, shaped (B, 1, 1). A stacked
+    (1, n) @ (n, 1) matmul is the same dot per row as `v @ v` of one row;
+    einsum is not."""
+    return v[:, None, :] @ v[:, :, None]
 
 
-def _neg_skew(v: np.ndarray) -> np.ndarray:
-    """-skew(v) of an (N, 3) array, signed zeros included."""
-    padded = np.zeros((len(v), 4))
-    padded[:, :3] = v
-    # C order, as -skew(v) has it, so that a matmul on it takes the same path
-    return np.multiply(padded[:, _NEG_SKEW_INDEX], _NEG_SKEW_SIGN, order="C")
+def _least(values: np.ndarray) -> float:
+    """The least of a few values; faster than a numpy reduction."""
+    return min(values.ravel().tolist())
+
+
+def _take(index, *arrays) -> list:
+    """Rows `index` of each array; faster than indexing with a list."""
+    index = np.array(index, dtype=np.intp)
+    return [x.take(index, axis=0) for x in arrays]
+
+
+def _rodrigues(w: np.ndarray):
+    """Rotation matrices (B, 3, 3) of a (B, 3) stack of axis-angle vectors,
+    and w @ w per row, shaped (B, 1, 1)."""
+    theta2 = _sq_norms(w)
+    theta = np.sqrt(theta2)
+    any_small = _least(theta) < 1e-12
+    if any_small:
+        small = theta < 1e-12
+        theta = np.where(small, 1.0, theta)
+    kx = _skew_gather(w / theta[:, 0], _SKEW_INDEX)
+    rot = _EYE3 + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
+    if any_small:
+        rot = np.where(small, _EYE3 + _skew_gather(w, _SKEW_INDEX), rot)
+    return rot, theta2
 
 
 def rodrigues(w: np.ndarray) -> np.ndarray:
     """Axis-angle 3-vector -> rotation matrix."""
-    w = np.asarray(w, dtype=np.float64)
-    theta = math.sqrt(w @ w)  # np.linalg.norm(w), without its wrapper
-    if theta < 1e-12:
-        return _EYE3 + _skew3(w)
-    kx = _skew3(w / theta)
-    return _EYE3 + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
+    return _rodrigues(np.asarray(w, dtype=np.float64).reshape(1, 3))[0][0]
 
 
 @dataclass(frozen=True)
@@ -160,62 +177,85 @@ class HeadPose:
 
 def _residuals(params: np.ndarray, model_points: np.ndarray,
                observed: np.ndarray, focal: np.ndarray, center: np.ndarray):
-    """Reprojection residuals (2N,) and the terms `_jacobian` reuses.
+    """Reprojection residuals of a stack of poses, one face per row.
 
-    `params` is a float64 6-vector; `focal` is (fx, fy) and `center` is
-    (cx, cy). Returns (res, (w, rot, rx, cam)); raises PointBehindCamera
-    when a model point lies at non-positive camera depth.
+    `params` is a (B, 6) float64 stack and `observed` (B, N, 2); `focal`
+    is (fx, fy) and `center` is (cx, cy). Returns the residuals (B, 2N)
+    and the terms (w, w @ w, rot, rx, cam) that `_jacobian` reuses. A row
+    that puts a model point at non-positive camera depth has inf
+    residuals, so its cost is inf.
     """
-    w = params[:3]
-    rot = rodrigues(w)
-    rx = model_points @ rot.T
-    cam = rx + params[3:]
-    depth = cam[:, 2:]
-    if depth.min() <= 1e-9:
-        raise PointBehindCamera("model point at non-positive camera depth")
+    w = params[:, :3]
+    rot, theta2 = _rodrigues(w)
+    rx = model_points @ rot.transpose(0, 2, 1)
+    cam = rx + params[:, None, 3:]
+    depth = cam[..., 2:]
+    behind = None
+    if _least(depth) <= 1e-9:
+        behind = depth.min(axis=1) <= 1e-9  # (B, 1)
+        depth = np.where(behind[:, None], 1.0, depth)
     # (c + f p / z) - observed: this order keeps the shipped outputs' bits
-    uv = center + focal * cam[:, :2] / depth
-    return (uv - observed).ravel(), (w, rot, rx, cam)
+    res = (center + focal * cam[..., :2] / depth - observed).reshape(
+        len(params), -1)
+    if behind is not None:
+        res[behind[:, 0]] = math.inf
+    return res, (w, theta2, rot, rx, cam)
 
 
 def _jacobian(model_points: np.ndarray, focal: np.ndarray, w: np.ndarray,
-              rot: np.ndarray, rx: np.ndarray, cam: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian (2N, 6) of `_residuals` at the point it evaluated."""
-    n = len(cam)
-    depth = cam[:, 2:]
-    jac = np.zeros((n, 2, 6))
+              theta2: np.ndarray, rot: np.ndarray, rx: np.ndarray,
+              cam: np.ndarray) -> np.ndarray:
+    """Analytic Jacobians (B, 2N, 6) of `_residuals` at the rows it
+    evaluated."""
+    b, n = cam.shape[:2]
+    depth = cam[..., 2:]
+    jac = np.zeros((b, n, 2, 6))
     # d(u, v)/d(camera point), one 2x3 block per landmark, which is also
     # the translation block. Of a landmark's 12 entries, f/z sits at 3 and
     # 10 and -f p/z^2 at 5 and 11; 4 and 9 stay zero.
-    flat = jac.reshape(n, 12)
-    flat[:, 3::7] = focal / depth
-    flat[:, 5::6] = -focal * cam[:, :2] / (depth * depth)
+    flat = jac.reshape(b, n, 12)
+    np.divide(focal, depth, out=flat[..., 3::7])
+    np.divide(-focal * cam[..., :2], depth * depth, out=flat[..., 5::6])
     # d(R x)/dw in Gallego-Yezzi matrix form (arXiv 1312.0788):
     # -[R x]x (w w^T + [w]x (I - R)) / theta^2, and -[x]x near w = 0.
     # For an exact R this equals -R [x]x (w w^T + (R^T - I)[w]x) / theta^2;
     # with a rounded R that form drifts ~1e-10 relative at |w| = 1e-7.
-    theta2 = float(w @ w)
-    if theta2 < 1e-16:
-        dp_dw = _neg_skew(model_points)
-    else:
-        m = (w[:, None] * w + _skew3(w) @ (_EYE3 - rot)) / theta2
-        dp_dw = _neg_skew(rx) @ m
-    jac[:, :, :3] = jac[:, :, 3:] @ dp_dw
-    return jac.reshape(2 * n, 6)
+    any_small = _least(theta2) < 1e-16
+    if any_small:
+        small = theta2 < 1e-16
+        theta2 = np.where(small, 1.0, theta2)
+    m = (w[:, :, None] * w[:, None, :]
+         + _skew_gather(w, _SKEW_INDEX) @ (_EYE3 - rot)) / theta2
+    dp_dw = _skew_gather(rx, _NEG_SKEW_INDEX) @ m[:, None]
+    if any_small:
+        dp_dw = np.where(small[:, None],
+                         _skew_gather(model_points, _NEG_SKEW_INDEX), dp_dw)
+    np.matmul(jac[..., 3:], dp_dw, out=jac[..., :3])
+    return jac.reshape(b, 2 * n, 6)
+
+
+def _normal_equations(model_points, focal, res, *terms):
+    """(JᵀJ, -Jᵀr) per row, at the rows `_residuals` evaluated."""
+    jac = _jacobian(model_points, focal, *terms)
+    jac_t = jac.transpose(0, 2, 1)
+    return jac_t @ jac, -(jac_t @ res[:, :, None])[..., 0]
 
 
 def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
                            observed: np.ndarray, k: CameraIntrinsics):
-    """Reprojection residuals (2N,) and analytic Jacobian (2N, 6).
+    """Reprojection residuals (2N,) and analytic Jacobian (2N, 6) of one
+    face.
 
     params = [axis-angle rotation (3), translation (3)], model-to-camera.
     Residual ordering: (u_i - u_obs_i, v_i - v_obs_i) per landmark.
     """
     focal = np.array([k.fx, k.fy])
-    res, terms = _residuals(np.asarray(params, dtype=np.float64),
+    res, terms = _residuals(np.asarray(params, dtype=np.float64).reshape(1, 6),
                             model_points, observed, focal,
                             np.array([k.cx, k.cy]))
-    return res, _jacobian(model_points, focal, *terms)
+    if terms[-1][0, :, 2].min() <= 1e-9:
+        raise PointBehindCamera("model point at non-positive camera depth")
+    return res[0], _jacobian(model_points, focal, *terms)[0]
 
 
 def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,
@@ -239,10 +279,11 @@ def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`np.linalg.solve(a, b)` for one float64 system and a 1-D `b`.
+    """`np.linalg.solve(a, b)` for float64 systems, one or a stack, each
+    with a 1-D `b`.
 
-    The same LAPACK gesv call, without the wrapper's checks and casts. A
-    singular `a` gives NaN, with no exception and no warning.
+    The same LAPACK gesv call per system, without the wrapper's checks and
+    casts. A singular system gives NaN, with no exception and no warning.
     """
     with np.errstate(all="ignore"):
         return _umath_linalg.solve1(a, b)
@@ -250,52 +291,116 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _lm_minimize(params, points, observed, focal, center, lambda_init,
                  step_tol, cost_tol, max_iterations):
-    """One damped Gauss-Newton descent; returns (params, cost).
+    """Damped Gauss-Newton descents from a (B, 6) stack of starts, row i
+    fitting `observed[i]`; returns (params, rotations, cost, errors), one
+    per row, the rotations being those of `params`.
 
-    Damping exhaustion (a stall) terminates the descent; only a singular
-    system that damping cannot regularize raises. The Jacobian is built
-    only at accepted points that the descent goes on from. A first step
-    shorter than `step_tol` means the start is already a minimum: the
-    descent stops there, without a trial.
+    Each row keeps its own damping, cost and stop tests, in Python floats
+    as a descent of that row alone would, so it takes the same steps. A
+    row whose start puts a model point behind the camera ends in
+    PointBehindCamera, and one whose normal equations damping cannot
+    regularize in DegenerateConfiguration; `errors` holds these, None for
+    the other rows. Damping exhaustion (a stall) ends a row's descent; the
+    caller judges its residual. The Jacobian is built only at accepted
+    points that a descent goes on from. A first step shorter than
+    `step_tol` means the start is already a minimum: that row stops there,
+    without a trial.
     """
-    res, terms = _residuals(params, points, observed, focal, center)
-    cost = float(res @ res)
-    lam = lambda_init
-    for iteration in range(max_iterations):
-        if terms is not None:  # a new point: build its normal equations
-            jac = _jacobian(points, focal, *terms)
-            jtj = jac.T @ jac
-            neg_jtr = -(jac.T @ res)
-            terms = None
-        while lam <= 1e12:
-            step = _solve(jtj + lam * _EYE6, neg_jtr)
-            if np.isfinite(step).all():
+    final = np.array(params, dtype=np.float64)
+    final_cost = [math.inf] * len(final)
+    errors = [None] * len(final)
+    res, terms = _residuals(final, points, observed, focal, center)
+    final_rot = terms[2]
+    rows = list(range(len(final)))  # the rows still descending
+    depth = terms[-1][..., 2]
+    if _least(depth) <= 1e-9:
+        rows = []
+        for i, ok in enumerate((depth.min(axis=1) > 1e-9).tolist()):
+            if ok:
+                rows.append(i)
+            else:
+                errors[i] = PointBehindCamera(
+                    "model point at non-positive camera depth")
+        res, *terms = _take(rows, res, *terms)
+    params, observed = _take(rows, final, observed)
+    rot = terms[2]
+    cost = _sq_norms(res).ravel().tolist()
+    lam = [float(lambda_init)] * len(rows)
+    iterations = max_iterations if rows else 0
+    if iterations:
+        jtj, neg_jtr = _normal_equations(points, focal, res, *terms)
+
+    def retire(stop):
+        """Take the `stop` rows out of the descent, keeping their result;
+        returns the rows that go on, as indices into the live stacks."""
+        nonlocal rows, params, rot, observed, jtj, neg_jtr, cost, lam
+        for j in stop:
+            i = rows[j]
+            final[i], final_rot[i], final_cost[i] = params[j], rot[j], cost[j]
+        keep = [j for j in range(len(rows)) if j not in stop]
+        rows, cost, lam = ([x[j] for j in keep] for x in (rows, cost, lam))
+        if keep:
+            params, rot, observed, jtj, neg_jtr = _take(
+                keep, params, rot, observed, jtj, neg_jtr)
+        return keep
+
+    for iteration in range(iterations):
+        step = _solve(jtj + np.multiply.outer(lam, _EYE6), neg_jtr)
+        sq = _sq_norms(step).ravel().tolist()
+        if not all(map(math.isfinite, sq)):  # singular: damp harder
+            for j in np.flatnonzero(~np.isfinite(step).all(axis=1)):
+                while lam[j] <= 1e12 and not np.isfinite(step[j]).all():
+                    lam[j] *= 10.0
+                    step[j] = _solve(jtj[j] + lam[j] * _EYE6, neg_jtr[j])
+            sq = _sq_norms(step).ravel().tolist()
+        norm = [math.sqrt(x) for x in sq]
+        stop = [j for j, n in enumerate(norm)
+                if lam[j] > 1e12 or (iteration == 0 and n < step_tol)]
+        if stop:
+            for j in stop:
+                if lam[j] > 1e12:
+                    errors[rows[j]] = DegenerateConfiguration(
+                        "normal equations singular beyond damping rescue")
+            keep = retire(stop)
+            if not rows:
                 break
-            lam *= 10.0
-        else:
-            raise DegenerateConfiguration(
-                "normal equations singular beyond damping rescue")
-        if iteration == 0 and math.sqrt(step @ step) < step_tol:
-            break
+            (step,), norm = _take(keep, step), [norm[j] for j in keep]
         trial = params + step
-        try:
-            trial_res, trial_terms = _residuals(trial, points, observed,
-                                                focal, center)
-            trial_cost = float(trial_res @ trial_res)
-        except PointBehindCamera:
-            trial_cost = math.inf
-        if trial_cost < cost:
-            decrease = cost - trial_cost
-            params, cost = trial, trial_cost
-            res, terms = trial_res, trial_terms
-            lam = max(lam / 10.0, 1e-12)
-            if math.sqrt(step @ step) < step_tol or decrease < cost_tol:
-                break
+        trial_res, terms = _residuals(trial, points, observed, focal, center)
+        trial_cost = _sq_norms(trial_res).ravel().tolist()
+        better, grow, stop = [], [], []
+        for j, (c, t) in enumerate(zip(cost, trial_cost)):
+            if t < c:  # a trial behind the camera costs inf: rejected
+                better.append(j)
+                cost[j] = t
+                lam[j] = max(lam[j] / 10.0, 1e-12)
+                (stop if norm[j] < step_tol or c - t < cost_tol
+                 else grow).append(j)
+            else:
+                lam[j] *= 10.0
+                if lam[j] > 1e12:
+                    stop.append(j)  # stalled; caller judges the residual
+        if len(better) == len(rows):
+            params, rot = trial, terms[2]
         else:
-            lam *= 10.0
-            if lam > 1e12:
-                break  # stalled; caller judges the residual
-    return params, cost
+            for j in better:
+                params[j], rot[j] = trial[j], terms[2][j]
+        if grow and iteration + 1 < iterations:
+            if len(grow) == len(rows):
+                jtj, neg_jtr = _normal_equations(points, focal, trial_res,
+                                                 *terms)
+            else:
+                new = _normal_equations(points, focal,
+                                        *_take(grow, trial_res, *terms))
+                for r, j in enumerate(grow):
+                    jtj[j], neg_jtr[j] = new[0][r], new[1][r]
+        if stop:
+            retire(stop)
+            if not rows:
+                break
+    if rows:
+        retire(range(len(rows)))
+    return final, final_rot, final_cost, errors
 
 
 def _checked_init(init) -> np.ndarray:
@@ -310,52 +415,100 @@ def _checked_init(init) -> np.ndarray:
     return params
 
 
-def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
-                  init: np.ndarray | None = None, lambda_init: float = 1e-3,
-                  step_tol: float = 1e-8, cost_tol: float = 1e-12,
-                  max_iterations: int = 100,
-                  accept_rms: float = 100.0) -> HeadPose:
-    """Fit the model pose by damped Gauss-Newton on reprojection error.
-
-    `init`, six finite numbers (axis-angle rotation, translation), replaces
-    the frontal start and turns off the restarts. A pose's own
-    `(axis_angle, translation)` is such a start.
-    """
-    names = tuple(n for n in model.names if n in obs.landmarks)
-    if len(names) < 6:
-        raise DegenerateConfiguration(
-            f"need >= 6 aligned landmarks, got {len(names)}")
-    sub = model if len(names) == len(model.names) else model.subset(names)
-    observed = obs.array_for(names)
-    params0 = _checked_init(init) if init is not None \
-        else _initial_params(sub, obs, k)
-    focal = np.array([k.fx, k.fy])
-    center = np.array([k.cx, k.cy])
-    params, cost = _lm_minimize(params0, sub.points, observed, focal, center,
-                                lambda_init, step_tol, cost_tol,
-                                max_iterations)
-    if init is None and math.sqrt(cost / len(names)) > 3.0:
-        for start in _RESTART_STARTS:
-            alt = params0.copy()
-            alt[:3] = start
-            try:
-                cand, cand_cost = _lm_minimize(alt, sub.points, observed,
-                                               focal, center, lambda_init,
-                                               step_tol, cost_tol,
-                                               max_iterations)
-            except PointBehindCamera:
-                continue  # this start is infeasible: its cost is inf
-            if cand_cost < cost:
-                params, cost = cand, cand_cost
-            if math.sqrt(cost / len(names)) <= 3.0:
-                break
-    rms = math.sqrt(cost / len(names))
+def _pose(params: np.ndarray, rot: np.ndarray, cost: float, n: int,
+          accept_rms: float) -> HeadPose | NoConvergence:
+    """The HeadPose of a descent's end point and its rotation matrix, or
+    NoConvergence when its rms over `n` landmarks exceeds `accept_rms`."""
+    rms = math.sqrt(cost / n)
     if rms > accept_rms:
-        raise NoConvergence(f"rms {rms:.2f} px above accept bound {accept_rms}")
-    rot = rodrigues(params[:3])
+        return NoConvergence(
+            f"rms {rms:.2f} px above accept bound {accept_rms}")
     yaw, pitch, roll = euler_from_rotation(rot)
     return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms,
                     params[:3].copy())
+
+
+def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
+                   inits=None, lambda_init: float = 1e-3,
+                   step_tol: float = 1e-8, cost_tol: float = 1e-12,
+                   max_iterations: int = 100,
+                   accept_rms: float = 100.0) -> list:
+    """Fit the model pose of each face by damped Gauss-Newton on
+    reprojection error; returns, per face, its HeadPose or the exception
+    its solve ends in (DegenerateConfiguration, PointBehindCamera or
+    NoConvergence). One face's outcome does not depend on the others.
+
+    Faces with the same landmark set descend as one stack. `inits[i]`, six
+    finite numbers (axis-angle rotation, translation) or None, replaces
+    face i's frontal start and turns off its restarts; a pose's own
+    `(axis_angle, translation)` is such a start. A cold face whose descent
+    ends above 3 px rms descends again from each restart rotation, in one
+    stack with the restarts of the other such faces. The results are then
+    taken in order: one with a lower cost replaces the best so far, the
+    search stops once the rms is <= 3 px, and a restart that starts behind
+    the camera is skipped.
+    """
+    if inits is None:
+        inits = [None] * len(faces)
+    elif len(inits) != len(faces):
+        raise ValueError(f"{len(inits)} inits for {len(faces)} faces")
+    inits = [None if init is None else _checked_init(init) for init in inits]
+    focal = np.array([k.fx, k.fy])
+    center = np.array([k.cx, k.cy])
+    options = (lambda_init, step_tol, cost_tol, max_iterations)
+    outcomes = [None] * len(faces)
+    groups = {}  # landmark names -> indices of the faces that have them
+    for i, face in enumerate(faces):
+        names = tuple(n for n in model.names if n in face.landmarks)
+        if len(names) < 6:
+            outcomes[i] = DegenerateConfiguration(
+                f"need >= 6 aligned landmarks, got {len(names)}")
+        else:
+            groups.setdefault(names, []).append(i)
+    for names, group in groups.items():
+        n = len(names)
+        sub = model if n == len(model.names) else model.subset(names)
+        observed = np.array([faces[i].array_for(names) for i in group])
+        starts = np.array([_initial_params(sub, faces[i], k)
+                           if inits[i] is None else inits[i] for i in group])
+        params, rots, cost, errors = _lm_minimize(
+            starts, sub.points, observed, focal, center, *options)
+        cold = [j for j, i in enumerate(group) if inits[i] is None
+                and errors[j] is None and math.sqrt(cost[j] / n) > 3.0]
+        if cold:
+            count = len(_RESTART_STARTS)
+            alt = np.repeat(starts[cold], count, axis=0)
+            alt[:, :3] = np.tile(_RESTART_STARTS, (len(cold), 1))
+            cands, cand_rots, cand_cost, cand_errors = _lm_minimize(
+                alt, sub.points, np.repeat(observed[cold], count, axis=0),
+                focal, center, *options)
+            for r, j in enumerate(cold):
+                for c in range(r * count, (r + 1) * count):
+                    if isinstance(cand_errors[c], PointBehindCamera):
+                        continue  # this start is infeasible: its cost is inf
+                    if cand_errors[c] is not None:
+                        errors[j] = cand_errors[c]
+                        break
+                    if cand_cost[c] < cost[j]:
+                        params[j], rots[j], cost[j] = \
+                            cands[c], cand_rots[c], cand_cost[c]
+                    if math.sqrt(cost[j] / n) <= 3.0:
+                        break
+        for j, i in enumerate(group):
+            outcomes[i] = errors[j] if errors[j] is not None \
+                else _pose(params[j], rots[j], cost[j], n, accept_rms)
+    return outcomes
+
+
+def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
+                  init: np.ndarray | None = None, **options) -> HeadPose:
+    """`lm_solve_poses` of one face; raises the exception its solve ends
+    in. `options` are those of `lm_solve_poses`."""
+    pose, = lm_solve_poses([obs], model, k,
+                           None if init is None else [init], **options)
+    if isinstance(pose, Exception):
+        raise pose
+    return pose
 
 
 def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -382,10 +535,10 @@ def _axis_angle_start(yaw: float, pitch: float) -> np.ndarray:
 
 # deterministic restart rotations (yaw, pitch), as axis-angle starts, tried
 # when the first descent lands in a poor local minimum
-_RESTART_STARTS = tuple(_axis_angle_start(yaw, pitch) for yaw, pitch in (
+_RESTART_STARTS = np.array([_axis_angle_start(yaw, pitch) for yaw, pitch in (
     (40.0, 0.0), (-40.0, 0.0), (0.0, 30.0), (0.0, -30.0),
     (40.0, -30.0), (-40.0, 30.0), (80.0, 0.0), (-80.0, 0.0),
-))
+)])
 
 
 def euler_from_rotation(rot: np.ndarray):
@@ -395,10 +548,9 @@ def euler_from_rotation(rot: np.ndarray):
     At gimbal lock (|pitch| = 90) roll is fixed to 0 by convention.
     """
     rot = np.asarray(rot, dtype=np.float64)
-    sb = -rot[1, 2]
-    sb = float(np.clip(sb, -1.0, 1.0))
+    sb = min(max(float(-rot[1, 2]), -1.0), 1.0)
     pitch = np.degrees(np.arcsin(sb))
-    cb = np.sqrt(max(0.0, 1.0 - sb * sb))
+    cb = math.sqrt(max(0.0, 1.0 - sb * sb))
     if cb < 1e-12:
         roll = 0.0
         if sb > 0:

@@ -15,19 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import (
-    DegenerateConfiguration,
-    EmptyCloud,
-    NoConvergence,
-    PointBehindCamera,
-)
+from .errors import EmptyCloud
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
     RigidPose,
     extract_object_cloud,
 )
-from .headpose import FaceModel3D, HeadPose, is_attending, lm_solve_pose
+from .headpose import FaceModel3D, HeadPose, is_attending, lm_solve_poses
 from .semantic_map import SemanticMap
 from .tracker import KIND_OBJECT, KIND_PERSON, IoUTracker
 from .willingness import PersonWillingnessMap
@@ -60,7 +55,6 @@ def pair_faces(tracks, faces) -> list:
             if sum(row) == 1 and holders[row.index(True)] == 1]
 
 
-SOLVER_ERRORS = (NoConvergence, DegenerateConfiguration, PointBehindCamera)
 # a warm fit is kept unless its rms exceeds both this bound and twice the
 # rms of the track's last accepted pose
 WARM_RESTART_RMS_PX = 3.0
@@ -93,33 +87,43 @@ class Pipeline:
                                accept_rms=config.lm_accept_rms_px)
         self.head_poses = {}  # person track id -> its last accepted HeadPose
 
-    def head_pose(self, track_id: int, face) -> HeadPose:
-        """Head pose of one person track's face, as a per-track estimate.
+    def solve_faces(self, pairs) -> list:
+        """Head pose of each (person track, face) pair as a per-track
+        estimate; per pair a HeadPose or the solver exception.
 
-        The descent starts warm from the track's last accepted pose. The
-        cold solve (frontal start, then the restarts) runs when the track
-        has none, when the warm descent raises, or when the warm rms
+        Every face whose track has a last accepted pose descends from it,
+        all in one batch. The faces that then need the cold solve (frontal
+        start, then the restarts) solve in a second batch: those whose
+        track has no pose, whose warm descent raised, or whose warm rms
         exceeds both WARM_RESTART_RMS_PX and twice the last pose's rms. A
         solve that raises leaves the track without a pose.
         """
-        last = self.head_poses.pop(track_id, None)
-        if last is not None:
-            try:
-                pose = lm_solve_pose(
-                    face, self.face_model, self.intrinsics,
-                    init=np.concatenate((last.axis_angle, last.translation)),
-                    **self.lm_options)
-            except SOLVER_ERRORS:
-                pass
-            else:
-                if pose.rms_residual <= max(WARM_RESTART_RMS_PX,
-                                            2.0 * last.rms_residual):
-                    self.head_poses[track_id] = pose
-                    return pose
-        pose = lm_solve_pose(face, self.face_model, self.intrinsics,
-                             **self.lm_options)
-        self.head_poses[track_id] = pose
-        return pose
+        if not pairs:
+            return []
+        last = [self.head_poses.pop(track.track_id, None)
+                for track, _ in pairs]
+        poses = [None] * len(pairs)
+        warm = [j for j, pose in enumerate(last) if pose is not None]
+        if warm:
+            fits = lm_solve_poses(
+                [pairs[j][1] for j in warm], self.face_model, self.intrinsics,
+                inits=[np.concatenate((last[j].axis_angle, last[j].translation))
+                       for j in warm], **self.lm_options)
+            for j, pose in zip(warm, fits):
+                if isinstance(pose, HeadPose) and pose.rms_residual <= max(
+                        WARM_RESTART_RMS_PX, 2.0 * last[j].rms_residual):
+                    poses[j] = pose
+        cold = [j for j, pose in enumerate(poses) if pose is None]
+        if cold:
+            fits = lm_solve_poses([pairs[j][1] for j in cold],
+                                  self.face_model, self.intrinsics,
+                                  **self.lm_options)
+            for j, pose in zip(cold, fits):
+                poses[j] = pose
+        for (track, _), pose in zip(pairs, poses):
+            if isinstance(pose, HeadPose):
+                self.head_poses[track.track_id] = pose
+        return poses
 
     def step(self, inp: FrameInput) -> dict:
         """Advance one frame; returns its `events.jsonl` row."""
@@ -148,15 +152,14 @@ class Pipeline:
                          if t.kind == KIND_PERSON and t.last_frame == i]
         person_rows = []
         observations = []
-        for track, face in pair_faces(person_tracks, inp.faces):
+        pairs = pair_faces(person_tracks, inp.faces)
+        for (track, face), pose in zip(pairs, self.solve_faces(pairs)):
             row = {"track": track.track_id, "person": face.face_id}
             person_rows.append(row)
-            try:
-                pose = self.head_pose(track.track_id, face)
-            except SOLVER_ERRORS as e:
+            if not isinstance(pose, HeadPose):
                 # one bad face is recorded, not fatal; willingness sees
                 # no observation for it this frame
-                row.update(error=type(e).__name__, attending=False)
+                row.update(error=type(pose).__name__, attending=False)
                 continue
             attending = is_attending(pose, config.attention_cone_deg)
             observations.append((track.track_id, attending))

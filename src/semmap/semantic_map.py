@@ -9,6 +9,7 @@ association decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ from .geometry import WORLD, PointCloud, RigidPose, voxel_downsample
 # Pairs per block of the nearest-neighbour scan: the block's difference
 # array stays near 1.5 MB of float64 however large the clouds are.
 _BLOCK_PAIRS = 1 << 16
+# meters added to `assoc_dist` before an AABB gap rules an object out
+_AABB_MARGIN = 1e-9
 
 
 def _nearest_sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -112,15 +115,29 @@ class SemanticMap:
         self.keyframes[keyframe_id] = pose
 
     def associate(self, candidate: PointCloud, class_label: str) -> int | None:
-        """Nearest same-class object by chamfer distance, if close enough."""
+        """Nearest same-class object by chamfer distance, if close enough.
+
+        Every nearest-neighbour distance between two clouds is at least the
+        gap between their AABBs, so their chamfer distance is too. An
+        object whose AABB lies farther than `assoc_dist` from the
+        candidate's can therefore not be the match, nor change which
+        object is, and its chamfer scan is skipped. The margin keeps
+        rounding from flipping a decision.
+        """
         candidate.require_frame(WORLD)
         if len(candidate) == 0:
             raise EmptyCloud("empty candidate cloud")
+        lo, hi = candidate.points.min(axis=0), candidate.points.max(axis=0)
+        reach = self.assoc_dist + _AABB_MARGIN
         best_id = None
         best_dist = np.inf
         for obj_id in sorted(self.objects):
             obj = self.objects[obj_id]
             if obj.class_label != class_label:
+                continue
+            gap = np.maximum(np.maximum(lo - obj.aabb[1], obj.aabb[0] - hi),
+                             0.0)
+            if math.sqrt(gap @ gap) > reach:
                 continue
             d = chamfer_distance(candidate, obj.world_cloud)
             if d < best_dist:

@@ -160,13 +160,20 @@ class Orbit:
     start_deg: float = 0.0
     sweep_deg: float = 360.0
 
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ScenarioError(f"orbit frames must be >= 1, got {self.frames}")
+        if not 0.0 <= self.radius < math.inf:
+            raise ScenarioError(
+                f"orbit radius must be finite and >= 0, got {self.radius}")
+
     def trajectory(self) -> list:
         center = np.asarray(self.center, dtype=np.float64)
         height = center[2] if self.height is None else self.height
         start, sweep = np.radians(self.start_deg), np.radians(self.sweep_deg)
         poses = []
         for i in range(self.frames):
-            ang = start + sweep * i / max(self.frames, 1)
+            ang = start + sweep * i / self.frames
             pos = center + np.array([self.radius * np.cos(ang),
                                      self.radius * np.sin(ang),
                                      height - center[2]])
@@ -187,6 +194,11 @@ class Sight:
 @dataclass(frozen=True)
 class Segment(Sight):
     frames: int  # the camera holds the pose this many frames
+
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ScenarioError(
+                f"segment frames must be >= 1, got {self.frames}")
 
 
 @dataclass(frozen=True)

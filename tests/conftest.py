@@ -18,6 +18,7 @@ from semmap.headpose import (
     rotation_from_euler,
     skew,
 )
+from semmap.semantic_map import chamfer_distance
 from semmap.simulator import (
     MIN_VISIBLE_SAMPLES,
     NEAR_PLANE,
@@ -43,6 +44,22 @@ def brute_force_chamfer(a: np.ndarray, b: np.ndarray) -> float:
     d_ab = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)).min(1)
     d_ba = np.sqrt(((b[:, None, :] - a[None, :, :]) ** 2).sum(-1)).min(1)
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+
+
+def reference_associate(registry, candidate, class_label):
+    """`SemanticMap.associate` before the AABB skip: a chamfer scan of every
+    same-class object."""
+    best_id, best_dist = None, np.inf
+    for obj_id in sorted(registry.objects):
+        obj = registry.objects[obj_id]
+        if obj.class_label != class_label:
+            continue
+        d = chamfer_distance(candidate, obj.world_cloud)
+        if d < best_dist:
+            best_dist, best_id = d, obj_id
+    if best_id is not None and best_dist <= registry.assoc_dist:
+        return best_id
+    return None
 
 
 def brute_force_overlap(a: np.ndarray, b: np.ndarray, radius: float) -> float:

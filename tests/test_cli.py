@@ -108,9 +108,17 @@ class TestRun:
         lambda d: d["world_objects"][0].update(sample_count=0),
         lambda d: d["world_objects"][0].update(extents=[0.08, 0.0, 0.12]),
         lambda d: d.update(noise={"landmark_jitter_px": -1.0}),
+        lambda d: d["trajectory"]["segments"].append(
+            dict(d["trajectory"]["segments"][0], frames=-3)),
+        lambda d: d["trajectory"]["segments"].append(
+            dict(d["trajectory"]["segments"][0], frames=0)),
+        lambda d: d.update(trajectory={"kind": "orbit", "radius": -2.0,
+                                       "center": [0.0, 2.0, 1.5],
+                                       "frames": 80}),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
-            "negative_jitter"])
+            "negative_jitter", "segment_negative_frames",
+            "segment_zero_frames", "orbit_negative_radius"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)

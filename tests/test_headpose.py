@@ -23,6 +23,7 @@ from semmap.headpose import (
     euler_from_rotation,
     is_attending,
     lm_solve_pose,
+    lm_solve_poses,
     project_model,
     residuals_and_jacobian,
     rodrigues,
@@ -370,6 +371,89 @@ class TestSolverMatchesReference:
         got = _outcome(lm_solve_pose, obs, model, K, init=init,
                        accept_rms=accept_rms)
         assert got == want
+
+
+def failing_face(kind):
+    """(obs, init) of a face whose solve ends in PointBehindCamera (a warm
+    start 1 m behind the camera) or NoConvergence (scattered landmarks that
+    no head fits within 100 px rms)."""
+    rng = np.random.default_rng(0)
+    obs = LandmarkSet2D({n: tuple(rng.uniform([0, 0], [640, 480]))
+                         for n in MODEL.names})
+    if kind == "behind":
+        return obs, np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+    return obs, None
+
+
+def _raised(outcome):
+    """A batch outcome as `lm_solve_pose` would end: return or raise."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+face_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1.0, 5.0]) | st.floats(0.0, 5.0),
+    st.booleans(), st.integers(0, 3), st.booleans(),
+    st.sampled_from([0.12, 0.2, 0.6, 1.5]))
+
+
+class TestBatchedSolves:
+    """`lm_solve_poses` against one-face solves of the same faces."""
+
+    @given(cases=st.lists(face_cases, min_size=1, max_size=5),
+           failing=st.sampled_from(["behind", "no_convergence"]),
+           at=st.integers(0, 5),
+           accept_rms=st.sampled_from([100.0, 2.0, 0.01]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_face_as_if_alone(self, cases, failing, at, accept_rms):
+        # warm and cold starts, jitter 0-5 px, and landmark subsets of the
+        # extended model, so that the batch holds several landmark sets
+        faces = [solver_case(*case)[::2] for case in cases]
+        faces.insert(min(at, len(faces)), failing_face(failing))
+        got = lm_solve_poses([obs for obs, _ in faces], EXTENDED_MODEL, K,
+                             inits=[init for _, init in faces],
+                             accept_rms=accept_rms)
+        assert len(got) == len(faces)
+        for (obs, init), pose in zip(faces, got):
+            outcome = _outcome(lambda: _raised(pose))
+            alone = _outcome(lm_solve_pose, obs, EXTENDED_MODEL, K,
+                             init=init, accept_rms=accept_rms)
+            assert outcome == alone
+            want = _outcome(reference_lm_solve_pose, obs, EXTENDED_MODEL, K,
+                            init=init, accept_rms=accept_rms)
+            if not (want is PointBehindCamera
+                    and _first_start_feasible(obs, EXTENDED_MODEL, init)):
+                # (else a restart started behind the camera: the reference
+                # aborts, the solver skips that start)
+                assert outcome == want
+        assert _outcome(lambda: _raised(got[min(at, len(cases))])) \
+            is {"behind": PointBehindCamera,
+                "no_convergence": NoConvergence}[failing]
+
+    @pytest.mark.parametrize("failing", ["behind", "no_convergence"])
+    def test_failing_face_changes_no_other_face(self, failing):
+        faces = [solver_case(seed, jitter, False, 0, warm, 0.6)[::2]
+                 for seed, jitter, warm in ((1, 0.0, False), (2, 1.0, True),
+                                            (3, 5.0, False), (4, 2.0, True))]
+        obs, inits = zip(*faces)
+        before = lm_solve_poses(obs, MODEL, K, inits=inits)
+        bad_obs, bad_init = failing_face(failing)
+        after = lm_solve_poses(obs[:2] + (bad_obs,) + obs[2:], MODEL, K,
+                               inits=inits[:2] + (bad_init,) + inits[2:])
+        assert isinstance(after[2], (PointBehindCamera, NoConvergence))
+        for a, b in zip(before, after[:2] + after[3:]):
+            assert all(isinstance(pose, HeadPose) for pose in (a, b))
+            for name in ("rotation", "translation", "axis_angle"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert (a.yaw, a.pitch, a.roll, a.rms_residual) \
+                == (b.yaw, b.pitch, b.roll, b.rms_residual)
+
+    def test_one_init_per_face(self):
+        obs, _ = failing_face("no_convergence")
+        with pytest.raises(ValueError, match="inits for"):
+            lm_solve_poses([obs, obs], MODEL, K, inits=[None])
 
 
 class TestSolverGates:

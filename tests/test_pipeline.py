@@ -11,8 +11,9 @@ from semmap.errors import NoConvergence
 from semmap.geometry import DepthImage, RigidPose
 from semmap.headpose import (
     FaceModel3D,
+    HeadPose,
     LandmarkSet2D,
-    lm_solve_pose,
+    lm_solve_poses,
     project_model,
     rotation_from_euler,
 )
@@ -96,30 +97,30 @@ class TestFaceToTrack:
 
 
 class SolverSpy:
-    """Stands in for the pipeline's `lm_solve_pose`: records (init, pose or
-    exception) per call, can make calls fail, and can report a given rms
+    """Stands in for the pipeline's `lm_solve_poses`: records (init, pose or
+    exception) per face, can make faces fail, and can report a given rms
     instead of the fitted one."""
 
     def __init__(self):
         self.calls = []
         self.fail = None  # None, "warm" or "all"
-        self.fake_rms = []  # rms reported by the next calls, in order
+        self.fake_rms = []  # rms reported by the next solved faces, in order
 
-    def __call__(self, *args, init=None, **kwargs):
-        try:
+    def __call__(self, faces, *args, inits=None, **kwargs):
+        inits = inits or [None] * len(faces)
+        poses = lm_solve_poses(faces, *args, inits=inits, **kwargs)
+        for j, (init, pose) in enumerate(zip(inits, poses)):
             if self.fail == "all" or (self.fail == "warm" and init is not None):
-                raise NoConvergence("made to fail")
-            pose = lm_solve_pose(*args, init=init, **kwargs)
-        except pipeline_module.SOLVER_ERRORS as e:
-            self.calls.append((init, e))
-            raise
-        if self.fake_rms:
-            pose = dataclasses.replace(pose, rms_residual=self.fake_rms.pop(0))
-        self.calls.append((init, pose))
-        return pose
+                pose = NoConvergence("made to fail")
+            elif self.fake_rms and isinstance(pose, HeadPose):
+                pose = dataclasses.replace(pose,
+                                           rms_residual=self.fake_rms.pop(0))
+            self.calls.append((init, pose))
+            poses[j] = pose
+        return poses
 
     def cold(self):
-        """Per call, whether it was a cold solve."""
+        """Per face solved, whether it was a cold solve."""
         return [init is None for init, _ in self.calls]
 
 
@@ -132,7 +133,7 @@ class TestHeadPoseState:
     @pytest.fixture
     def spy(self, monkeypatch):
         spy = SolverSpy()
-        monkeypatch.setattr(pipeline_module, "lm_solve_pose", spy)
+        monkeypatch.setattr(pipeline_module, "lm_solve_poses", spy)
         return spy
 
     def run(self, pipeline, frames):
@@ -228,17 +229,18 @@ class TestLandmarkNoise:
     noise. Counts only, no wall clock."""
 
     def test_noise_does_not_multiply_solver_work(self, monkeypatch):
-        # with cold restarts on every noisy face this run made 33,470
-        # residual evaluations; the clean run makes about 200
+        # face-evaluations: the rows of every `_residuals` call. With cold
+        # restarts on every noisy face this run made 33,470; the clean run
+        # makes about 200
         evals = []
 
-        def counted(*args, _real=headpose._residuals):
-            evals.append(1)
-            return _real(*args)
+        def counted(params, *args, _real=headpose._residuals):
+            evals.append(len(params))
+            return _real(params, *args)
 
         monkeypatch.setattr(headpose, "_residuals", counted)
         run_scenario_detailed(interaction(5.0))
-        assert len(evals) <= 8000
+        assert sum(evals) <= 8000
 
     def test_clean_trigger_at_4s(self):
         _, _, events = run_scenario_detailed(interaction())

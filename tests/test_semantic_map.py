@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import ClassMismatch, EmptyCloud, UnknownKeyframe
+from semmap import semantic_map
 from semmap.geometry import PointCloud, RigidPose
 from semmap.semantic_map import (
     SemanticMap,
@@ -11,7 +12,12 @@ from semmap.semantic_map import (
     overlap_ratio,
 )
 
-from conftest import brute_force_chamfer, brute_force_overlap, random_pose
+from conftest import (
+    brute_force_chamfer,
+    brute_force_overlap,
+    random_pose,
+    reference_associate,
+)
 
 
 def world(points):
@@ -96,6 +102,55 @@ class TestAssociate:
         m = make_map()
         m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
         assert m.associate(cube_cloud([0, 0, 1]), "book") is None
+
+    def test_far_same_class_object_is_not_scanned(self, monkeypatch):
+        m = make_map()
+        near = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        far = m.register_candidate(cube_cloud([2, 0, 1]), "cup", 0)
+        scanned = []
+
+        def spy(a, b):
+            scanned.append(next(obj_id for obj_id, obj in m.objects.items()
+                                if np.array_equal(obj.world_points,
+                                                  b.points)))
+            return chamfer_distance(a, b)
+
+        monkeypatch.setattr(semantic_map, "chamfer_distance", spy)
+        assert m.associate(cube_cloud([0.05, 0, 1], seed=1), "cup") == near
+        assert scanned == [near]
+        assert m.associate(cube_cloud([1.0, 0, 1], seed=2), "cup") is None
+        assert scanned == [near]
+        assert far not in scanned
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           assoc_dist=st.sampled_from([0.05, 0.3, 1.0]),
+           count=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    # a single point at exactly assoc_dist from a one-point object: the
+    # chamfer distance equals the AABB gap, and the object still matches
+    @example(seed=0, assoc_dist=0.3, count=0)
+    def test_same_choice_as_scanning_every_object(self, seed, assoc_dist,
+                                                  count):
+        rng = np.random.default_rng(seed)
+        m = make_map(assoc_dist=assoc_dist)
+        if count == 0:
+            m.register_candidate(world([[0.3, 0.0, 1.0]]), "cup", 0)
+            candidate = world([[0.0, 0.0, 1.0]])
+        else:
+            for _ in range(count):
+                m.register_candidate(
+                    cube_cloud(rng.uniform(-1, 1, 3), n=int(rng.integers(1, 40)),
+                               half=rng.uniform(0.01, 0.3),
+                               seed=int(rng.integers(1e6))),
+                    str(rng.choice(["cup", "book"])), 0)
+            candidate = cube_cloud(rng.uniform(-1, 1, 3),
+                                   n=int(rng.integers(1, 40)),
+                                   half=rng.uniform(0.01, 0.3),
+                                   seed=int(rng.integers(1e6)))
+        want = reference_associate(m, candidate, "cup")
+        assert m.associate(candidate, "cup") == want
+        if count == 0:
+            assert want == 0
 
 
 class TestRegisterCandidate:

@@ -338,6 +338,25 @@ class TestSchema:
         with pytest.raises(ScenarioError):
             scenario(**overrides)
 
+    @pytest.mark.parametrize("trajectory, field", [
+        ({"kind": "segments", "segments": [
+            {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
+             "frames": 5},
+            {"position": [0.0, -1.0, 1.0], "look_at": [0.0, 0.0, 1.0],
+             "frames": frames}]}, "segment frames")
+        for frames in (-3, 0)] + [
+        ({"kind": "orbit", "center": [0.0, 0.0, 1.0], "radius": 2.0,
+          "frames": frames}, "orbit frames") for frames in (-2, 0)] + [
+        ({"kind": "orbit", "center": [0.0, 0.0, 1.0], "radius": -2.0,
+          "frames": 12}, "orbit radius")],
+        ids=["segment_negative_frames", "segment_zero_frames",
+             "orbit_negative_frames", "orbit_zero_frames",
+             "orbit_negative_radius"])
+    def test_trajectory_range_checked(self, trajectory, field):
+        # these were dropped without a word, or (the radius) mirrored
+        with pytest.raises(ScenarioError, match=field):
+            scenario(trajectory=trajectory)
+
     @pytest.mark.parametrize("start", [-5, 12, 500])
     def test_drift_start_out_of_range(self, start):
         with pytest.raises(ScenarioError, match="start_frame"):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig, build, read_json_object
-from .errors import FrameOutOfRange, ScenarioError
+from .errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from .geometry import CameraIntrinsics, DepthImage, RigidPose
 from .headpose import (
     FaceModel3D,
@@ -32,6 +32,9 @@ from .tracker import KIND_OBJECT, KIND_PERSON, Detection2D
 NEAR_PLANE = 0.05
 MIN_VISIBLE_SAMPLES = 5
 MAX_FOOTPRINT_PX = 9  # side of the largest square a depth sample covers
+# corners of a person's box, about the head centre: the bbox is their hull
+_HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
+                      for sy in (-1, 1) for dz in (-1.5, 0.15)])
 
 _face_model_cache = None
 
@@ -43,6 +46,14 @@ def _default_face_model() -> FaceModel3D:
     return _face_model_cache
 
 
+def _cross(a, b) -> tuple:
+    """np.cross of two 3-vectors, bit for bit, on Python floats: each
+    product and difference is rounded on its own, as numpy does."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def look_at(position, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
     """Camera-to-world pose at `position` with the optical axis on `target`."""
     position = np.asarray(position, dtype=np.float64)
@@ -51,12 +62,12 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
     if norm < 1e-12:
         raise ScenarioError("look_at target coincides with camera position")
     z = fwd / norm
-    down = -np.asarray(up, dtype=np.float64)
-    x = np.cross(down, z)
+    down = (-np.asarray(up, dtype=np.float64)).tolist()
+    x = np.array(_cross(down, z.tolist()))
     if np.linalg.norm(x) < 1e-9:
-        x = np.cross((0.0, 1.0, 0.0), z)
+        x = np.array(_cross((0.0, 1.0, 0.0), z.tolist()))
     x = x / np.linalg.norm(x)
-    y = np.cross(z, x)
+    y = _cross(z.tolist(), x.tolist())
     return RigidPose(np.column_stack([x, y, z]), position)
 
 
@@ -251,7 +262,7 @@ class Scenario:
     noise: NoiseModel = field(default_factory=NoiseModel)
     # every object's surface samples, stacked in object order, (N, 3)
     samples: np.ndarray = field(init=False, repr=False)
-    sample_owner: np.ndarray = field(init=False, repr=False)  # object index
+    sample_starts: np.ndarray = field(init=False, repr=False)  # per object
     sample_spacing: np.ndarray = field(init=False, repr=False)  # per object, m
     object_samples: list = field(init=False)  # per object, views of samples
 
@@ -292,11 +303,8 @@ class Scenario:
             for idx, obj in enumerate(self.world_objects)]
         counts = [len(part) for part in parts]
         self.samples = np.concatenate(parts or [np.empty((0, 3))])
-        # the narrowest unsigned type lets a stable sort by owner use radix
-        owner_type = np.min_scalar_type(len(parts))
-        self.sample_owner = np.repeat(
-            np.arange(len(parts), dtype=owner_type), counts)
-        ends = np.cumsum(counts, dtype=int)
+        ends = np.cumsum(counts, dtype=np.intp)
+        self.sample_starts = ends - np.asarray(counts, dtype=np.intp)
         self.object_samples = [self.samples[end - n:end]
                                for n, end in zip(counts, ends)]
         e = np.array([obj.extents for obj in self.world_objects],
@@ -365,7 +373,7 @@ class FrameData:
 def _jittered_bbox(bbox, rng, sigma, width, height):
     x0, y0, x1, y1 = bbox
     if sigma > 0:
-        dx0, dy0, dx1, dy1 = rng.normal(0.0, sigma, 4)
+        dx0, dy0, dx1, dy1 = rng.normal(0.0, sigma, 4).tolist()
         x0, y0, x1, y1 = x0 + dx0, y0 + dy0, x1 + dx1, y1 + dy1
     else:
         rng.normal(0.0, 1.0, 4)  # keep the stream position fixed
@@ -382,84 +390,106 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     if not 0 <= frame_idx < scenario.num_frames:
         raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
     k = scenario.intrinsics
+    width, height = k.width, k.height
     to_cam = scenario.trajectory[frame_idx].inverse()
     noise = scenario.noise
+    # seeding a generator costs more than most draws: the depth, false
+    # positive and landmark generators are made only when their noise is on
     rng_det = np.random.default_rng([scenario.seed, 2, frame_idx])
-    rng_depth = np.random.default_rng([scenario.seed, 3, frame_idx])
-    rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
-    rng_lmk = np.random.default_rng([scenario.seed, 5, frame_idx])
 
-    # every object's samples in one pass; masking keeps them in object order
-    cam = to_cam.transform(scenario.samples)
-    z = cam[:, 2]
-    vis = (z > NEAR_PLANE) & (z <= scenario.max_range)
-    z = z[vis]
-    u = k.cx + k.fx * cam[vis, 0] / z
-    v = k.cy + k.fy * cam[vis, 1] / z
-    inb = (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
-    u, v, d = u[inb], v[inb], z[inb]
-    owner = scenario.sample_owner[vis][inb]
+    # every object's samples in one pass: u and v of every sample (garbage
+    # behind the camera), then one compaction to the visible, in-image
+    # samples, which keeps them in object order. x, y and z are
+    # to_cam.transform(samples) bit for bit, as contiguous rows: the
+    # translation is added along the samples, not in inner loops of length 3
+    x, y, z = np.add((scenario.samples @ to_cam.rotation.T).T,
+                     to_cam.translation[:, None], order="C")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.cx + k.fx * x / z
+        v = k.cy + k.fy * y / z
+    keep = (z > NEAR_PLANE) & (z <= scenario.max_range)
+    keep &= u >= 0
+    keep &= u < width
+    keep &= v >= 0
+    keep &= v < height
+    kept = np.flatnonzero(keep)
+    u, v, d = u[kept], v[kept], z[kept]
     # depth comes from geometry regardless of detection dropout
     if noise.depth_noise_m > 0:
+        rng_depth = np.random.default_rng([scenario.seed, 3, frame_idx])
         d = np.maximum(d + rng_depth.normal(0.0, noise.depth_noise_m, d.size),
                        0.01)
 
     # per object seen: its segment of the arrays above, its median depth
     # (np.median's rule: the mean of the two middle values for an even
-    # count), footprint and bbox
-    counts = np.bincount(owner, minlength=len(scenario.world_objects))
+    # count), footprint and pixel hull. The medians come from one row per
+    # object, padded with inf and sorted row by row
+    counts = np.add.reduceat(keep, scenario.sample_starts, dtype=np.intp)
     seen = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[seen]
     seen_counts = counts[seen]
-    order = np.argsort(d)
-    d_sorted = d[order[np.argsort(owner[order], kind="stable")]]
-    median = (d_sorted[starts + (seen_counts - 1) // 2]
-              + d_sorted[starts + seen_counts // 2]) / 2
-    fpx = np.zeros(len(counts), dtype=int)
-    fpx[seen] = np.clip(np.ceil(k.fx * scenario.sample_spacing[seen] / median),
-                        1, MAX_FOOTPRINT_PX)
-    boxes = np.stack([np.minimum.reduceat(u, starts) - 0.5,
-                      np.minimum.reduceat(v, starts) - 0.5,
-                      np.maximum.reduceat(u, starts) + 0.5,
-                      np.maximum.reduceat(v, starts) + 0.5], axis=1)
+    starts = np.cumsum(seen_counts) - seen_counts
+    grid = np.full((len(seen), seen_counts.max(initial=0)), np.inf)
+    grid[np.arange(grid.shape[1]) < seen_counts[:, None]] = d
+    grid.sort(axis=1)
+    objs = np.arange(len(seen))
+    median = (grid[objs, (seen_counts - 1) // 2]
+              + grid[objs, seen_counts // 2]) / 2
+    fpx = np.clip(np.ceil(k.fx * scenario.sample_spacing[seen] / median),
+                  1, MAX_FOOTPRINT_PX).astype(np.intp)
+    u_min, v_min = np.minimum.reduceat(u, starts), np.minimum.reduceat(v, starts)
+    u_max, v_max = np.maximum.reduceat(u, starts), np.maximum.reduceat(v, starts)
 
-    # z-buffer with its far plane at the background: one exact scatter-min
-    # over the in-image footprint pixels of every sample, grouped by
-    # footprint. Samples run along the last axis, so numpy's inner loops
-    # are long; min is exact and order-free, so the grouping changes no bit
-    zbuf = np.full(k.height * k.width, scenario.background_depth or np.inf)
-    us, vs = u.astype(np.intp), v.astype(np.intp)
-    point_fpx = fpx[owner]
-    pixels, depths = [], []
-    for f in np.unique(fpx[seen]):
-        sel = point_fpx == f
-        offsets = np.arange(f)[:, None] - f // 2
-        cols = us[sel] + offsets
-        rows = vs[sel] + offsets
-        ok = (((rows >= 0) & (rows < k.height))[:, None]
-              & ((cols >= 0) & (cols < k.width)))
-        pixels.append((rows[:, None] * k.width + cols)[ok])
-        depths.append(np.broadcast_to(d[sel], ok.shape)[ok])
-    if pixels:
-        np.minimum.at(zbuf, np.concatenate(pixels), np.concatenate(depths))
+    # z-buffer with its far plane at the background: an exact scatter-min
+    # (np.minimum.at) over the footprint pixels of every sample, one call
+    # per footprint, with samples along the last axis so numpy's inner loops
+    # are long. A sample covers the f x f window at offsets -f//2 ..
+    # f-1-f//2 about its pixel. When some object's pixel hull comes within
+    # its window of an image edge, the buffer gets a guard band that no
+    # window leaves, and is cropped after; no index needs a mask. min is
+    # exact and order-free, so the grouping changes no bit
+    half = fpx // 2
+    pad = MAX_FOOTPRINT_PX // 2 if np.any(
+        (u_min.astype(np.intp) < half) | (v_min.astype(np.intp) < half)
+        | (u_max.astype(np.intp) + fpx - half > width)
+        | (v_max.astype(np.intp) + fpx - half > height)) else 0
+    stride = width + 2 * pad
+    zbuf = np.full((height + 2 * pad, stride),
+                   scenario.background_depth or np.inf)
+    pixels = (v.astype(np.intp) + pad) * stride + u.astype(np.intp) + pad
+    footprint = np.repeat(fpx, seen_counts)
+    for f in np.unique(fpx).tolist():
+        sel = footprint == f
+        offsets = np.arange(f) - f // 2
+        window = (offsets[:, None] * stride + offsets).ravel()
+        np.minimum.at(zbuf.ravel(), np.add.outer(window, pixels[sel]).ravel(),
+                      np.tile(d[sel], f * f))
+    if pad:
+        zbuf = np.ascontiguousarray(zbuf[pad:-pad, pad:-pad])
     if scenario.background_depth == 0:
         zbuf[np.isinf(zbuf)] = 0.0  # no sample, no background: invalid
 
     detections = []
     provenance = []
-    for oi, n, bbox in zip(seen, seen_counts, boxes):
+    boxes = np.stack([u_min - 0.5, v_min - 0.5, u_max + 0.5, v_max + 0.5],
+                     axis=1)
+    for oi, n, bbox in zip(seen.tolist(), seen_counts.tolist(),
+                           boxes.tolist()):
         if n < MIN_VISIBLE_SAMPLES:
             continue
         bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                              k.width, k.height)
-        dropped = rng_det.uniform() < noise.dropout_prob
+                              width, height)
+        # uniform() is 0 + 1 * random(): the same draw, at a third the cost
+        dropped = rng_det.random() < noise.dropout_prob
         if not dropped:
             detections.append(Detection2D(
                 bbox, scenario.world_objects[oi].class_label, score=1.0,
                 kind=KIND_OBJECT))
-            provenance.append(("object", int(oi)))
+            provenance.append(("object", oi))
 
     face_model = _default_face_model()
+    jitter = noise.landmark_jitter_px
+    rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
+               if jitter > 0 else None)
     landmarks = {}
     attending_gt = {}
     for pi, person in enumerate(scenario.persons):
@@ -469,19 +499,14 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             np.asarray(person.position, dtype=np.float64))
         if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
             continue
-        hc = np.asarray(person.position)
-        corners = np.array([
-            hc + (sx * 0.25, sy * 0.25, dz)
-            for sx in (-1, 1) for sy in (-1, 1) for dz in (-1.5, 0.15)
-        ])
-        cam = to_cam.transform(corners)
+        cam = to_cam.transform(np.asarray(person.position) + _HEAD_BOX)
         zc = np.maximum(cam[:, 2], NEAR_PLANE)
         u = k.cx + k.fx * cam[:, 0] / zc
         v = k.cy + k.fy * cam[:, 1] / zc
         bbox = (u.min(), v.min(), u.max(), v.max())
         bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                              k.width, k.height)
-        dropped = rng_det.uniform() < noise.dropout_prob
+                              width, height)
+        dropped = rng_det.random() < noise.dropout_prob
         if not dropped:
             detections.append(Detection2D(bbox, "person", score=1.0,
                                           kind=KIND_PERSON))
@@ -490,41 +515,42 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             person.away_yaw_deg, 0.0, 0.0)
         try:
             lmks = project_model(face_model, head_rot, head_cam, k)
-        except Exception:
+        except PointBehindCamera:
             continue
-        inside = all(0 <= uu < k.width and 0 <= vv < k.height
+        inside = all(0 <= uu < width and 0 <= vv < height
                      for uu, vv in lmks.values())
         if not inside:
             continue
-        if noise.landmark_jitter_px > 0:
-            lmks = {
-                n: (uu + rng_lmk.normal(0, noise.landmark_jitter_px),
-                    vv + rng_lmk.normal(0, noise.landmark_jitter_px))
-                for n, (uu, vv) in lmks.items()
-            }
+        if jitter > 0:
+            # one draw per face: the same stream as a u and a v draw per
+            # landmark in turn
+            du = rng_lmk.normal(0, jitter, 2 * len(lmks)).tolist()
+            lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
+                    for i, (n, (uu, vv)) in enumerate(lmks.items())}
         landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
 
     if noise.false_positive_rate > 0:
+        rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
         n_fp = int(rng_fp.poisson(noise.false_positive_rate))
         class_pool = sorted({o.class_label for o in scenario.world_objects}) \
             or ["clutter"]
         for j in range(n_fp):
             cls = class_pool[int(rng_fp.integers(len(class_pool)))]
-            cx_ = rng_fp.uniform(0, k.width)
-            cy_ = rng_fp.uniform(0, k.height)
+            cx_ = rng_fp.uniform(0, width)
+            cy_ = rng_fp.uniform(0, height)
             w = rng_fp.uniform(10, 80)
             h = rng_fp.uniform(10, 80)
-            x0 = float(min(max(cx_ - w / 2, 0), k.width - 2))
-            y0 = float(min(max(cy_ - h / 2, 0), k.height - 2))
-            x1 = float(min(max(cx_ + w / 2, x0 + 1), k.width))
-            y1 = float(min(max(cy_ + h / 2, y0 + 1), k.height))
+            x0 = float(min(max(cx_ - w / 2, 0), width - 2))
+            y0 = float(min(max(cy_ - h / 2, 0), height - 2))
+            x1 = float(min(max(cx_ + w / 2, x0 + 1), width))
+            y1 = float(min(max(cy_ + h / 2, y0 + 1), height))
             detections.append(Detection2D((x0, y0, x1, y1), cls, score=0.3,
                                           kind=KIND_OBJECT))
             provenance.append(("fp", j))
 
     return FrameData(
         detections=detections,
-        depth=DepthImage(zbuf.reshape(k.height, k.width)),
+        depth=DepthImage(zbuf),
         pose_estimate=scenario.estimated_pose(frame_idx),
         provenance=provenance,
         landmarks=landmarks,
@@ -613,14 +639,16 @@ M_MMAP_THRESHOLD = -3
 def keep_freed_heap() -> bool:
     """Have glibc keep freed heap memory for reuse; True if it took.
 
-    Every frame allocates and frees megabytes of numpy temporaries and a
-    0.6 MB depth image. With glibc's default, adaptive thresholds the
-    heap top goes back to the OS up to once a frame and is faulted in
-    again by the next one (cluttered_drift: 40,000-60,000 page faults a
-    second), and heap layout alone decides whether those trims fall in
-    the frame source or in the pipeline step. Fixed thresholds keep
-    arrays under 16 MiB on the heap and its free top in the process.
-    The setting is process-wide. Other C libraries are left as they are.
+    Every frame allocates and frees up to ~2 MB of numpy temporaries
+    (the frame source's peak is 1.8 MB on cluttered_drift) and a 0.6 MB
+    depth image. With glibc's default, adaptive thresholds the heap top
+    goes back to the OS up to once a frame and is faulted in again by
+    the next one (cluttered_drift, whole runs: ~89 minor page faults a
+    frame, ~85,000 a second, against 0.03 a frame with this setting),
+    and heap layout alone decides whether those trims fall in the frame
+    source or in the pipeline step. Fixed thresholds keep arrays under
+    16 MiB on the heap and its free top in the process. The setting is
+    process-wide. Other C libraries are left as they are.
     """
     import ctypes
 

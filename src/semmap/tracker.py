@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import build, read_json_records
 from .errors import NonMonotonicFrame
 
 KIND_OBJECT = "object"
@@ -158,10 +157,3 @@ class IoUTracker:
                 confirmations.append((track.track_id, det))
         return confirmations
 
-
-def read_detection_log(path):
-    """Yield (frame, [Detection2D]) from a JSON-lines detection log; a
-    malformed record raises ValueError, a missing key KeyError."""
-    for rec in read_json_records(path, ValueError, "detection log"):
-        yield rec["frame"], [build(Detection2D, d, ValueError, "detection")
-                             for d in rec["detections"]]

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semmap.errors import FrameOutOfRange, ScenarioError
+from semmap import simulator
+from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from semmap.geometry import RigidPose
 from semmap.simulator import (
     Scenario,
@@ -117,6 +118,25 @@ FRAME_NOISE = st.fixed_dictionaries({
 })
 CUBE = (0.1, 0.1, 0.1)
 BIG_CUBE = (1.0, 1.0, 1.0)
+# image corners and edge midpoints of frame_scenario's camera, (u, v)
+EDGE_SPOTS = ((0, 0), (160, 0), (0, 120), (160, 120),
+              (80, 0), (80, 120), (0, 60), (160, 60))
+FAR_EDGE_SPOTS = ((160, 120), (80, 120), (160, 60))  # right and bottom only
+
+
+def edge_cubes(count, spots=EDGE_SPOTS, side=0.2, ahead=2.0):
+    """frame_scenario objects: one cube of `count` samples centred on the
+    ray through each of `spots`, `ahead` metres out, so that each straddles
+    the image border."""
+    return [(round((u - 80) / 120 * ahead, 4), ahead,
+             round((60 - v) / 120 * ahead, 4), (side,) * 3, count)
+            for u, v in spots]
+
+
+# (seed, samples per cube, spots, footprint) of the edge examples below
+EDGE_EXAMPLES = ((0, 500, EDGE_SPOTS, 2), (93, 150, EDGE_SPOTS, 3),
+                 (88, 15, EDGE_SPOTS, 8), (187, 10, EDGE_SPOTS, 9),
+                 (1, 150, FAR_EDGE_SPOTS, 3), (3, 10, FAR_EDGE_SPOTS, 9))
 
 
 class TestSynthesizeFrame:
@@ -154,6 +174,22 @@ class TestSynthesizeFrame:
              max_range=15.0, background_depth=0.0, noise={}, persons=[])
     @example(seed=16, objects=[(0.09, 1.22, 0.0, (0.39, 0.06, 0.11), 28)],
              max_range=15.0, background_depth=0.0, noise={}, persons=[])
+    # footprints 2, 3, 8 and 9, with windows past every image edge and
+    # corner, then 3 and 9 past the right and bottom edges alone
+    # (TestEdgeExamples checks that they are). An even footprint's window
+    # is asymmetric: offsets -f//2 .. f-1-f//2
+    @example(seed=0, objects=edge_cubes(500), max_range=15.0,
+             background_depth=0.0, noise={}, persons=[])
+    @example(seed=93, objects=edge_cubes(150), max_range=15.0,
+             background_depth=6.0, noise={}, persons=[])
+    @example(seed=88, objects=edge_cubes(15), max_range=15.0,
+             background_depth=0.0, noise={}, persons=[])
+    @example(seed=187, objects=edge_cubes(10), max_range=15.0,
+             background_depth=6.0, noise={}, persons=[])
+    @example(seed=1, objects=edge_cubes(150, FAR_EDGE_SPOTS),
+             max_range=15.0, background_depth=0.0, noise={}, persons=[])
+    @example(seed=3, objects=edge_cubes(10, FAR_EDGE_SPOTS),
+             max_range=15.0, background_depth=6.0, noise={}, persons=[])
     @settings(max_examples=60, deadline=None)
     def test_matches_per_object_reference(self, seed, objects, max_range,
                                           background_depth, noise, persons):
@@ -172,13 +208,36 @@ class TestSynthesizeFrame:
             == {p: lm.landmarks for p, lm in want.landmarks.items()}
         assert got.attending_gt == want.attending_gt
 
+    def test_landmark_projection_fault_propagates(self, monkeypatch):
+        # only a face behind the camera is dropped; any other fault in
+        # project_model is a defect, and was silently dropped with the face
+        def broken(*args):
+            raise ValueError("broken projection")
+
+        monkeypatch.setattr(simulator, "project_model", broken)
+        sc = scenario(persons=[{"position": [0.0, 0.0, 1.3],
+                                "attention_windows": [[0.0, 10.0]]}])
+        with pytest.raises(ValueError, match="broken projection"):
+            synthesize_frame_data(sc, 0)
+
+    def test_face_behind_camera_is_dropped(self, monkeypatch):
+        def behind(*args):
+            raise PointBehindCamera("model point at non-positive depth")
+
+        monkeypatch.setattr(simulator, "project_model", behind)
+        sc = scenario(persons=[{"position": [0.0, 0.0, 1.3],
+                                "attention_windows": [[0.0, 10.0]]}])
+        data = synthesize_frame_data(sc, 0)
+        assert data.landmarks == {}
+        assert [d.kind for d in data.detections] == ["object", "person"]
+
     def test_object_samples_are_views_of_one_array(self):
         sc = frame_scenario(objects=[(0.0, 2.0, 0.0, CUBE, 30),
                                      (0.5, 3.0, 0.0, CUBE, 20)])
         assert sc.samples.shape == (50, 3)
         assert [len(s) for s in sc.object_samples] == [30, 20]
         assert all(s.base is sc.samples for s in sc.object_samples)
-        assert sc.sample_owner.tolist() == [0] * 30 + [1] * 20
+        assert sc.sample_starts.tolist() == [0, 30]
 
     def test_noiseless_bbox_is_sample_hull(self):
         sc = scenario()
@@ -241,6 +300,37 @@ class TestSynthesizeFrame:
         assert data.attending_gt[0] is True
         kinds = sorted(d.kind for d in data.detections)
         assert kinds == ["object", "person"]
+
+
+class TestEdgeExamples:
+    @pytest.mark.parametrize("seed, count, spots, footprint", EDGE_EXAMPLES)
+    def test_each_cube_has_the_footprint_and_reaches_its_edges(
+            self, seed, count, spots, footprint):
+        sc = frame_scenario(seed, edge_cubes(count, spots))
+        k = sc.intrinsics
+        lo, hi = footprint // 2, footprint - 1 - footprint // 2
+        for (u0, v0), pts, spacing in zip(spots, sc.object_samples,
+                                          sc.sample_spacing):
+            cam = sc.trajectory[0].inverse().transform(pts)
+            u = k.cx + k.fx * cam[:, 0] / cam[:, 2]
+            v = k.cy + k.fy * cam[:, 1] / cam[:, 2]
+            inb = (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
+            median = np.median(cam[inb, 2])
+            assert np.clip(np.ceil(k.fx * spacing / median), 1, 9) \
+                == footprint
+            us, vs = u[inb].astype(int), v[inb].astype(int)
+            # the window reaches past the edge, or (no reach on that side
+            # of an even window) the sample lies on it
+            reach = np.ones(us.size, dtype=bool)
+            if u0 == 0:
+                reach &= (us < lo) | (us == 0)
+            if u0 == k.width:
+                reach &= (us + hi >= k.width) | (us == k.width - 1)
+            if v0 == 0:
+                reach &= (vs < lo) | (vs == 0)
+            if v0 == k.height:
+                reach &= (vs + hi >= k.height) | (vs == k.height - 1)
+            assert reach.any()
 
 
 class TestSchema:

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import NonMonotonicFrame
-from semmap.tracker import Detection2D, IoUTracker, iou, read_detection_log
+from semmap.tracker import Detection2D, IoUTracker, iou
 
 
 def det(bbox, label="cup", kind="object"):
@@ -174,34 +172,3 @@ def reference_matches(tracker, dets):
             matched[tid] = di
             used.add(di)
     return matched
-
-
-def test_detection_log_round_trip(tmp_path):
-    path = tmp_path / "dets.jsonl"
-    rows = [
-        {"frame": 0, "detections": [
-            {"kind": "object", "class": "cup", "score": 0.9,
-             "bbox": [1, 2, 3, 4]}]},
-        {"frame": 1, "detections": []},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    parsed = list(read_detection_log(path))
-    assert parsed[0][0] == 0
-    assert parsed[0][1][0].class_label == "cup"
-    assert parsed[0][1][0].bbox == (1.0, 2.0, 3.0, 4.0)
-    assert parsed[1] == (1, [])
-
-
-
-@pytest.mark.parametrize("line, error", [
-    ('{"frame": 0, "detections": [{"class": "cup", "bbox": [1, 2, 3, 4], '
-     '"colour": "red"}]}', "unknown detection keys: colour"),
-    ('{"frame": 0, "detections": [{"class": "cup"}]}', "bad detection"),
-    ('[0, []]', "line 3 must be a JSON object"),
-    ('{"frame": 0, "detections": [', "malformed detection log line 3"),
-], ids=["unknown_key", "no_bbox", "not_object", "bad_json"])
-def test_detection_log_rejects_malformed_record(tmp_path, line, error):
-    path = tmp_path / "dets.jsonl"
-    path.write_text('{"frame": 0, "detections": []}\n\n' + line + "\n")
-    with pytest.raises(ValueError, match=error):
-        list(read_detection_log(path))

@@ -19,12 +19,10 @@ from .errors import (
     ClockWentBackwards,
     ConfigError,
     DegenerateConfiguration,
-    NoConvergence,
-    PointBehindCamera,
     ScenarioError,
 )
 from .geometry import WORLD, CameraIntrinsics, PointCloud, write_ply
-from .headpose import FaceModel3D, LandmarkSet2D, lm_solve_pose
+from .headpose import FaceModel3D, LandmarkSet2D, lm_solve_poses
 from .simulator import Scenario, run_scenario_detailed
 from .willingness import PersonWillingnessMap
 
@@ -105,17 +103,17 @@ def cmd_headpose(args) -> int:
         print(f"landmark input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     lines = []
-    for rec, obs in faces:
-        row = {"frame": rec.get("frame"), "face_id": rec.get("face_id")}
-        try:
-            pose = lm_solve_pose(obs, model, k)
-        except DegenerateConfiguration as e:
+    poses = lm_solve_poses([obs for _, obs in faces], model, k)
+    for (rec, _), pose in zip(faces, poses):
+        if isinstance(pose, DegenerateConfiguration):
             print(f"degenerate configuration at frame "
-                  f"{rec.get('frame')}: {e}", file=sys.stderr)
+                  f"{rec.get('frame')}: {pose}", file=sys.stderr)
             return EXIT_DEGENERATE
-        except (NoConvergence, PointBehindCamera) as e:
-            # one unsolvable face is recorded, not fatal
-            row["error"] = type(e).__name__
+        row = {"frame": rec.get("frame"), "face_id": rec.get("face_id")}
+        if isinstance(pose, Exception):
+            # one unsolvable face (NoConvergence, PointBehindCamera) is
+            # recorded, not fatal
+            row["error"] = type(pose).__name__
         else:
             row.update(yaw=pose.yaw, pitch=pose.pitch, roll=pose.roll,
                        rms=pose.rms_residual)

@@ -105,13 +105,9 @@ class FaceModel3D:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FaceModel3D":
-        names = tuple(d.keys())
-        return cls(names, np.array([d[n] for n in names], dtype=np.float64))
-
-    @classmethod
     def from_json(cls, path) -> "FaceModel3D":
-        return cls.from_dict(read_json_object(path, ValueError, "face model"))
+        d = read_json_object(path, ValueError, "face model")
+        return cls(tuple(d), np.array(list(d.values()), dtype=np.float64))
 
     @classmethod
     def default(cls) -> "FaceModel3D":
@@ -258,24 +254,67 @@ def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
     return res[0], _jacobian(model_points, focal, *terms)[0]
 
 
-def _initial_params(model: FaceModel3D, obs: LandmarkSet2D,
-                    k: CameraIntrinsics) -> np.ndarray:
-    """Frontal rotation; depth from the interocular scale when available."""
-    z0 = 1.0
-    eye_names = [n for n in model.names if "eye" in n]
-    if len(eye_names) >= 2 and all(n in obs.landmarks for n in eye_names[:2]):
-        a, b = eye_names[:2]
-        d = (model.points[model.names.index(a)]
-             - model.points[model.names.index(b)])
-        model_d = math.sqrt(d @ d)
-        d = np.subtract(obs.landmarks[a], obs.landmarks[b])
-        pix_d = math.sqrt(d @ d)
-        if pix_d > 1e-6:
-            z0 = min(max(k.fx * model_d / pix_d, 0.05), 50.0)
-    uv = obs.array_for(model.names)
-    tx = (uv[:, 0].mean() - k.cx) * z0 / k.fx
-    ty = (uv[:, 1].mean() - k.cy) * z0 / k.fy
-    return np.array([0.0, 0.0, 0.0, tx, ty, z0])
+def _axis_angles(rot: np.ndarray):
+    """Axis-angle vectors (B, 3) of a (B, 3, 3) stack of rotations, and
+    which are usable starts: those not within ~8° of a half turn, where
+    the axis read from R - Rᵀ loses precision, nor NaN."""
+    vee = np.stack((rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0],
+                    rot[:, 1, 0] - rot[:, 0, 1]), axis=1)  # 2 sin(theta) axis
+    cos = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
+    theta = np.arctan2(np.sqrt((vee * vee).sum(axis=1)) / 2.0, cos)
+    w = vee / (2.0 * np.sinc(theta / np.pi))[:, None]
+    return w, cos > -0.99
+
+
+def _closed_form_starts(points: np.ndarray, observed: np.ndarray,
+                        focal: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Starts (axis-angle, translation), (B, 6), of a (B, N, 2) stack of
+    pixel landmarks of the model points `points` (N, 3); each row depends
+    on its own face only. Of two candidates, SOP (the scaled-orthographic
+    first step of POSIT: DeMenthon & Davis, IJCV 1995) and a calibrated
+    DLT (exact for noise-free landmarks), a face starts from the usable one
+    (finite, in front of the camera, not near a half turn) of lower
+    reprojection cost, SOP on a tie. With neither, it starts at w = 0 with
+    its first landmark at the SOP depth on its ray.
+    """
+    b, n = observed.shape[:2]
+    xy = (observed - center) / focal
+    with np.errstate(all="ignore"):
+        # SOP: I, J = pinv(A) (x_i - x_0), A the model points minus the first
+        a = points[1:] - points[0]
+        ij = np.linalg.solve(a.T @ a, a.T) @ (xy[:, 1:] - xy[:, :1])
+        norm_i, norm_j = np.sqrt((ij * ij).sum(axis=1)).T
+        row_i = ij[..., 0] / norm_i[:, None]
+        row_j = ij[..., 1] - (ij[..., 1] * row_i).sum(axis=1)[:, None] * row_i
+        row_j /= np.sqrt((row_j * row_j).sum(axis=1))[:, None]
+        sop_rot = np.stack((row_i, row_j, np.cross(row_i, row_j)), axis=1)
+        # the first landmark's camera point, finite if all landmarks coincide
+        first = np.concatenate((xy[:, 0], np.ones((b, 1))), axis=1) \
+            * (2.0 / np.maximum(norm_i + norm_j, 1e-9))[:, None]
+        # DLT: (x p3 - p1) . X = (y p3 - p2) . X = 0, X centred and scaled
+        mean = points.mean(axis=0)
+        scale = math.sqrt(((points - mean) ** 2).sum() / n)
+        hom = np.concatenate(((points - mean) / scale, np.ones((n, 1))), axis=1)
+        rows = np.zeros((b, n, 2, 12))
+        rows[:, :, 0, :4] = rows[:, :, 1, 4:8] = hom
+        rows[..., 8:] = -xy[..., None] * hom[:, None]
+        p = np.linalg.svd(rows.reshape(b, 2 * n, 12))[2][:, -1].reshape(b, 3, 4)
+        p *= np.sign(np.linalg.det(p[..., :3]))[:, None, None]
+        u, sv, vt = np.linalg.svd(p[..., :3])  # R is u vt, the scale mean(sv)
+        dlt_rot = u @ vt
+        trans = (first - sop_rot @ points[0],
+                 scale * p[..., 3] / sv.mean(axis=1)[:, None] - dlt_rot @ mean)
+        w, usable = _axis_angles(np.concatenate((sop_rot, dlt_rot)))
+        cands = np.concatenate((w, np.concatenate(trans)), axis=1)
+        usable &= np.isfinite(cands).all(axis=1)
+        fallback = np.concatenate((np.zeros((b, 3)), first - points[0]), axis=1)
+        fallback = np.concatenate((fallback, fallback))
+        cands = np.where(usable[:, None], cands, fallback)
+        res, _ = _residuals(cands, points, np.concatenate((observed, observed)),
+                            focal, center)
+        cost = np.where(usable, _sq_norms(res).ravel(), math.inf)
+    cands = np.where(np.isinf(cost)[:, None], fallback, cands)
+    return np.where((cost[b:] < cost[:b])[:, None], cands[b:], cands[:b])
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -438,15 +477,10 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
     its solve ends in (DegenerateConfiguration, PointBehindCamera or
     NoConvergence). One face's outcome does not depend on the others.
 
-    Faces with the same landmark set descend as one stack. `inits[i]`, six
-    finite numbers (axis-angle rotation, translation) or None, replaces
-    face i's frontal start and turns off its restarts; a pose's own
-    `(axis_angle, translation)` is such a start. A cold face whose descent
-    ends above 3 px rms descends again from each restart rotation, in one
-    stack with the restarts of the other such faces. The results are then
-    taken in order: one with a lower cost replaces the best so far, the
-    search stops once the rms is <= 3 px, and a restart that starts behind
-    the camera is skipped.
+    Faces with the same landmark set descend as one stack, each once from
+    `inits[i]`, six finite numbers (axis-angle rotation, translation, as a
+    pose's own `(axis_angle, translation)`), or for None from the start of
+    `_closed_form_starts`.
     """
     if inits is None:
         inits = [None] * len(faces)
@@ -469,31 +503,14 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
         n = len(names)
         sub = model if n == len(model.names) else model.subset(names)
         observed = np.array([faces[i].array_for(names) for i in group])
-        starts = np.array([_initial_params(sub, faces[i], k)
-                           if inits[i] is None else inits[i] for i in group])
+        starts = np.array([np.zeros(6) if inits[i] is None else inits[i]
+                           for i in group])
+        cold = [j for j, i in enumerate(group) if inits[i] is None]
+        if cold:
+            starts[cold] = _closed_form_starts(sub.points, observed[cold],
+                                               focal, center)
         params, rots, cost, errors = _lm_minimize(
             starts, sub.points, observed, focal, center, *options)
-        cold = [j for j, i in enumerate(group) if inits[i] is None
-                and errors[j] is None and math.sqrt(cost[j] / n) > 3.0]
-        if cold:
-            count = len(_RESTART_STARTS)
-            alt = np.repeat(starts[cold], count, axis=0)
-            alt[:, :3] = np.tile(_RESTART_STARTS, (len(cold), 1))
-            cands, cand_rots, cand_cost, cand_errors = _lm_minimize(
-                alt, sub.points, np.repeat(observed[cold], count, axis=0),
-                focal, center, *options)
-            for r, j in enumerate(cold):
-                for c in range(r * count, (r + 1) * count):
-                    if isinstance(cand_errors[c], PointBehindCamera):
-                        continue  # this start is infeasible: its cost is inf
-                    if cand_errors[c] is not None:
-                        errors[j] = cand_errors[c]
-                        break
-                    if cand_cost[c] < cost[j]:
-                        params[j], rots[j], cost[j] = \
-                            cands[c], cand_rots[c], cand_cost[c]
-                    if math.sqrt(cost[j] / n) <= 3.0:
-                        break
         for j, i in enumerate(group):
             outcomes[i] = errors[j] if errors[j] is not None \
                 else _pose(params[j], rots[j], cost[j], n, accept_rms)
@@ -521,24 +538,6 @@ def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:
     rx = np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]])
     rz = np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]])
     return ry @ rx @ rz
-
-
-def _axis_angle_start(yaw: float, pitch: float) -> np.ndarray:
-    """Axis-angle 3-vector of `rotation_from_euler(yaw, pitch, 0)`."""
-    rot = rotation_from_euler(yaw, pitch, 0.0)
-    theta = np.arccos(np.clip((np.trace(rot) - 1) / 2, -1.0, 1.0))
-    axis = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0],
-                     rot[1, 0] - rot[0, 1]])
-    norm = np.linalg.norm(axis)
-    return theta * axis / norm if norm > 1e-12 else np.zeros(3)
-
-
-# deterministic restart rotations (yaw, pitch), as axis-angle starts, tried
-# when the first descent lands in a poor local minimum
-_RESTART_STARTS = np.array([_axis_angle_start(yaw, pitch) for yaw, pitch in (
-    (40.0, 0.0), (-40.0, 0.0), (0.0, 30.0), (0.0, -30.0),
-    (40.0, -30.0), (-40.0, 30.0), (80.0, 0.0), (-80.0, 0.0),
-)])
 
 
 def euler_from_rotation(rot: np.ndarray):

@@ -92,11 +92,11 @@ class Pipeline:
         estimate; per pair a HeadPose or the solver exception.
 
         Every face whose track has a last accepted pose descends from it,
-        all in one batch. The faces that then need the cold solve (frontal
-        start, then the restarts) solve in a second batch: those whose
-        track has no pose, whose warm descent raised, or whose warm rms
-        exceeds both WARM_RESTART_RMS_PX and twice the last pose's rms. A
-        solve that raises leaves the track without a pose.
+        all in one batch. The faces that then need a cold solve (one
+        descent from the closed-form start) solve in a second batch: those
+        whose track has no pose, whose warm descent raised, or whose warm
+        rms exceeds both WARM_RESTART_RMS_PX and twice the last pose's rms.
+        A solve that raises leaves the track without a pose.
         """
         if not pairs:
             return []

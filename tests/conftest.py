@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from semmap.geometry import CameraIntrinsics, DepthImage, RigidPose
 from semmap.headpose import (
     HeadPose,
     LandmarkSet2D,
-    _initial_params,
     euler_from_rotation,
     project_model,
     rodrigues,
@@ -114,6 +115,27 @@ def per_landmark_jacobian(params, model_points, observed, k):
 # Jacobian was split from the residuals. It builds the Jacobian at every
 # trial point and lets an infeasible restart start abort the solve. The
 # bodies are unchanged except for the names of the functions they call.
+# Without an `init` it starts frontal and restarts as the solver once did;
+# given one, it makes exactly one descent from it, as the solver does.
+
+def _reference_initial_params(model, obs, k) -> np.ndarray:
+    """Frontal rotation; depth from the interocular scale when available."""
+    z0 = 1.0
+    eye_names = [n for n in model.names if "eye" in n]
+    if len(eye_names) >= 2 and all(n in obs.landmarks for n in eye_names[:2]):
+        a, b = eye_names[:2]
+        d = (model.points[model.names.index(a)]
+             - model.points[model.names.index(b)])
+        model_d = math.sqrt(d @ d)
+        d = np.subtract(obs.landmarks[a], obs.landmarks[b])
+        pix_d = math.sqrt(d @ d)
+        if pix_d > 1e-6:
+            z0 = min(max(k.fx * model_d / pix_d, 0.05), 50.0)
+    uv = obs.array_for(model.names)
+    tx = (uv[:, 0].mean() - k.cx) * z0 / k.fx
+    ty = (uv[:, 1].mean() - k.cy) * z0 / k.fy
+    return np.array([0.0, 0.0, 0.0, tx, ty, z0])
+
 
 def _reference_rodrigues(w: np.ndarray) -> np.ndarray:
     """Axis-angle 3-vector -> rotation matrix."""
@@ -213,7 +235,7 @@ def reference_lm_solve_pose(obs, model, k, init=None, lambda_init=1e-3,
     sub = model.subset(names)
     observed = obs.array_for(names)
     params0 = np.asarray(init, dtype=np.float64).copy() if init is not None \
-        else _initial_params(sub, obs, k)
+        else _reference_initial_params(sub, obs, k)
     params, cost = _reference_lm_minimize(params0, sub.points, observed, k,
                                           lambda_init, step_tol, cost_tol,
                                           max_iterations)
@@ -239,6 +261,30 @@ def reference_lm_solve_pose(obs, model, k, init=None, lambda_init=1e-3,
     rot = _reference_rodrigues(params[:3])
     yaw, pitch, roll = euler_from_rotation(rot)
     return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms)
+
+
+def reference_descent(obs, model, k, init, lambda_init=1e-3, step_tol=1e-8,
+                      accept_rms=100.0, **options) -> HeadPose:
+    """One descent from `init` as `headpose.lm_solve_pose` makes it: a
+    start whose first step is shorter than `step_tol` is already a minimum
+    and is its own result, without a trial; any other start descends as
+    `reference_lm_solve_pose` from it."""
+    names = tuple(n for n in model.names if n in obs.landmarks)
+    if init is not None and len(names) >= 6:
+        res, jac = _reference_residuals_and_jacobian(
+            init, model.subset(names).points, obs.array_for(names), k)
+        step = np.linalg.solve(jac.T @ jac + lambda_init * np.eye(6),
+                               -(jac.T @ res))
+        if np.linalg.norm(step) < step_tol:
+            rms = float(np.sqrt(res @ res / len(names)))
+            if rms > accept_rms:
+                raise NoConvergence(
+                    f"rms {rms:.2f} px above accept bound {accept_rms}")
+            rot = _reference_rodrigues(init[:3])
+            yaw, pitch, roll = euler_from_rotation(rot)
+            return HeadPose(rot, init[3:6].copy(), yaw, pitch, roll, rms)
+    return reference_lm_solve_pose(obs, model, k, init, lambda_init,
+                                   step_tol, accept_rms=accept_rms, **options)
 
 
 def _project_points_cam(points, pose: RigidPose):

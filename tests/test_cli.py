@@ -231,8 +231,10 @@ class TestShippedDigests:
     These pin the project's byte-identical reference outputs. They were
     taken with numpy 2.4.6 on Python 3.11.7 (x86-64); another numpy may
     round some float in the last bit and change a digest. interaction's
-    events.jsonl carries the last bits of the head-pose fits, which start
-    warm from each person track's previous pose.
+    events.jsonl carries the last bits of the head-pose fits: a track's
+    first face starts from the closed-form start and stops there, as every
+    clean face does, and each later face starts warm from the track's
+    previous pose.
     """
 
     EXPECTED = {
@@ -257,8 +259,8 @@ class TestShippedDigests:
                         "16cc05e6f5caa55be37feeb4db1b2a54",
             "metrics.json": "c10df717be9fffc0bfec0a91057cdb2a"
                             "a5eaa39f771aae7d6b29ab01ef6099d3",
-            "events.jsonl": "781ca4d98851f8ae121db56e91c1ce13"
-                            "22eb0b55e210711044592280a0085b24",
+            "events.jsonl": "7fb2f71c019d05d86a1964e57d56a903"
+                            "56d5e0a6cada34dc711ef74d131dbced",
         },
     }
 
@@ -342,6 +344,23 @@ class TestHeadpose:
                      "--intrinsics", str(kpath)])
         assert code == 4
         assert "degenerate" in capsys.readouterr().err
+
+    def test_degenerate_face_after_good_ones_exit_4(self, tmp_path, capsys):
+        # the whole file is solved in one batch; its first degenerate face
+        # still ends the run, names its frame and prints no rows
+        partial = dict(list(self.frontal().items())[:5])
+        records = [self.face_record(0, self.frontal()),
+                   self.face_record(1, self.frontal()),
+                   self.face_record(7, partial),
+                   self.face_record(8, partial)]
+        kpath, lpath = self.write_inputs(tmp_path, records)
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "degenerate configuration at frame 7:")
 
     def test_coplanar_model_exit_4(self, tmp_path, capsys):
         mpath = tmp_path / "model.json"
@@ -444,8 +463,10 @@ class TestHeadpose:
             assert r["rms"] < 1e-6
 
     def test_behind_camera_face_recorded_not_fatal(self, tmp_path, capsys):
-        # a model whose nose lies 0.2 m behind the eye plane; a face 40x
-        # too large starts at the 0.05 m depth floor, nose behind camera
+        # a model whose nose lies 0.2 m behind the eye plane, seen 40x too
+        # large: neither closed-form candidate is in front of the camera,
+        # and the frontal start at the SOP depth (3 cm) puts the nose
+        # behind it
         mpath = tmp_path / "model.json"
         points = {n: list(p) for n, p in zip(FaceModel3D.default().names,
                                               FaceModel3D.default().points)}

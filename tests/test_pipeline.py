@@ -230,8 +230,9 @@ class TestLandmarkNoise:
 
     def test_noise_does_not_multiply_solver_work(self, monkeypatch):
         # face-evaluations: the rows of every `_residuals` call. With cold
-        # restarts on every noisy face this run made 33,470; the clean run
-        # makes about 200
+        # restarts on every noisy face this run made 33,470, with warm
+        # starts and restarts 5,272, and with one closed-form start per cold
+        # face 3,210; the clean run makes about 200
         evals = []
 
         def counted(params, *args, _real=headpose._residuals):
@@ -240,7 +241,7 @@ class TestLandmarkNoise:
 
         monkeypatch.setattr(headpose, "_residuals", counted)
         run_scenario_detailed(interaction(5.0))
-        assert sum(evals) <= 8000
+        assert sum(evals) <= 4000
 
     def test_clean_trigger_at_4s(self):
         _, _, events = run_scenario_detailed(interaction())

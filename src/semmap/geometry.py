@@ -8,6 +8,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +185,10 @@ def backproject(u, v, depth, pose: RigidPose, k: CameraIntrinsics):
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     d = np.asarray(depth, dtype=np.float64)
-    if np.any(~np.isfinite(d)) or np.any(d <= 0):
+    if (~np.isfinite(d)).any() or (d <= 0).any():
         raise InvalidDepth("depth must be finite and > 0")
-    if np.any(u < 0) or np.any(u >= k.width) or np.any(v < 0) or np.any(v >= k.height):
+    if (u < 0).any() or (u >= k.width).any() or (v < 0).any() \
+            or (v >= k.height).any():
         raise PixelOutOfBounds(f"pixel outside {k.width}x{k.height} image")
     cam = np.stack(
         [(u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d], axis=-1
@@ -199,7 +201,7 @@ def depth_band_halfwidth(bbox_w_px: float, bbox_h_px: float, median_depth: float
     """Half-width of the accepted depth band around the median bbox depth."""
     metric_w = bbox_w_px * median_depth / k.fx
     metric_h = bbox_h_px * median_depth / k.fy
-    return float(np.clip(0.5 * max(metric_w, metric_h), 0.05, 1.0))
+    return float(min(max(0.5 * max(metric_w, metric_h), 0.05), 1.0))
 
 
 def extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
@@ -209,28 +211,38 @@ def extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     Samples every stride-th pixel inside the bbox, keeps only pixels whose
     depth lies within a band around the median bbox depth (band width scaled
     to the apparent metric size of the box) and back-projects them to world.
+    The samples are read as one strided slice of the image, in row-major
+    order.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if depth.data.shape != (k.height, k.width):
+        raise ValueError(
+            f"depth image shape {depth.data.shape} does not match the "
+            f"intrinsics' (height, width) {(k.height, k.width)}")
     x0, y0, x1, y1 = bbox
-    xs = np.arange(max(0, int(np.ceil(x0))), min(k.width, int(np.ceil(x1))), stride)
-    ys = np.arange(max(0, int(np.ceil(y0))), min(k.height, int(np.ceil(y1))), stride)
-    if xs.size == 0 or ys.size == 0:
+    u0, u1 = max(0, math.ceil(x0)), min(k.width, math.ceil(x1))
+    v0, v1 = max(0, math.ceil(y0)), min(k.height, math.ceil(y1))
+    if u0 >= u1 or v0 >= v1:
         raise EmptyCloud("bounding box does not intersect the image")
-    uu, vv = np.meshgrid(xs, ys)
-    uu = uu.ravel()
-    vv = vv.ravel()
-    d = depth.data[vv, uu]
-    valid = d > 0
-    if not np.any(valid):
+    patch = depth.data[v0:v1:stride, u0:u1:stride]
+    valid = patch > 0
+    d = patch[valid]
+    if d.size == 0:
         raise EmptyCloud("no valid depth pixels under the bounding box")
-    uu, vv, d = uu[valid], vv[valid], d[valid]
-    med = float(np.median(d))
+    # np.median's value without its per-call overhead: the middle order
+    # statistic, or the mean of the two, which np.mean takes as (a + b) / 2
+    ordered = np.sort(d)
+    half = d.size // 2
+    med = float(ordered[half]) if d.size % 2 else \
+        (float(ordered[half - 1]) + float(ordered[half])) / 2
     band = depth_band_halfwidth(x1 - x0, y1 - y0, med, k)
     keep = np.abs(d - med) <= band
-    if not np.any(keep):
+    if not keep.any():
         raise EmptyCloud("median depth band rejected every pixel")
-    pts = backproject(uu[keep], vv[keep], d[keep], pose, k)
+    rows, cols = np.nonzero(valid)
+    pts = backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
+                      d[keep], pose, k)
     return PointCloud(pts, WORLD)
 
 

@@ -18,23 +18,42 @@ from .errors import ClassMismatch, EmptyCloud, UnknownKeyframe
 from .geometry import WORLD, PointCloud, RigidPose, voxel_downsample
 
 
-# Pairs per block of the nearest-neighbour scan: the block's difference
-# array stays near 1.5 MB of float64 however large the clouds are.
+# Pairs per block of the nearest-neighbour scan: the block's two arrays of
+# float64 stay near 1 MB however large the clouds are.
 _BLOCK_PAIRS = 1 << 16
 # meters added to `assoc_dist` before an AABB gap rules an object out
 _AABB_MARGIN = 1e-9
 
 
-def _nearest_sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Squared distance from each query point to its nearest reference point,
-    by an exact scan over blocks of query rows."""
-    rows = max(1, _BLOCK_PAIRS // len(refs))
-    out = np.empty(len(queries))
-    for start in range(0, len(queries), rows):
-        q = queries[start:start + rows]
-        out[start:start + rows] = \
-            ((q[:, None, :] - refs[None, :, :]) ** 2).sum(-1).min(1)
-    return out
+def _nearest_sq_distances_both(a: np.ndarray, b: np.ndarray):
+    """Squared distance from each point of `a` to its nearest point of `b`,
+    and from each point of `b` to its nearest point of `a`.
+
+    One exact scan over blocks of rows of `a`: each block's squared
+    distances give the a->b minima along rows and a running minimum of
+    the b->a minima along columns. A squared distance is (dx² + dy²) + dz²,
+    the order in which `((p - q) ** 2).sum(-1)` adds an (n, m, 3) array,
+    and (a_i - b_j)² equals (b_j - a_i)² exactly, so both directions are
+    bitwise those of two separate brute-force scans.
+    """
+    rows = max(1, _BLOCK_PAIRS // len(b))
+    bx, by, bz = b.T
+    a_to_b = np.empty(len(a))
+    b_to_a = None
+    for start in range(0, len(a), rows):
+        ax, ay, az = a[start:start + rows].T[:, :, None]
+        d2 = ax - bx
+        d2 *= d2
+        diff = ay - by
+        diff *= diff
+        d2 += diff
+        diff = az - bz
+        diff *= diff
+        d2 += diff
+        a_to_b[start:start + rows] = d2.min(1)
+        col = d2.min(0)
+        b_to_a = col if b_to_a is None else np.minimum(b_to_a, col, out=b_to_a)
+    return a_to_b, b_to_a
 
 
 def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
@@ -43,16 +62,16 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
         raise EmptyCloud("chamfer distance needs non-empty clouds")
     if a.frame != b.frame:
         raise ValueError(f"frame mismatch: {a.frame!r} vs {b.frame!r}")
+    a_to_b, b_to_a = _nearest_sq_distances_both(a.points, b.points)
     # sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt)
-    d_ab = np.sqrt(_nearest_sq_distances(a.points, b.points))
-    d_ba = np.sqrt(_nearest_sq_distances(b.points, a.points))
-    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+    return 0.5 * (float(np.mean(np.sqrt(a_to_b)))
+                  + float(np.mean(np.sqrt(b_to_a))))
 
 
 def overlap_ratio(a: np.ndarray, b: np.ndarray, radius: float) -> float:
     """Fraction of the smaller cloud's points within `radius` of the larger."""
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    d2 = _nearest_sq_distances(small, large)
+    d2, _ = _nearest_sq_distances_both(small, large)
     return int(np.count_nonzero(d2 <= radius * radius)) / len(small)
 
 
@@ -64,17 +83,32 @@ class SemanticObject:
     world_points: np.ndarray | None = None
     centroid: np.ndarray | None = None
     aabb: tuple | None = None  # (min 3-vector, max 3-vector)
+    # (pose, local pts, world pts) per observation, from the last rebuild
+    _world_parts: list = field(default_factory=list, init=False, repr=False,
+                               compare=False)
 
     @property
     def world_cloud(self) -> PointCloud:
         return PointCloud(self.world_points, WORLD)
 
     def rebuild(self, keyframes: dict, leaf: float, max_points: int):
-        """Recompute the cached world cloud from keyframe-local observations."""
-        parts = [
-            keyframes[kf_id].transform(pts) for kf_id, pts in self.observations
-        ]
-        world = np.concatenate(parts, axis=0)
+        """Recompute the cached world cloud from keyframe-local observations.
+
+        An observation whose keyframe pose and local points are the very
+        objects of its last transform keeps that transform's world points;
+        any other is transformed afresh. A new sighting thus costs one
+        transform, and a correction re-transforms what it moved.
+        """
+        memo = self._world_parts
+        parts = []
+        for i, (kf_id, local) in enumerate(self.observations):
+            pose = keyframes[kf_id]
+            part = memo[i] if i < len(memo) else None
+            if part is None or part[0] is not pose or part[1] is not local:
+                part = (pose, local, pose.transform(local))
+            parts.append(part)
+        self._world_parts = parts
+        world = np.concatenate([part[2] for part in parts], axis=0)
         if len(world) > max_points:
             world = voxel_downsample(PointCloud(world, WORLD), leaf).points
         self.world_points = world

@@ -5,11 +5,20 @@ import pytest
 
 from semmap.errors import (
     DegenerateConfiguration,
+    EmptyCloud,
     FrameOutOfRange,
     NoConvergence,
     PointBehindCamera,
 )
-from semmap.geometry import CameraIntrinsics, DepthImage, RigidPose
+from semmap.geometry import (
+    WORLD,
+    CameraIntrinsics,
+    DepthImage,
+    PointCloud,
+    RigidPose,
+    backproject,
+    voxel_downsample,
+)
 from semmap.headpose import (
     HeadPose,
     LandmarkSet2D,
@@ -67,6 +76,59 @@ def brute_force_overlap(a: np.ndarray, b: np.ndarray, radius: float) -> float:
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     d2 = ((small[:, None, :] - large[None, :, :]) ** 2).sum(-1)
     return int((d2 <= radius * radius).any(1).sum()) / len(small)
+
+
+def reference_rebuild(obj, keyframes, leaf, max_points):
+    """World points, centroid and AABB of `obj` from every observation
+    transformed afresh, as `SemanticObject.rebuild` derived them before it
+    kept the world points of unmoved observations."""
+    world = np.concatenate([
+        keyframes[kf_id].transform(pts) for kf_id, pts in obj.observations
+    ], axis=0)
+    if len(world) > max_points:
+        world = voxel_downsample(PointCloud(world, WORLD), leaf).points
+    return world, world.mean(axis=0), (world.min(axis=0), world.max(axis=0))
+
+
+# Reference for `geometry.extract_object_cloud`: the function as it was
+# before it read the bbox as a strided slice, with a meshgrid of pixel
+# coordinates and a fancy-indexed read of every sample, and the band
+# half-width as it was before it clipped with min/max. Bodies verbatim.
+
+def _reference_depth_band_halfwidth(bbox_w_px: float, bbox_h_px: float,
+                                    median_depth: float,
+                                    k: CameraIntrinsics) -> float:
+    """Half-width of the accepted depth band around the median bbox depth."""
+    metric_w = bbox_w_px * median_depth / k.fx
+    metric_h = bbox_h_px * median_depth / k.fy
+    return float(np.clip(0.5 * max(metric_w, metric_h), 0.05, 1.0))
+
+
+def reference_extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
+                                   k: CameraIntrinsics,
+                                   stride: int = 4) -> PointCloud:
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    x0, y0, x1, y1 = bbox
+    xs = np.arange(max(0, int(np.ceil(x0))), min(k.width, int(np.ceil(x1))), stride)
+    ys = np.arange(max(0, int(np.ceil(y0))), min(k.height, int(np.ceil(y1))), stride)
+    if xs.size == 0 or ys.size == 0:
+        raise EmptyCloud("bounding box does not intersect the image")
+    uu, vv = np.meshgrid(xs, ys)
+    uu = uu.ravel()
+    vv = vv.ravel()
+    d = depth.data[vv, uu]
+    valid = d > 0
+    if not np.any(valid):
+        raise EmptyCloud("no valid depth pixels under the bounding box")
+    uu, vv, d = uu[valid], vv[valid], d[valid]
+    med = float(np.median(d))
+    band = _reference_depth_band_halfwidth(x1 - x0, y1 - y0, med, k)
+    keep = np.abs(d - med) <= band
+    if not np.any(keep):
+        raise EmptyCloud("median depth band rejected every pixel")
+    pts = backproject(uu[keep], vv[keep], d[keep], pose, k)
+    return PointCloud(pts, WORLD)
 
 
 def _rotation_point_jacobian(w: np.ndarray, rot: np.ndarray,

@@ -10,6 +10,7 @@ from semmap.geometry import RigidPose
 from semmap.headpose import FaceModel3D, project_model, rotation_from_euler
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
+WORKLOAD_DIR = Path(__file__).resolve().parent / "data"
 
 INTRINSICS = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
               "width": 640, "height": 480}
@@ -268,6 +269,50 @@ class TestShippedDigests:
     def test_outputs_match_reference(self, tmp_path, name):
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                   for f in self.EXPECTED[name]}
+        assert digests == self.EXPECTED[name]
+
+
+class TestWorkloadDigests:
+    """sha256 of the files `semmap run` writes for one scenario of each
+    benchmark workload: the first that seed 1 generates, frozen as JSON in
+    tests/data/. The pins hold a speed-up to byte-identical outputs on the
+    paths the benchmark times. Taken as in TestShippedDigests.
+    """
+
+    EXPECTED = {
+        "attention_crowd": {
+            "map.json": "4f06562320b1daba55e064664aaf52f5"
+                        "799828cac6b9ba7f75415062e1406268",
+            "metrics.json": "052039519048a03177947c79d04e1b5c"
+                            "7d72a58d9884d344c0b4c9371758f7de",
+            "events.jsonl": "06179c90ca04e9f17b460f150e855eae"
+                            "f056c20d39d330c3394ba33f148454a5",
+        },
+        "cluttered_drift": {
+            "map.json": "06def5a1678951fec86b247b112d4c30"
+                        "c1f00c71d225b460032c4b52ad92d81b",
+            "metrics.json": "e67a428d466d1ab69a61ea15f1b7cbd5"
+                            "6a1893f3dfbf3aac6e7daeaf8122fa34",
+            "events.jsonl": "e318ceeba55800af555944ad25b9ff8c"
+                            "af5b017ae3cea64c13d9c02063c257a6",
+        },
+        "tabletop_sweep": {
+            "map.json": "fba0d86a41b21aafb004c270b366962b"
+                        "6871a8f41929af5e492c6b3a67d5b700",
+            "metrics.json": "6ed39558a95e84c91ab2aaab7a270d12"
+                            "5884e291fe7a56bef678a4f8798525a3",
+            "events.jsonl": "0d24f7313c272e95db91b124abc675a6"
+                            "7d80aa1b3967396fbb2a3e06c7b0f29d",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_outputs_match_reference(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(WORKLOAD_DIR / f"{name}.json"),
                      "--out", str(out)]) == 0
         digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                    for f in self.EXPECTED[name]}

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import (
@@ -22,7 +24,7 @@ from semmap.geometry import (
     write_ply,
 )
 
-from conftest import random_pose
+from conftest import random_pose, reference_extract_object_cloud
 
 
 class TestIntrinsics:
@@ -167,6 +169,66 @@ class TestExtractObjectCloud:
         d = cam[:, 2]
         sampled = data[np.round(v).astype(int), np.round(u).astype(int)]
         np.testing.assert_allclose(d, sampled, atol=1e-9)
+
+
+    @pytest.mark.parametrize("shape", [(240, 320), (480, 700), (481, 640)])
+    def test_depth_image_must_match_intrinsics(self, intrinsics, shape):
+        # a smaller image was read against the wrong geometry, or raised a
+        # bare IndexError, depending on the bbox
+        depth = DepthImage(np.full(shape, 2.0))
+        with pytest.raises(ValueError, match=re.escape(str(shape))
+                           + r".*\(480, 640\)"):
+            extract_object_cloud((0, 0, 100, 100), depth,
+                                 RigidPose.identity(), intrinsics)
+
+
+SMALL = CameraIntrinsics(fx=30.0, fy=30.0, cx=20.0, cy=15.0,
+                         width=40, height=30)
+_coord = st.floats(-20.0, 60.0, allow_nan=False)
+_size = st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 45.0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), stride=st.integers(1, 5),
+       x0=_coord, y0=_coord, w=_size, h=_size,
+       zero_frac=st.sampled_from([0.0, 0.2, 0.9, 1.0]),
+       background=st.floats(2.05, 4.0))
+# single pixels, on and off the sampling grid
+@example(seed=1, stride=1, x0=5.0, y0=5.0, w=1.0, h=1.0, zero_frac=0.0,
+         background=3.0)
+@example(seed=1, stride=3, x0=4.5, y0=6.2, w=0.3, h=0.9, zero_frac=0.0,
+         background=3.0)
+# partly off the top-left and bottom-right corners, fractional edges
+@example(seed=2, stride=2, x0=-7.3, y0=-3.5, w=20.1, h=11.7, zero_frac=0.2,
+         background=2.2)
+@example(seed=3, stride=4, x0=31.5, y0=22.25, w=30.0, h=30.0, zero_frac=0.2,
+         background=2.2)
+# wholly off the image
+@example(seed=4, stride=1, x0=40.0, y0=0.0, w=10.0, h=10.0, zero_frac=0.0,
+         background=3.0)
+@example(seed=5, stride=1, x0=-15.0, y0=-15.0, w=14.5, h=30.0, zero_frac=0.0,
+         background=3.0)
+@settings(max_examples=150, deadline=None)
+def test_extraction_matches_reference(seed, stride, x0, y0, w, h, zero_frac,
+                                      background):
+    """Same point bytes, or the same EmptyCloud, as the meshgrid version."""
+    rng = np.random.default_rng(seed)
+    # an object at ~2 m on the left half, a background that the band
+    # sometimes keeps, and a share of invalid pixels
+    data = np.full((SMALL.height, SMALL.width), background)
+    data[:, :20] = rng.uniform(1.9, 2.1, (SMALL.height, 20))
+    data[rng.uniform(size=data.shape) < zero_frac] = 0.0
+    depth = DepthImage(data)
+    pose = random_pose(rng)
+    bbox = (x0, y0, x0 + w, y0 + h)
+
+    def outcome(fn):
+        try:
+            return fn(bbox, depth, pose, SMALL, stride=stride).points.tobytes()
+        except EmptyCloud as exc:
+            return str(exc)
+
+    assert outcome(extract_object_cloud) == \
+        outcome(reference_extract_object_cloud)
 
 
 class TestVoxelDownsample:

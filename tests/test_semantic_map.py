@@ -17,6 +17,7 @@ from conftest import (
     brute_force_overlap,
     random_pose,
     reference_associate,
+    reference_rebuild,
 )
 
 
@@ -41,12 +42,16 @@ class TestChamfer:
         with pytest.raises(EmptyCloud):
             chamfer_distance(world(np.empty((0, 3))), world([[0, 0, 0]]))
 
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.tuples(st.integers(1, 80), st.integers(1, 80)))
+    # more than _BLOCK_PAIRS pairs: the b->a minima run across two blocks
+    @example(seed=0, sizes=(300, 300))
+    # len(b) > _BLOCK_PAIRS: every block holds one row of a
+    @example(seed=1, sizes=(4, semantic_map._BLOCK_PAIRS + 7))
     @settings(max_examples=50, deadline=None)
-    def test_matches_brute_force_exactly(self, seed):
+    def test_matches_brute_force_exactly(self, seed, sizes):
         rng = np.random.default_rng(seed)
-        a = rng.uniform(-2, 2, (rng.integers(1, 80), 3))
-        b = rng.uniform(-2, 2, (rng.integers(1, 80), 3))
+        a, b = (rng.uniform(-2, 2, (n, 3)) for n in sizes)
         assert chamfer_distance(world(a), world(b)) == brute_force_chamfer(a, b)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -312,6 +317,82 @@ class TestTrajectoryCorrection:
             ])
             assert np.abs(np.sort(fresh, axis=0)
                           - np.sort(obj.world_points, axis=0)).max() < 1e-9
+
+
+class TestRebuild:
+    @staticmethod
+    def assert_fresh(m):
+        for obj in m.objects.values():
+            world, centroid, (lo, hi) = reference_rebuild(
+                obj, m.keyframes, m.voxel_leaf, m.max_cloud_points)
+            assert obj.world_points.tobytes() == world.tobytes()
+            assert obj.centroid.tobytes() == centroid.tobytes()
+            assert obj.aabb[0].tobytes() == lo.tobytes()
+            assert obj.aabb[1].tobytes() == hi.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_cached_geometry_equals_fresh_rebuild(self, seed):
+        """After every registration, correction and merge, an object's
+        world points, centroid and AABB are bitwise those of transforming
+        every observation afresh, also once the cap makes rebuild
+        voxel-downsample."""
+        rng = np.random.default_rng(seed)
+        m = make_map(max_cloud_points=150, voxel_leaf=0.02)
+        true = {0: RigidPose.identity()}
+        for kf in range(1, 7):
+            true[kf] = random_pose(rng)
+            m.add_keyframe(kf, true[kf])
+        cloud = cube_cloud([0, 0, 1], n=60, seed=int(rng.integers(1e6)))
+        for kf in range(1, 5):
+            m.register_candidate(
+                cube_cloud([0.01 * kf, 0, 1], n=60,
+                           seed=int(rng.integers(1e6))), "cup", kf)
+            self.assert_fresh(m)
+        m.register_candidate(cube_cloud([3, 0, 1], n=40), "cup", 2)
+        self.assert_fresh(m)
+        first = m.objects[0]
+        assert len(first.observations) == 4
+        assert len(first.world_points) < 240  # downsampled past the cap
+        # keyframe 5's estimate drifted 0.5 m: its sighting of the cup
+        # becomes a new object
+        drift = RigidPose(np.eye(3), [0.5, 0, 0])
+        m.add_keyframe(5, drift.compose(true[5]))
+        dup = m.register_candidate(cloud.transformed(drift, "world"), "cup", 5)
+        assert dup not in (0, 1)
+        self.assert_fresh(m)
+        # moves only keyframe 2, which holds observations of two objects
+        m.apply_trajectory_correction(
+            [(2, random_pose(rng, trans_scale=0.01).compose(true[2]))])
+        self.assert_fresh(m)
+        # undoes the drift: the duplicate overlaps the cup and is merged
+        report = m.apply_trajectory_correction([(5, true[5]), (2, true[2])])
+        assert report.pairs == [(0, dup)]
+        self.assert_fresh(m)
+        m.merge_objects(m.objects[0], m.objects.pop(1))
+        self.assert_fresh(m)
+        m.register_candidate(cloud, "cup", 6)
+        self.assert_fresh(m)
+
+    def test_new_sighting_transforms_only_its_own_points(self, monkeypatch):
+        m = make_map()
+        for kf in range(1, 5):
+            m.add_keyframe(kf, RigidPose(np.eye(3), [0.01 * kf, 0, 0]))
+            m.register_candidate(cube_cloud([0, 0, 1], seed=kf), "cup", kf)
+        sizes = []
+        transform = RigidPose.transform
+
+        def spy(pose, points):
+            sizes.append(len(points))
+            return transform(pose, points)
+
+        monkeypatch.setattr(RigidPose, "transform", spy)
+        m.register_candidate(cube_cloud([0, 0, 1], n=25, seed=9), "cup", 0)
+        # into keyframe 0's frame, and back to world
+        assert sizes == [25, 25]
+        sizes.clear()
+        m.apply_trajectory_correction([(3, RigidPose.identity())])
+        assert sizes == [60]
 
 
 def test_export_schema():

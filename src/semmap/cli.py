@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import PipelineConfig, read_json_object, read_json_records
+from .config import PipelineConfig, build, read_json_object, read_json_records
 from .errors import (
     ClockWentBackwards,
     ConfigError,
@@ -107,9 +109,9 @@ def cmd_headpose(args) -> int:
     for (rec, _), pose in zip(faces, poses):
         if isinstance(pose, DegenerateConfiguration):
             print(f"degenerate configuration at frame "
-                  f"{rec.get('frame')}: {pose}", file=sys.stderr)
+                  f"{rec.frame}: {pose}", file=sys.stderr)
             return EXIT_DEGENERATE
-        row = {"frame": rec.get("frame"), "face_id": rec.get("face_id")}
+        row = {"frame": rec.frame, "face_id": rec.face_id}
         if isinstance(pose, Exception):
             # one unsolvable face (NoConvergence, PointBehindCamera) is
             # recorded, not fatal
@@ -123,11 +125,54 @@ def cmd_headpose(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class FaceRecord:
+    """One line of a `semmap headpose` landmarks file; `frame` and
+    `face_id` are only echoed."""
+
+    landmarks: dict
+    frame: object = None
+    face_id: object = None
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One person of a `semmap willingness` timeline record; ids may be any
+    JSON scalar, of one type in a timeline."""
+
+    id: object
+    attending: bool
+
+
+@dataclass(frozen=True)
+class TimelineRecord:
+    """One line of a `semmap willingness` timeline."""
+
+    t: float
+    persons: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
+
+
 def _read_faces(path) -> list:
-    """(record, LandmarkSet2D) per JSONL record; ValueError or KeyError on
+    """(FaceRecord, LandmarkSet2D) per JSONL record; ValueError on
     malformed input."""
-    return [(rec, LandmarkSet2D(rec["landmarks"], face_id=rec.get("face_id")))
-            for rec in read_json_records(path, ValueError, "landmarks")]
+    records = (build(FaceRecord, rec, ValueError, "landmark record")
+               for rec in read_json_records(path, ValueError, "landmarks"))
+    return [(rec, LandmarkSet2D(rec.landmarks, face_id=rec.face_id))
+            for rec in records]
+
+
+def _read_timeline(path):
+    """Yield each TimelineRecord of a JSONL timeline; ValueError on
+    malformed input."""
+    for rec in read_json_records(path, ValueError, "timeline"):
+        yield build(TimelineRecord, rec, ValueError, "timeline record",
+                    persons=lambda persons: [
+                        build(Observation, p, ValueError, "person")
+                        for p in persons])
 
 
 def cmd_willingness(args) -> int:
@@ -143,11 +188,10 @@ def cmd_willingness(args) -> int:
     out_lines = []
     trigger_summary = []
     try:
-        for rec in read_json_records(args.timeline, ValueError, "timeline"):
-            t = float(rec["t"])
-            observations = [(p["id"], bool(p["attending"]))
-                            for p in rec.get("persons", [])]
-            triggers = wmap.step_frame(observations, t)
+        for rec in _read_timeline(args.timeline):
+            t = float(rec.t)
+            triggers = wmap.step_frame(
+                [(p.id, p.attending) for p in rec.persons], t)
             for pid in sorted(wmap.states):
                 state = wmap.states[pid]
                 out_lines.append(_dump_json({

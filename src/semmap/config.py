@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ConfigError
 
@@ -48,27 +49,44 @@ def read_json_records(path, error, what: str):
                 yield _parse_object(line, error, f"{what} line {n}")
 
 
+def _is_number(v) -> bool:
+    # bool is a subclass of int, but JSON true is no number
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+# per field annotation, the JSON values it takes and how to name them
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "JSON integers"),
+    "float": (_is_number, "JSON numbers"),
+    "float | None": (lambda v: v is None or _is_number(v),
+                     "JSON numbers or null"),
+    "bool": (lambda v: type(v) is bool, "JSON booleans"),
+}
+
+
 def build(cls, value, error, what: str, **parse):
     """`cls(**value)` for a dataclass `cls` and a JSON object `value`.
 
-    Each key must name an init field of `cls` ("class" names `class_label`),
-    and a field typed `int` takes only a JSON integer. `parse` maps a key to
-    a function from its JSON value to the field's. Any other TypeError,
-    ValueError or LookupError from a bad value is raised as `error` too.
+    Each key must name an init field of `cls` ("class" names `class_label`).
+    A field annotated `int`, `float`, `float | None` or `bool` takes only a
+    JSON integer, a number (an integer too, but no boolean), a number or
+    null, or a boolean. `parse` maps a key to a function from its JSON value
+    to the field's. Any other TypeError, ValueError or LookupError from a
+    bad value is raised as `error` too.
     """
     names = {key: _RENAMED.get(key, key)
              for key in _json_object(value, error, what)}
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+    types = {f.name: getattr(f.type, "__name__", str(f.type))
+             for f in dataclasses.fields(cls) if f.init}
     unknown = sorted(key for key, name in names.items() if name not in types)
     if unknown:
         raise error(f"unknown {what} keys: {', '.join(unknown)}")
-    # bool is a subclass of int, but JSON true is not an integer
-    not_int = sorted(key for key, name in names.items()
-                     if types[name] in ("int", int)
-                     and type(value[key]) is not int)
-    if not_int:
-        raise error(f"{what} keys must be JSON integers: "
-                    f"{', '.join(not_int)}")
+    for annotation, (takes, noun) in _JSON_TYPES.items():
+        wrong = sorted(key for key, name in names.items()
+                       if types[name] == annotation and key not in parse
+                       and not takes(value[key]))
+        if wrong:
+            raise error(f"{what} keys must be {noun}: {', '.join(wrong)}")
     try:
         return cls(**{name: parse[key](value[key]) if key in parse
                       else value[key] for key, name in names.items()})

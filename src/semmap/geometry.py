@@ -54,16 +54,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
-
     @classmethod
     def from_dict(cls, d: dict, error=ValueError) -> "CameraIntrinsics":
         return build(cls, d, error, "intrinsics")

@@ -8,6 +8,7 @@ Identity rotation corresponds to a head facing the camera.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from numpy.linalg import _umath_linalg
 
 from .config import read_json_object
 from .errors import DegenerateConfiguration, NoConvergence, PointBehindCamera
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, _freeze
 
 
 _EYE3 = np.eye(3)
@@ -84,7 +85,8 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FaceModel3D:
-    """Named 3D landmark positions in the canonical head frame, meters."""
+    """Named 3D landmark positions in the canonical head frame, meters.
+    `points` is read-only: every pipeline shares the default model."""
 
     names: tuple
     points: np.ndarray
@@ -102,7 +104,7 @@ class FaceModel3D:
         if sv[2] < 1e-3 * sv[0]:
             raise DegenerateConfiguration("face model is coplanar-degenerate")
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _freeze(pts))
 
     @classmethod
     def from_json(cls, path) -> "FaceModel3D":
@@ -110,6 +112,7 @@ class FaceModel3D:
         return cls(tuple(d), np.array(list(d.values()), dtype=np.float64))
 
     @classmethod
+    @functools.cache
     def default(cls) -> "FaceModel3D":
         return cls.from_json(resources.files("semmap.data") / "face_model.json")
 
@@ -129,7 +132,8 @@ def _pixel(name, uv) -> tuple:
     except (TypeError, ValueError):
         raise ValueError(
             f"landmark {name!r} is not a (u, v) pair: {uv!r}") from None
-    if not all(isinstance(c, Real) and math.isfinite(c) for c in (u, v)):
+    if not all(isinstance(c, Real) and not isinstance(c, bool)
+               and math.isfinite(c) for c in (u, v)):
         raise ValueError(
             f"landmark {name!r} needs two finite numbers, got {uv!r}")
     return float(u), float(v)

@@ -149,7 +149,7 @@ class Pipeline:
 
         # person tracks whose detection is in this frame
         person_tracks = [t for t in self.tracker.tracks
-                         if t.kind == KIND_PERSON and t.last_frame == i]
+                         if t.kind == KIND_PERSON and t.misses == 0]
         person_rows = []
         observations = []
         pairs = pair_faces(person_tracks, inp.faces)

@@ -12,7 +12,8 @@ sees no ground truth; only the metrics compare against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -35,16 +36,6 @@ MAX_FOOTPRINT_PX = 9  # side of the largest square a depth sample covers
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
-
-_face_model_cache = None
-
-
-def _default_face_model() -> FaceModel3D:
-    global _face_model_cache
-    if _face_model_cache is None:
-        _face_model_cache = FaceModel3D.default()
-    return _face_model_cache
-
 
 def _cross(a, b) -> tuple:
     """np.cross of two 3-vectors, bit for bit, on Python floats: each
@@ -69,6 +60,15 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
     x = x / np.linalg.norm(x)
     y = _cross(z.tolist(), x.tolist())
     return RigidPose(np.column_stack([x, y, z]), position)
+
+
+def _check_vector(name: str, value) -> None:
+    """ScenarioError unless `value` is three finite, non-boolean numbers."""
+    if not (hasattr(value, "__len__") and len(value) == 3 and all(
+            isinstance(c, Real) and not isinstance(c, bool)
+            and math.isfinite(c) for c in value)):
+        raise ScenarioError(
+            f"{name} must be three finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ class PersonSpec:
     away_yaw_deg: float = 60.0
 
     def __post_init__(self):
+        _check_vector("person position", self.position)
         for w in self.attention_windows:
             if len(w) != 2 or not w[0] < w[1]:
                 raise ScenarioError(
@@ -125,6 +126,12 @@ class DriftModel:
     start_frame: int = 0
     translation_per_frame: tuple = (0.0, 0.0, 0.0)
     rotation_deg_per_frame: tuple = (0.0, 0.0, 0.0)  # axis-angle, degrees
+
+    def __post_init__(self):
+        _check_vector("drift translation_per_frame",
+                      self.translation_per_frame)
+        _check_vector("drift rotation_deg_per_frame",
+                      self.rotation_deg_per_frame)
 
 
 @dataclass(frozen=True)
@@ -367,7 +374,6 @@ class FrameData:
     pose_estimate: RigidPose
     provenance: list  # per detection: ("object"|"person"|"fp", index)
     landmarks: dict  # person index -> LandmarkSet2D
-    attending_gt: dict  # person index -> bool
 
 
 def _jittered_bbox(bbox, rng, sigma, width, height):
@@ -486,15 +492,12 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
                 kind=KIND_OBJECT))
             provenance.append(("object", oi))
 
-    face_model = _default_face_model()
+    face_model = FaceModel3D.default()
     jitter = noise.landmark_jitter_px
     rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
                if jitter > 0 else None)
     landmarks = {}
-    attending_gt = {}
     for pi, person in enumerate(scenario.persons):
-        attending = scenario.attending_gt(pi, frame_idx)
-        attending_gt[pi] = attending
         head_cam = to_cam.transform(
             np.asarray(person.position, dtype=np.float64))
         if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
@@ -511,8 +514,8 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             detections.append(Detection2D(bbox, "person", score=1.0,
                                           kind=KIND_PERSON))
             provenance.append(("person", pi))
-        head_rot = np.eye(3) if attending else rotation_from_euler(
-            person.away_yaw_deg, 0.0, 0.0)
+        head_rot = (np.eye(3) if scenario.attending_gt(pi, frame_idx)
+                    else rotation_from_euler(person.away_yaw_deg, 0.0, 0.0))
         try:
             lmks = project_model(face_model, head_rot, head_cam, k)
         except PointBehindCamera:
@@ -554,7 +557,6 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
         pose_estimate=scenario.estimated_pose(frame_idx),
         provenance=provenance,
         landmarks=landmarks,
-        attending_gt=attending_gt,
     )
 
 
@@ -568,20 +570,10 @@ class MetricsReport:
     centroid_rmse_m: float
     willingness_trigger_times: list
     attention_windows: list
-    match_radius_m: float = 0.5
+    match_radius_m: float
 
     def to_dict(self) -> dict:
-        return {
-            "gt_object_count": self.gt_object_count,
-            "registered_count": self.registered_count,
-            "duplicate_count": self.duplicate_count,
-            "precision": self.precision,
-            "recall": self.recall,
-            "centroid_rmse_m": self.centroid_rmse_m,
-            "willingness_trigger_times": self.willingness_trigger_times,
-            "attention_windows": self.attention_windows,
-            "match_radius_m": self.match_radius_m,
-        }
+        return asdict(self)
 
 
 def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
@@ -629,6 +621,7 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
         centroid_rmse_m=rmse,
         willingness_trigger_times=trigger_events,
         attention_windows=windows,
+        match_radius_m=match_radius,
     )
 
 

@@ -1,9 +1,10 @@
 """IoU-based multi-object tracker over 2D detections.
 
 Detections of equal class are associated frame-to-frame by bounding box
-overlap. A track that survives past a length threshold is confirmed exactly
-once; short-lived tracks (typically false positives) never confirm and are
-dropped after a few missed frames.
+overlap. A track is confirmed on the step its length, the number of
+detections it holds, reaches a threshold; length grows by one per match, so
+that happens exactly once. Short-lived tracks (typically false positives)
+never confirm and are dropped after a few missed frames.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ class Track:
     kind: str
     last_bbox: tuple
     length: int = 1
-    misses: int = 0
-    confirmed: bool = False
-    last_frame: int | None = None
+    misses: int = 0  # 0 exactly when matched or started at the last step
     last_detection_index: int | None = None
 
 
@@ -126,11 +125,9 @@ class IoUTracker:
                 track.last_bbox = det.bbox
                 track.length += 1
                 track.misses = 0
-                track.last_frame = frame_id
                 track.last_detection_index = di
                 survivors.append(track)
-                if not track.confirmed and track.length >= self.min_track_length:
-                    track.confirmed = True
+                if track.length == self.min_track_length:
                     confirmations.append((track.track_id, det))
             else:
                 track.misses += 1
@@ -147,13 +144,11 @@ class IoUTracker:
                 class_label=det.class_label,
                 kind=det.kind,
                 last_bbox=det.bbox,
-                last_frame=frame_id,
                 last_detection_index=di,
             )
             self._next_id += 1
             self.tracks.append(track)
-            if track.length >= self.min_track_length:
-                track.confirmed = True
+            if track.length == self.min_track_length:
                 confirmations.append((track.track_id, det))
         return confirmations
 

@@ -23,7 +23,6 @@ class WillingnessState:
     rate_up: float = DEFAULT_RATE_UP
     rate_down: float = DEFAULT_RATE_DOWN
     triggered: bool = False
-    last_update: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -44,12 +43,12 @@ def update(state: WillingnessState, attending: bool, dt: float,
         triggered = True
     elif value < reset_threshold:
         triggered = False
-    return replace(state, value=value, triggered=triggered,
-                   last_update=state.last_update + dt)
+    return replace(state, value=value, triggered=triggered)
 
 
 class PersonWillingnessMap:
-    """Per-person willingness states keyed by person track id."""
+    """Per-person willingness states keyed by person track id, on one
+    clock: the time of the map's last step."""
 
     def __init__(self, rate_up: float = DEFAULT_RATE_UP,
                  rate_down: float = DEFAULT_RATE_DOWN,
@@ -58,31 +57,32 @@ class PersonWillingnessMap:
         self.rate_down = rate_down
         self.reset_threshold = reset_threshold
         self.states: dict[int, WillingnessState] = {}
+        self.t: float | None = None  # time of the last step
 
     def step_frame(self, observations, t_now: float) -> list[int]:
-        """Update every known person; returns ids that triggered this step.
+        """Advance every known person by the time since the last step;
+        returns ids that triggered this step.
 
         `observations` lists (person_track_id, attending). Known persons not
         listed are treated as not attending. Unknown listed persons are
-        created at value 0.
+        created at value 0, after the step.
         """
+        if self.t is not None and t_now < self.t:
+            raise ClockWentBackwards(f"t={t_now} before last step {self.t}")
         attending_by_id = dict(observations)
-        for pid in attending_by_id:
-            if pid not in self.states:
-                self.states[pid] = WillingnessState(
-                    rate_up=self.rate_up, rate_down=self.rate_down,
-                    last_update=t_now)
+        dt = 0.0 if self.t is None else t_now - self.t
+        self.t = t_now
         triggers = []
         for pid, state in self.states.items():
-            if t_now < state.last_update:
-                raise ClockWentBackwards(
-                    f"t={t_now} before last update {state.last_update}")
-            dt = t_now - state.last_update
             new = update(state, attending_by_id.get(pid, False), dt,
                          self.reset_threshold)
             if new.triggered and not state.triggered:
                 triggers.append(pid)
             self.states[pid] = new
+        for pid in attending_by_id:
+            if pid not in self.states:
+                self.states[pid] = WillingnessState(
+                    rate_up=self.rate_up, rate_down=self.rate_down)
         return triggers
 
     def prune(self, live_ids):

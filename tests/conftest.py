@@ -20,6 +20,7 @@ from semmap.geometry import (
     voxel_downsample,
 )
 from semmap.headpose import (
+    FaceModel3D,
     HeadPose,
     LandmarkSet2D,
     euler_from_rotation,
@@ -33,7 +34,6 @@ from semmap.simulator import (
     MIN_VISIBLE_SAMPLES,
     NEAR_PLANE,
     FrameData,
-    _default_face_model,
     _jittered_bbox,
 )
 from semmap.tracker import KIND_OBJECT, KIND_PERSON, Detection2D
@@ -418,12 +418,10 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
                                               score=1.0, kind=KIND_OBJECT))
                 provenance.append(("object", oi))
 
-    face_model = _default_face_model()
+    face_model = FaceModel3D.default()
     landmarks = {}
-    attending_gt = {}
     for pi, person in enumerate(scenario.persons):
         attending = scenario.attending_gt(pi, frame_idx)
-        attending_gt[pi] = attending
         head_cam = _project_points_cam(
             np.asarray(person.position, dtype=np.float64), true_pose)
         if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
@@ -493,5 +491,4 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
         pose_estimate=scenario.estimated_pose(frame_idx),
         provenance=provenance,
         landmarks=landmarks,
-        attending_gt=attending_gt,
     )

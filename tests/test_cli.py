@@ -10,7 +10,11 @@ from semmap.geometry import RigidPose
 from semmap.headpose import FaceModel3D, project_model, rotation_from_euler
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
-WORKLOAD_DIR = Path(__file__).resolve().parent / "data"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+# one face of interaction at 1 px landmark jitter
+FACE = json.loads(
+    (DATA_DIR / "interaction_landmarks.jsonl").read_text().splitlines()[0])
 
 INTRINSICS = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
               "width": 640, "height": 480}
@@ -116,10 +120,20 @@ class TestRun:
         lambda d: d.update(trajectory={"kind": "orbit", "radius": -2.0,
                                        "center": [0.0, 2.0, 1.5],
                                        "frames": 80}),
+        lambda d: d.update(fps=True),
+        lambda d: d.update(noise={"dropout_prob": True}),
+        lambda d: d["persons"][0].update(away_yaw_deg="60"),
+        lambda d: d["persons"][0].update(position=[0.0, 2.0]),
+        lambda d: d["persons"][0].update(position=[0.0, 2.0, 1.5, 1.0]),
+        lambda d: d.update(drift={"translation_per_frame": [0.01, 0.0]}),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
-            "segment_zero_frames", "orbit_negative_radius"])
+            "segment_zero_frames", "orbit_negative_radius",
+            # these loaded: true as 1 fps or a dropout of 1, then a run
+            # with no objects; the rest died mid-run (exit 1)
+            "fps_true", "dropout_true", "away_yaw_string",
+            "position_of_two", "position_of_four", "drift_of_two"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)
@@ -312,11 +326,37 @@ class TestWorkloadDigests:
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_outputs_match_reference(self, tmp_path, name):
         out = tmp_path / "out"
-        assert main(["run", "--scenario", str(WORKLOAD_DIR / f"{name}.json"),
+        assert main(["run", "--scenario", str(DATA_DIR / f"{name}.json"),
                      "--out", str(out)]) == 0
         digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                    for f in self.EXPECTED[name]}
         assert digests == self.EXPECTED[name]
+
+
+class TestCliDigests:
+    """sha256 of `semmap headpose` and `semmap willingness` stdout on the
+    inputs in tests/data/: interaction's faces at 1 px landmark jitter (at
+    interaction's intrinsics), and a 10 Hz timeline of three persons with
+    gaps, a person who leaves and returns, and a retrigger after a reset.
+    Taken as in TestShippedDigests.
+    """
+
+    def test_headpose(self, tmp_path, capsys):
+        scenario = json.loads((SCENARIO_DIR / "interaction.json").read_text())
+        kpath = tmp_path / "intrinsics.json"
+        kpath.write_text(json.dumps(scenario["intrinsics"]))
+        assert main(["headpose", "--intrinsics", str(kpath), "--landmarks",
+                     str(DATA_DIR / "interaction_landmarks.jsonl")]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == ("6810ace4f30c42901c72f4d99c71437d"
+                "53a305937f112335e4f4b044aedc102b")
+
+    def test_willingness(self, capsys):
+        assert main(["willingness", "--timeline",
+                     str(DATA_DIR / "willingness_timeline.jsonl")]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == ("cfd8fad954848b578b4eae5efcafeb4a"
+                "f67a13901a80f1ae66c9df0c72d11549")
 
 
 class TestHeadpose:
@@ -450,7 +490,7 @@ class TestHeadpose:
                 for n, (u, v) in lmks.items()}
 
     @pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], "ab", None, [1.0],
-                                     ["1", "2"]])
+                                     ["1", "2"], [True, 250.0]])
     def test_malformed_landmark_exit_2(self, tmp_path, capsys, bad):
         rec = self.face_record(0, self.frontal())
         rec["landmarks"]["chin"] = bad
@@ -464,8 +504,10 @@ class TestHeadpose:
         assert captured.out == ""
 
     @pytest.mark.parametrize("record", [[1, 2], "face",
-                                        {"frame": 0, "landmarks": [[1, 2]]}])
+                                        {"frame": 0, "landmarks": [[1, 2]]},
+                                        dict(FACE, camera=0)])
     def test_malformed_record_exit_2(self, tmp_path, capsys, record):
+        # an unknown key, like the camera, was ignored
         kpath, lpath = self.write_inputs(tmp_path, [record])
         code = main(["headpose", "--landmarks", str(lpath),
                      "--intrinsics", str(kpath)])
@@ -564,10 +606,20 @@ class TestWillingness:
         {"t": 0.2, "persons": [5]},
         {"t": 0.2, "persons": [{"id": [1], "attending": True}]},
         {"t": 0.2, "persons": [{"id": "a", "attending": True}]},
+        {"t": 0.2, "persons": [{"id": 1, "attending": "false"}]},
+        {"t": "4", "persons": []},
+        {"t": True, "persons": []},
+        {"t": float("nan"), "persons": []},
+        {"t": 0.2, "person": [{"id": 1, "attending": True}]},
+        {"t": 0.2, "persons": [{"id": 1, "attending": True, "yaw": 3.0}]},
     ], ids=["record_not_object", "t_not_number", "person_not_object",
-            "unhashable_id", "ids_of_two_types"])
+            "unhashable_id", "ids_of_two_types", "attending_string",
+            "t_string", "t_bool", "t_nan", "persons_misspelled",
+            "unknown_person_key"])
     def test_malformed_timeline_exit_2(self, tmp_path, capsys, line):
-        # each raised a TypeError traceback (exit 1)
+        # the first five raised a TypeError traceback (exit 1); the rest
+        # were read loosely: "false" attended, "4" was 4 s, a misspelled
+        # or unknown key was ignored
         path = self.write_timeline(tmp_path, [
             {"t": 0.1, "persons": [{"id": 1, "attending": True}]}, line])
         code = main(["willingness", "--timeline", str(path)])
@@ -575,6 +627,19 @@ class TestWillingness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "timeline input error" in captured.err
+
+    def test_repeated_time_after_gap_ok(self, tmp_path, capsys):
+        # each state once kept its own clock as last + dt, which drifted to
+        # 0.9000000000000001 over the gap and took the second 0.9 for a
+        # clock going backwards (exit 5)
+        path = self.write_timeline(tmp_path, [
+            {"t": t, "persons": [{"id": 1, "attending": True}]}
+            for t in (0.3, 0.9, 0.9)])
+        code = main(["willingness", "--timeline", str(path)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["value"] for line in lines[:-1]] \
+            == pytest.approx([0.0, 0.2, 0.2])
 
     def test_clock_backwards_exit_5(self, tmp_path, capsys):
         rows = [

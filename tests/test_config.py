@@ -47,17 +47,27 @@ class TestBuild:
                                               "integers: count"):
             build(Box, {"class": "cup", "count": count}, ConfigError, "box")
 
+    @pytest.mark.parametrize("size", [True, "2", None, [2.0]])
+    def test_float_field_takes_only_json_numbers(self, size):
+        with pytest.raises(ConfigError,
+                           match="box keys must be JSON numbers: size"):
+            build(Box, {"class": "cup", "count": 2, "size": size},
+                  ConfigError, "box")
+
     def test_float_field_takes_an_integer(self):
         assert build(Box, {"class": "cup", "count": 2, "size": 3},
                      ConfigError, "box").size == 3
 
     @pytest.mark.parametrize("value, match", [
-        ({"class": "cup"}, "missing 1 required"),
-        ({"class": "cup", "count": 2, "size": -1.0}, "size must be > 0"),
-        ({"class": "cup", "count": 2, "size": "big"}, "not supported"),
+        ({"class": "cup"}, "bad box: .*missing 1 required"),
+        ({"class": "cup", "count": 2, "size": -1.0},
+         "bad box: .*size must be > 0"),
+        # a string no longer reaches the dataclass's own check
+        ({"class": "cup", "count": 2, "size": "big"},
+         "box keys must be JSON numbers: size"),
     ], ids=["missing_field", "rejected_value", "wrong_type"])
     def test_bad_value_raises_the_callers_error(self, value, match):
-        with pytest.raises(ConfigError, match=f"bad box: .*{match}"):
+        with pytest.raises(ConfigError, match=match):
             build(Box, value, ConfigError, "box")
 
     @pytest.mark.parametrize("value", [[1, 2], "box", 3, None])
@@ -116,6 +126,14 @@ class TestPipelineConfig:
         ("track_ttl", 3.0), ("max_cloud_points", "50000")])
     def test_integer_field_takes_only_json_integers(self, key, value):
         with pytest.raises(ConfigError, match=f"JSON integers: {key}"):
+            PipelineConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("assoc_dist_m", True), ("attention_cone_deg", "15"),
+        ("willingness_rate_up", None)])
+    def test_number_field_takes_only_json_numbers(self, key, value):
+        # true loaded as 1 (an association distance of 1 m)
+        with pytest.raises(ConfigError, match=f"JSON numbers: {key}"):
             PipelineConfig.from_dict({key: value})
 
     def test_out_of_range_value_named(self):

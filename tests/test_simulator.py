@@ -206,7 +206,6 @@ class TestSynthesizeFrame:
         assert got.provenance == want.provenance
         assert {p: lm.landmarks for p, lm in got.landmarks.items()} \
             == {p: lm.landmarks for p, lm in want.landmarks.items()}
-        assert got.attending_gt == want.attending_gt
 
     def test_landmark_projection_fault_propagates(self, monkeypatch):
         # only a face behind the camera is dropped; any other fault in
@@ -297,7 +296,7 @@ class TestSynthesizeFrame:
                                 "attention_windows": [[0.0, 10.0]]}])
         data = synthesize_frame_data(sc, 0)
         assert 0 in data.landmarks
-        assert data.attending_gt[0] is True
+        assert sc.attending_gt(0, 0) is True
         kinds = sorted(d.kind for d in data.detections)
         assert kinds == ["object", "person"]
 
@@ -421,9 +420,11 @@ class TestSchema:
                         "radius": 2.0, "frames": 12}},
         {"trajectory": {"kind": "poses", "poses": [5]}},
         {"correction_events": [{"frame": 3, "poses": {"a": {}}}]},
+        {"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                        "radius": 2.0, "frames": 12, "height": True}},
     ], ids=["objects_not_list", "person_not_object", "noise_not_object",
             "trajectory_not_object", "orbit_incomplete", "orbit_center_2d",
-            "pose_not_object", "keyframe_id_not_integer"])
+            "pose_not_object", "keyframe_id_not_integer", "orbit_height_true"])
     def test_malformed_value_is_a_scenario_error(self, overrides):
         with pytest.raises(ScenarioError):
             scenario(**overrides)
@@ -452,6 +453,11 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="start_frame"):
             scenario(drift={"start_frame": start,
                             "translation_per_frame": [0.1, 0, 0]})
+
+    def test_orbit_height_may_be_null(self):
+        sc = scenario(trajectory={"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                                  "radius": 2.0, "frames": 12, "height": None})
+        assert sc.trajectory[0].translation[2] == 1.0
 
     def test_drift_start_at_last_frame_accepted(self):
         sc = scenario(drift={"start_frame": 11,
@@ -493,6 +499,18 @@ class TestSchema:
         ({"noise": {"depth_noise_m": -0.01}}, "depth_noise_m"),
         ({"noise": {"depth_noise_m": float("inf")}}, "depth_noise_m"),
         ({"noise": {"landmark_jitter_px": -1.0}}, "landmark_jitter_px"),
+        # a vector of another length, a boolean or a non-finite component
+        # loaded, and the run died on it mid-run
+        ({"persons": [{"position": [0.0, 0.0]}]}, "person position"),
+        ({"persons": [{"position": [0.0, 0.0, 1.5, 1.0]}]}, "person position"),
+        ({"persons": [{"position": [0.0, True, 1.5]}]}, "person position"),
+        ({"persons": [{"position": 1.5}]}, "person position"),
+        ({"drift": {"translation_per_frame": [0.1, 0.0]}},
+         "translation_per_frame"),
+        ({"drift": {"rotation_deg_per_frame": [0.0, 0.0, float("nan")]}},
+         "rotation_deg_per_frame"),
+        ({"drift": {"rotation_deg_per_frame": "abc"}},
+         "rotation_deg_per_frame"),
     ])
     def test_out_of_range_field_rejected(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):
@@ -598,6 +616,14 @@ class TestMetrics:
         assert report.duplicate_count == 0
         assert report.precision == 0.0
         assert report.recall == 0.0
+
+    def test_report_names_the_radius_it_matched_at(self):
+        # the report said 0.5 whatever radius the recall was measured at
+        sc = scenario()
+        reg = fake_registry([("cup", [0.1, 0, 1.0])])
+        report = compute_map_metrics(sc, reg, [], match_radius=0.05)
+        assert report.recall == 0.0
+        assert report.to_dict()["match_radius_m"] == 0.05
 
     def test_agrees_with_brute_force_oracle(self):
         rng = np.random.default_rng(9)

@@ -154,8 +154,36 @@ class TestStep:
             expected = reference_matches(tracker, dets)
             tracker.step(dets, i)
             got = {t.track_id: t.last_detection_index for t in tracker.tracks
-                   if t.last_frame == i and t.length > 1}
+                   if t.misses == 0 and t.length > 1}
             assert got == expected
+
+    @given(seed=st.integers(0, 2**32 - 1), min_length=st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_confirmations_follow_the_stored_flag_rule(self, seed,
+                                                       min_length):
+        """Confirmations are those of a per-track flag set the first step a
+        matched or new track's length reaches the threshold."""
+        rng = np.random.default_rng(seed)
+        tracker = IoUTracker(iou_threshold=0.3, min_track_length=min_length,
+                             ttl=1)
+        flagged = set()
+        for i in range(30):
+            dets = []
+            for _ in range(rng.integers(0, 6)):
+                x0, y0 = rng.integers(0, 6, 2) * 10.0
+                w, h = rng.integers(2, 5, 2) * 10.0
+                dets.append(det((x0, y0, x0 + w, y0 + h),
+                                label=str(rng.choice(["a", "b"]))))
+            got = tracker.step(dets, i)
+            expected = []
+            for track in tracker.tracks:
+                if (track.last_detection_index is not None
+                        and track.track_id not in flagged
+                        and track.length >= min_length):
+                    flagged.add(track.track_id)
+                    expected.append(
+                        (track.track_id, dets[track.last_detection_index]))
+            assert sorted(got, key=lambda c: c[0]) == expected
 
 
 def reference_matches(tracker, dets):

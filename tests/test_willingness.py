@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import ClockWentBackwards, NegativeDt
@@ -146,6 +146,37 @@ class TestPersonMap:
         m.step_frame([(1, True), (2, True)], 0.0)
         m.prune([2])
         assert set(m.states) == {2}
+
+    @given(times=st.lists(
+               st.one_of(st.integers(0, 200).map(lambda n: n / 10),
+                         st.floats(0, 20)), min_size=1, max_size=40)
+           .map(sorted),
+           seen=st.lists(st.dictionaries(st.sampled_from([1, 2]),
+                                         st.booleans()), min_size=40,
+                         max_size=40))
+    @example(times=[0.3, 0.9, 0.9], seen=[{1: True}] * 40)
+    @settings(max_examples=200, deadline=None)
+    def test_values_follow_the_recurrence(self, times, seen):
+        """Over a non-decreasing timeline, with repeated times and gaps,
+        each person's value is the clamp recurrence with dt = t_k - t_k-1
+        from the step after the person's first."""
+        m = PersonWillingnessMap()
+        values = {}
+        for k, (t, observed) in enumerate(zip(times, seen)):
+            dt = t - times[k - 1] if k else 0.0
+            for pid in values:
+                rate = 1.0 / 3.0 if observed.get(pid) else -1.0 / 9.0
+                values[pid] = min(1.0, max(0.0, values[pid] + rate * dt))
+            for pid in observed:
+                values.setdefault(pid, 0.0)
+            m.step_frame(list(observed.items()), t)
+            assert {pid: s.value for pid, s in m.states.items()} == values
+
+    def test_clock_backwards_rejected_before_any_person(self):
+        m = PersonWillingnessMap()
+        m.step_frame([], 1.0)
+        with pytest.raises(ClockWentBackwards):
+            m.step_frame([], 0.5)
 
     def test_custom_rates(self):
         m = PersonWillingnessMap(rate_up=1.0, rate_down=0.5)

@@ -23,7 +23,7 @@ from .errors import (
     DegenerateConfiguration,
     ScenarioError,
 )
-from .geometry import WORLD, CameraIntrinsics, PointCloud, write_ply
+from .geometry import CameraIntrinsics, write_ply
 from .headpose import FaceModel3D, LandmarkSet2D, lm_solve_poses
 from .simulator import Scenario, run_scenario_detailed
 from .willingness import PersonWillingnessMap
@@ -79,8 +79,7 @@ def cmd_run(args) -> int:
     if args.export_ply:
         for obj_id in sorted(registry.objects):
             obj = registry.objects[obj_id]
-            write_ply(PointCloud(obj.world_points, WORLD),
-                      out / f"object_{obj_id:04d}.ply")
+            write_ply(obj.world_cloud, out / f"object_{obj_id:04d}.ply")
     log.info("wrote outputs to %s (%d objects)", out,
              len(map_export["objects"]))
     return EXIT_OK

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -54,6 +55,20 @@ def _is_number(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+def finite_numbers(value, n: int) -> bool:
+    """Whether `value` is an array of `n` finite numbers; an integer too
+    large for a float is not finite."""
+    return isinstance(value, (list, tuple)) and len(value) == n and all(
+        _is_number(v) and -sys.float_info.max <= v <= sys.float_info.max
+        for v in value)
+
+
+# Annotations of the array fields `build` checks: three finite numbers,
+# and three rows of them. A dataclass may convert the value it is given
+# (RigidPose keeps arrays).
+Vector3 = tuple
+Matrix3 = tuple
+
 # per field annotation, the JSON values it takes and how to name them
 _JSON_TYPES = {
     "int": (lambda v: type(v) is int, "JSON integers"),
@@ -61,6 +76,12 @@ _JSON_TYPES = {
     "float | None": (lambda v: v is None or _is_number(v),
                      "JSON numbers or null"),
     "bool": (lambda v: type(v) is bool, "JSON booleans"),
+    "str": (lambda v: isinstance(v, str), "JSON strings"),
+    "Vector3": (lambda v: finite_numbers(v, 3),
+                "arrays of three finite numbers"),
+    "Matrix3": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                and all(finite_numbers(row, 3) for row in v),
+                "three rows of three finite numbers"),
 }
 
 
@@ -68,11 +89,13 @@ def build(cls, value, error, what: str, **parse):
     """`cls(**value)` for a dataclass `cls` and a JSON object `value`.
 
     Each key must name an init field of `cls` ("class" names `class_label`).
-    A field annotated `int`, `float`, `float | None` or `bool` takes only a
-    JSON integer, a number (an integer too, but no boolean), a number or
-    null, or a boolean. `parse` maps a key to a function from its JSON value
-    to the field's. Any other TypeError, ValueError or LookupError from a
-    bad value is raised as `error` too.
+    A field annotated `int`, `float`, `float | None`, `bool` or `str` takes
+    only a JSON integer, a number (an integer too, but no boolean), a
+    number or null, a boolean or a string; one annotated `Vector3` or
+    `Matrix3` takes only an array of three finite numbers, or three such
+    arrays. `parse` maps a key to a function from its JSON value to the
+    field's. Any other TypeError, ValueError or LookupError from a bad
+    value is raised as `error` too.
     """
     names = {key: _RENAMED.get(key, key)
              for key in _json_object(value, error, what)}

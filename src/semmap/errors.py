@@ -21,10 +21,6 @@ class EmptyCloud(SemMapError):
     pass
 
 
-class FrameMismatch(SemMapError):
-    """Point clouds from different coordinate frames were mixed."""
-
-
 class NonMonotonicFrame(SemMapError):
     pass
 

@@ -13,21 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import build
+from .config import Matrix3, Vector3, build
 from .errors import (
     EmptyCloud,
-    FrameMismatch,
     InvalidDepth,
     NonPositiveDepth,
     PixelOutOfBounds,
 )
 
 ORTHONORMAL_TOL = 1e-9
-
-WORLD = "world"
-KEYFRAME = "keyframe"
-CAMERA = "camera"
-_FRAMES = (WORLD, KEYFRAME, CAMERA)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,8 +57,8 @@ class CameraIntrinsics:
 class RigidPose:
     """Camera-to-world rigid transform."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    rotation: Matrix3
+    translation: Vector3
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
@@ -112,26 +106,18 @@ class RigidPose:
 
 @dataclass(frozen=True)
 class PointCloud:
+    """World-frame points, (N, 3)."""
+
     points: np.ndarray
-    frame: str = WORLD
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
-        if self.frame not in _FRAMES:
-            raise ValueError(f"unknown frame tag {self.frame!r}")
         object.__setattr__(self, "points", _freeze(pts))
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def transformed(self, pose: RigidPose, frame: str) -> "PointCloud":
-        return PointCloud(pose.transform(self.points), frame)
-
-    def require_frame(self, frame: str):
-        if self.frame != frame:
-            raise FrameMismatch(f"expected {frame!r} cloud, got {self.frame!r}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +219,7 @@ def extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     rows, cols = np.nonzero(valid)
     pts = backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
                       d[keep], pose, k)
-    return PointCloud(pts, WORLD)
+    return PointCloud(pts)
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
@@ -248,7 +234,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
                                    return_counts=True)
     sums = np.zeros((counts.size, 3))
     np.add.at(sums, inverse, pts)
-    return PointCloud(sums / counts[:, None], cloud.frame)
+    return PointCloud(sums / counts[:, None])
 
 
 def write_ply(cloud: PointCloud, path):
@@ -263,7 +249,7 @@ def write_ply(cloud: PointCloud, path):
             f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
 
 
-def read_ply(path, frame: str = WORLD) -> PointCloud:
+def read_ply(path) -> PointCloud:
     with open(path) as f:
         line = f.readline().strip()
         if line != "ply":
@@ -283,4 +269,4 @@ def read_ply(path, frame: str = WORLD) -> PointCloud:
         pts = [
             [float(tok) for tok in f.readline().split()[:3]] for _ in range(n)
         ]
-    return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3), frame)
+    return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))

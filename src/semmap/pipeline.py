@@ -91,34 +91,31 @@ class Pipeline:
         """Head pose of each (person track, face) pair as a per-track
         estimate; per pair a HeadPose or the solver exception.
 
-        Every face whose track has a last accepted pose descends from it,
-        all in one batch. The faces that then need a cold solve (one
-        descent from the closed-form start) solve in a second batch: those
-        whose track has no pose, whose warm descent raised, or whose warm
-        rms exceeds both WARM_RESTART_RMS_PX and twice the last pose's rms.
-        A solve that raises leaves the track without a pose.
+        All faces descend in one batch, each from its track's last accepted
+        pose, or from the closed-form start if the track has none. A warm
+        fit that raised, or whose rms exceeds both WARM_RESTART_RMS_PX and
+        twice the last pose's rms, is solved again from the closed-form
+        start in a second batch. A solve that raises leaves the track
+        without a pose.
         """
         if not pairs:
             return []
+        faces = [face for _, face in pairs]
         last = [self.head_poses.pop(track.track_id, None)
                 for track, _ in pairs]
-        poses = [None] * len(pairs)
-        warm = [j for j, pose in enumerate(last) if pose is not None]
-        if warm:
-            fits = lm_solve_poses(
-                [pairs[j][1] for j in warm], self.face_model, self.intrinsics,
-                inits=[np.concatenate((last[j].axis_angle, last[j].translation))
-                       for j in warm], **self.lm_options)
-            for j, pose in zip(warm, fits):
-                if isinstance(pose, HeadPose) and pose.rms_residual <= max(
-                        WARM_RESTART_RMS_PX, 2.0 * last[j].rms_residual):
-                    poses[j] = pose
-        cold = [j for j, pose in enumerate(poses) if pose is None]
-        if cold:
-            fits = lm_solve_poses([pairs[j][1] for j in cold],
-                                  self.face_model, self.intrinsics,
-                                  **self.lm_options)
-            for j, pose in zip(cold, fits):
+        poses = lm_solve_poses(
+            faces, self.face_model, self.intrinsics,
+            inits=[None if pose is None
+                   else np.concatenate((pose.axis_angle, pose.translation))
+                   for pose in last], **self.lm_options)
+        retry = [j for j, (pose, prev) in enumerate(zip(poses, last))
+                 if prev is not None and not (
+                     isinstance(pose, HeadPose) and pose.rms_residual <= max(
+                         WARM_RESTART_RMS_PX, 2.0 * prev.rms_residual))]
+        if retry:
+            fits = lm_solve_poses([faces[j] for j in retry], self.face_model,
+                                  self.intrinsics, **self.lm_options)
+            for j, pose in zip(retry, fits):
                 poses[j] = pose
         for (track, _), pose in zip(pairs, poses):
             if isinstance(pose, HeadPose):

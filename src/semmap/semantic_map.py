@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatch, EmptyCloud, UnknownKeyframe
-from .geometry import WORLD, PointCloud, RigidPose, voxel_downsample
+from .geometry import PointCloud, RigidPose, voxel_downsample
 
 
 # Pairs per block of the nearest-neighbour scan: the block's two arrays of
@@ -60,8 +60,6 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean nearest-neighbor distance between two clouds, meters."""
     if len(a) == 0 or len(b) == 0:
         raise EmptyCloud("chamfer distance needs non-empty clouds")
-    if a.frame != b.frame:
-        raise ValueError(f"frame mismatch: {a.frame!r} vs {b.frame!r}")
     a_to_b, b_to_a = _nearest_sq_distances_both(a.points, b.points)
     # sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt)
     return 0.5 * (float(np.mean(np.sqrt(a_to_b)))
@@ -89,7 +87,7 @@ class SemanticObject:
 
     @property
     def world_cloud(self) -> PointCloud:
-        return PointCloud(self.world_points, WORLD)
+        return PointCloud(self.world_points)
 
     def rebuild(self, keyframes: dict, leaf: float, max_points: int):
         """Recompute the cached world cloud from keyframe-local observations.
@@ -110,7 +108,7 @@ class SemanticObject:
         self._world_parts = parts
         world = np.concatenate([part[2] for part in parts], axis=0)
         if len(world) > max_points:
-            world = voxel_downsample(PointCloud(world, WORLD), leaf).points
+            world = voxel_downsample(PointCloud(world), leaf).points
         self.world_points = world
         self.centroid = world.mean(axis=0)
         self.aabb = (world.min(axis=0), world.max(axis=0))
@@ -158,7 +156,6 @@ class SemanticMap:
         object is, and its chamfer scan is skipped. The margin keeps
         rounding from flipping a decision.
         """
-        candidate.require_frame(WORLD)
         if len(candidate) == 0:
             raise EmptyCloud("empty candidate cloud")
         lo, hi = candidate.points.min(axis=0), candidate.points.max(axis=0)
@@ -189,20 +186,16 @@ class SemanticMap:
             raise UnknownKeyframe(f"keyframe {keyframe_id} not registered")
         if len(candidate) == 0:
             raise EmptyCloud("empty candidate cloud")
-        candidate.require_frame(WORLD)
         local = self.keyframes[keyframe_id].inverse().transform(candidate.points)
         match = self.associate(candidate, class_label)
-        if match is not None:
-            obj = self.objects[match]
-            obj.observations.append((keyframe_id, local))
-            obj.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
-            return match
-        obj = SemanticObject(self._next_object_id, class_label)
-        self._next_object_id += 1
+        if match is None:
+            match = self._next_object_id
+            self._next_object_id += 1
+            self.objects[match] = SemanticObject(match, class_label)
+        obj = self.objects[match]
         obj.observations.append((keyframe_id, local))
         obj.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
-        self.objects[obj.object_id] = obj
-        return obj.object_id
+        return match
 
     def merge_objects(self, survivor: SemanticObject,
                       absorbed: SemanticObject) -> SemanticObject:

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .config import PipelineConfig, build, read_json_object
+from .config import (
+    PipelineConfig,
+    Vector3,
+    build,
+    finite_numbers,
+    read_json_object,
+)
 from .errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from .geometry import CameraIntrinsics, DepthImage, RigidPose
 from .headpose import (
@@ -62,20 +67,11 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
     return RigidPose(np.column_stack([x, y, z]), position)
 
 
-def _check_vector(name: str, value) -> None:
-    """ScenarioError unless `value` is three finite, non-boolean numbers."""
-    if not (hasattr(value, "__len__") and len(value) == 3 and all(
-            isinstance(c, Real) and not isinstance(c, bool)
-            and math.isfinite(c) for c in value)):
-        raise ScenarioError(
-            f"{name} must be three finite numbers, got {value!r}")
-
-
 @dataclass(frozen=True)
 class WorldObject:
     class_label: str
-    centroid: tuple
-    extents: tuple
+    centroid: Vector3
+    extents: Vector3
     sample_count: int = 400
 
     def __post_init__(self):
@@ -91,16 +87,16 @@ class WorldObject:
 
 @dataclass(frozen=True)
 class PersonSpec:
-    position: tuple  # head center, world frame
+    position: Vector3  # head center, world frame
     attention_windows: tuple = ()  # ((t_start, t_end), ...) seconds
     away_yaw_deg: float = 60.0
 
     def __post_init__(self):
-        _check_vector("person position", self.position)
         for w in self.attention_windows:
-            if len(w) != 2 or not w[0] < w[1]:
+            if not (finite_numbers(w, 2) and w[0] < w[1]):
                 raise ScenarioError(
-                    f"attention window {list(w)} is not [t0, t1] with t0 < t1")
+                    f"attention window {w!r} is not [t0, t1] of finite "
+                    f"numbers with t0 < t1")
 
 
 @dataclass(frozen=True)
@@ -124,14 +120,8 @@ class NoiseModel:
 @dataclass(frozen=True)
 class DriftModel:
     start_frame: int = 0
-    translation_per_frame: tuple = (0.0, 0.0, 0.0)
-    rotation_deg_per_frame: tuple = (0.0, 0.0, 0.0)  # axis-angle, degrees
-
-    def __post_init__(self):
-        _check_vector("drift translation_per_frame",
-                      self.translation_per_frame)
-        _check_vector("drift rotation_deg_per_frame",
-                      self.rotation_deg_per_frame)
+    translation_per_frame: Vector3 = (0.0, 0.0, 0.0)
+    rotation_deg_per_frame: Vector3 = (0.0, 0.0, 0.0)  # axis-angle, degrees
 
 
 @dataclass(frozen=True)
@@ -171,7 +161,7 @@ def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
 @dataclass(frozen=True)
 class Orbit:
     """`frames` camera poses on a circle about `center`, each looking at it."""
-    center: tuple
+    center: Vector3
     radius: float
     frames: int
     height: float | None = None  # None: the height of `center`
@@ -202,8 +192,8 @@ class Orbit:
 @dataclass(frozen=True)
 class Sight:
     """A camera at `position` looking at `look_at`."""
-    position: tuple
-    look_at: tuple
+    position: Vector3
+    look_at: Vector3
 
     def pose(self) -> RigidPose:
         return look_at(self.position, self.look_at)

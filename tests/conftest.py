@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from semmap.errors import (
     PointBehindCamera,
 )
 from semmap.geometry import (
-    WORLD,
     CameraIntrinsics,
     DepthImage,
     PointCloud,
@@ -86,7 +83,7 @@ def reference_rebuild(obj, keyframes, leaf, max_points):
         keyframes[kf_id].transform(pts) for kf_id, pts in obj.observations
     ], axis=0)
     if len(world) > max_points:
-        world = voxel_downsample(PointCloud(world, WORLD), leaf).points
+        world = voxel_downsample(PointCloud(world), leaf).points
     return world, world.mean(axis=0), (world.min(axis=0), world.max(axis=0))
 
 
@@ -128,7 +125,7 @@ def reference_extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     if not np.any(keep):
         raise EmptyCloud("median depth band rejected every pixel")
     pts = backproject(uu[keep], vv[keep], d[keep], pose, k)
-    return PointCloud(pts, WORLD)
+    return PointCloud(pts)
 
 
 def _rotation_point_jacobian(w: np.ndarray, rot: np.ndarray,
@@ -173,31 +170,11 @@ def per_landmark_jacobian(params, model_points, observed, k):
     return res, jac
 
 
-# Reference for `headpose.lm_solve_pose`: the solver as it was before the
-# Jacobian was split from the residuals. It builds the Jacobian at every
-# trial point and lets an infeasible restart start abort the solve. The
-# bodies are unchanged except for the names of the functions they call.
-# Without an `init` it starts frontal and restarts as the solver once did;
-# given one, it makes exactly one descent from it, as the solver does.
-
-def _reference_initial_params(model, obs, k) -> np.ndarray:
-    """Frontal rotation; depth from the interocular scale when available."""
-    z0 = 1.0
-    eye_names = [n for n in model.names if "eye" in n]
-    if len(eye_names) >= 2 and all(n in obs.landmarks for n in eye_names[:2]):
-        a, b = eye_names[:2]
-        d = (model.points[model.names.index(a)]
-             - model.points[model.names.index(b)])
-        model_d = math.sqrt(d @ d)
-        d = np.subtract(obs.landmarks[a], obs.landmarks[b])
-        pix_d = math.sqrt(d @ d)
-        if pix_d > 1e-6:
-            z0 = min(max(k.fx * model_d / pix_d, 0.05), 50.0)
-    uv = obs.array_for(model.names)
-    tx = (uv[:, 0].mean() - k.cx) * z0 / k.fx
-    ty = (uv[:, 1].mean() - k.cy) * z0 / k.fy
-    return np.array([0.0, 0.0, 0.0, tx, ty, z0])
-
+# Reference for `headpose.lm_solve_pose`: one descent from a given start,
+# as the solver made it before the Jacobian was split from the residuals.
+# It builds the Jacobian at every trial point. The bodies are the solver's
+# of then, without its restart search and with the names of the functions
+# they call changed.
 
 def _reference_rodrigues(w: np.ndarray) -> np.ndarray:
     """Axis-angle 3-vector -> rotation matrix."""
@@ -280,13 +257,7 @@ def _reference_lm_minimize(params, points, observed, k, lambda_init,
     return params, cost
 
 
-_REFERENCE_RESTART_ANGLES = (
-    (40.0, 0.0), (-40.0, 0.0), (0.0, 30.0), (0.0, -30.0),
-    (40.0, -30.0), (-40.0, 30.0), (80.0, 0.0), (-80.0, 0.0),
-)
-
-
-def reference_lm_solve_pose(obs, model, k, init=None, lambda_init=1e-3,
+def reference_lm_solve_pose(obs, model, k, init, lambda_init=1e-3,
                             step_tol=1e-8, cost_tol=1e-12,
                             max_iterations=100,
                             accept_rms=100.0) -> HeadPose:
@@ -296,27 +267,9 @@ def reference_lm_solve_pose(obs, model, k, init=None, lambda_init=1e-3,
             f"need >= 6 aligned landmarks, got {len(names)}")
     sub = model.subset(names)
     observed = obs.array_for(names)
-    params0 = np.asarray(init, dtype=np.float64).copy() if init is not None \
-        else _reference_initial_params(sub, obs, k)
-    params, cost = _reference_lm_minimize(params0, sub.points, observed, k,
-                                          lambda_init, step_tol, cost_tol,
-                                          max_iterations)
-    if np.sqrt(cost / len(names)) > 3.0 and init is None:
-        for yaw, pitch in _REFERENCE_RESTART_ANGLES:
-            alt = params0.copy()
-            rot = rotation_from_euler(yaw, pitch, 0.0)
-            theta = np.arccos(np.clip((np.trace(rot) - 1) / 2, -1.0, 1.0))
-            axis = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0],
-                             rot[1, 0] - rot[0, 1]])
-            norm = np.linalg.norm(axis)
-            alt[:3] = theta * axis / norm if norm > 1e-12 else 0.0
-            cand, cand_cost = _reference_lm_minimize(
-                alt, sub.points, observed, k, lambda_init, step_tol,
-                cost_tol, max_iterations)
-            if cand_cost < cost:
-                params, cost = cand, cand_cost
-            if np.sqrt(cost / len(names)) <= 3.0:
-                break
+    params, cost = _reference_lm_minimize(
+        np.asarray(init, dtype=np.float64).copy(), sub.points, observed, k,
+        lambda_init, step_tol, cost_tol, max_iterations)
     rms = float(np.sqrt(cost / len(names)))
     if rms > accept_rms:
         raise NoConvergence(f"rms {rms:.2f} px above accept bound {accept_rms}")

@@ -110,8 +110,7 @@ def test_criterion_3_chamfer_equivalence():
     for _ in range(200):
         a = rng.uniform(-2, 2, (int(rng.integers(1, 501)), 3))
         b = rng.uniform(-2, 2, (int(rng.integers(1, 501)), 3))
-        fast = chamfer_distance(PointCloud(a, "world"),
-                                PointCloud(b, "world"))
+        fast = chamfer_distance(PointCloud(a), PointCloud(b))
         ok &= fast == brute_force_chamfer(a, b)
     elapsed = time.perf_counter() - t0
     report("3 chamfer exact equivalence", ok, elapsed, 10.0)

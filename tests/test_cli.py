@@ -126,6 +126,29 @@ class TestRun:
         lambda d: d["persons"][0].update(position=[0.0, 2.0]),
         lambda d: d["persons"][0].update(position=[0.0, 2.0, 1.5, 1.0]),
         lambda d: d.update(drift={"translation_per_frame": [0.01, 0.0]}),
+        lambda d: d["world_objects"][0].update({"class": 5}),
+        lambda d: d["world_objects"][0].update({"class": None}),
+        lambda d: d["world_objects"][0].update(centroid=[0.0, True, 0.8]),
+        lambda d: d["world_objects"][0].update(centroid=["0", 0.1, 0.8]),
+        lambda d: d["world_objects"][0].update(extents=[True, 0.1, 0.1]),
+        lambda d: d.update(trajectory={"kind": "orbit", "radius": 2.0,
+                                       "center": [0, True, 1], "frames": 80}),
+        lambda d: d["trajectory"]["segments"][0].update(
+            position=[0, True, 1.5]),
+        lambda d: d["trajectory"]["segments"][0].update(
+            look_at=["0", 2, 1.5]),
+        lambda d: d.update(trajectory=[{
+            "rotation": [["1", 0, 0], [0, "1", 0], [0, 0, "1"]],
+            "translation": [0, 0, 1.5]}]),
+        lambda d: d.update(trajectory={"kind": "poses", "poses": [{
+            "rotation": [[True, False, False], [False, True, False],
+                         [False, False, True]],
+            "translation": [0, 0, 1.5]}]}),
+        lambda d: d.update(correction_events=[{"frame": 3, "poses": {"0": {
+            "rotation": np.eye(3).tolist(), "translation": ["0", 0, 0]}}}]),
+        lambda d: d["persons"][0].update(attention_windows=[[False, True]]),
+        lambda d: d["world_objects"][0].update({"class": ["cup"]}),
+        lambda d: d["persons"][0].update(attention_windows=[["1", "6"]]),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
@@ -133,7 +156,17 @@ class TestRun:
             # these loaded: true as 1 fps or a dropout of 1, then a run
             # with no objects; the rest died mid-run (exit 1)
             "fps_true", "dropout_true", "away_yaw_string",
-            "position_of_two", "position_of_four", "drift_of_two"])
+            "position_of_two", "position_of_four", "drift_of_two",
+            # these loaded and ran to exit 0: a label or a vector of the
+            # wrong JSON type, true as a 1 m side, strings or booleans as
+            # pose entries, and a window of booleans
+            "class_number", "class_null", "centroid_true", "centroid_string",
+            "extents_true", "orbit_center_true", "segment_position_true",
+            "look_at_string", "trajectory_rotation_strings",
+            "poses_rotation_booleans", "correction_translation_string",
+            "window_of_booleans",
+            # and these died mid-run (exit 1)
+            "class_list", "window_strings"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)

@@ -13,6 +13,7 @@ from semmap.headpose import (
     FaceModel3D,
     HeadPose,
     LandmarkSet2D,
+    lm_solve_pose,
     lm_solve_poses,
     project_model,
     rotation_from_euler,
@@ -97,16 +98,18 @@ class TestFaceToTrack:
 
 
 class SolverSpy:
-    """Stands in for the pipeline's `lm_solve_poses`: records (init, pose or
-    exception) per face, can make faces fail, and can report a given rms
-    instead of the fitted one."""
+    """Stands in for the pipeline's `lm_solve_poses`: records the size of
+    each batch and (init, pose or exception) per face, can make faces fail,
+    and can report a given rms instead of the fitted one."""
 
     def __init__(self):
+        self.batches = []
         self.calls = []
         self.fail = None  # None, "warm" or "all"
         self.fake_rms = []  # rms reported by the next solved faces, in order
 
     def __call__(self, faces, *args, inits=None, **kwargs):
+        self.batches.append(len(faces))
         inits = inits or [None] * len(faces)
         poses = lm_solve_poses(faces, *args, inits=inits, **kwargs)
         for j, (init, pose) in enumerate(zip(inits, poses)):
@@ -160,6 +163,34 @@ class TestHeadPoseState:
         assert init1.tobytes() == np.concatenate(
             (first.axis_angle, first.translation)).tobytes()
         assert second.yaw == pytest.approx(33.0, abs=1e-6)
+
+    def test_warm_and_new_track_solve_in_one_batch(self, intrinsics, spy):
+        pipeline = Pipeline(intrinsics)
+        depth = DepthImage(np.zeros((intrinsics.height, intrinsics.width)))
+        boxes = {-0.3: (120, 100, 300, 400), 0.3: (340, 100, 520, 400)}
+        faces = {x: LandmarkSet2D(project_model(
+            FaceModel3D.default(), rotation_from_euler(20.0, -5.0, 0.0),
+            np.array([x, 0.0, 1.5]), intrinsics)) for x in boxes}
+        for i, xs in enumerate([(-0.3,), (-0.3, 0.3)]):
+            pipeline.step(FrameInput(
+                i, i / 10, [Detection2D(boxes[x], "person", kind=KIND_PERSON)
+                            for x in xs], depth, RigidPose.identity(),
+                [faces[x] for x in xs], []))
+        assert spy.batches == [1, 2]
+        assert spy.cold() == [True, False, True]
+        for (init, pose), x in zip(spy.calls[1:], (-0.3, 0.3)):
+            alone = lm_solve_pose(faces[x], pipeline.face_model, intrinsics,
+                                  init=init, **pipeline.lm_options)
+            for name in ("rotation", "translation", "axis_angle"):
+                assert getattr(pose, name).tobytes() \
+                    == getattr(alone, name).tobytes()
+            assert (pose.yaw, pose.pitch, pose.roll, pose.rms_residual) \
+                == (alone.yaw, alone.pitch, alone.roll, alone.rms_residual)
+
+    def test_frame_without_paired_face_makes_no_solve(self, intrinsics, spy):
+        # no person track, then a track whose bbox misses the face
+        self.run(Pipeline(intrinsics), [(None, 30.0), ((0, 0, 200, 480), 30.0)])
+        assert spy.batches == []
 
     def test_failed_warm_fit_falls_back_to_cold(self, intrinsics, spy):
         pipeline = Pipeline(intrinsics)

@@ -21,26 +21,24 @@ from conftest import (
 )
 
 
-def world(points):
-    return PointCloud(points, "world")
-
-
 class TestChamfer:
     def test_identical_clouds(self):
-        a = world([[0, 0, 0], [1, 2, 3]])
+        a = PointCloud([[0, 0, 0], [1, 2, 3]])
         assert chamfer_distance(a, a) == 0.0
 
     def test_single_points(self):
-        assert chamfer_distance(world([[0, 0, 0]]), world([[1, 0, 0]])) == 1.0
+        assert chamfer_distance(PointCloud([[0, 0, 0]]),
+                                PointCloud([[1, 0, 0]])) == 1.0
 
     def test_hand_case(self):
-        a = world([[0, 0, 0], [1, 0, 0]])
-        b = world([[0, 0, 0]])
+        a = PointCloud([[0, 0, 0], [1, 0, 0]])
+        b = PointCloud([[0, 0, 0]])
         assert chamfer_distance(a, b) == pytest.approx(0.25)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
-            chamfer_distance(world(np.empty((0, 3))), world([[0, 0, 0]]))
+            chamfer_distance(PointCloud(np.empty((0, 3))),
+                             PointCloud([[0, 0, 0]]))
 
     @given(seed=st.integers(0, 2**32 - 1),
            sizes=st.tuples(st.integers(1, 80), st.integers(1, 80)))
@@ -52,14 +50,15 @@ class TestChamfer:
     def test_matches_brute_force_exactly(self, seed, sizes):
         rng = np.random.default_rng(seed)
         a, b = (rng.uniform(-2, 2, (n, 3)) for n in sizes)
-        assert chamfer_distance(world(a), world(b)) == brute_force_chamfer(a, b)
+        assert chamfer_distance(PointCloud(a), PointCloud(b)) \
+            == brute_force_chamfer(a, b)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_symmetric_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
-        a = world(rng.uniform(-1, 1, (rng.integers(1, 40), 3)))
-        b = world(rng.uniform(-1, 1, (rng.integers(1, 40), 3)))
+        a = PointCloud(rng.uniform(-1, 1, (rng.integers(1, 40), 3)))
+        b = PointCloud(rng.uniform(-1, 1, (rng.integers(1, 40), 3)))
         d = chamfer_distance(a, b)
         assert d >= 0
         assert chamfer_distance(b, a) == d
@@ -90,7 +89,7 @@ def make_map(**kw):
 
 def cube_cloud(center, n=60, half=0.05, seed=0):
     rng = np.random.default_rng(seed)
-    return world(np.asarray(center) + rng.uniform(-half, half, (n, 3)))
+    return PointCloud(np.asarray(center) + rng.uniform(-half, half, (n, 3)))
 
 
 class TestAssociate:
@@ -139,8 +138,8 @@ class TestAssociate:
         rng = np.random.default_rng(seed)
         m = make_map(assoc_dist=assoc_dist)
         if count == 0:
-            m.register_candidate(world([[0.3, 0.0, 1.0]]), "cup", 0)
-            candidate = world([[0.0, 0.0, 1.0]])
+            m.register_candidate(PointCloud([[0.3, 0.0, 1.0]]), "cup", 0)
+            candidate = PointCloud([[0.0, 0.0, 1.0]])
         else:
             for _ in range(count):
                 m.register_candidate(
@@ -212,8 +211,8 @@ class TestMerge:
 
     def test_two_point_merge_geometry(self):
         m = make_map()
-        a = m.register_candidate(world([[0, 0, 0]]), "cup", 0)
-        b = m.register_candidate(world([[1, 0, 0]]), "cup", 0)
+        a = m.register_candidate(PointCloud([[0, 0, 0]]), "cup", 0)
+        b = m.register_candidate(PointCloud([[1, 0, 0]]), "cup", 0)
         assert a != b  # 1 m apart, beyond the association threshold
         merged = m.merge_objects(m.objects[a], m.objects[b])
         np.testing.assert_allclose(merged.centroid, [0.5, 0, 0])
@@ -255,7 +254,7 @@ class TestTrajectoryCorrection:
         a = m.register_candidate(cloud, "cup", 0)
         # same physical points observed under a drifted keyframe pose
         b = m.register_candidate(
-            cloud.transformed(drifted, "world"), "cup", 1)
+            PointCloud(drifted.transform(cloud.points)), "cup", 1)
         assert a != b
         report = m.apply_trajectory_correction([(1, RigidPose.identity())])
         assert report.pairs == [(a, b)]
@@ -358,7 +357,8 @@ class TestRebuild:
         # becomes a new object
         drift = RigidPose(np.eye(3), [0.5, 0, 0])
         m.add_keyframe(5, drift.compose(true[5]))
-        dup = m.register_candidate(cloud.transformed(drift, "world"), "cup", 5)
+        dup = m.register_candidate(PointCloud(drift.transform(cloud.points)),
+                                   "cup", 5)
         assert dup not in (0, 1)
         self.assert_fresh(m)
         # moves only keyframe 2, which holds observations of two objects

@@ -109,7 +109,11 @@ def build(cls, value, error, what: str, **parse):
                        if types[name] == annotation and key not in parse
                        and not takes(value[key]))
         if wrong:
-            raise error(f"{what} keys must be {noun}: {', '.join(wrong)}")
+            got = ", ".join(
+                f"{what} {key} = {json.dumps(value[key], default=repr)}"
+                for key in wrong)
+            raise error(f"{what} keys must be {noun}: {', '.join(wrong)} "
+                        f"(got {got})")
     try:
         return cls(**{name: parse[key](value[key]) if key in parse
                       else value[key] for key, name in names.items()})

@@ -54,6 +54,12 @@ class TestBuild:
             build(Box, {"class": "cup", "count": 2, "size": size},
                   ConfigError, "box")
 
+    def test_wrong_type_names_the_value_as_json(self):
+        with pytest.raises(ConfigError, match=r"JSON numbers: size "
+                                              r"\(got box size = \[true\]\)"):
+            build(Box, {"class": "cup", "count": 2, "size": [True]},
+                  ConfigError, "box")
+
     def test_float_field_takes_an_integer(self):
         assert build(Box, {"class": "cup", "count": 2, "size": 3},
                      ConfigError, "box").size == 3

@@ -501,10 +501,10 @@ class TestSchema:
         ({"noise": {"landmark_jitter_px": -1.0}}, "landmark_jitter_px"),
         # a vector of another length, a boolean or a non-finite component
         # loaded, and the run died on it mid-run
-        ({"persons": [{"position": [0.0, 0.0]}]}, "three finite numbers: position"),
-        ({"persons": [{"position": [0.0, 0.0, 1.5, 1.0]}]}, "three finite numbers: position"),
-        ({"persons": [{"position": [0.0, True, 1.5]}]}, "three finite numbers: position"),
-        ({"persons": [{"position": 1.5}]}, "three finite numbers: position"),
+        ({"persons": [{"position": [0.0, 0.0]}]}, "person position"),
+        ({"persons": [{"position": [0.0, 0.0, 1.5, 1.0]}]}, "person position"),
+        ({"persons": [{"position": [0.0, True, 1.5]}]}, "person position"),
+        ({"persons": [{"position": 1.5}]}, "person position"),
         ({"drift": {"translation_per_frame": [0.1, 0.0]}},
          "translation_per_frame"),
         ({"drift": {"rotation_deg_per_frame": [0.0, 0.0, float("nan")]}},

@@ -8,7 +8,6 @@ from .geometry import (
     RigidPose,
     backproject,
     extract_object_cloud,
-    project,
     voxel_downsample,
 )
 from .headpose import (
@@ -34,7 +33,7 @@ from .willingness import PersonWillingnessMap, WillingnessState, update
 __all__ = [
     "PipelineConfig",
     "CameraIntrinsics", "DepthImage", "PointCloud", "RigidPose",
-    "project", "backproject", "extract_object_cloud", "voxel_downsample",
+    "backproject", "extract_object_cloud", "voxel_downsample",
     "FaceModel3D", "HeadPose", "LandmarkSet2D",
     "euler_from_rotation", "is_attending", "lm_solve_pose", "lm_solve_poses",
     "FrameInput", "Pipeline",

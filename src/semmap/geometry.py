@@ -17,7 +17,6 @@ from .config import Matrix3, Vector3, build
 from .errors import (
     EmptyCloud,
     InvalidDepth,
-    NonPositiveDepth,
     PixelOutOfBounds,
 )
 
@@ -28,6 +27,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.flags.writeable = False
     return arr
+
+
+def _trusted(cls, **fields):
+    """A `cls` of values derived from checked ones, in their final shape:
+    frozen as the public constructor freezes them, and not checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _freeze(value))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -75,18 +83,17 @@ class RigidPose:
 
     @staticmethod
     def identity() -> "RigidPose":
-        return RigidPose(np.eye(3), np.zeros(3))
+        return _trusted(RigidPose, rotation=np.eye(3), translation=np.zeros(3))
 
     def compose(self, other: "RigidPose") -> "RigidPose":
         """self ∘ other: apply `other` first, then `self`."""
-        return RigidPose(
+        return _derived_pose(
             self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
+            self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "RigidPose":
         rot_inv = self.rotation.T
-        return RigidPose(rot_inv, -rot_inv @ self.translation)
+        return _derived_pose(rot_inv, -rot_inv @ self.translation)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to one point (3,) or many (N, 3)."""
@@ -102,6 +109,14 @@ class RigidPose:
     @classmethod
     def from_dict(cls, d: dict, error=ValueError) -> "RigidPose":
         return build(cls, d, error, "pose")
+
+
+def _derived_pose(rotation: np.ndarray, translation: np.ndarray) -> RigidPose:
+    """A pose from checked ones: rotations stay rotations, but a translation
+    can overflow."""
+    if not all(map(math.isfinite, translation.tolist())):
+        raise ValueError("pose entries must be finite")
+    return _trusted(RigidPose, rotation=rotation, translation=translation)
 
 
 @dataclass(frozen=True)
@@ -145,17 +160,6 @@ class DepthImage:
         return self.data.shape[1]
 
 
-def project(point, pose: RigidPose, k: CameraIntrinsics):
-    """World point -> (u, v, depth). Raises NonPositiveDepth behind the camera."""
-    cam = pose.inverse().transform(np.asarray(point, dtype=np.float64))
-    z = cam[..., 2]
-    if np.any(z <= 1e-9):
-        raise NonPositiveDepth("point is behind or on the camera plane")
-    u = k.cx + k.fx * cam[..., 0] / z
-    v = k.cy + k.fy * cam[..., 1] / z
-    return u, v, z
-
-
 def backproject(u, v, depth, pose: RigidPose, k: CameraIntrinsics):
     """Pixel + depth -> world point."""
     u = np.asarray(u, dtype=np.float64)
@@ -166,9 +170,17 @@ def backproject(u, v, depth, pose: RigidPose, k: CameraIntrinsics):
     if (u < 0).any() or (u >= k.width).any() or (v < 0).any() \
             or (v >= k.height).any():
         raise PixelOutOfBounds(f"pixel outside {k.width}x{k.height} image")
-    cam = np.stack(
-        [(u - k.cx) * d / k.fx, (v - k.cy) * d / k.fy, d], axis=-1
-    )
+    return _backproject(u, v, d, pose, k)
+
+
+def _backproject(u, v, d, pose: RigidPose, k: CameraIntrinsics):
+    """`backproject` of pixels and depths known to be valid. Each column of
+    the camera-frame points is `(u - cx) * d / fx`, computed in place."""
+    cam = np.empty(np.shape(d) + (3,))
+    x, y = cam[..., 0], cam[..., 1]
+    np.divide(np.multiply(np.subtract(u, k.cx, out=x), d, out=x), k.fx, out=x)
+    np.divide(np.multiply(np.subtract(v, k.cy, out=y), d, out=y), k.fy, out=y)
+    cam[..., 2] = d
     return pose.transform(cam)
 
 
@@ -216,10 +228,14 @@ def extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     keep = np.abs(d - med) <= band
     if not keep.any():
         raise EmptyCloud("median depth band rejected every pixel")
+    # valid pixels and depths by construction; huge depths can overflow
     rows, cols = np.nonzero(valid)
-    pts = backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
-                      d[keep], pose, k)
-    return PointCloud(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = _backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
+                           d[keep], pose, k)
+    if not np.isfinite(pts).all():
+        raise ValueError("point cloud contains non-finite coordinates")
+    return _trusted(PointCloud, points=pts)
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
@@ -248,25 +264,3 @@ def write_ply(cloud: PointCloud, path):
             # repr round-trips float64 exactly in ASCII
             f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
 
-
-def read_ply(path) -> PointCloud:
-    with open(path) as f:
-        line = f.readline().strip()
-        if line != "ply":
-            raise ValueError(f"{path} is not a PLY file")
-        n = None
-        while True:
-            line = f.readline()
-            if not line:
-                raise ValueError("truncated PLY header")
-            line = line.strip()
-            if line.startswith("element vertex"):
-                n = int(line.split()[-1])
-            if line == "end_header":
-                break
-        if n is None:
-            raise ValueError("PLY header lacks a vertex element")
-        pts = [
-            [float(tok) for tok in f.readline().split()[:3]] for _ in range(n)
-        ]
-    return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatch, EmptyCloud, UnknownKeyframe
-from .geometry import PointCloud, RigidPose, voxel_downsample
+from .geometry import PointCloud, RigidPose, _trusted, voxel_downsample
 
 
 # Pairs per block of the nearest-neighbour scan: the block's two arrays of
@@ -87,7 +87,7 @@ class SemanticObject:
 
     @property
     def world_cloud(self) -> PointCloud:
-        return PointCloud(self.world_points)
+        return _trusted(PointCloud, points=self.world_points)
 
     def rebuild(self, keyframes: dict, leaf: float, max_points: int):
         """Recompute the cached world cloud from keyframe-local observations.

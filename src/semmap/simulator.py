@@ -24,11 +24,12 @@ from .config import (
     read_json_object,
 )
 from .errors import FrameOutOfRange, PointBehindCamera, ScenarioError
-from .geometry import CameraIntrinsics, DepthImage, RigidPose
+from .geometry import CameraIntrinsics, DepthImage, RigidPose, _trusted
 from .headpose import (
     FaceModel3D,
     LandmarkSet2D,
     project_model,
+    rodrigues,
     rotation_from_euler,
 )
 from .pipeline import FrameInput, Pipeline
@@ -284,6 +285,12 @@ class Scenario:
         if not 0 <= start < frames:
             raise ScenarioError(
                 f"drift start_frame {start} outside [0, {frames})")
+        # drift grows with the frame: finite at the last frame, it is finite
+        # at every frame, and drift_pose needs no check of its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            last = self.drift_pose(frames - 1)
+        if not np.isfinite(np.append(last.rotation, last.translation)).all():
+            raise ScenarioError(f"drift overflows by frame {frames - 1}")
         for ev in self.correction_events:
             if not 0 <= ev.frame < frames:
                 raise ScenarioError(
@@ -340,10 +347,9 @@ class Scenario:
         if self.drift is None or frame_idx < self.drift.start_frame:
             return RigidPose.identity()
         n = frame_idx - self.drift.start_frame + 1
-        t = np.asarray(self.drift.translation_per_frame) * n
-        w = np.radians(np.asarray(self.drift.rotation_deg_per_frame)) * n
-        from .headpose import rodrigues
-        return RigidPose(rodrigues(w), t)
+        t = np.asarray(self.drift.translation_per_frame, float) * n
+        w = np.radians(np.asarray(self.drift.rotation_deg_per_frame, float)) * n
+        return _trusted(RigidPose, rotation=rodrigues(w), translation=t)
 
     def estimated_pose(self, frame_idx: int) -> RigidPose:
         pose = self.trajectory[frame_idx]
@@ -543,7 +549,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
 
     return FrameData(
         detections=detections,
-        depth=DepthImage(zbuf),
+        depth=_trusted(DepthImage, data=zbuf),
         pose_estimate=scenario.estimated_pose(frame_idx),
         provenance=provenance,
         landmarks=landmarks,

@@ -6,6 +6,7 @@ from semmap.errors import (
     EmptyCloud,
     FrameOutOfRange,
     NoConvergence,
+    NonPositiveDepth,
     PointBehindCamera,
 )
 from semmap.geometry import (
@@ -45,6 +46,18 @@ def intrinsics():
 def random_pose(rng, trans_scale=2.0) -> RigidPose:
     return RigidPose(rodrigues(rng.normal(0.0, 1.0, 3)),
                      rng.normal(0.0, trans_scale, 3))
+
+
+def project(point, pose: RigidPose, k: CameraIntrinsics):
+    """World point -> (u, v, depth), the pinhole projection that
+    `backproject` inverts. Raises NonPositiveDepth behind the camera."""
+    cam = pose.inverse().transform(np.asarray(point, dtype=np.float64))
+    z = cam[..., 2]
+    if np.any(z <= 1e-9):
+        raise NonPositiveDepth("point is behind or on the camera plane")
+    u = k.cx + k.fx * cam[..., 0] / z
+    v = k.cy + k.fy * cam[..., 1] / z
+    return u, v, z
 
 
 def brute_force_chamfer(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from semmap.cli import main as cli_main
 from semmap.config import PipelineConfig
-from semmap.geometry import CameraIntrinsics, PointCloud, backproject, project
+from semmap.geometry import CameraIntrinsics, PointCloud, backproject
 from semmap.headpose import (
     FaceModel3D,
     LandmarkSet2D,
@@ -30,7 +30,7 @@ from semmap.simulator import (
 from semmap.tracker import IoUTracker, iou
 from semmap.willingness import WillingnessState, update
 
-from conftest import brute_force_chamfer, random_pose
+from conftest import brute_force_chamfer, project, random_pose
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 

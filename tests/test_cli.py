@@ -262,6 +262,20 @@ class TestRun:
             assert row["error"] == "NoConvergence"
             assert row["attending"] is False
 
+    def test_pose_accepted_by_loader_survives_inversion(self, tmp_path):
+        # R Rᵀ is within the loader's 1e-9 of I, Rᵀ R is not (1.26e-9): the
+        # frame source's inverse() re-checked it and died at frame 0
+        d = json.loads((SCENARIO_DIR / "desk_orbit.json").read_text())
+        d["trajectory"] = [{"rotation": [
+            [-0.5604458127538101, -0.16390230555423974, -0.8118106466466686],
+            [-0.7251904082447582, -0.37630649495033897, 0.5766214478301669],
+            [-0.39999920242879594, 0.911882370337713, 0.09203901975339669]],
+            "translation": [0.0, 0.0, 0.0]}]
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--out", str(out)]) == 0
+        assert len((out / "events.jsonl").read_text().splitlines()) == 1
+
     def test_seed_override_changes_nothing_when_equal(self, tmp_path):
         scenario = write_scenario(tmp_path)
         out_a = tmp_path / "a"

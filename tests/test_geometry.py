@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,12 @@ from semmap.geometry import (
     RigidPose,
     backproject,
     extract_object_cloud,
-    project,
-    read_ply,
     voxel_downsample,
     write_ply,
 )
+from semmap.headpose import rodrigues
 
-from conftest import random_pose, reference_extract_object_cloud
+from conftest import project, random_pose, reference_extract_object_cloud
 
 
 class TestIntrinsics:
@@ -112,6 +112,44 @@ def test_pose_group_laws(seed):
     assert np.abs(ident.translation).max() < 1e-9
 
 
+def _frozen_float64(arr):
+    return (arr.dtype == np.float64 and arr.flags.c_contiguous
+            and not arr.flags.writeable)
+
+
+_axis_angle = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3)
+_translation = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
+
+
+@given(wa=_axis_angle, ta=_translation, wb=_axis_angle, tb=_translation)
+@settings(max_examples=100, deadline=None)
+def test_derived_poses_are_bitwise_checked_ones(wa, ta, wb, tb):
+    """inverse() and compose() skip the checks, not the freezing: their
+    arrays are the bytes the checked constructor makes of the same
+    expressions, C-contiguous, float64 and read-only."""
+    a = RigidPose(rodrigues(np.array(wa)), ta)
+    b = RigidPose(rodrigues(np.array(wb)), tb)
+    cases = [
+        (a.inverse(), RigidPose(a.rotation.T, -a.rotation.T @ a.translation)),
+        (a.compose(b), RigidPose(a.rotation @ b.rotation,
+                                 a.rotation @ b.translation + a.translation)),
+    ]
+    for derived, checked in cases:
+        for got, want in [(derived.rotation, checked.rotation),
+                          (derived.translation, checked.translation)]:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert _frozen_float64(got)
+
+
+def test_extracted_cloud_is_frozen(intrinsics):
+    cloud = extract_object_cloud((0, 0, 100, 100), _flat_depth(2.0),
+                                 random_pose(np.random.default_rng(0)),
+                                 intrinsics)
+    assert cloud.points.shape == (625, 3)
+    assert _frozen_float64(cloud.points)
+
+
 def _flat_depth(value, width=640, height=480):
     return DepthImage(np.full((height, width), value))
 
@@ -180,6 +218,15 @@ class TestExtractObjectCloud:
                            + r".*\(480, 640\)"):
             extract_object_cloud((0, 0, 100, 100), depth,
                                  RigidPose.identity(), intrinsics)
+
+    def test_overflowing_depths_raise_without_warning(self, intrinsics):
+        # finite depths near the largest float overflow when back-projected;
+        # numpy's overflow warning used to escape before the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                extract_object_cloud((0, 0, 100, 100), _flat_depth(1e307),
+                                     RigidPose.identity(), intrinsics)
 
 
 SMALL = CameraIntrinsics(fx=30.0, fy=30.0, cx=20.0, cy=15.0,
@@ -265,5 +312,10 @@ def test_ply_round_trip(tmp_path):
     cloud = PointCloud(rng.uniform(-5, 5, (37, 3)))
     path = tmp_path / "cloud.ply"
     write_ply(cloud, path)
-    back = read_ply(path)
-    np.testing.assert_array_equal(back.points, cloud.points)
+    header, body = path.read_text().split("end_header\n")
+    assert header.splitlines() == [
+        "ply", "format ascii 1.0", "element vertex 37",
+        "property float x", "property float y", "property float z"]
+    back = np.array([[float(tok) for tok in line.split()]
+                     for line in body.splitlines()])
+    assert back.tobytes() == cloud.points.tobytes()

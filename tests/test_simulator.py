@@ -511,6 +511,14 @@ class TestSchema:
          "rotation_deg_per_frame"),
         ({"drift": {"rotation_deg_per_frame": "abc"}},
          "rotation_deg_per_frame"),
+        # finite drift that overflows by the last frame loaded, and the
+        # run died at a drifted frame
+        ({"drift": {"translation_per_frame": [1e308, 0.0, 0.0]}},
+         "drift overflows by frame 11"),
+        ({"drift": {"rotation_deg_per_frame": [0.0, 1e308, 0.0]}},
+         "drift overflows by frame 11"),
+        ({"drift": {"rotation_deg_per_frame": [1e200, 0.0, 0.0]}},
+         "drift overflows by frame 11"),
     ])
     def test_out_of_range_field_rejected(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):

@@ -55,12 +55,16 @@ def _is_number(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+def _finite_number(v) -> bool:
+    """Whether `v` is a number whose float is finite; an integer too large
+    for a float is not."""
+    return _is_number(v) and -sys.float_info.max <= v <= sys.float_info.max
+
+
 def finite_numbers(value, n: int) -> bool:
-    """Whether `value` is an array of `n` finite numbers; an integer too
-    large for a float is not finite."""
+    """Whether `value` is an array of `n` finite numbers."""
     return isinstance(value, (list, tuple)) and len(value) == n and all(
-        _is_number(v) and -sys.float_info.max <= v <= sys.float_info.max
-        for v in value)
+        map(_finite_number, value))
 
 
 # Annotations of the array fields `build` checks: three finite numbers,
@@ -72,9 +76,9 @@ Matrix3 = tuple
 # per field annotation, the JSON values it takes and how to name them
 _JSON_TYPES = {
     "int": (lambda v: type(v) is int, "JSON integers"),
-    "float": (_is_number, "JSON numbers"),
-    "float | None": (lambda v: v is None or _is_number(v),
-                     "JSON numbers or null"),
+    "float": (_finite_number, "finite JSON numbers"),
+    "float | None": (lambda v: v is None or _finite_number(v),
+                     "finite JSON numbers or null"),
     "bool": (lambda v: type(v) is bool, "JSON booleans"),
     "str": (lambda v: isinstance(v, str), "JSON strings"),
     "Vector3": (lambda v: finite_numbers(v, 3),
@@ -90,12 +94,12 @@ def build(cls, value, error, what: str, **parse):
 
     Each key must name an init field of `cls` ("class" names `class_label`).
     A field annotated `int`, `float`, `float | None`, `bool` or `str` takes
-    only a JSON integer, a number (an integer too, but no boolean), a
-    number or null, a boolean or a string; one annotated `Vector3` or
-    `Matrix3` takes only an array of three finite numbers, or three such
-    arrays. `parse` maps a key to a function from its JSON value to the
-    field's. Any other TypeError, ValueError or LookupError from a bad
-    value is raised as `error` too.
+    only a JSON integer, a number whose float is finite (an integer too,
+    but no boolean, NaN or Infinity), such a number or null, a boolean or
+    a string; one annotated `Vector3` or `Matrix3` takes only an array of
+    three finite numbers, or three such arrays. `parse` maps a key to a
+    function from its JSON value to the field's. Any other TypeError,
+    ValueError or LookupError from a bad value is raised as `error` too.
     """
     names = {key: _RENAMED.get(key, key)
              for key in _json_object(value, error, what)}

@@ -332,6 +332,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve1(a, b)
 
 
+# The stop at the noise floor: a descent ends once an accepted step is
+# shorter than K standard deviations of the fit, the test being
+# c - t < cost_tol + K² c / (2n - 6) for costs c before and t after the
+# step over n landmarks. For an LM step h, the cost decrease is at least
+# hᵀJᵀJh to first order, and σ̂² = c/(2n - 6). So the test bounds the step's
+# Mahalanobis length under Σ = σ̂² (JᵀJ)⁻¹ by K: each parameter, and so yaw
+# and pitch to first order, moved by less than K of its own standard
+# deviation. It needs no extra Jacobian, and the same Σ can later give the
+# pose's uncertainty. On a clean face c is ~0, so the absolute `cost_tol`
+# governs there and clean faces stop as without the test.
+K = 0.01
+
+
 def _lm_minimize(params, points, observed, focal, center, lambda_init,
                  step_tol, cost_tol, max_iterations):
     """Damped Gauss-Newton descents from a (B, 6) stack of starts, row i
@@ -347,9 +360,12 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
     caller judges its residual. The Jacobian is built only at accepted
     points that a descent goes on from. A first step shorter than
     `step_tol` means the start is already a minimum: that row stops there,
-    without a trial.
+    without a trial. An accepted step ends its row when it is shorter than
+    `step_tol`, or when it lowers the cost c by less than
+    `cost_tol + K**2 * c / (2n - 6)` for n landmarks.
     """
     final = np.array(params, dtype=np.float64)
+    dof = 2 * len(points) - 6
     final_cost = [math.inf] * len(final)
     errors = [None] * len(final)
     res, terms = _residuals(final, points, observed, focal, center)
@@ -417,8 +433,8 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
                 better.append(j)
                 cost[j] = t
                 lam[j] = max(lam[j] / 10.0, 1e-12)
-                (stop if norm[j] < step_tol or c - t < cost_tol
-                 else grow).append(j)
+                (stop if norm[j] < step_tol
+                 or c - t < cost_tol + K**2 * c / dof else grow).append(j)
             else:
                 lam[j] *= 10.0
                 if lam[j] > 1e12:

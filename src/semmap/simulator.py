@@ -348,8 +348,11 @@ class Scenario:
             return RigidPose.identity()
         n = frame_idx - self.drift.start_frame + 1
         t = np.asarray(self.drift.translation_per_frame, float) * n
-        w = np.radians(np.asarray(self.drift.rotation_deg_per_frame, float)) * n
-        return _trusted(RigidPose, rotation=rodrigues(w), translation=t)
+        rate = self.drift.rotation_deg_per_frame
+        # rodrigues of a zero rotation is np.eye(3) bit for bit
+        rot = rodrigues(np.radians(np.asarray(rate, float)) * n) \
+            if any(rate) else np.eye(3)
+        return _trusted(RigidPose, rotation=rot, translation=t)
 
     def estimated_pose(self, frame_idx: int) -> RigidPose:
         pose = self.trajectory[frame_idx]

@@ -18,6 +18,7 @@ from semmap.geometry import (
     voxel_downsample,
 )
 from semmap.headpose import (
+    K,
     FaceModel3D,
     HeadPose,
     LandmarkSet2D,
@@ -187,7 +188,8 @@ def per_landmark_jacobian(params, model_points, observed, k):
 # as the solver made it before the Jacobian was split from the residuals.
 # It builds the Jacobian at every trial point. The bodies are the solver's
 # of then, without its restart search and with the names of the functions
-# they call changed.
+# they call changed, plus the solver's later stop at the noise floor
+# (`headpose.K`).
 
 def _reference_rodrigues(w: np.ndarray) -> np.ndarray:
     """Axis-angle 3-vector -> rotation matrix."""
@@ -259,9 +261,10 @@ def _reference_lm_minimize(params, points, observed, k, lambda_init,
             trial_cost = np.inf
         if trial_cost < cost:
             decrease = cost - trial_cost
+            floor = cost_tol + K**2 * cost / (2 * len(points) - 6)
             params, res, jac, cost = trial, trial_res, trial_jac, trial_cost
             lam = max(lam / 10.0, 1e-12)
-            if np.linalg.norm(step) < step_tol or decrease < cost_tol:
+            if np.linalg.norm(step) < step_tol or decrease < floor:
                 break
         else:
             lam *= 10.0

@@ -149,6 +149,9 @@ class TestRun:
         lambda d: d["persons"][0].update(attention_windows=[[False, True]]),
         lambda d: d["world_objects"][0].update({"class": ["cup"]}),
         lambda d: d["persons"][0].update(attention_windows=[["1", "6"]]),
+        lambda d: d.update(fps=10**400),
+        lambda d: d.update(max_range=10**400),
+        lambda d: d.update(background_depth=10**400),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
@@ -166,7 +169,10 @@ class TestRun:
             "poses_rotation_booleans", "correction_translation_string",
             "window_of_booleans",
             # and these died mid-run (exit 1)
-            "class_list", "window_strings"])
+            "class_list", "window_strings",
+            # an integer beyond float range: fps ran to exit 0 with every
+            # frame at t = 0, the others died in float() (exit 1)
+            "fps_10**400", "max_range_10**400", "background_depth_10**400"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)
@@ -186,7 +192,8 @@ class TestRun:
                      "--out", str(out)])
         assert code == 3
         assert not out.exists()
-        assert "focal lengths" in capsys.readouterr().err
+        # the loader takes only finite numbers, and names the key
+        assert f"finite JSON numbers: {axis}" in capsys.readouterr().err
 
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -349,8 +356,8 @@ class TestWorkloadDigests:
                         "799828cac6b9ba7f75415062e1406268",
             "metrics.json": "052039519048a03177947c79d04e1b5c"
                             "7d72a58d9884d344c0b4c9371758f7de",
-            "events.jsonl": "06179c90ca04e9f17b460f150e855eae"
-                            "f056c20d39d330c3394ba33f148454a5",
+            "events.jsonl": "24389b1584aef7e39a57899bd25fec62"
+                            "9909084b7a96edf5f6b30d0eb0c5cc14",
         },
         "cluttered_drift": {
             "map.json": "06def5a1678951fec86b247b112d4c30"
@@ -395,8 +402,8 @@ class TestCliDigests:
         assert main(["headpose", "--intrinsics", str(kpath), "--landmarks",
                      str(DATA_DIR / "interaction_landmarks.jsonl")]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
-            == ("6810ace4f30c42901c72f4d99c71437d"
-                "53a305937f112335e4f4b044aedc102b")
+            == ("ca861b7f8cac0f3ca94ce46ef3a21155"
+                "f0439901d7075a9ab1b0d1923b9a7ec6")
 
     def test_willingness(self, capsys):
         assert main(["willingness", "--timeline",
@@ -461,7 +468,7 @@ class TestHeadpose:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "focal lengths" in captured.err
+        assert f"finite JSON numbers: {axis}" in captured.err
 
     def test_too_few_landmarks_exit_4(self, tmp_path, capsys):
         from semmap.geometry import CameraIntrinsics

@@ -1,6 +1,7 @@
 """Strict JSON loading: the readers, the dataclass builder, PipelineConfig."""
 
 import json
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -25,6 +26,11 @@ class Box:
             raise ValueError("size must be > 0")
 
 
+@dataclass(frozen=True)
+class Lens:
+    focus: float | None = None
+
+
 class TestBuild:
     def test_class_key_fills_class_label_and_defaults_apply(self):
         assert build(Box, {"class": "cup", "count": 2}, ConfigError, "box") \
@@ -47,12 +53,32 @@ class TestBuild:
                                               "integers: count"):
             build(Box, {"class": "cup", "count": count}, ConfigError, "box")
 
-    @pytest.mark.parametrize("size", [True, "2", None, [2.0]])
+    @pytest.mark.parametrize("size", [
+        True, "2", None, [2.0],
+        # not finite as floats: these passed the rule before, and 10**400
+        # then died in float() mid-run
+        pytest.param(10**400, id="10**400"),
+        pytest.param(-10**400, id="-10**400"),
+        float("inf"), -float("inf"), float("nan")])
     def test_float_field_takes_only_json_numbers(self, size):
-        with pytest.raises(ConfigError,
-                           match="box keys must be JSON numbers: size"):
+        with pytest.raises(ConfigError, match="box keys must be finite "
+                                              "JSON numbers: size"):
             build(Box, {"class": "cup", "count": 2, "size": size},
                   ConfigError, "box")
+
+    @pytest.mark.parametrize("size", [sys.float_info.max,
+                                      int(sys.float_info.max)],
+                             ids=["float", "int"])
+    def test_float_field_takes_the_largest_float(self, size):
+        assert build(Box, {"class": "cup", "count": 2, "size": size},
+                     ConfigError, "box").size == size
+
+    @pytest.mark.parametrize("focus", [10**400, float("nan"), "1", True],
+                             ids=["10**400", "nan", "string", "true"])
+    def test_optional_float_field_takes_only_finite_numbers(self, focus):
+        with pytest.raises(ConfigError, match="lens keys must be finite "
+                                              "JSON numbers or null: focus"):
+            build(Lens, {"focus": focus}, ConfigError, "lens")
 
     def test_wrong_type_names_the_value_as_json(self):
         with pytest.raises(ConfigError, match=r"JSON numbers: size "
@@ -70,7 +96,7 @@ class TestBuild:
          "bad box: .*size must be > 0"),
         # a string no longer reaches the dataclass's own check
         ({"class": "cup", "count": 2, "size": "big"},
-         "box keys must be JSON numbers: size"),
+         "box keys must be finite JSON numbers: size"),
     ], ids=["missing_field", "rejected_value", "wrong_type"])
     def test_bad_value_raises_the_callers_error(self, value, match):
         with pytest.raises(ConfigError, match=match):

@@ -31,10 +31,12 @@ class TestIntrinsics:
     @pytest.mark.parametrize("axis", ["fx", "fy"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -500.0])
     def test_focal_length_must_be_positive_and_finite(self, axis, bad):
+        # the class's own check; from JSON, build rejects NaN and Infinity
+        # before it
         d = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
              "width": 640, "height": 480, axis: bad}
         with pytest.raises(ValueError, match="focal lengths"):
-            CameraIntrinsics.from_dict(d)
+            CameraIntrinsics(**d)
 
 
 class TestProject:

@@ -225,13 +225,16 @@ class TestSolve:
     @pytest.mark.parametrize("jitter", [0.0, 1.0, 5.0])
     def test_start_at_own_solution_stops_at_once(self, intrinsics, jitter,
                                                  monkeypatch):
-        # a warm start on an unchanged face: the first step is below
-        # step_tol, so the descent stops without a trial and the pose
-        # comes back unchanged
+        # a warm start on an unchanged face at its exact minimum: the first
+        # step is below step_tol, so the descent stops without a trial and
+        # the pose comes back unchanged. Without the noise-floor stop
+        # (K = 0), a noisy face's first solve ends at that minimum.
         rng = np.random.default_rng(7)
         obs = synth_obs(rotation_from_euler(50.0, -20.0, 5.0),
                         np.array([0.1, -0.05, 1.5]), intrinsics, jitter, rng)
-        pose = lm_solve_pose(obs, MODEL, intrinsics, step_tol=1e-6)
+        with monkeypatch.context() as exact:
+            exact.setattr(headpose, "K", 0.0)
+            pose = lm_solve_pose(obs, MODEL, intrinsics, step_tol=1e-6)
         init = np.concatenate((pose.axis_angle, pose.translation))
         evals = []
 
@@ -369,8 +372,9 @@ class TestSolverMatchesReference:
     # explicit cases, one per path: a clean cold face that stops at its
     # DLT start, a noisy one that descends from its SOP start, a cold
     # landmark subset, a cold NoConvergence, a given init whose trial
-    # behind the camera is rejected, a given init behind the camera, and a
-    # given init on a landmark subset
+    # behind the camera is rejected, a given init behind the camera, a
+    # given init on a landmark subset, and a noisy given init that stops at
+    # the noise floor (7 face-evaluations, 20 without that stop)
     @example(seed=4099934951, jitter=0.0, extended=False, drop=0, warm=False,
              distance=1.5, accept_rms=2.0)
     @example(seed=3285177209, jitter=5.0, extended=True, drop=0, warm=False,
@@ -385,6 +389,8 @@ class TestSolverMatchesReference:
              distance=0.12, accept_rms=100.0)
     @example(seed=70985654, jitter=0.0, extended=True, drop=2, warm=True,
              distance=0.6, accept_rms=2.0)
+    @example(seed=4, jitter=1.0, extended=False, drop=0, warm=True,
+             distance=1.5, accept_rms=100.0)
     def test_bitwise_equal(self, seed, jitter, extended, drop, warm,
                            distance, accept_rms):
         # equal bytes of rotation and translation, equal yaw, pitch, roll

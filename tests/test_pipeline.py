@@ -27,6 +27,7 @@ from semmap.simulator import (
 from semmap.tracker import KIND_PERSON, Detection2D
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def without_person(row):
@@ -255,24 +256,50 @@ def trigger_times(events, person):
             if p["person"] == person and p["track"] in row["triggers"]]
 
 
+def counted_run(monkeypatch, scenario):
+    """(face-evaluations, events) of a run: the evaluations are the rows of
+    every `_residuals` call."""
+    evals = []
+
+    def counted(params, *args, _real=headpose._residuals):
+        evals.append(len(params))
+        return _real(params, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(headpose, "_residuals", counted)
+        _, _, events = run_scenario_detailed(scenario)
+    return sum(evals), events
+
+
 class TestLandmarkNoise:
     """Head-pose cost and attention on interaction.json under landmark
     noise. Counts only, no wall clock."""
 
     def test_noise_does_not_multiply_solver_work(self, monkeypatch):
-        # face-evaluations: the rows of every `_residuals` call. With cold
-        # restarts on every noisy face this run made 33,470, with warm
-        # starts and restarts 5,272, and with one closed-form start per cold
-        # face 3,210; the clean run makes about 200
-        evals = []
+        # With cold restarts on every noisy face this run made 33,470
+        # face-evaluations, with warm starts and restarts 5,272, with one
+        # closed-form start per cold face 3,213, and with the stop at the
+        # noise floor 1,911; the clean run makes about 200
+        evals, _ = counted_run(monkeypatch, interaction(5.0))
+        assert evals <= 2400
 
-        def counted(params, *args, _real=headpose._residuals):
-            evals.append(len(params))
-            return _real(params, *args)
-
-        monkeypatch.setattr(headpose, "_residuals", counted)
-        run_scenario_detailed(interaction(5.0))
-        assert sum(evals) <= 4000
+    def test_stop_at_noise_floor_saves_work_not_attention(self, monkeypatch):
+        # attention_crowd at 1 px: 1,379 face-evaluations without the stop
+        # at the noise floor (K = 0) and 780 with it; yaw and pitch moved
+        # by at most 0.22 degrees
+        sc = Scenario.from_json(DATA_DIR / "attention_crowd.json")
+        evals, events = counted_run(monkeypatch, sc)
+        monkeypatch.setattr(headpose, "K", 0.0)
+        exact_evals, exact_events = counted_run(monkeypatch, sc)
+        assert evals <= 0.65 * exact_evals
+        rows = [(p, q) for row, exact in zip(events, exact_events, strict=True)
+                for p, q in zip(row["persons"], exact["persons"], strict=True)]
+        assert sum("yaw" in p for p, _ in rows) > 100
+        for p, q in rows:
+            assert p["attending"] == q["attending"]
+            if "yaw" in q:
+                assert abs(p["yaw"] - q["yaw"]) <= 0.5
+                assert abs(p["pitch"] - q["pitch"]) <= 0.5
 
     def test_clean_trigger_at_4s(self):
         _, _, events = run_scenario_detailed(interaction())

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from semmap import simulator
 from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from semmap.geometry import RigidPose
+from semmap.headpose import rodrigues
 from semmap.simulator import (
     Scenario,
     _sample_box_surface,
@@ -524,6 +525,21 @@ class TestSchema:
         with pytest.raises(ScenarioError, match=field):
             scenario(**overrides)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                         "radius": 2.0, "frames": 12, "height": 10**400}},
+         "height"),
+        ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                         "radius": -10**400, "frames": 12}}, "radius"),
+        ({"noise": {"depth_noise_m": 10**400}}, "depth_noise_m"),
+        ({"persons": [{"position": [0.0, 0.0, 1.5],
+                       "away_yaw_deg": 10**400}]}, "away_yaw_deg"),
+    ], ids=["orbit_height", "orbit_radius", "depth_noise", "away_yaw"])
+    def test_number_beyond_float_range_rejected(self, overrides, key):
+        with pytest.raises(ScenarioError,
+                           match=f"finite JSON numbers( or null)?: {key}"):
+            scenario(**overrides)
+
     def test_integer_background_depth_keeps_depths_in_metres(self):
         # np.full takes the z-buffer's dtype from its fill value: an int
         # background truncated every depth to whole metres
@@ -558,6 +574,19 @@ class TestDrift:
         assert np.abs(sc.drift_pose(4).translation).max() == 0.0
         np.testing.assert_allclose(sc.drift_pose(6).translation,
                                    [0.2, 0, 0])
+
+    @pytest.mark.parametrize("rate", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
+                                      [0.0, 0.5, 0.0]])
+    def test_rotation_is_rodrigues_bit_for_bit(self, rate):
+        # a zero rotation skips rodrigues, whose result is the identity
+        sc = scenario(drift={"start_frame": 2,
+                             "translation_per_frame": [0.01, 0.0, 0.0],
+                             "rotation_deg_per_frame": rate})
+        for frame in (2, 7, 11):
+            got = sc.drift_pose(frame).rotation
+            want = rodrigues(np.radians(np.asarray(rate)) * (frame - 1))
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
 
     def test_estimated_pose_composes_world_side(self):
         sc = scenario(drift={"start_frame": 0,

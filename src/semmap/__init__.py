@@ -16,7 +16,6 @@ from .headpose import (
     LandmarkSet2D,
     euler_from_rotation,
     is_attending,
-    lm_solve_pose,
     lm_solve_poses,
 )
 from .pipeline import FrameInput, Pipeline
@@ -35,7 +34,7 @@ __all__ = [
     "CameraIntrinsics", "DepthImage", "PointCloud", "RigidPose",
     "backproject", "extract_object_cloud", "voxel_downsample",
     "FaceModel3D", "HeadPose", "LandmarkSet2D",
-    "euler_from_rotation", "is_attending", "lm_solve_pose", "lm_solve_poses",
+    "euler_from_rotation", "is_attending", "lm_solve_poses",
     "FrameInput", "Pipeline",
     "MergeReport", "SemanticMap", "SemanticObject", "chamfer_distance",
     "MetricsReport", "Scenario", "run_scenario_detailed",

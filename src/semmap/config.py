@@ -8,6 +8,7 @@ dataclass's init fields are its schema.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -73,7 +74,8 @@ def finite_numbers(value, n: int) -> bool:
 Vector3 = tuple
 Matrix3 = tuple
 
-# per field annotation, the JSON values it takes and how to name them
+# per field annotation, the JSON values it takes and how to name them; when
+# keys under several annotations are wrong, `build` names those of the first
 _JSON_TYPES = {
     "int": (lambda v: type(v) is int, "JSON integers"),
     "float": (_finite_number, "finite JSON numbers"),
@@ -87,6 +89,21 @@ _JSON_TYPES = {
                 and all(finite_numbers(row, 3) for row in v),
                 "three rows of three finite numbers"),
 }
+_ECHO_CHARS = 40  # the longest rejected value an error repeats
+
+
+@functools.cache
+def _annotations(cls) -> dict:
+    """Init field name -> its annotation, as `_JSON_TYPES` names it."""
+    return {f.name: getattr(f.type, "__name__", str(f.type))
+            for f in dataclasses.fields(cls) if f.init}
+
+
+def _echo(value) -> str:
+    """`value` as JSON, cut to `_ECHO_CHARS` characters ending in "..."."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= _ECHO_CHARS \
+        else text[:_ECHO_CHARS - 3] + "..."
 
 
 def build(cls, value, error, what: str, **parse):
@@ -97,27 +114,29 @@ def build(cls, value, error, what: str, **parse):
     only a JSON integer, a number whose float is finite (an integer too,
     but no boolean, NaN or Infinity), such a number or null, a boolean or
     a string; one annotated `Vector3` or `Matrix3` takes only an array of
-    three finite numbers, or three such arrays. `parse` maps a key to a
-    function from its JSON value to the field's. Any other TypeError,
+    three finite numbers, or three such arrays. Of the annotations with
+    wrong values, the error names the first in `_JSON_TYPES`, with its keys
+    and their values as JSON, each cut to 40 characters. `parse` maps a key
+    to a function from its JSON value to the field's. Any other TypeError,
     ValueError or LookupError from a bad value is raised as `error` too.
     """
     names = {key: _RENAMED.get(key, key)
              for key in _json_object(value, error, what)}
-    types = {f.name: getattr(f.type, "__name__", str(f.type))
-             for f in dataclasses.fields(cls) if f.init}
+    types = _annotations(cls)
     unknown = sorted(key for key, name in names.items() if name not in types)
     if unknown:
         raise error(f"unknown {what} keys: {', '.join(unknown)}")
-    for annotation, (takes, noun) in _JSON_TYPES.items():
-        wrong = sorted(key for key, name in names.items()
-                       if types[name] == annotation and key not in parse
-                       and not takes(value[key]))
-        if wrong:
-            got = ", ".join(
-                f"{what} {key} = {json.dumps(value[key], default=repr)}"
-                for key in wrong)
-            raise error(f"{what} keys must be {noun}: {', '.join(wrong)} "
-                        f"(got {got})")
+    wrong = {}  # annotation -> the keys whose values its rule rejects
+    for key, name in names.items():
+        rule = _JSON_TYPES.get(types[name])
+        if rule is not None and key not in parse and not rule[0](value[key]):
+            wrong.setdefault(types[name], []).append(key)
+    if wrong:
+        annotation = next(a for a in _JSON_TYPES if a in wrong)
+        keys = sorted(wrong[annotation])
+        got = ", ".join(f"{what} {key} = {_echo(value[key])}" for key in keys)
+        raise error(f"{what} keys must be {_JSON_TYPES[annotation][1]}: "
+                    f"{', '.join(keys)} (got {got})")
     try:
         return cls(**{name: parse[key](value[key]) if key in parse
                       else value[key] for key, name in names.items()})

@@ -5,10 +5,6 @@ class SemMapError(Exception):
     """Base class for all pipeline errors."""
 
 
-class NonPositiveDepth(SemMapError):
-    pass
-
-
 class InvalidDepth(SemMapError):
     pass
 

@@ -39,11 +39,6 @@ def _skew_gather(v: np.ndarray, index: np.ndarray) -> np.ndarray:
     return signed.take(index, axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix [v]x, batched over the leading axes of v."""
-    return _skew_gather(np.asarray(v, dtype=np.float64), _SKEW_INDEX)
-
-
 def _sq_norms(v: np.ndarray) -> np.ndarray:
     """v @ v of each row of a 2-D array, shaped (B, 1, 1). A stacked
     (1, n) @ (n, 1) matmul is the same dot per row as `v @ v` of one row;
@@ -239,23 +234,6 @@ def _normal_equations(model_points, focal, res, *terms):
     jac = _jacobian(model_points, focal, *terms)
     jac_t = jac.transpose(0, 2, 1)
     return jac_t @ jac, -(jac_t @ res[:, :, None])[..., 0]
-
-
-def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
-                           observed: np.ndarray, k: CameraIntrinsics):
-    """Reprojection residuals (2N,) and analytic Jacobian (2N, 6) of one
-    face.
-
-    params = [axis-angle rotation (3), translation (3)], model-to-camera.
-    Residual ordering: (u_i - u_obs_i, v_i - v_obs_i) per landmark.
-    """
-    focal = np.array([k.fx, k.fy])
-    res, terms = _residuals(np.asarray(params, dtype=np.float64).reshape(1, 6),
-                            model_points, observed, focal,
-                            np.array([k.cx, k.cy]))
-    if terms[-1][0, :, 2].min() <= 1e-9:
-        raise PointBehindCamera("model point at non-positive camera depth")
-    return res[0], _jacobian(model_points, focal, *terms)[0]
 
 
 def _axis_angles(rot: np.ndarray):
@@ -535,17 +513,6 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
             outcomes[i] = errors[j] if errors[j] is not None \
                 else _pose(params[j], rots[j], cost[j], n, accept_rms)
     return outcomes
-
-
-def lm_solve_pose(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
-                  init: np.ndarray | None = None, **options) -> HeadPose:
-    """`lm_solve_poses` of one face; raises the exception its solve ends
-    in. `options` are those of `lm_solve_poses`."""
-    pose, = lm_solve_poses([obs], model, k,
-                           None if init is None else [init], **options)
-    if isinstance(pose, Exception):
-        raise pose
-    return pose
 
 
 def rotation_from_euler(yaw: float, pitch: float, roll: float) -> np.ndarray:

@@ -262,7 +262,6 @@ class Scenario:
     samples: np.ndarray = field(init=False, repr=False)
     sample_starts: np.ndarray = field(init=False, repr=False)  # per object
     sample_spacing: np.ndarray = field(init=False, repr=False)  # per object, m
-    object_samples: list = field(init=False)  # per object, views of samples
 
     def __post_init__(self):
         frames = len(self.trajectory)
@@ -291,6 +290,16 @@ class Scenario:
             last = self.drift_pose(frames - 1)
         if not np.isfinite(np.append(last.rotation, last.translation)).all():
             raise ScenarioError(f"drift overflows by frame {frames - 1}")
+        # each frame's inverse() has translation -Rᵀt: checked for all
+        # frames at once, so that none overflows mid-run
+        rot = np.array([pose.rotation for pose in self.trajectory])
+        t = np.array([pose.translation for pose in self.trajectory])
+        with np.errstate(over="ignore", invalid="ignore"):
+            back = rot.transpose(0, 2, 1) @ t[:, :, None]
+        bad = np.flatnonzero(~np.isfinite(back).all(axis=(1, 2)))
+        if bad.size:
+            raise ScenarioError(
+                f"pose of frame {bad[0]} has no finite inverse")
         for ev in self.correction_events:
             if not 0 <= ev.frame < frames:
                 raise ScenarioError(
@@ -309,8 +318,6 @@ class Scenario:
         self.samples = np.concatenate(parts or [np.empty((0, 3))])
         ends = np.cumsum(counts, dtype=np.intp)
         self.sample_starts = ends - np.asarray(counts, dtype=np.intp)
-        self.object_samples = [self.samples[end - n:end]
-                               for n, end in zip(counts, ends)]
         e = np.array([obj.extents for obj in self.world_objects],
                      dtype=np.float64).reshape(-1, 3)
         area = 2 * (e[:, 0] * e[:, 1] + e[:, 1] * e[:, 2] + e[:, 0] * e[:, 2])

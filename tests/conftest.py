@@ -6,8 +6,8 @@ from semmap.errors import (
     EmptyCloud,
     FrameOutOfRange,
     NoConvergence,
-    NonPositiveDepth,
     PointBehindCamera,
+    SemMapError,
 )
 from semmap.geometry import (
     CameraIntrinsics,
@@ -18,15 +18,19 @@ from semmap.geometry import (
     voxel_downsample,
 )
 from semmap.headpose import (
+    _SKEW_INDEX,
     K,
     FaceModel3D,
     HeadPose,
     LandmarkSet2D,
+    _jacobian,
+    _residuals,
+    _skew_gather,
     euler_from_rotation,
+    lm_solve_poses,
     project_model,
     rodrigues,
     rotation_from_euler,
-    skew,
 )
 from semmap.semantic_map import chamfer_distance
 from semmap.simulator import (
@@ -47,6 +51,10 @@ def intrinsics():
 def random_pose(rng, trans_scale=2.0) -> RigidPose:
     return RigidPose(rodrigues(rng.normal(0.0, 1.0, 3)),
                      rng.normal(0.0, trans_scale, 3))
+
+
+class NonPositiveDepth(SemMapError):
+    pass
 
 
 def project(point, pose: RigidPose, k: CameraIntrinsics):
@@ -142,6 +150,41 @@ def reference_extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     return PointCloud(pts)
 
 
+def skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrix [v]x, batched over the leading axes of v, as
+    the solver's kernels build it: signed zeros and all."""
+    return _skew_gather(np.asarray(v, dtype=np.float64), _SKEW_INDEX)
+
+
+def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
+                           observed: np.ndarray, k: CameraIntrinsics):
+    """Reprojection residuals (2N,) and analytic Jacobian (2N, 6) of one
+    face, by the solver's kernels `headpose._residuals` and
+    `headpose._jacobian`.
+
+    params = [axis-angle rotation (3), translation (3)], model-to-camera.
+    Residual ordering: (u_i - u_obs_i, v_i - v_obs_i) per landmark.
+    """
+    focal = np.array([k.fx, k.fy])
+    res, terms = _residuals(np.asarray(params, dtype=np.float64).reshape(1, 6),
+                            model_points, observed, focal,
+                            np.array([k.cx, k.cy]))
+    if terms[-1][0, :, 2].min() <= 1e-9:
+        raise PointBehindCamera("model point at non-positive camera depth")
+    return res[0], _jacobian(model_points, focal, *terms)[0]
+
+
+def solve_one(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
+              init: np.ndarray | None = None, **options) -> HeadPose:
+    """`lm_solve_poses` of one face; raises the exception its solve ends
+    in. `options` are those of `lm_solve_poses`."""
+    pose, = lm_solve_poses([obs], model, k,
+                           None if init is None else [init], **options)
+    if isinstance(pose, Exception):
+        raise pose
+    return pose
+
+
 def _rotation_point_jacobian(w: np.ndarray, rot: np.ndarray,
                              x: np.ndarray) -> np.ndarray:
     """d(R(w) x)/dw, 3x3 (Gallego-Yezzi closed form), one column at a time."""
@@ -158,7 +201,7 @@ def _rotation_point_jacobian(w: np.ndarray, rot: np.ndarray,
 
 
 def per_landmark_jacobian(params, model_points, observed, k):
-    """Reference for `headpose.residuals_and_jacobian`: one landmark per pass."""
+    """Reference for `residuals_and_jacobian`: one landmark per pass."""
     w = np.asarray(params[:3], dtype=np.float64)
     t = np.asarray(params[3:6], dtype=np.float64)
     rot = rodrigues(w)
@@ -184,7 +227,7 @@ def per_landmark_jacobian(params, model_points, observed, k):
     return res, jac
 
 
-# Reference for `headpose.lm_solve_pose`: one descent from a given start,
+# Reference for `solve_one`: one descent from a given start,
 # as the solver made it before the Jacobian was split from the residuals.
 # It builds the Jacobian at every trial point. The bodies are the solver's
 # of then, without its restart search and with the names of the functions
@@ -296,7 +339,7 @@ def reference_lm_solve_pose(obs, model, k, init, lambda_init=1e-3,
 
 def reference_descent(obs, model, k, init, lambda_init=1e-3, step_tol=1e-8,
                       accept_rms=100.0, **options) -> HeadPose:
-    """One descent from `init` as `headpose.lm_solve_pose` makes it: a
+    """One descent from `init` as `solve_one` makes it: a
     start whose first step is shorter than `step_tol` is already a minimum
     and is its own result, without a trial; any other start descends as
     `reference_lm_solve_pose` from it."""
@@ -335,6 +378,12 @@ def _splat_depth(depth_min, us, vs, ds, footprint, width, height):
             np.minimum.at(flat, vv[ok] * width + uu[ok], ds[ok])
 
 
+def object_samples(scenario) -> list:
+    """Each world object's surface samples: views of `scenario.samples`,
+    sliced at `scenario.sample_starts`."""
+    return np.split(scenario.samples, scenario.sample_starts[1:])
+
+
 def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
     """Reference for `simulator.synthesize_frame_data`: projects and splats
     one object per pass, one `np.minimum.at` per footprint offset."""
@@ -352,8 +401,9 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
     provenance = []
     depth_min = np.full((k.height, k.width), np.inf)
 
+    samples = object_samples(scenario)
     for oi, obj in enumerate(scenario.world_objects):
-        cam = _project_points_cam(scenario.object_samples[oi], true_pose)
+        cam = _project_points_cam(samples[oi], true_pose)
         z = cam[:, 2]
         vis = (z > NEAR_PLANE) & (z <= scenario.max_range)
         if np.any(vis):

@@ -16,9 +16,7 @@ from semmap.geometry import CameraIntrinsics, PointCloud, backproject
 from semmap.headpose import (
     FaceModel3D,
     LandmarkSet2D,
-    lm_solve_pose,
     project_model,
-    residuals_and_jacobian,
     rotation_from_euler,
 )
 from semmap.semantic_map import chamfer_distance
@@ -30,7 +28,13 @@ from semmap.simulator import (
 from semmap.tracker import IoUTracker, iou
 from semmap.willingness import WillingnessState, update
 
-from conftest import brute_force_chamfer, project, random_pose
+from conftest import (
+    brute_force_chamfer,
+    project,
+    random_pose,
+    residuals_and_jacobian,
+    solve_one,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 
@@ -171,7 +175,7 @@ def test_criterion_6_lm_recovery():
             pixels = {n: (u + rng.normal(0, noise_sigma),
                           v + rng.normal(0, noise_sigma))
                       for n, (u, v) in pixels.items()}
-        pose = lm_solve_pose(LandmarkSet2D(pixels), model, K)
+        pose = solve_one(LandmarkSet2D(pixels), model, K)
         return (_rotation_error_deg(pose.rotation, rot),
                 float(np.abs(pose.translation - t).max()))
 

@@ -152,6 +152,10 @@ class TestRun:
         lambda d: d.update(fps=10**400),
         lambda d: d.update(max_range=10**400),
         lambda d: d.update(background_depth=10**400),
+        lambda d: d.update(trajectory={"kind": "poses", "poses": [{
+            "rotation": [[0.5 ** 0.5, -0.5 ** 0.5, 0.0],
+                         [0.5 ** 0.5, 0.5 ** 0.5, 0.0], [0.0, 0.0, 1.0]],
+            "translation": [1.7e308, 1.7e308, 1.0]}]}),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
@@ -172,7 +176,10 @@ class TestRun:
             "class_list", "window_strings",
             # an integer beyond float range: fps ran to exit 0 with every
             # frame at t = 0, the others died in float() (exit 1)
-            "fps_10**400", "max_range_10**400", "background_depth_10**400"])
+            "fps_10**400", "max_range_10**400", "background_depth_10**400",
+            # a pose turned 45 degrees whose inverse overflows: died at frame
+            # 0 (exit 1)
+            "pose_inverse_overflows"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)
@@ -194,6 +201,18 @@ class TestRun:
         assert not out.exists()
         # the loader takes only finite numbers, and names the key
         assert f"finite JSON numbers: {axis}" in capsys.readouterr().err
+
+    def test_huge_value_cut_in_the_error(self, tmp_path, capsys):
+        # the 401 digits of 10**400 were repeated in a 471-character error
+        d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
+        d["intrinsics"]["fx"] = 10**400
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(write_scenario(tmp_path, d)),
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "finite JSON numbers: fx (got intrinsics fx = 1000" in err
+        assert len(err) < 150
 
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

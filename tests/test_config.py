@@ -31,6 +31,13 @@ class Lens:
     focus: float | None = None
 
 
+@dataclass(frozen=True)
+class Span:
+    name: str
+    lo: float
+    hi: float
+
+
 class TestBuild:
     def test_class_key_fills_class_label_and_defaults_apply(self):
         assert build(Box, {"class": "cup", "count": 2}, ConfigError, "box") \
@@ -85,6 +92,23 @@ class TestBuild:
                                               r"\(got box size = \[true\]\)"):
             build(Box, {"class": "cup", "count": 2, "size": [True]},
                   ConfigError, "box")
+
+    def test_wrong_keys_of_the_first_rule_named_sorted(self):
+        # a wrong str key and two wrong float keys: float comes first in
+        # the table of rules, whatever the order of the keys
+        with pytest.raises(ConfigError) as e:
+            build(Span, {"name": 5, "hi": "2", "lo": None}, ConfigError,
+                  "span")
+        assert str(e.value) == ('span keys must be finite JSON numbers: '
+                                'hi, lo (got span hi = "2", span lo = null)')
+
+    def test_long_value_cut_in_the_message(self):
+        # a 401-digit integer was once repeated in full
+        with pytest.raises(ConfigError) as e:
+            build(Box, {"class": "cup", "count": 2, "size": 10**400},
+                  ConfigError, "box")
+        assert str(e.value) == ("box keys must be finite JSON numbers: size "
+                                f"(got box size = {'1' + '0' * 36}...)")
 
     def test_float_field_takes_an_integer(self):
         assert build(Box, {"class": "cup", "count": 2, "size": 3},

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from semmap.errors import (
     EmptyCloud,
     InvalidDepth,
-    NonPositiveDepth,
     PixelOutOfBounds,
 )
 from semmap.geometry import (
@@ -24,7 +23,12 @@ from semmap.geometry import (
 )
 from semmap.headpose import rodrigues
 
-from conftest import project, random_pose, reference_extract_object_cloud
+from conftest import (
+    NonPositiveDepth,
+    project,
+    random_pose,
+    reference_extract_object_cloud,
+)
 
 
 class TestIntrinsics:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_landmark_jacobian, reference_descent
+from conftest import (
+    per_landmark_jacobian,
+    reference_descent,
+    residuals_and_jacobian,
+    solve_one,
+)
 
 from semmap import headpose
 from semmap.errors import (
@@ -21,13 +26,10 @@ from semmap.headpose import (
     _solve,
     euler_from_rotation,
     is_attending,
-    lm_solve_pose,
     lm_solve_poses,
     project_model,
-    residuals_and_jacobian,
     rodrigues,
     rotation_from_euler,
-    skew,
 )
 
 MODEL = FaceModel3D.default()
@@ -176,7 +178,7 @@ class TestSolve:
     def test_recovers_synthetic_pose(self, intrinsics):
         rot = rotation_from_euler(25.0, -10.0, 5.0)
         t = np.array([0.1, -0.05, 1.4])
-        pose = lm_solve_pose(synth_obs(rot, t, intrinsics), MODEL, intrinsics)
+        pose = solve_one(synth_obs(rot, t, intrinsics), MODEL, intrinsics)
         assert np.abs(pose.rotation - rot).max() < 1e-6
         assert np.abs(pose.translation - t).max() < 1e-6
         assert pose.rms_residual < 1e-6
@@ -185,8 +187,8 @@ class TestSolve:
         w = np.array([0.2, -0.1, 0.05])
         t = np.array([0.0, 0.1, 1.1])
         obs = synth_obs(rodrigues(w), t, intrinsics)
-        pose = lm_solve_pose(obs, MODEL, intrinsics,
-                             init=np.concatenate([w, t]), max_iterations=3)
+        pose = solve_one(obs, MODEL, intrinsics,
+                         init=np.concatenate([w, t]), max_iterations=3)
         assert pose.rms_residual < 1e-9
 
     def test_five_landmarks_rejected(self, intrinsics):
@@ -194,7 +196,7 @@ class TestSolve:
         partial = LandmarkSet2D(
             {n: obs.landmarks[n] for n in MODEL.names[:5]})
         with pytest.raises(DegenerateConfiguration):
-            lm_solve_pose(partial, MODEL, intrinsics)
+            solve_one(partial, MODEL, intrinsics)
 
     @pytest.mark.parametrize("init", [
         np.zeros(5), np.zeros(7), np.zeros((1, 6)),
@@ -204,7 +206,7 @@ class TestSolve:
     def test_bad_init_rejected(self, intrinsics, init):
         obs = synth_obs(np.eye(3), [0, 0, 1.0], intrinsics)
         with pytest.raises(ValueError, match="init must be six finite"):
-            lm_solve_pose(obs, MODEL, intrinsics, init=init)
+            solve_one(obs, MODEL, intrinsics, init=init)
 
     def test_residuals_and_jacobian_called_as_module_globals(
             self, intrinsics, monkeypatch):
@@ -217,7 +219,7 @@ class TestSolve:
             monkeypatch.setattr(headpose, name, counted)
         obs = synth_obs(rotation_from_euler(20.0, -10.0, 0.0),
                         np.array([0.05, 0.0, 1.2]), intrinsics)
-        lm_solve_pose(obs, MODEL, intrinsics)
+        solve_one(obs, MODEL, intrinsics)
         # the closed-form start and the descent evaluate residuals, and the
         # descent builds a Jacobian at some of those points only
         assert counts["_residuals"] > counts["_jacobian"] >= 1
@@ -234,7 +236,7 @@ class TestSolve:
                         np.array([0.1, -0.05, 1.5]), intrinsics, jitter, rng)
         with monkeypatch.context() as exact:
             exact.setattr(headpose, "K", 0.0)
-            pose = lm_solve_pose(obs, MODEL, intrinsics, step_tol=1e-6)
+            pose = solve_one(obs, MODEL, intrinsics, step_tol=1e-6)
         init = np.concatenate((pose.axis_angle, pose.translation))
         evals = []
 
@@ -243,8 +245,7 @@ class TestSolve:
             return _real(*args)
 
         monkeypatch.setattr(headpose, "_residuals", counted)
-        again = lm_solve_pose(obs, MODEL, intrinsics, step_tol=1e-6,
-                              init=init)
+        again = solve_one(obs, MODEL, intrinsics, step_tol=1e-6, init=init)
         assert len(evals) <= 2
         for name in ("rotation", "translation", "axis_angle"):
             assert getattr(again, name).tobytes() \
@@ -255,7 +256,7 @@ class TestSolve:
     def test_pose_carries_solver_axis_angle(self, intrinsics):
         w = np.array([0.3, -0.4, 0.1])
         obs = synth_obs(rodrigues(w), np.array([0.0, 0.1, 1.2]), intrinsics)
-        pose = lm_solve_pose(obs, MODEL, intrinsics)
+        pose = solve_one(obs, MODEL, intrinsics)
         assert np.abs(pose.axis_angle - w).max() < 1e-9
         assert rodrigues(pose.axis_angle).tobytes() == pose.rotation.tobytes()
 
@@ -263,7 +264,7 @@ class TestSolve:
         obs = synth_obs(np.eye(3), [0, 0, 1.0], intrinsics)
         extra = dict(obs.landmarks)
         extra["forehead"] = (320.0, 100.0)
-        pose = lm_solve_pose(LandmarkSet2D(extra), MODEL, intrinsics)
+        pose = solve_one(LandmarkSet2D(extra), MODEL, intrinsics)
         assert pose.rms_residual < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -275,7 +276,7 @@ class TestSolve:
         rot = rotation_from_euler(yaw, pitch, roll)
         t = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2),
                       rng.uniform(0.6, 2.5)])
-        pose = lm_solve_pose(synth_obs(rot, t, K), MODEL, K)
+        pose = solve_one(synth_obs(rot, t, K), MODEL, K)
         assert pose.yaw == pytest.approx(yaw, abs=0.1)
         assert pose.pitch == pytest.approx(pitch, abs=0.1)
         assert np.abs(pose.translation - t).max() < 1e-4
@@ -400,7 +401,7 @@ class TestSolverMatchesReference:
                                        distance)
         want = _outcome(reference_descent, obs, model, K,
                         descent_start(obs, model, init), accept_rms=accept_rms)
-        got = _outcome(lm_solve_pose, obs, model, K, init=init,
+        got = _outcome(solve_one, obs, model, K, init=init,
                        accept_rms=accept_rms)
         assert got == want
 
@@ -418,7 +419,7 @@ def failing_face(kind):
 
 
 def _raised(outcome):
-    """A batch outcome as `lm_solve_pose` would end: return or raise."""
+    """A batch outcome as `solve_one` would end: return or raise."""
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -450,7 +451,7 @@ class TestBatchedSolves:
         assert len(got) == len(faces)
         for (obs, init), pose in zip(faces, got):
             outcome = _outcome(lambda: _raised(pose))
-            alone = _outcome(lm_solve_pose, obs, EXTENDED_MODEL, K,
+            alone = _outcome(solve_one, obs, EXTENDED_MODEL, K,
                              init=init, accept_rms=accept_rms)
             assert outcome == alone
             want = _outcome(reference_descent, obs, EXTENDED_MODEL, K,
@@ -506,7 +507,7 @@ class TestSolverGates:
         obs, model, _ = solver_case(seed, 0.0, extended, drop, False,
                                     distance)
         _, t = solver_truth(np.random.default_rng(seed), distance)
-        pose = lm_solve_pose(obs, model, K)
+        pose = solve_one(obs, model, K)
         assert pose.rms_residual < 1e-6
         assert np.abs(pose.translation - t).max() < 1e-4
 
@@ -582,4 +583,6 @@ class TestAttending:
 def test_skew_cross_product_identity():
     rng = np.random.default_rng(2)
     a, b = rng.normal(0, 1, (2, 3))
-    np.testing.assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-15)
+    np.testing.assert_allclose(
+        headpose._skew_gather(a, headpose._SKEW_INDEX) @ b, np.cross(a, b),
+        atol=1e-15)

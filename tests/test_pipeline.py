@@ -13,7 +13,6 @@ from semmap.headpose import (
     FaceModel3D,
     HeadPose,
     LandmarkSet2D,
-    lm_solve_pose,
     lm_solve_poses,
     project_model,
     rotation_from_euler,
@@ -25,6 +24,8 @@ from semmap.simulator import (
     synthesize_frame_data,
 )
 from semmap.tracker import KIND_PERSON, Detection2D
+
+from conftest import solve_one
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -180,8 +181,8 @@ class TestHeadPoseState:
         assert spy.batches == [1, 2]
         assert spy.cold() == [True, False, True]
         for (init, pose), x in zip(spy.calls[1:], (-0.3, 0.3)):
-            alone = lm_solve_pose(faces[x], pipeline.face_model, intrinsics,
-                                  init=init, **pipeline.lm_options)
+            alone = solve_one(faces[x], pipeline.face_model, intrinsics,
+                              init=init, **pipeline.lm_options)
             for name in ("rotation", "translation", "axis_angle"):
                 assert getattr(pose, name).tobytes() \
                     == getattr(alone, name).tobytes()

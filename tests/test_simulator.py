@@ -24,7 +24,7 @@ from semmap.simulator import (
     synthesize_frame_data,
 )
 
-from conftest import per_object_frame_reference
+from conftest import object_samples, per_object_frame_reference
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 
@@ -235,8 +235,8 @@ class TestSynthesizeFrame:
         sc = frame_scenario(objects=[(0.0, 2.0, 0.0, CUBE, 30),
                                      (0.5, 3.0, 0.0, CUBE, 20)])
         assert sc.samples.shape == (50, 3)
-        assert [len(s) for s in sc.object_samples] == [30, 20]
-        assert all(s.base is sc.samples for s in sc.object_samples)
+        assert [len(s) for s in object_samples(sc)] == [30, 20]
+        assert all(s.base is sc.samples for s in object_samples(sc))
         assert sc.sample_starts.tolist() == [0, 30]
 
     def test_noiseless_bbox_is_sample_hull(self):
@@ -244,7 +244,7 @@ class TestSynthesizeFrame:
         data = synthesize_frame_data(sc, 0)
         dets = data.detections
         assert len(dets) == 1
-        cam = data.pose_estimate.inverse().transform(sc.object_samples[0])
+        cam = data.pose_estimate.inverse().transform(object_samples(sc)[0])
         u = sc.intrinsics.cx + sc.intrinsics.fx * cam[:, 0] / cam[:, 2]
         v = sc.intrinsics.cy + sc.intrinsics.fy * cam[:, 1] / cam[:, 2]
         x0, y0, x1, y1 = dets[0].bbox
@@ -309,7 +309,7 @@ class TestEdgeExamples:
         sc = frame_scenario(seed, edge_cubes(count, spots))
         k = sc.intrinsics
         lo, hi = footprint // 2, footprint - 1 - footprint // 2
-        for (u0, v0), pts, spacing in zip(spots, sc.object_samples,
+        for (u0, v0), pts, spacing in zip(spots, object_samples(sc),
                                           sc.sample_spacing):
             cam = sc.trajectory[0].inverse().transform(pts)
             u = k.cx + k.fx * cam[:, 0] / cam[:, 2]

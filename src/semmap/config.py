@@ -30,9 +30,10 @@ def _json_object(value, error, what: str) -> dict:
 
 def _parse_object(text: str, error, what: str) -> dict:
     try:
-        return _json_object(json.loads(text), error, what)
-    except json.JSONDecodeError as e:
+        value = json.loads(text)
+    except ValueError as e:  # also an integer past Python's digit limit
         raise error(f"malformed {what} JSON: {e}") from e
+    return _json_object(value, error, what)
 
 
 def read_json_object(path, error, what: str) -> dict:
@@ -77,7 +78,8 @@ Matrix3 = tuple
 # per field annotation, the JSON values it takes and how to name them; when
 # keys under several annotations are wrong, `build` names those of the first
 _JSON_TYPES = {
-    "int": (lambda v: type(v) is int, "JSON integers"),
+    "int": (lambda v: type(v) is int and -2**63 <= v < 2**63,
+            "int64 JSON integers"),
     "float": (_finite_number, "finite JSON numbers"),
     "float | None": (lambda v: v is None or _finite_number(v),
                      "finite JSON numbers or null"),
@@ -111,9 +113,9 @@ def build(cls, value, error, what: str, **parse):
 
     Each key must name an init field of `cls` ("class" names `class_label`).
     A field annotated `int`, `float`, `float | None`, `bool` or `str` takes
-    only a JSON integer, a number whose float is finite (an integer too,
-    but no boolean, NaN or Infinity), such a number or null, a boolean or
-    a string; one annotated `Vector3` or `Matrix3` takes only an array of
+    only a JSON integer within int64, a number whose float is finite (no
+    boolean, NaN or Infinity), such a number or null, a boolean or a
+    string; one annotated `Vector3` or `Matrix3` takes only an array of
     three finite numbers, or three such arrays. Of the annotations with
     wrong values, the error names the first in `_JSON_TYPES`, with its keys
     and their values as JSON, each cut to 40 characters. `parse` maps a key

@@ -170,18 +170,18 @@ def backproject(u, v, depth, pose: RigidPose, k: CameraIntrinsics):
     if (u < 0).any() or (u >= k.width).any() or (v < 0).any() \
             or (v >= k.height).any():
         raise PixelOutOfBounds(f"pixel outside {k.width}x{k.height} image")
-    return _backproject(u, v, d, pose, k)
+    return pose.transform(_backproject(u, v, d, k))
 
 
-def _backproject(u, v, d, pose: RigidPose, k: CameraIntrinsics):
-    """`backproject` of pixels and depths known to be valid. Each column of
-    the camera-frame points is `(u - cx) * d / fx`, computed in place."""
+def _backproject(u, v, d, k: CameraIntrinsics):
+    """Camera-frame points of pixels and depths known to be valid. Each
+    column is `(u - cx) * d / fx`, computed in place."""
     cam = np.empty(np.shape(d) + (3,))
     x, y = cam[..., 0], cam[..., 1]
     np.divide(np.multiply(np.subtract(u, k.cx, out=x), d, out=x), k.fx, out=x)
     np.divide(np.multiply(np.subtract(v, k.cy, out=y), d, out=y), k.fy, out=y)
     cam[..., 2] = d
-    return pose.transform(cam)
+    return cam
 
 
 def depth_band_halfwidth(bbox_w_px: float, bbox_h_px: float, median_depth: float,
@@ -192,15 +192,15 @@ def depth_band_halfwidth(bbox_w_px: float, bbox_h_px: float, median_depth: float
     return float(min(max(0.5 * max(metric_w, metric_h), 0.05), 1.0))
 
 
-def extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
-                         k: CameraIntrinsics, stride: int = 4) -> PointCloud:
-    """Cut an object point cloud out of the depth image under a detection bbox.
+def extract_object_cloud(bbox, depth: DepthImage, k: CameraIntrinsics,
+                         stride: int = 4) -> np.ndarray:
+    """Cut an object's frozen (N, 3) camera-frame points out of a depth image.
 
     Samples every stride-th pixel inside the bbox, keeps only pixels whose
     depth lies within a band around the median bbox depth (band width scaled
-    to the apparent metric size of the box) and back-projects them to world.
-    The samples are read as one strided slice of the image, in row-major
-    order.
+    to the apparent metric size of the box) and back-projects them into the
+    camera frame. The samples are read as one strided slice of the image, in
+    row-major order.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -232,10 +232,10 @@ def extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     rows, cols = np.nonzero(valid)
     with np.errstate(over="ignore", invalid="ignore"):
         pts = _backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
-                           d[keep], pose, k)
+                           d[keep], k)
     if not np.isfinite(pts).all():
         raise ValueError("point cloud contains non-finite coordinates")
-    return _trusted(PointCloud, points=pts)
+    return _freeze(pts)
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:

@@ -135,12 +135,12 @@ class Pipeline:
             if det.kind != KIND_OBJECT:
                 continue
             try:
-                cloud = extract_object_cloud(
-                    det.bbox, inp.depth, inp.pose_estimate, self.intrinsics,
+                local = extract_object_cloud(
+                    det.bbox, inp.depth, self.intrinsics,
                     stride=config.extraction_stride)
             except EmptyCloud:
                 continue
-            obj_id = registry.register_candidate(cloud, det.class_label, i)
+            obj_id = registry.register_candidate(local, det.class_label, i)
             registered.append({"track": track_id, "object": obj_id,
                                "class": det.class_label})
 

@@ -74,39 +74,37 @@ def overlap_ratio(a: np.ndarray, b: np.ndarray, radius: float) -> float:
 
 
 @dataclass
+class Observation:
+    """One sighting: points as its keyframe's camera measured them."""
+    keyframe_id: int
+    local: np.ndarray
+    pose: RigidPose | None = None  # the keyframe pose `world` was mapped by
+    world: np.ndarray | None = None
+
+
+@dataclass
 class SemanticObject:
     object_id: int
     class_label: str
-    observations: list = field(default_factory=list)  # (keyframe_id, local pts)
+    observations: list = field(default_factory=list)  # Observation each
     world_points: np.ndarray | None = None
     centroid: np.ndarray | None = None
     aabb: tuple | None = None  # (min 3-vector, max 3-vector)
-    # (pose, local pts, world pts) per observation, from the last rebuild
-    _world_parts: list = field(default_factory=list, init=False, repr=False,
-                               compare=False)
 
     @property
     def world_cloud(self) -> PointCloud:
         return _trusted(PointCloud, points=self.world_points)
 
     def rebuild(self, keyframes: dict, leaf: float, max_points: int):
-        """Recompute the cached world cloud from keyframe-local observations.
-
-        An observation whose keyframe pose and local points are the very
-        objects of its last transform keeps that transform's world points;
-        any other is transformed afresh. A new sighting thus costs one
-        transform, and a correction re-transforms what it moved.
-        """
-        memo = self._world_parts
-        parts = []
-        for i, (kf_id, local) in enumerate(self.observations):
-            pose = keyframes[kf_id]
-            part = memo[i] if i < len(memo) else None
-            if part is None or part[0] is not pose or part[1] is not local:
-                part = (pose, local, pose.transform(local))
-            parts.append(part)
-        self._world_parts = parts
-        world = np.concatenate([part[2] for part in parts], axis=0)
+        """Recompute the cached world cloud from keyframe-local observations,
+        transforming only those whose keyframe pose is not the very pose
+        their world points were mapped by: a new sighting or a merge
+        transforms nothing more, and a correction what it moved."""
+        for obs in self.observations:
+            pose = keyframes[obs.keyframe_id]
+            if obs.pose is not pose:
+                obs.pose, obs.world = pose, pose.transform(obs.local)
+        world = np.concatenate([obs.world for obs in self.observations])
         if len(world) > max_points:
             world = voxel_downsample(PointCloud(world), leaf).points
         self.world_points = world
@@ -178,22 +176,28 @@ class SemanticMap:
             return best_id
         return None
 
-    def register_candidate(self, candidate: PointCloud, class_label: str,
+    def register_candidate(self, local: np.ndarray, class_label: str,
                            keyframe_id: int) -> int:
-        """Add a confirmed detection's cloud: extend a recognized object or
-        create a new one."""
+        """Add a detection's keyframe-local (N, 3) points, kept if read-only
+        and copied if not, to a recognized object or a new one. They are
+        mapped to world once; ValueError if finite points overflow there."""
         if keyframe_id not in self.keyframes:
             raise UnknownKeyframe(f"keyframe {keyframe_id} not registered")
-        if len(candidate) == 0:
-            raise EmptyCloud("empty candidate cloud")
-        local = self.keyframes[keyframe_id].inverse().transform(candidate.points)
+        if not isinstance(local, np.ndarray) or local.flags.writeable:
+            local = np.array(local, dtype=np.float64)  # the caller may edit it
+        if local.ndim != 2 or local.shape[1] != 3:
+            raise ValueError(f"points must be (N, 3), got {local.shape}")
+        pose = self.keyframes[keyframe_id]
+        with np.errstate(over="ignore", invalid="ignore"):
+            candidate = PointCloud(pose.transform(local))
         match = self.associate(candidate, class_label)
         if match is None:
             match = self._next_object_id
             self._next_object_id += 1
             self.objects[match] = SemanticObject(match, class_label)
         obj = self.objects[match]
-        obj.observations.append((keyframe_id, local))
+        obj.observations.append(
+            Observation(keyframe_id, local, pose, candidate.points))
         obj.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
         return match
 

@@ -28,6 +28,7 @@ from .geometry import CameraIntrinsics, DepthImage, RigidPose, _trusted
 from .headpose import (
     FaceModel3D,
     LandmarkSet2D,
+    _rodrigues,
     project_model,
     rodrigues,
     rotation_from_euler,
@@ -290,16 +291,26 @@ class Scenario:
             last = self.drift_pose(frames - 1)
         if not np.isfinite(np.append(last.rotation, last.translation)).all():
             raise ScenarioError(f"drift overflows by frame {frames - 1}")
-        # each frame's inverse() has translation -Rᵀt: checked for all
-        # frames at once, so that none overflows mid-run
+        # each frame's inverse() has translation -Rᵀt, and each drifted
+        # estimate drift_pose(i).compose(pose) has R_d t + t_d: all are
+        # checked at once, so that none overflows mid-run
         rot = np.array([pose.rotation for pose in self.trajectory])
-        t = np.array([pose.translation for pose in self.trajectory])
+        t = np.array([pose.translation for pose in self.trajectory])[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
-            back = rot.transpose(0, 2, 1) @ t[:, :, None]
-        bad = np.flatnonzero(~np.isfinite(back).all(axis=(1, 2)))
-        if bad.size:
-            raise ScenarioError(
-                f"pose of frame {bad[0]} has no finite inverse")
+            checks = [("inverse", 0, rot.transpose(0, 2, 1) @ t)]
+            if self.drift is not None:
+                n = np.arange(1.0, frames - start + 1)[:, None]
+                w = np.radians(self.drift.rotation_deg_per_frame) * n
+                # as in drift_pose, a zero rate rotates by the identity
+                r_d = _rodrigues(w)[0] if w.any() else np.eye(3)
+                t_d = n * np.asarray(self.drift.translation_per_frame, float)
+                checks.append(("drifted estimate", start,
+                               r_d @ t[start:] + t_d[..., None]))
+        for kind, first, poses in checks:
+            bad = np.flatnonzero(~np.isfinite(poses).all(axis=(1, 2)))
+            if bad.size:
+                raise ScenarioError(
+                    f"pose of frame {first + bad[0]} has no finite {kind}")
         for ev in self.correction_events:
             if not 0 <= ev.frame < frames:
                 raise ScenarioError(

@@ -102,7 +102,8 @@ def reference_rebuild(obj, keyframes, leaf, max_points):
     transformed afresh, as `SemanticObject.rebuild` derived them before it
     kept the world points of unmoved observations."""
     world = np.concatenate([
-        keyframes[kf_id].transform(pts) for kf_id, pts in obj.observations
+        keyframes[obs.keyframe_id].transform(obs.local)
+        for obs in obj.observations
     ], axis=0)
     if len(world) > max_points:
         world = voxel_downsample(PointCloud(world), leaf).points

@@ -35,9 +35,15 @@ SCENARIO = {
 }
 
 
+# json.dumps cannot write an integer past Python's int digit limit (4,300
+# digits), so write_scenario puts one in place of this string
+PAST_DIGIT_LIMIT = "<an integer of 5,001 digits>"
+
+
 def write_scenario(tmp_path, d=SCENARIO):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(d))
+    path.write_text(json.dumps(d).replace(json.dumps(PAST_DIGIT_LIMIT),
+                                          "9" * 5001))
     return path
 
 
@@ -156,6 +162,14 @@ class TestRun:
             "rotation": [[0.5 ** 0.5, -0.5 ** 0.5, 0.0],
                          [0.5 ** 0.5, 0.5 ** 0.5, 0.0], [0.0, 0.0, 1.0]],
             "translation": [1.7e308, 1.7e308, 1.0]}]}),
+        lambda d: d.update(fps=PAST_DIGIT_LIMIT),
+        lambda d: d["world_objects"][0].update(sample_count=10**400),
+        lambda d: d["intrinsics"].update(width=10**400),
+        lambda d: d.update(trajectory={"kind": "poses", "poses": [{
+            "rotation": [[0.5 ** 0.5, -0.5 ** 0.5, 0.0],
+                         [0.5 ** 0.5, 0.5 ** 0.5, 0.0], [0.0, 0.0, 1.0]],
+            "translation": [1.2e308, 0.0, 1.0]}] * 3},
+            drift={"translation_per_frame": [5e307, 0.0, 0.0]}),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
@@ -179,7 +193,11 @@ class TestRun:
             "fps_10**400", "max_range_10**400", "background_depth_10**400",
             # a pose turned 45 degrees whose inverse overflows: died at frame
             # 0 (exit 1)
-            "pose_inverse_overflows"])
+            "pose_inverse_overflows",
+            # these died in json.loads, in int conversion, or, under a
+            # drift that overflows the estimate at frame 1, mid-run (exit 1)
+            "fps_5001_digits", "sample_count_10**400", "width_10**400",
+            "drifted_estimate_overflows"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)
@@ -327,18 +345,18 @@ class TestShippedDigests:
 
     EXPECTED = {
         "desk_orbit": {
-            "map.json": "715b49268edcbf799bd31b4eaee26ad8"
-                        "752ee50de8c3a094cfdad95a9b02440f",
-            "metrics.json": "e6cc567aacecee37833379a41a5b26d8"
-                            "88216cb23af207cb06baeccfabecfdcb",
+            "map.json": "a648f12ee88977b7064daeb42733852d"
+                        "994ccc0d7caeb5b6b4dcfad95d246be7",
+            "metrics.json": "1aa0f96c06186f3a85c3982e6ca2243e"
+                            "55e0489655e3c38503096968ba68721a",
             "events.jsonl": "d5d280052dd27f6be4fa45b310244f69"
                             "dab387b56fc0e738d5c6920245b24257",
         },
         "drift_loop": {
-            "map.json": "fc032114f893ff7cbcb41ac25f5932a3"
-                        "c99c42d4f501c9b5fc58cf4f395544a4",
-            "metrics.json": "eb2dcacce174575a8d0aba49928593c9"
-                            "d50075cbad59af167e874954bb879b45",
+            "map.json": "46bb42e35b9fbcd242c57d67122250ca"
+                        "bf45e5b8cb59e7920f3b4c9be32ac715",
+            "metrics.json": "09a14915e2bc97bbe551a33592456116"
+                            "2dafbfa856c5f4b2454acba2e2b408a7",
             "events.jsonl": "7ccb584c1f84d709167f757b335b7c76"
                             "d162a55ea2b82653660d2c73a34217f2",
         },
@@ -379,18 +397,18 @@ class TestWorkloadDigests:
                             "9909084b7a96edf5f6b30d0eb0c5cc14",
         },
         "cluttered_drift": {
-            "map.json": "06def5a1678951fec86b247b112d4c30"
-                        "c1f00c71d225b460032c4b52ad92d81b",
-            "metrics.json": "e67a428d466d1ab69a61ea15f1b7cbd5"
-                            "6a1893f3dfbf3aac6e7daeaf8122fa34",
+            "map.json": "e7f1c0a1f6a46f33a5c1665126629de2"
+                        "2b762428afc4e9584f44c5ec70fdd9c1",
+            "metrics.json": "34782f6cc3f0c7821600354ee20f81a9"
+                            "4f0c531ac2356bee855ba4c5e61cac04",
             "events.jsonl": "e318ceeba55800af555944ad25b9ff8c"
                             "af5b017ae3cea64c13d9c02063c257a6",
         },
         "tabletop_sweep": {
-            "map.json": "fba0d86a41b21aafb004c270b366962b"
-                        "6871a8f41929af5e492c6b3a67d5b700",
-            "metrics.json": "6ed39558a95e84c91ab2aaab7a270d12"
-                            "5884e291fe7a56bef678a4f8798525a3",
+            "map.json": "d665a622acefc3614985e6920f38b331"
+                        "6815f1ce1e0a0f07ef9262f7e9efdcf9",
+            "metrics.json": "c324a08987dac5c67670f3aa52eb906f"
+                            "424e65b29ab890661853521e65297963",
             "events.jsonl": "0d24f7313c272e95db91b124abc675a6"
                             "7d80aa1b3967396fbb2a3e06c7b0f29d",
         },

@@ -54,11 +54,21 @@ class TestBuild:
             build(Box, {"class": "cup", "class_label": "bowl", "count": 2},
                   ConfigError, "box")
 
-    @pytest.mark.parametrize("count", [2.0, 2.5, True, "2", None])
+    @pytest.mark.parametrize("count", [
+        2.0, 2.5, True, "2", None,
+        # beyond int64: 10**400 died in a C conversion mid-run
+        pytest.param(2**63, id="2**63"),
+        pytest.param(-2**63 - 1, id="-2**63-1"),
+        pytest.param(10**400, id="10**400")])
     def test_int_field_takes_only_json_integers(self, count):
-        with pytest.raises(ConfigError, match="box keys must be JSON "
+        with pytest.raises(ConfigError, match="box keys must be int64 JSON "
                                               "integers: count"):
             build(Box, {"class": "cup", "count": count}, ConfigError, "box")
+
+    @pytest.mark.parametrize("count", [-2**63, 2**63 - 1])
+    def test_int_field_takes_the_int64_bounds(self, count):
+        assert build(Box, {"class": "cup", "count": count}, ConfigError,
+                     "box").count == count
 
     @pytest.mark.parametrize("size", [
         True, "2", None, [2.0],
@@ -146,6 +156,9 @@ class TestReaders:
     @pytest.mark.parametrize("text, match", [
         ("{broken", "malformed thing JSON"),
         ("[1, 2]", "thing must be a JSON object, got list"),
+        # past Python's int digit limit: json.loads raised a bare ValueError
+        pytest.param('{"a": ' + "9" * 5001 + "}",
+                     "malformed thing JSON.*4300 digits", id="5001_digits"),
     ])
     def test_object_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "a.json"
@@ -162,6 +175,8 @@ class TestReaders:
     @pytest.mark.parametrize("line, match", [
         ("[1]", "log line 3 must be a JSON object"),
         ("{", "malformed log line 3 JSON"),
+        pytest.param('{"a": ' + "9" * 5001 + "}",
+                     "malformed log line 3 JSON", id="5001_digits"),
     ])
     def test_record_rejected_by_line(self, tmp_path, line, match):
         path = tmp_path / "a.jsonl"

@@ -150,10 +150,9 @@ def test_derived_poses_are_bitwise_checked_ones(wa, ta, wb, tb):
 
 def test_extracted_cloud_is_frozen(intrinsics):
     cloud = extract_object_cloud((0, 0, 100, 100), _flat_depth(2.0),
-                                 random_pose(np.random.default_rng(0)),
                                  intrinsics)
-    assert cloud.points.shape == (625, 3)
-    assert _frozen_float64(cloud.points)
+    assert cloud.shape == (625, 3)
+    assert _frozen_float64(cloud)
 
 
 def _flat_depth(value, width=640, height=480):
@@ -177,34 +176,30 @@ class TestDepthImage:
 class TestExtractObjectCloud:
     def test_flat_wall_keeps_all_strided_pixels(self, intrinsics):
         cloud = extract_object_cloud((0, 0, 100, 100), _flat_depth(2.0),
-                                     RigidPose.identity(), intrinsics,
-                                     stride=10)
+                                     intrinsics, stride=10)
         assert len(cloud) == 100
-        np.testing.assert_allclose(cloud.points[:, 2], 2.0)
+        np.testing.assert_allclose(cloud[:, 2], 2.0)
 
     def test_median_band_rejects_background(self, intrinsics):
         # left 60% of the bbox on an object at 1 m, rest on a wall at 3 m
         data = np.full((480, 640), 3.0)
         data[:, :60] = 1.0
         cloud = extract_object_cloud((0, 0, 100, 100), DepthImage(data),
-                                     RigidPose.identity(), intrinsics,
-                                     stride=10)
-        assert np.all(cloud.points[:, 2] == 1.0)
+                                     intrinsics, stride=10)
+        assert np.all(cloud[:, 2] == 1.0)
 
     def test_all_invalid_raises(self, intrinsics):
         with pytest.raises(EmptyCloud):
             extract_object_cloud((0, 0, 100, 100), _flat_depth(0.0),
-                                 RigidPose.identity(), intrinsics)
+                                 intrinsics)
 
     def test_points_are_bbox_backprojections_within_band(self, intrinsics):
         rng = np.random.default_rng(4)
         data = np.where(rng.uniform(size=(480, 640)) < 0.7,
                         rng.uniform(1.5, 2.5, (480, 640)), 0.0)
         depth = DepthImage(data)
-        pose = random_pose(rng)
         bbox = (100, 80, 220, 200)
-        cloud = extract_object_cloud(bbox, depth, pose, intrinsics, stride=4)
-        cam = pose.inverse().transform(cloud.points)
+        cam = extract_object_cloud(bbox, depth, intrinsics, stride=4)
         u = intrinsics.cx + intrinsics.fx * cam[:, 0] / cam[:, 2]
         v = intrinsics.cy + intrinsics.fy * cam[:, 1] / cam[:, 2]
         assert np.all((u >= bbox[0] - 0.5) & (u <= bbox[2] + 0.5))
@@ -222,8 +217,7 @@ class TestExtractObjectCloud:
         depth = DepthImage(np.full(shape, 2.0))
         with pytest.raises(ValueError, match=re.escape(str(shape))
                            + r".*\(480, 640\)"):
-            extract_object_cloud((0, 0, 100, 100), depth,
-                                 RigidPose.identity(), intrinsics)
+            extract_object_cloud((0, 0, 100, 100), depth, intrinsics)
 
     def test_overflowing_depths_raise_without_warning(self, intrinsics):
         # finite depths near the largest float overflow when back-projected;
@@ -232,7 +226,7 @@ class TestExtractObjectCloud:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 extract_object_cloud((0, 0, 100, 100), _flat_depth(1e307),
-                                     RigidPose.identity(), intrinsics)
+                                     intrinsics)
 
 
 SMALL = CameraIntrinsics(fx=30.0, fy=30.0, cx=20.0, cy=15.0,
@@ -263,7 +257,8 @@ _size = st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 45.0))
 @settings(max_examples=150, deadline=None)
 def test_extraction_matches_reference(seed, stride, x0, y0, w, h, zero_frac,
                                       background):
-    """Same point bytes, or the same EmptyCloud, as the meshgrid version."""
+    """Same point bytes, or the same EmptyCloud, as the meshgrid version,
+    once the camera-frame points are mapped to world."""
     rng = np.random.default_rng(seed)
     # an object at ~2 m on the left half, a background that the band
     # sometimes keeps, and a share of invalid pixels
@@ -274,14 +269,16 @@ def test_extraction_matches_reference(seed, stride, x0, y0, w, h, zero_frac,
     pose = random_pose(rng)
     bbox = (x0, y0, x0 + w, y0 + h)
 
-    def outcome(fn):
+    def outcome(extract):
         try:
-            return fn(bbox, depth, pose, SMALL, stride=stride).points.tobytes()
+            return extract().tobytes()
         except EmptyCloud as exc:
             return str(exc)
 
-    assert outcome(extract_object_cloud) == \
-        outcome(reference_extract_object_cloud)
+    assert outcome(lambda: pose.transform(extract_object_cloud(
+        bbox, depth, SMALL, stride=stride))) == \
+        outcome(lambda: reference_extract_object_cloud(
+            bbox, depth, pose, SMALL, stride=stride).points)
 
 
 class TestVoxelDownsample:

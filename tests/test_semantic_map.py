@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +7,14 @@ from hypothesis import strategies as st
 
 from semmap.errors import ClassMismatch, EmptyCloud, UnknownKeyframe
 from semmap import semantic_map
-from semmap.geometry import PointCloud, RigidPose
+from semmap.geometry import (
+    DepthImage,
+    PointCloud,
+    RigidPose,
+    extract_object_cloud,
+)
 from semmap.semantic_map import (
+    Observation,
     SemanticMap,
     chamfer_distance,
     overlap_ratio,
@@ -99,18 +107,18 @@ class TestAssociate:
 
     def test_close_same_class_matches(self):
         m = make_map()
-        obj_id = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        obj_id = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         assert m.associate(cube_cloud([0.05, 0, 1], seed=1), "cup") == obj_id
 
     def test_class_gating(self):
         m = make_map()
-        m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         assert m.associate(cube_cloud([0, 0, 1]), "book") is None
 
     def test_far_same_class_object_is_not_scanned(self, monkeypatch):
         m = make_map()
-        near = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
-        far = m.register_candidate(cube_cloud([2, 0, 1]), "cup", 0)
+        near = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        far = m.register_candidate(cube_cloud([2, 0, 1]).points, "cup", 0)
         scanned = []
 
         def spy(a, b):
@@ -138,14 +146,14 @@ class TestAssociate:
         rng = np.random.default_rng(seed)
         m = make_map(assoc_dist=assoc_dist)
         if count == 0:
-            m.register_candidate(PointCloud([[0.3, 0.0, 1.0]]), "cup", 0)
+            m.register_candidate(np.array([[0.3, 0.0, 1.0]], float), "cup", 0)
             candidate = PointCloud([[0.0, 0.0, 1.0]])
         else:
             for _ in range(count):
                 m.register_candidate(
                     cube_cloud(rng.uniform(-1, 1, 3), n=int(rng.integers(1, 40)),
                                half=rng.uniform(0.01, 0.3),
-                               seed=int(rng.integers(1e6))),
+                               seed=int(rng.integers(1e6))).points,
                     str(rng.choice(["cup", "book"])), 0)
             candidate = cube_cloud(rng.uniform(-1, 1, 3),
                                    n=int(rng.integers(1, 40)),
@@ -161,28 +169,72 @@ class TestRegisterCandidate:
     def test_second_sighting_extends_object(self):
         m = make_map()
         m.add_keyframe(1, RigidPose(np.eye(3), [0.1, 0, 0]))
-        a = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
-        b = m.register_candidate(cube_cloud([0, 0, 1], seed=1), "cup", 1)
+        a = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        # the same cup from keyframe 1, 0.1 m to the right
+        b = m.register_candidate(cube_cloud([-0.1, 0, 1], seed=1).points,
+                                 "cup", 1)
         assert a == b
         assert len(m.objects) == 1
         assert len(m.objects[a].observations) == 2
 
     def test_distant_same_class_is_new_object(self):
         m = make_map()
-        m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
-        m.register_candidate(cube_cloud([5, 0, 1]), "cup", 0)
+        m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        m.register_candidate(cube_cloud([5, 0, 1]).points, "cup", 0)
         assert len(m.objects) == 2
 
     def test_first_registration(self):
         m = make_map()
-        obj_id = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        obj_id = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         assert len(m.objects) == 1
         assert len(m.objects[obj_id].observations) == 1
 
     def test_unknown_keyframe(self):
         m = make_map()
         with pytest.raises(UnknownKeyframe):
-            m.register_candidate(cube_cloud([0, 0, 1]), "cup", 99)
+            m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 99)
+
+    def test_fresh_sighting_is_the_measurement_mapped_once(self,
+                                                           intrinsics):
+        rng = np.random.default_rng(3)
+        data = np.where(rng.uniform(size=(480, 640)) < 0.8,
+                        rng.uniform(1.5, 2.5, (480, 640)), 0.0)
+        local = extract_object_cloud((100, 80, 220, 200), DepthImage(data),
+                                     intrinsics)
+        pose = random_pose(rng)
+        m = SemanticMap()
+        m.add_keyframe(0, pose)
+        obj = m.objects[m.register_candidate(local, "cup", 0)]
+        # the map stores what the camera measured, and maps it to world
+        # once: no round trip through the keyframe's inverse
+        assert obj.observations[0].local is local
+        assert obj.world_points.tobytes() == pose.transform(local).tobytes()
+
+    def test_caller_array_changed_later_leaves_the_map_as_it_was(self):
+        m = make_map()
+        pts = np.array([[0.0, 0.0, 1.0], [0.01, 0.0, 1.0]])
+        m.register_candidate(pts, "cup", 0)
+        pts += 5.0
+        m.apply_trajectory_correction([(0, RigidPose.identity())])
+        assert m.objects[0].centroid.tolist() == [0.005, 0.0, 1.0]
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 1)])
+    def test_points_must_be_n_by_3(self, shape):
+        # a (3,) point registered, then broke the next correction's rebuild
+        m = make_map()
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            m.register_candidate(np.ones(shape), "cup", 0)
+        assert m.objects == {}
+
+    def test_overflow_to_world_raises_and_registers_nothing(self):
+        # finite points under a finite pose: their world points overflow
+        m = make_map()
+        m.add_keyframe(1, RigidPose(np.eye(3), [1e308, 0, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                m.register_candidate(np.array([[1e308, 0.0, 1.0]]), "cup", 1)
+        assert m.objects == {}
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -193,17 +245,18 @@ class TestRegisterCandidate:
             cloud = cube_cloud(rng.uniform(-2, 2, 3), seed=int(rng.integers(1e6)))
             before = len(m.objects)
             was_new = m.associate(cloud, "cup") is None
-            m.register_candidate(cloud, "cup", 0)
+            m.register_candidate(cloud.points, "cup", 0)
             assert len(m.objects) == before + int(was_new)
 
 
 class TestMerge:
     def test_merge_with_copy_keeps_centroid(self):
         m = make_map()
-        a = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        a = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         obj = m.objects[a]
         centroid = obj.centroid.copy()
-        other = m.objects[m.register_candidate(cube_cloud([5, 0, 1]), "cup", 0)]
+        other = m.objects[m.register_candidate(cube_cloud([5, 0, 1]).points,
+                                               "cup", 0)]
         other.observations = list(obj.observations)
         other.rebuild(m.keyframes, m.voxel_leaf, m.max_cloud_points)
         merged = m.merge_objects(obj, other)
@@ -211,8 +264,8 @@ class TestMerge:
 
     def test_two_point_merge_geometry(self):
         m = make_map()
-        a = m.register_candidate(PointCloud([[0, 0, 0]]), "cup", 0)
-        b = m.register_candidate(PointCloud([[1, 0, 0]]), "cup", 0)
+        a = m.register_candidate(np.array([[0, 0, 0]], float), "cup", 0)
+        b = m.register_candidate(np.array([[1, 0, 0]], float), "cup", 0)
         assert a != b  # 1 m apart, beyond the association threshold
         merged = m.merge_objects(m.objects[a], m.objects[b])
         np.testing.assert_allclose(merged.centroid, [0.5, 0, 0])
@@ -222,8 +275,8 @@ class TestMerge:
 
     def test_class_mismatch(self):
         m = make_map()
-        a = m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
-        b = m.register_candidate(cube_cloud([5, 0, 1]), "book", 0)
+        a = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        b = m.register_candidate(cube_cloud([5, 0, 1]).points, "book", 0)
         with pytest.raises(ClassMismatch):
             m.merge_objects(m.objects[a], m.objects[b])
 
@@ -231,7 +284,7 @@ class TestMerge:
 class TestTrajectoryCorrection:
     def test_identity_correction_is_noop(self):
         m = make_map()
-        m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         centroid = m.objects[0].centroid.copy()
         report = m.apply_trajectory_correction([(0, RigidPose.identity())])
         assert report.pairs == []
@@ -240,7 +293,7 @@ class TestTrajectoryCorrection:
 
     def test_translation_moves_centroid(self):
         m = make_map()
-        m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+        m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         centroid = m.objects[0].centroid.copy()
         m.apply_trajectory_correction([(0, RigidPose(np.eye(3), [1, 0, 0]))])
         np.testing.assert_allclose(m.objects[0].centroid - centroid,
@@ -251,10 +304,9 @@ class TestTrajectoryCorrection:
         drifted = RigidPose(np.eye(3), [0.5, 0, 0])
         m.add_keyframe(1, drifted)
         cloud = cube_cloud([0, 0, 1], n=120)
-        a = m.register_candidate(cloud, "cup", 0)
+        a = m.register_candidate(cloud.points, "cup", 0)
         # same physical points observed under a drifted keyframe pose
-        b = m.register_candidate(
-            PointCloud(drifted.transform(cloud.points)), "cup", 1)
+        b = m.register_candidate(cloud.points, "cup", 1)
         assert a != b
         report = m.apply_trajectory_correction([(1, RigidPose.identity())])
         assert report.pairs == [(a, b)]
@@ -269,8 +321,8 @@ class TestTrajectoryCorrection:
         rng = np.random.default_rng(8)
         m = make_map()
         m.add_keyframe(1, random_pose(rng))
-        m.register_candidate(cube_cloud([0, 0, 2]), "cup", 0)
-        m.register_candidate(cube_cloud([4, 0, 2]), "book", 1)
+        m.register_candidate(cube_cloud([0, 0, 2]).points, "cup", 0)
+        m.register_candidate(cube_cloud([4, 0, 2]).points, "book", 1)
         centroids = {i: o.centroid.copy() for i, o in m.objects.items()}
         perturb = random_pose(rng, trans_scale=0.5)
         original = dict(m.keyframes)
@@ -287,7 +339,7 @@ class TestTrajectoryCorrection:
         # seed overlapping objects directly, bypassing association
         for i, dx in enumerate([0.0, 0.02, 0.04, 5.0]):
             obj = SemanticObject(i, "cup")
-            obj.observations.append((0, base.points + [dx, 0, 0]))
+            obj.observations.append(Observation(0, base.points + [dx, 0, 0]))
             obj.rebuild(m.keyframes, m.voxel_leaf, m.max_cloud_points)
             m.objects[i] = obj
         m.apply_trajectory_correction([(0, RigidPose.identity())])
@@ -306,13 +358,13 @@ class TestTrajectoryCorrection:
             m.add_keyframe(i, random_pose(rng))
         for i in range(4):
             m.register_candidate(cube_cloud(rng.uniform(-3, 3, 3),
-                                            seed=i), "cup", i)
+                                            seed=i).points, "cup", i)
         m.apply_trajectory_correction(
             [(i, random_pose(rng)) for i in range(4)])
         for obj in m.objects.values():
             fresh = np.concatenate([
-                m.keyframes[kf].transform(pts)
-                for kf, pts in obj.observations
+                m.keyframes[obs.keyframe_id].transform(obs.local)
+                for obs in obj.observations
             ])
             assert np.abs(np.sort(fresh, axis=0)
                           - np.sort(obj.world_points, axis=0)).max() < 1e-9
@@ -342,13 +394,18 @@ class TestRebuild:
         for kf in range(1, 7):
             true[kf] = random_pose(rng)
             m.add_keyframe(kf, true[kf])
+
+        def seen(kf, world_cloud):
+            """`world_cloud` as keyframe `kf`'s camera measured it."""
+            return true[kf].inverse().transform(world_cloud.points)
+
         cloud = cube_cloud([0, 0, 1], n=60, seed=int(rng.integers(1e6)))
         for kf in range(1, 5):
             m.register_candidate(
-                cube_cloud([0.01 * kf, 0, 1], n=60,
-                           seed=int(rng.integers(1e6))), "cup", kf)
+                seen(kf, cube_cloud([0.01 * kf, 0, 1], n=60,
+                                    seed=int(rng.integers(1e6)))), "cup", kf)
             self.assert_fresh(m)
-        m.register_candidate(cube_cloud([3, 0, 1], n=40), "cup", 2)
+        m.register_candidate(seen(2, cube_cloud([3, 0, 1], n=40)), "cup", 2)
         self.assert_fresh(m)
         first = m.objects[0]
         assert len(first.observations) == 4
@@ -357,8 +414,7 @@ class TestRebuild:
         # becomes a new object
         drift = RigidPose(np.eye(3), [0.5, 0, 0])
         m.add_keyframe(5, drift.compose(true[5]))
-        dup = m.register_candidate(PointCloud(drift.transform(cloud.points)),
-                                   "cup", 5)
+        dup = m.register_candidate(seen(5, cloud), "cup", 5)
         assert dup not in (0, 1)
         self.assert_fresh(m)
         # moves only keyframe 2, which holds observations of two objects
@@ -371,14 +427,15 @@ class TestRebuild:
         self.assert_fresh(m)
         m.merge_objects(m.objects[0], m.objects.pop(1))
         self.assert_fresh(m)
-        m.register_candidate(cloud, "cup", 6)
+        m.register_candidate(seen(6, cloud), "cup", 6)
         self.assert_fresh(m)
 
     def test_new_sighting_transforms_only_its_own_points(self, monkeypatch):
         m = make_map()
         for kf in range(1, 5):
             m.add_keyframe(kf, RigidPose(np.eye(3), [0.01 * kf, 0, 0]))
-            m.register_candidate(cube_cloud([0, 0, 1], seed=kf), "cup", kf)
+            m.register_candidate(cube_cloud([0, 0, 1], seed=kf).points,
+                                 "cup", kf)
         sizes = []
         transform = RigidPose.transform
 
@@ -387,17 +444,42 @@ class TestRebuild:
             return transform(pose, points)
 
         monkeypatch.setattr(RigidPose, "transform", spy)
-        m.register_candidate(cube_cloud([0, 0, 1], n=25, seed=9), "cup", 0)
-        # into keyframe 0's frame, and back to world
-        assert sizes == [25, 25]
+        m.register_candidate(cube_cloud([0, 0, 1], n=25, seed=9).points,
+                             "cup", 0)
+        # to world, once
+        assert sizes == [25]
         sizes.clear()
         m.apply_trajectory_correction([(3, RigidPose.identity())])
         assert sizes == [60]
 
+    def test_merge_that_moves_no_keyframe_transforms_nothing(self,
+                                                             monkeypatch):
+        # association too tight to match: two sightings of one cup become
+        # two objects, which the correction's merge pass then joins
+        m = make_map(assoc_dist=1e-6)
+        m.add_keyframe(1, RigidPose(np.eye(3), [0.01, 0, 0]))
+        a = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        b = m.register_candidate(cube_cloud([0, 0, 1], seed=1).points,
+                                 "cup", 1)
+        assert a != b
+        sizes = []
+        transform = RigidPose.transform
+
+        def spy(pose, points):
+            sizes.append(len(points))
+            return transform(pose, points)
+
+        monkeypatch.setattr(RigidPose, "transform", spy)
+        report = m.apply_trajectory_correction([(1, m.keyframes[1])])
+        assert report.pairs == [(a, b)]
+        # the survivor keeps the absorbed object's world points
+        assert sizes == []
+        self.assert_fresh(m)
+
 
 def test_export_schema():
     m = make_map()
-    m.register_candidate(cube_cloud([0, 0, 1]), "cup", 0)
+    m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
     out = m.export()
     obj = out["objects"][0]
     assert set(obj) == {"id", "class", "centroid", "aabb", "num_points",

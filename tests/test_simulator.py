@@ -597,6 +597,29 @@ class TestDrift:
                                    [0, 0, 0.4], atol=1e-12)
         np.testing.assert_allclose(est.rotation, true.rotation)
 
+    # three frames at [1.3e308, 1.3e308, 1]: every inverse is finite, and
+    # each drift alone stays finite by the last frame
+    @pytest.mark.parametrize("drift, frame, loads", [
+        ({"translation_per_frame": [4e307, 0.0, 0.0]}, 1, False),
+        ({"rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 0, False),
+        ({"start_frame": 1, "rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 1,
+         False),
+        ({"translation_per_frame": [1e307, 0.0, 0.0]}, None, True),
+    ], ids=["translation", "rotation", "rotation_from_frame_1", "in_range"])
+    def test_estimate_that_overflows_rejected_at_load(self, drift, frame,
+                                                       loads):
+        trajectory = [{"rotation": np.eye(3).tolist(),
+                       "translation": [1.3e308, 1.3e308, 1.0]}] * 3
+        if not loads:
+            # each died mid-run, at the frame the error names
+            with pytest.raises(ScenarioError, match=f"pose of frame {frame} "
+                               "has no finite drifted estimate"):
+                scenario(trajectory=trajectory, drift=drift)
+            return
+        sc = scenario(trajectory=trajectory, drift=drift)
+        for i in range(sc.num_frames):
+            assert np.isfinite(sc.estimated_pose(i).translation).all()
+
 
 def fake_registry(objects):
     """objects: list of (class_label, centroid)."""

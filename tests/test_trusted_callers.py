@@ -16,7 +16,6 @@ SOURCES = sorted((ROOT / "src" / "semmap").glob("*.py"))
 USES = {
     "geometry: RigidPose.identity": 1,
     "geometry: _derived_pose": 1,
-    "geometry: extract_object_cloud": 1,
     "semantic_map: SemanticObject.world_cloud": 1,
     "simulator: Scenario.drift_pose": 1,
     "simulator: synthesize_frame_data": 1,

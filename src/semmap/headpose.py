@@ -122,6 +122,12 @@ class FaceModel3D:
 
 def _pixel(name, uv) -> tuple:
     """(u, v) as two finite floats; ValueError for anything else."""
+    # the common case, two finite floats in a tuple, is already in shape
+    if type(uv) is tuple and len(uv) == 2:
+        u, v = uv
+        if (type(u) is float and type(v) is float
+                and -math.inf < u < math.inf and -math.inf < v < math.inf):
+            return uv
     try:
         u, v = uv
     except (TypeError, ValueError):
@@ -566,4 +572,4 @@ def project_model(model: FaceModel3D, rotation: np.ndarray,
         raise PointBehindCamera("model point at non-positive camera depth")
     u = k.cx + k.fx * cam[:, 0] / cam[:, 2]
     v = k.cy + k.fy * cam[:, 1] / cam[:, 2]
-    return {n: (float(u[i]), float(v[i])) for i, n in enumerate(model.names)}
+    return dict(zip(model.names, zip(u.tolist(), v.tolist())))

@@ -24,7 +24,13 @@ from .config import (
     read_json_object,
 )
 from .errors import FrameOutOfRange, PointBehindCamera, ScenarioError
-from .geometry import CameraIntrinsics, DepthImage, RigidPose, _trusted
+from .geometry import (
+    CameraIntrinsics,
+    DepthImage,
+    RigidPose,
+    _freeze,
+    _trusted,
+)
 from .headpose import (
     FaceModel3D,
     LandmarkSet2D,
@@ -40,6 +46,10 @@ from .tracker import KIND_OBJECT, KIND_PERSON, Detection2D
 NEAR_PLANE = 0.05
 MIN_VISIBLE_SAMPLES = 5
 MAX_FOOTPRINT_PX = 9  # side of the largest square a depth sample covers
+# mean false detections per frame, at COCO's cap of 100 detections per
+# image: past any detector's operating point, and the tracker's cost per
+# frame grows with its square
+MAX_FALSE_POSITIVE_RATE = 100.0
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
@@ -112,8 +122,10 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ScenarioError("dropout_prob must be in [0, 1]")
-        if self.false_positive_rate < 0:
-            raise ScenarioError("false_positive_rate must be >= 0")
+        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVE_RATE:
+            raise ScenarioError(
+                f"false_positive_rate must be in [0, "
+                f"{MAX_FALSE_POSITIVE_RATE}] per frame")
         for name in ("bbox_jitter_px", "depth_noise_m", "landmark_jitter_px"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ScenarioError(f"{name} must be finite and >= 0")
@@ -263,6 +275,10 @@ class Scenario:
     samples: np.ndarray = field(init=False, repr=False)
     sample_starts: np.ndarray = field(init=False, repr=False)  # per object
     sample_spacing: np.ndarray = field(init=False, repr=False)  # per object, m
+    # per person, the frozen head rotation of frames it does not attend
+    away_rotations: list = field(init=False, repr=False)
+    # the classes a false positive draws from, sorted
+    false_positive_classes: list = field(init=False, repr=False)
 
     def __post_init__(self):
         frames = len(self.trajectory)
@@ -333,6 +349,11 @@ class Scenario:
                      dtype=np.float64).reshape(-1, 3)
         area = 2 * (e[:, 0] * e[:, 1] + e[:, 1] * e[:, 2] + e[:, 0] * e[:, 2])
         self.sample_spacing = np.sqrt(np.maximum(area, 1e-9) / counts)
+        self.away_rotations = [
+            _freeze(rotation_from_euler(person.away_yaw_deg, 0.0, 0.0))
+            for person in self.persons]
+        self.false_positive_classes = sorted(
+            {obj.class_label for obj in self.world_objects}) or ["clutter"]
 
     @property
     def num_frames(self) -> int:
@@ -532,7 +553,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
                                           kind=KIND_PERSON))
             provenance.append(("person", pi))
         head_rot = (np.eye(3) if scenario.attending_gt(pi, frame_idx)
-                    else rotation_from_euler(person.away_yaw_deg, 0.0, 0.0))
+                    else scenario.away_rotations[pi])
         try:
             lmks = project_model(face_model, head_rot, head_cam, k)
         except PointBehindCamera:
@@ -552,8 +573,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     if noise.false_positive_rate > 0:
         rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
         n_fp = int(rng_fp.poisson(noise.false_positive_rate))
-        class_pool = sorted({o.class_label for o in scenario.world_objects}) \
-            or ["clutter"]
+        class_pool = scenario.false_positive_classes
         for j in range(n_fp):
             cls = class_pool[int(rng_fp.integers(len(class_pool)))]
             cx_ = rng_fp.uniform(0, width)

@@ -9,6 +9,7 @@ never confirm and are dropped after a few missed frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NonMonotonicFrame
@@ -27,13 +28,17 @@ class Detection2D:
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.bbox
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"degenerate bbox {self.bbox}")
+        # NaN fails every comparison, so this also rejects it
+        if not (-math.inf < x0 < x1 < math.inf
+                and -math.inf < y0 < y1 < math.inf):
+            raise ValueError(
+                f"bbox {self.bbox} is not finite with x0 < x1 and y0 < y1")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError("score must be in [0, 1]")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown detection kind {self.kind!r}")
-        object.__setattr__(self, "bbox", tuple(float(c) for c in self.bbox))
+        object.__setattr__(self, "bbox",
+                           (float(x0), float(y0), float(x1), float(y1)))
 
 
 @dataclass
@@ -49,17 +54,19 @@ class Track:
 
 def iou(a, b) -> float:
     """Intersection-over-union of two (x0, y0, x1, y1) rects."""
-    ix0 = max(a[0], b[0])
-    iy0 = max(a[1], b[1])
-    ix1 = min(a[2], b[2])
-    iy1 = min(a[3], b[3])
-    iw = max(0.0, ix1 - ix0)
-    ih = max(0.0, iy1 - iy0)
-    inter = iw * ih
-    if inter == 0.0:
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    # min and max as conditional expressions, with the builtins' tie rule
+    # (the first argument wins), so that every score keeps its bits
+    iw = (ax1 if ax1 <= bx1 else bx1) - (ax0 if ax0 >= bx0 else bx0)
+    ih = (ay1 if ay1 <= by1 else by1) - (ay0 if ay0 >= by0 else by0)
+    if not (iw > 0.0 and ih > 0.0):
         return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    inter = iw * ih
+    if inter == 0.0:  # the product underflowed
+        return 0.0
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
     return inter / (area_a + area_b - inter)
 
 
@@ -91,21 +98,26 @@ class IoUTracker:
             )
         self._last_frame = frame_id
 
+        # per class: (index, x0, y0, x1, y1, bbox) of each detection
         boxes_by_class: dict[str, list] = {}
         for di, det in enumerate(detections):
             boxes_by_class.setdefault(det.class_label, []).append(
-                (di, det.bbox))
+                (di, *det.bbox, det.bbox))
+        threshold = self.iou_threshold
         pairs = []
         for track in self.tracks:
+            boxes = boxes_by_class.get(track.class_label)
+            if boxes is None:
+                continue
             tx0, ty0, tx1, ty1 = box = track.last_bbox
-            for di, bbox in boxes_by_class.get(track.class_label, ()):
+            track_id = track.track_id
+            for di, x0, y0, x1, y1, bbox in boxes:
                 # disjoint boxes have IoU 0, below any threshold
-                if (bbox[0] >= tx1 or bbox[2] <= tx0
-                        or bbox[1] >= ty1 or bbox[3] <= ty0):
+                if x0 >= tx1 or x1 <= tx0 or y0 >= ty1 or y1 <= ty0:
                     continue
                 score = iou(box, bbox)
-                if score >= self.iou_threshold:
-                    pairs.append((-score, track.track_id, di))
+                if score >= threshold:
+                    pairs.append((-score, track_id, di))
         pairs.sort()
 
         matched_tracks: dict[int, int] = {}
@@ -119,8 +131,8 @@ class IoUTracker:
         confirmations = []
         survivors = []
         for track in self.tracks:
-            if track.track_id in matched_tracks:
-                di = matched_tracks[track.track_id]
+            di = matched_tracks.get(track.track_id)
+            if di is not None:
                 det = detections[di]
                 track.last_bbox = det.bbox
                 track.length += 1

@@ -6,6 +6,7 @@ from semmap.errors import (
     EmptyCloud,
     FrameOutOfRange,
     NoConvergence,
+    NonMonotonicFrame,
     PointBehindCamera,
     SemMapError,
 )
@@ -39,7 +40,13 @@ from semmap.simulator import (
     FrameData,
     _jittered_bbox,
 )
-from semmap.tracker import KIND_OBJECT, KIND_PERSON, Detection2D
+from semmap.tracker import (
+    KIND_OBJECT,
+    KIND_PERSON,
+    Detection2D,
+    IoUTracker,
+    Track,
+)
 
 
 @pytest.fixture
@@ -512,3 +519,95 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
         provenance=provenance,
         landmarks=landmarks,
     )
+
+
+# Reference for `tracker.iou` and `IoUTracker.step`: the bodies as they were
+# before `iou` took min and max by comparison and `step` skipped the tracks
+# with no same-class detection. Bodies verbatim, but for the name of the
+# `iou` that `step` calls.
+
+def reference_iou(a, b) -> float:
+    """Intersection-over-union of two (x0, y0, x1, y1) rects."""
+    ix0 = max(a[0], b[0])
+    iy0 = max(a[1], b[1])
+    ix1 = min(a[2], b[2])
+    iy1 = min(a[3], b[3])
+    iw = max(0.0, ix1 - ix0)
+    ih = max(0.0, iy1 - iy0)
+    inter = iw * ih
+    if inter == 0.0:
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+class ReferenceTracker(IoUTracker):
+    def step(self, detections, frame_id: int):
+        """Advance one frame; returns [(track_id, Detection2D)] confirmations."""
+        if self._last_frame is not None and frame_id <= self._last_frame:
+            raise NonMonotonicFrame(
+                f"frame {frame_id} after frame {self._last_frame}"
+            )
+        self._last_frame = frame_id
+
+        boxes_by_class: dict[str, list] = {}
+        for di, det in enumerate(detections):
+            boxes_by_class.setdefault(det.class_label, []).append(
+                (di, det.bbox))
+        pairs = []
+        for track in self.tracks:
+            tx0, ty0, tx1, ty1 = box = track.last_bbox
+            for di, bbox in boxes_by_class.get(track.class_label, ()):
+                # disjoint boxes have IoU 0, below any threshold
+                if (bbox[0] >= tx1 or bbox[2] <= tx0
+                        or bbox[1] >= ty1 or bbox[3] <= ty0):
+                    continue
+                score = reference_iou(box, bbox)
+                if score >= self.iou_threshold:
+                    pairs.append((-score, track.track_id, di))
+        pairs.sort()
+
+        matched_tracks: dict[int, int] = {}
+        matched_dets: set[int] = set()
+        for neg, track_id, di in pairs:
+            if track_id in matched_tracks or di in matched_dets:
+                continue
+            matched_tracks[track_id] = di
+            matched_dets.add(di)
+
+        confirmations = []
+        survivors = []
+        for track in self.tracks:
+            if track.track_id in matched_tracks:
+                di = matched_tracks[track.track_id]
+                det = detections[di]
+                track.last_bbox = det.bbox
+                track.length += 1
+                track.misses = 0
+                track.last_detection_index = di
+                survivors.append(track)
+                if track.length == self.min_track_length:
+                    confirmations.append((track.track_id, det))
+            else:
+                track.misses += 1
+                track.last_detection_index = None
+                if track.misses <= self.ttl:
+                    survivors.append(track)
+        self.tracks = survivors
+
+        for di, det in enumerate(detections):
+            if di in matched_dets:
+                continue
+            track = Track(
+                track_id=self._next_id,
+                class_label=det.class_label,
+                kind=det.kind,
+                last_bbox=det.bbox,
+                last_detection_index=di,
+            )
+            self._next_id += 1
+            self.tracks.append(track)
+            if track.length == self.min_track_length:
+                confirmations.append((track.track_id, det))
+        return confirmations

@@ -170,6 +170,8 @@ class TestRun:
                          [0.5 ** 0.5, 0.5 ** 0.5, 0.0], [0.0, 0.0, 1.0]],
             "translation": [1.2e308, 0.0, 1.0]}] * 3},
             drift={"translation_per_frame": [5e307, 0.0, 0.0]}),
+        lambda d: d.update(noise={"false_positive_rate": 1e308}),
+        lambda d: d.update(noise={"false_positive_rate": 2**63}),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
@@ -197,7 +199,10 @@ class TestRun:
             # these died in json.loads, in int conversion, or, under a
             # drift that overflows the estimate at frame 1, mid-run (exit 1)
             "fps_5001_digits", "sample_count_10**400", "width_10**400",
-            "drifted_estimate_overflows"])
+            "drifted_estimate_overflows",
+            # false positives past the per-frame cap died in the Poisson
+            # draw, "lam value too large" (exit 1)
+            "false_positive_rate_1e308", "false_positive_rate_2**63"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)

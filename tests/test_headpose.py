@@ -95,6 +95,31 @@ class TestModel:
             MODEL.subset(MODEL.names[:5] + ("no_such_landmark",))
 
 
+class TestLandmarkSet2D:
+    def test_finite_float_pair_kept(self):
+        uv = (1.5, -2.0)
+        assert LandmarkSet2D({"a": uv}).landmarks["a"] is uv
+
+    @pytest.mark.parametrize("uv", [[1.5, 2.0], (np.float64(1.5), 2),
+                                    (1, np.int64(2))])
+    def test_other_numbers_become_a_float_pair(self, uv):
+        got = LandmarkSet2D({"a": uv}).landmarks["a"]
+        assert got == (float(uv[0]), float(uv[1]))
+        assert type(got) is tuple and all(type(c) is float for c in got)
+
+    @pytest.mark.parametrize("uv", [
+        (np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0), (True, 1.0),
+        (1.0, "2"), (1.0, 2.0, 3.0), (1.0,), 5.0])
+    def test_bad_pair_rejected(self, uv):
+        with pytest.raises(ValueError, match="landmark 'a'"):
+            LandmarkSet2D({"a": uv})
+
+    def test_project_model_gives_float_pairs(self):
+        pixels = project_model(MODEL, np.eye(3), np.array([0.0, 0.0, 1.0]), K)
+        assert tuple(pixels) == MODEL.names
+        assert all(type(c) is float for uv in pixels.values() for c in uv)
+
+
 class TestResidualsAndJacobian:
     def test_zero_residual_at_ground_truth(self, intrinsics):
         params = np.array([0.1, -0.2, 0.05, 0.02, -0.01, 1.2])

@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import json
+import math
 import platform
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from semmap import simulator
 from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from semmap.geometry import RigidPose
-from semmap.headpose import rodrigues
+from semmap.headpose import rodrigues, rotation_from_euler
 from semmap.simulator import (
+    MAX_FALSE_POSITIVE_RATE,
     Scenario,
     _sample_box_surface,
     compute_map_metrics,
@@ -363,6 +365,25 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="keyframes"):
             scenario(correction_events=[
                 {"frame": 3, "poses": {"0": pose, str(keyframe): pose}}])
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0, MAX_FALSE_POSITIVE_RATE])
+    def test_false_positive_rate_up_to_cap_accepted(self, rate):
+        sc = scenario(noise={"false_positive_rate": rate})
+        assert sc.noise.false_positive_rate == rate
+
+    @pytest.mark.parametrize("rate", [
+        -1.0, math.nextafter(MAX_FALSE_POSITIVE_RATE, math.inf), 1e6])
+    def test_false_positive_rate_past_cap_rejected(self, rate):
+        # 1e6 ran for minutes; 1e308 died in the Poisson draw
+        with pytest.raises(ScenarioError, match="false_positive_rate"):
+            scenario(noise={"false_positive_rate": rate})
+
+    def test_away_rotations_are_frozen(self):
+        sc = scenario(persons=[{"position": [0.0, 0.0, 1.5],
+                                "away_yaw_deg": 30.0}])
+        rot, = sc.away_rotations
+        assert not rot.flags.writeable
+        assert np.array_equal(rot, rotation_from_euler(30.0, 0.0, 0.0))
 
     def test_correction_at_last_frame_accepted(self):
         pose = RigidPose.identity().to_dict()

@@ -1,10 +1,18 @@
+import math
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceTracker, reference_iou
 from semmap.errors import NonMonotonicFrame
+from semmap.simulator import Scenario, synthesize_frame_data
 from semmap.tracker import Detection2D, IoUTracker, iou
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def det(bbox, label="cup", kind="object"):
@@ -15,6 +23,33 @@ rects = st.tuples(
     st.floats(0, 500), st.floats(0, 500),
     st.floats(1, 300), st.floats(1, 300),
 ).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# a few coordinates, signed zeros among them, up to 1e150 so that no width,
+# area or sum overflows
+coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-200]),
+                   st.floats(-1e150, 1e150))
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes whose corners come from one small pool, so that shared
+    edges, containment and zero-width overlaps are common; a box may be
+    inverted or flat."""
+    pool = draw(st.lists(coords, min_size=1, max_size=5))
+    corner = st.sampled_from(pool)
+    boxes = []
+    for _ in range(2):
+        x0, y0, x1, y1 = (draw(corner) for _ in range(4))
+        if draw(st.booleans()):
+            x0, x1 = sorted((x0, x1))
+            y0, y1 = sorted((y0, y1))
+        boxes.append((x0, y0, x1, y1))
+    return boxes
 
 
 class TestIou:
@@ -34,11 +69,43 @@ class TestIou:
         assert 0.0 <= v <= 1.0
         assert iou(b, a) == pytest.approx(v)
 
+    @given(pair=box_pairs())
+    # an overlap whose area underflows to 0.0, as both boxes' areas do
+    @example(pair=[(0.0, 0.0, 1e-200, 1e-200)] * 2)
+    @settings(max_examples=1000, deadline=None)
+    def test_bitwise_equal_to_reference(self, pair):
+        a, b = pair
+        assert bits(iou(a, b)) == bits(reference_iou(a, b))
+
+    def test_overflowing_width_of_disjoint_boxes(self):
+        # the width inf times the height 0.0 made the reference NaN; the
+        # tracker skips such a pair as disjoint before it scores it
+        a, b = (-1e308, 0, 1e308, 1), (-1e308, 5, 1e308, 6)
+        assert math.isnan(reference_iou(a, b))
+        assert bits(iou(a, b)) == bits(0.0)
+
 
 class TestDetection2D:
     def test_face_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown detection kind"):
             det((0, 0, 10, 10), kind="face")
+
+    @pytest.mark.parametrize("bbox", [
+        (0.0, 0.0, math.inf, 10.0), (-math.inf, 0.0, 10.0, 10.0),
+        (0.0, -math.inf, 10.0, 10.0), (0.0, 0.0, 10.0, math.inf),
+        (-math.inf, -math.inf, math.inf, math.inf),
+        (0.0, 0.0, math.nan, 10.0), (0.0, 0.0, 10.0, 0.0),
+    ])
+    def test_non_finite_or_degenerate_bbox_rejected(self, bbox):
+        # an infinite corner used to pass, as x0 < x1 held; a track of it
+        # scored NaN, and a confirmed one died in extract_object_cloud
+        with pytest.raises(ValueError, match="not finite with x0 < x1"):
+            det(bbox)
+
+    def test_bbox_stored_as_floats(self):
+        d = det((np.float64(1.5), 2, np.int64(3), 4.0))
+        assert d.bbox == (1.5, 2.0, 3.0, 4.0)
+        assert all(type(c) is float for c in d.bbox)
 
 
 class TestStep:
@@ -200,3 +267,33 @@ def reference_matches(tracker, dets):
             matched[tid] = di
             used.add(di)
     return matched
+
+
+class TestReplay:
+    """The tracker and a copy of its step from before it took min and max by
+    comparison agree on every frame of a shipped detection stream."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        sc = Scenario.from_json(DATA_DIR / "cluttered_drift.json")
+        return [synthesize_frame_data(sc, i).detections
+                for i in range(sc.num_frames)]
+
+    @staticmethod
+    def state(tracker):
+        return [(t.track_id, t.last_bbox, t.length, t.misses,
+                 t.last_detection_index) for t in tracker.tracks]
+
+    @pytest.mark.parametrize("threshold, min_length, ttl",
+                             [(0.5, 5, 3), (0.3, 1, 0), (0.7, 3, 5)])
+    def test_matches_reference_step(self, stream, threshold, min_length,
+                                    ttl):
+        tracker = IoUTracker(threshold, min_length, ttl)
+        reference = ReferenceTracker(threshold, min_length, ttl)
+        confirmed = 0
+        for i, dets in enumerate(stream):
+            got = tracker.step(dets, i)
+            assert got == reference.step(dets, i)
+            assert self.state(tracker) == self.state(reference)
+            confirmed += len(got)
+        assert confirmed > 0

@@ -21,6 +21,9 @@ from .errors import (
 )
 
 ORTHONORMAL_TOL = 1e-9
+# pixels per image side: past the 7,680 px of 8K, the widest video sensors,
+# and a float64 depth image 16,384 px square already takes 2 GiB
+MAX_IMAGE_SIDE = 16_384
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -53,6 +56,11 @@ class CameraIntrinsics:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError("focal lengths must be positive and finite")
+        for name in ("width", "height"):
+            if not 1 <= getattr(self, name) <= MAX_IMAGE_SIDE:
+                raise ValueError(
+                    f"{name} must be in [1, {MAX_IMAGE_SIDE}] px, got "
+                    f"{getattr(self, name)}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

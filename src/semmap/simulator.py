@@ -50,6 +50,13 @@ MAX_FOOTPRINT_PX = 9  # side of the largest square a depth sample covers
 # image: past any detector's operating point, and the tracker's cost per
 # frame grows with its square
 MAX_FALSE_POSITIVE_RATE = 100.0
+# surface samples per object: a million put a 1 m cube's faces ~2.4 mm
+# apart, finer than a 500 px focal length resolves from 1 m (2 mm a
+# pixel), and the frame source projects every sample every frame
+MAX_SAMPLE_COUNT = 1_000_000
+# frames of one orbit or segment: an hour at 30 fps; an orbit builds a
+# pose per frame
+MAX_FRAMES = 108_000
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
@@ -92,9 +99,10 @@ class WorldObject:
             raise ScenarioError(
                 f"extents must be three positive finite sizes, got "
                 f"{list(self.extents)}")
-        if self.sample_count < 1:
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ScenarioError(
-                f"sample_count must be >= 1, got {self.sample_count}")
+                f"sample_count must be in [1, {MAX_SAMPLE_COUNT}], got "
+                f"{self.sample_count}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +191,9 @@ class Orbit:
     sweep_deg: float = 360.0
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ScenarioError(f"orbit frames must be >= 1, got {self.frames}")
+        if not 1 <= self.frames <= MAX_FRAMES:
+            raise ScenarioError(
+                f"orbit frames must be in [1, {MAX_FRAMES}], got {self.frames}")
         if not 0.0 <= self.radius < math.inf:
             raise ScenarioError(
                 f"orbit radius must be finite and >= 0, got {self.radius}")
@@ -218,9 +227,10 @@ class Segment(Sight):
     frames: int  # the camera holds the pose this many frames
 
     def __post_init__(self):
-        if self.frames < 1:
+        if not 1 <= self.frames <= MAX_FRAMES:
             raise ScenarioError(
-                f"segment frames must be >= 1, got {self.frames}")
+                f"segment frames must be in [1, {MAX_FRAMES}], got "
+                f"{self.frames}")
 
 
 @dataclass(frozen=True)
@@ -626,11 +636,12 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
     duplicates = 0
     for obj_id in sorted(registry.objects):
         obj = registry.objects[obj_id]
+        centroid = obj.centroid
         cands = [
-            (float(np.linalg.norm(obj.centroid - c)), gi)
+            (float(np.linalg.norm(centroid - c)), gi)
             for gi, (cls, c) in enumerate(gt)
             if cls == obj.class_label
-            and np.linalg.norm(obj.centroid - c) <= match_radius
+            and np.linalg.norm(centroid - c) <= match_radius
         ]
         cands.sort()
         free = [(d, gi) for d, gi in cands if not claimed[gi]]

@@ -9,6 +9,7 @@ from semmap.errors import (
     NonMonotonicFrame,
     PointBehindCamera,
     SemMapError,
+    UnknownKeyframe,
 )
 from semmap.geometry import (
     CameraIntrinsics,
@@ -33,7 +34,7 @@ from semmap.headpose import (
     rodrigues,
     rotation_from_euler,
 )
-from semmap.semantic_map import chamfer_distance
+from semmap.semantic_map import MergeReport, chamfer_distance, overlap_ratio
 from semmap.simulator import (
     MIN_VISIBLE_SAMPLES,
     NEAR_PLANE,
@@ -115,6 +116,55 @@ def reference_rebuild(obj, keyframes, leaf, max_points):
     if len(world) > max_points:
         world = voxel_downsample(PointCloud(world), leaf).points
     return world, world.mean(axis=0), (world.min(axis=0), world.max(axis=0))
+
+
+# Reference for `SemanticMap.apply_trajectory_correction`: the method as
+# it was before its merge pass kept a frontier, with the all-pairs scan
+# that restarts after each merge, and a rebuild of every object. Bodies
+# verbatim; `self` is the map.
+
+def _reference_find_overlapping_pair(self):
+    ids = sorted(self.objects)
+    for i, id_a in enumerate(ids):
+        a = self.objects[id_a]
+        for id_b in ids[i + 1:]:
+            b = self.objects[id_b]
+            if a.class_label != b.class_label:
+                continue
+            lo_a, hi_a = a.aabb
+            lo_b, hi_b = b.aabb
+            if np.any(lo_a > hi_b + self.overlap_radius) or \
+                    np.any(lo_b > hi_a + self.overlap_radius):
+                continue
+            ratio = overlap_ratio(a.world_points, b.world_points,
+                                  self.overlap_radius)
+            if ratio >= self.merge_overlap:
+                return id_a, id_b
+    return None
+
+
+def reference_apply_trajectory_correction(self, corrected) -> MergeReport:
+    """Replace keyframe poses, re-derive all object geometry, then merge
+    same-class objects whose corrected clouds saliently overlap."""
+    for kf_id, _pose in corrected:
+        if kf_id not in self.keyframes:
+            raise UnknownKeyframe(f"keyframe {kf_id} not registered")
+    for kf_id, pose in corrected:
+        self.keyframes[kf_id] = pose
+    for obj in self.objects.values():
+        obj.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
+    before = len(self.objects)
+    pairs = []
+    while True:
+        hit = _reference_find_overlapping_pair(self)
+        if hit is None:
+            break
+        survivor_id, absorbed_id = hit
+        self.merge_objects(self.objects[survivor_id],
+                           self.objects[absorbed_id])
+        del self.objects[absorbed_id]
+        pairs.append((survivor_id, absorbed_id))
+    return MergeReport(pairs, before, len(self.objects))
 
 
 # Reference for `geometry.extract_object_cloud`: the function as it was

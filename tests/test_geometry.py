@@ -12,6 +12,7 @@ from semmap.errors import (
     PixelOutOfBounds,
 )
 from semmap.geometry import (
+    MAX_IMAGE_SIDE,
     CameraIntrinsics,
     DepthImage,
     PointCloud,
@@ -41,6 +42,16 @@ class TestIntrinsics:
              "width": 640, "height": 480, axis: bad}
         with pytest.raises(ValueError, match="focal lengths"):
             CameraIntrinsics(**d)
+
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_image_side_capped(self, side):
+        d = {"fx": 500.0, "fy": 500.0, "cx": 0.0, "cy": 0.0,
+             "width": 640, "height": 480}
+        assert getattr(CameraIntrinsics(**dict(d, **{side: MAX_IMAGE_SIDE})),
+                       side) == MAX_IMAGE_SIDE
+        for bad in (0, MAX_IMAGE_SIDE + 1):
+            with pytest.raises(ValueError, match=side):
+                CameraIntrinsics(**dict(d, **{side: bad}))
 
 
 class TestProject:

@@ -1,10 +1,14 @@
+import copy
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semmap.config import PipelineConfig
 from semmap.errors import ClassMismatch, EmptyCloud, UnknownKeyframe
 from semmap import semantic_map
 from semmap.geometry import (
@@ -16,17 +20,24 @@ from semmap.geometry import (
 from semmap.semantic_map import (
     Observation,
     SemanticMap,
+    SemanticObject,
+    _bounds,
     chamfer_distance,
     overlap_ratio,
 )
+from semmap.simulator import Scenario, run_scenario_detailed
 
+import conftest
 from conftest import (
     brute_force_chamfer,
     brute_force_overlap,
     random_pose,
+    reference_apply_trajectory_correction,
     reference_associate,
     reference_rebuild,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestChamfer:
@@ -87,6 +98,31 @@ class TestOverlapRatio:
         if jitter:
             b = b + rng.uniform(-radius, radius, b.shape)
         assert overlap_ratio(a, b, radius) == brute_force_overlap(a, b, radius)
+
+
+class TestBounds:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
+    # the axis-0 min of the last column is 0.0, the contiguous one -0.0
+    @example(seed=4, n=9)
+    # the same for the max of the first column
+    @example(seed=14, n=9)
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_axis0_min_max_with_both_zeros(self, seed, n):
+        rng = np.random.default_rng(seed)
+        points = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(n, 3))
+        lo, hi = _bounds(points)
+        for got, want in ((lo, points.min(axis=0)),
+                          (hi, points.max(axis=0))):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000))
+    @settings(max_examples=50, deadline=None)
+    def test_bitwise_axis0_min_max(self, seed, n):
+        points = np.random.default_rng(seed).normal(0.0, 3.0, (n, 3))
+        lo, hi = _bounds(points)
+        assert lo.tobytes() == points.min(axis=0).tobytes()
+        assert hi.tobytes() == points.max(axis=0).tobytes()
 
 
 def make_map(**kw):
@@ -333,7 +369,6 @@ class TestTrajectoryCorrection:
             assert np.abs(m.objects[i].centroid - c).max() < 1e-9
 
     def test_fixpoint_no_salient_overlap_remains(self):
-        from semmap.semantic_map import SemanticObject
         m = make_map()
         base = cube_cloud([0, 0, 1], n=100)
         # seed overlapping objects directly, bypassing association
@@ -475,6 +510,196 @@ class TestRebuild:
         # the survivor keeps the absorbed object's world points
         assert sizes == []
         self.assert_fresh(m)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_bounds_equal_fresh_rebuild(self, seed):
+        """Points on the coordinate planes put AABB bounds at exactly 0,
+        where the bounds helper falls back to the axis-0 reductions: after
+        registrations, a correction and merges, centroid and AABB are
+        still bitwise those of a fresh rebuild."""
+        rng = np.random.default_rng(seed)
+        m = make_map(assoc_dist=1e-6)
+        m.add_keyframe(1, RigidPose(np.eye(3), [0.0, 0.02, 0.0]))
+        for kf in (0, 1, 0, 1):
+            local = rng.choice([0.0, 0.01, 0.02], size=(30, 3)) * [1, -1, 1]
+            m.register_candidate(local, "cup", kf)
+            self.assert_fresh(m)
+        assert any(0.0 in obj.aabb[0] or 0.0 in obj.aabb[1]
+                   for obj in m.objects.values())
+        report = m.apply_trajectory_correction([(1, RigidPose.identity())])
+        assert report.pairs
+        self.assert_fresh(m)
+
+
+def counting_overlaps(module, fn, *args):
+    """`fn(*args)` and the number of `overlap_ratio` calls it made through
+    `module`'s global of that name."""
+    calls = []
+
+    def counted(*a):
+        calls.append(a)
+        return overlap_ratio(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "overlap_ratio", counted)
+        return fn(*args), len(calls)
+
+
+class TestMergePass:
+    """The frontier merge pass against the restarting all-pairs scan it
+    replaced (`conftest.reference_apply_trajectory_correction`)."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert sorted(got.objects) == sorted(want.objects)
+        for obj_id, obj in got.objects.items():
+            ref = want.objects[obj_id]
+            assert obj.class_label == ref.class_label
+            assert [o.keyframe_id for o in obj.observations] \
+                == [o.keyframe_id for o in ref.observations]
+            assert obj.world_points.tobytes() == ref.world_points.tobytes()
+            assert obj.aabb[0].tobytes() == ref.aabb[0].tobytes()
+            assert obj.aabb[1].tobytes() == ref.aabb[1].tobytes()
+
+    def correct_both(self, m, corrected,
+                     apply=SemanticMap.apply_trajectory_correction):
+        """Apply `corrected` to `m` and to a copy by the reference; both
+        must end bitwise equal, with the same report."""
+        shadow = copy.deepcopy(m)
+        want, want_calls = counting_overlaps(
+            conftest, reference_apply_trajectory_correction, shadow,
+            corrected)
+        got, got_calls = counting_overlaps(semantic_map, apply, m, corrected)
+        assert got.to_dict() == want.to_dict()
+        self.assert_same(m, shadow)
+        # each pair's ratio once per change of its objects
+        assert got_calls <= want_calls
+        return got
+
+    @pytest.mark.parametrize("path, merges", [
+        ("tests/data/cluttered_drift.json", True),
+        ("tests/data/tabletop_sweep.json", False),
+        ("tests/data/attention_crowd.json", False),
+        ("configs/scenarios/drift_loop.json", True)])
+    # tight association leaves many duplicates, and a looser overlap
+    # merges them in chains of up to ~20 a correction
+    @pytest.mark.parametrize("config", [
+        {}, {"assoc_dist_m": 0.02, "merge_overlap_ratio": 0.3,
+             "overlap_radius_m": 0.08}], ids=["default", "merge_heavy"])
+    def test_replayed_corrections_merge_as_the_restarting_scan(
+            self, monkeypatch, path, merges, config):
+        """Each correction of a whole run, from the run's own map state;
+        a scenario without corrections gets two "true" ones."""
+        d = json.loads((ROOT / path).read_text())
+        if not d.get("correction_events"):
+            frames = Scenario.from_dict(d).num_frames
+            d["correction_events"] = [{"frame": frames // 2, "poses": "true"},
+                                      {"frame": frames - 1, "poses": "true"}]
+        reports = []
+        apply = SemanticMap.apply_trajectory_correction
+
+        def checked(registry, corrected):
+            reports.append(self.correct_both(registry, corrected, apply))
+            return reports[-1]
+
+        monkeypatch.setattr(SemanticMap, "apply_trajectory_correction",
+                            checked)
+        run_scenario_detailed(Scenario.from_dict(d), PipelineConfig(**config))
+        assert len(reports) == len(d["correction_events"])
+        # attention_crowd has one object, which nothing can merge
+        if merges or (config and "attention" not in path):
+            assert any(r.pairs for r in reports)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_random_clusters_merge_as_the_restarting_scan(self, seed, count):
+        """Objects scattered about a few centres, with ids in shuffled
+        order: merges chain, and a survivor often overlaps a lower id."""
+        rng = np.random.default_rng(seed)
+        m = make_map(merge_overlap=float(rng.choice([0.2, 0.5])),
+                     overlap_radius=0.05)
+        centres = rng.uniform(-0.3, 0.3, (3, 3))
+        for obj_id in rng.permutation(count).tolist():
+            obj = SemanticObject(obj_id, str(rng.choice(["cup", "book"])))
+            centre = centres[rng.integers(len(centres))]
+            obj.observations.append(Observation(
+                0, centre + rng.uniform(-0.06, 0.06, (int(rng.integers(5, 40)),
+                                                      3))))
+            obj.rebuild(m.keyframes, m.voxel_leaf, m.max_cloud_points)
+            m.objects[obj_id] = obj
+        self.correct_both(m, [(0, m.keyframes[0])])
+
+    @pytest.mark.parametrize("xs, pairs", [
+        # a cloud covering half of each of two objects passes against
+        # neither, then against the two merged: the pass goes back to the
+        # survivor's pairs before its frontier
+        ([[0.0, 0.01, 0.02, 0.03, 2.0, 2.01, 2.02, 2.03, 5.0, 5.01],
+          np.arange(51) * 0.01,
+          [0.40, 0.41, 0.42, 0.43, 0.44, 0.45, 2.0, 2.01, 2.02, 2.03]],
+         [(1, 2), (0, 1)]),
+        # the merged box reaches object 2, whose box lay beyond object 0's
+        ([np.arange(10) * 0.01, np.arange(10) * 0.01 + 0.05,
+          np.arange(8) * 0.01 + 0.15], [(0, 1), (0, 2)]),
+        # object 1 holds all of the absorbed 2, and nothing merges it
+        # with the dead one
+        ([np.arange(20) * 0.01 + 0.805, np.arange(100) * 0.01 + 1.0,
+          np.arange(8) * 0.01 + 1.0], [(0, 2)]),
+    ], ids=["lower_id_after_merge", "grown_box", "absorbed_is_gone"])
+    def test_merge_changes_later_pairs(self, xs, pairs):
+        m = make_map()
+        for obj_id, x in enumerate(xs):
+            obj = SemanticObject(obj_id, "cup", [
+                Observation(0, np.outer(x, [1.0, 0.0, 0.0]))])
+            obj.rebuild(m.keyframes, m.voxel_leaf, m.max_cloud_points)
+            m.objects[obj_id] = obj
+        assert self.correct_both(m, [(0, m.keyframes[0])]).pairs == pairs
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_and_one_object_maps(self, count):
+        m = make_map()
+        for _ in range(count):
+            m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        report = self.correct_both(m, [(0, RigidPose.identity())])
+        assert report.to_dict() == {"pairs": [], "objects_before": count,
+                                    "objects_after": count}
+
+    def test_overlap_ratio_is_called_as_a_module_global(self, monkeypatch):
+        # the benchmark's tracer wraps `semantic_map.overlap_ratio` by name
+        calls = []
+
+        def spy(a, b, radius):
+            calls.append((len(a), len(b), radius))
+            return overlap_ratio(a, b, radius)
+
+        monkeypatch.setattr(semantic_map, "overlap_ratio", spy)
+        m = make_map()
+        m.add_keyframe(1, RigidPose(np.eye(3), [0.5, 0, 0]))
+        cloud = cube_cloud([0, 0, 1], n=120)
+        m.register_candidate(cloud.points, "cup", 0)
+        m.register_candidate(cloud.points, "cup", 1)
+        m.apply_trajectory_correction([(1, RigidPose.identity())])
+        assert calls == [(120, 120, m.overlap_radius)]
+
+    def test_correction_rebuilds_only_objects_whose_keyframes_moved(
+            self, monkeypatch):
+        m = make_map()
+        m.add_keyframe(1, RigidPose(np.eye(3), [0.1, 0, 0]))
+        m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
+        m.register_candidate(cube_cloud([3, 0, 1]).points, "book", 1)
+        rebuilt = []
+        rebuild = SemanticObject.rebuild
+
+        def spy(obj, *args):
+            rebuilt.append(obj.object_id)
+            return rebuild(obj, *args)
+
+        monkeypatch.setattr(SemanticObject, "rebuild", spy)
+        # the same pose object again: nothing moved
+        m.apply_trajectory_correction([(0, m.keyframes[0])])
+        assert rebuilt == []
+        m.apply_trajectory_correction([(1, RigidPose.identity())])
+        assert rebuilt == [1]
 
 
 def test_export_schema():

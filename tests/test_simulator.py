@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from semmap import simulator
 from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
-from semmap.geometry import RigidPose
+from semmap.geometry import MAX_IMAGE_SIDE, RigidPose
 from semmap.headpose import rodrigues, rotation_from_euler
 from semmap.simulator import (
     MAX_FALSE_POSITIVE_RATE,
+    MAX_FRAMES,
+    MAX_SAMPLE_COUNT,
     Scenario,
     _sample_box_surface,
     compute_map_metrics,
@@ -541,6 +543,22 @@ class TestSchema:
          "drift overflows by frame 11"),
         ({"drift": {"rotation_deg_per_frame": [1e200, 0.0, 0.0]}},
          "drift overflows by frame 11"),
+        # fields that size work or memory, one past their caps: they
+        # loaded, and sized the frame source's arrays or the trajectory
+        ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                             "extents": [0.1, 0.1, 0.12],
+                             "sample_count": MAX_SAMPLE_COUNT + 1}]},
+         "sample_count"),
+        ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                         "radius": 2.0, "frames": MAX_FRAMES + 1}},
+         "orbit frames"),
+        ({"trajectory": {"kind": "segments", "segments": [
+            {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
+             "frames": MAX_FRAMES + 1}]}}, "segment frames"),
+        ({"intrinsics": dict(BASE["intrinsics"], width=MAX_IMAGE_SIDE + 1)},
+         "width"),
+        ({"intrinsics": dict(BASE["intrinsics"], height=MAX_IMAGE_SIDE + 1)},
+         "height"),
     ])
     def test_out_of_range_field_rejected(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):

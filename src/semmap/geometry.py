@@ -89,6 +89,11 @@ class RigidPose:
         object.__setattr__(self, "rotation", _freeze(rot))
         object.__setattr__(self, "translation", _freeze(t))
 
+    def __eq__(self, other):  # the generated one asks bool() of an array
+        return (isinstance(other, RigidPose)
+                and np.array_equal(self.rotation, other.rotation)
+                and np.array_equal(self.translation, other.translation))
+
     @staticmethod
     def identity() -> "RigidPose":
         return _trusted(RigidPose, rotation=np.eye(3), translation=np.zeros(3))

@@ -281,14 +281,15 @@ class Scenario:
     drift: DriftModel | None = None
     correction_events: list = field(default_factory=list)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    # every object's surface samples, stacked in object order, (N, 3)
-    samples: np.ndarray = field(init=False, repr=False)
-    sample_starts: np.ndarray = field(init=False, repr=False)  # per object
-    sample_spacing: np.ndarray = field(init=False, repr=False)  # per object, m
+    # derived, left out of equality: all objects' surface samples stacked
+    # in object order, (N, 3); per object, its first row and spacing in m
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
+    sample_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    sample_spacing: np.ndarray = field(init=False, repr=False, compare=False)
     # per person, the frozen head rotation of frames it does not attend
-    away_rotations: list = field(init=False, repr=False)
+    away_rotations: list = field(init=False, repr=False, compare=False)
     # the classes a false positive draws from, sorted
-    false_positive_classes: list = field(init=False, repr=False)
+    false_positive_classes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = len(self.trajectory)
@@ -440,7 +441,23 @@ def _jittered_bbox(bbox, rng, sigma, width, height):
     return (x0, y0, x1, y1)
 
 
+# the depth splat's scratch arrays, one set per process (per scenario, they
+# would cost 1-2 MB each): reused, they are not faulted in afresh each frame
+_SCRATCH = {}
+
+
+def _scratch(name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """The first `size` items of a reused 1-D buffer, grown on demand."""
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[name] = np.empty(size, dtype)
+    return buf[:size]
+
+
 def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
+    """A fresh FrameData for one frame. Nothing in it aliases the splat's
+    reused scratch buffers, so it stays valid after later calls; the
+    function itself is not reentrant (one set of buffers per process)."""
     if not 0 <= frame_idx < scenario.num_frames:
         raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
     k = scenario.intrinsics
@@ -498,27 +515,35 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     # per footprint, with samples along the last axis so numpy's inner loops
     # are long. A sample covers the f x f window at offsets -f//2 ..
     # f-1-f//2 about its pixel. When some object's pixel hull comes within
-    # its window of an image edge, the buffer gets a guard band that no
-    # window leaves, and is cropped after; no index needs a mask. min is
-    # exact and order-free, so the grouping changes no bit
+    # its window of an image edge, the splat goes to a reused buffer with a
+    # guard band that no window leaves, and is cropped out; no index needs a
+    # mask. min is exact and order-free, so the grouping changes no bit
     half = fpx // 2
     pad = MAX_FOOTPRINT_PX // 2 if np.any(
         (u_min.astype(np.intp) < half) | (v_min.astype(np.intp) < half)
         | (u_max.astype(np.intp) + fpx - half > width)
         | (v_max.astype(np.intp) + fpx - half > height)) else 0
     stride = width + 2 * pad
-    zbuf = np.full((height + 2 * pad, stride),
-                   scenario.background_depth or np.inf)
+    flat = (_scratch("zbuf", (height + 2 * pad) * stride) if pad
+            else np.empty(height * width))
+    flat.fill(scenario.background_depth or np.inf)
     pixels = (v.astype(np.intp) + pad) * stride + u.astype(np.intp) + pad
     footprint = np.repeat(fpx, seen_counts)
     for f in np.unique(fpx).tolist():
         sel = footprint == f
         offsets = np.arange(f) - f // 2
         window = (offsets[:, None] * stride + offsets).ravel()
-        np.minimum.at(zbuf.ravel(), np.add.outer(window, pixels[sel]).ravel(),
-                      np.tile(d[sel], f * f))
+        group = pixels[sel]
+        index = _scratch("index", f * f * group.size, np.intp)
+        depth = _scratch("depth", index.size)
+        np.add(window[:, None], group, out=index.reshape(f * f, -1))
+        depth.reshape(f * f, -1)[...] = d[sel]
+        # index and values 1-D and of one length: numpy 2.4.6 gives wrong
+        # minima for a 2-D index with values broadcast along its rows
+        np.minimum.at(flat, index, depth)
+    zbuf = flat.reshape(-1, stride)
     if pad:
-        zbuf = np.ascontiguousarray(zbuf[pad:-pad, pad:-pad])
+        zbuf = zbuf[pad:-pad, pad:-pad].copy()
     if scenario.background_depth == 0:
         zbuf[np.isinf(zbuf)] = 0.0  # no sample, no background: invalid
 
@@ -673,42 +698,11 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
     )
 
 
-M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
-M_MMAP_THRESHOLD = -3
-
-
-def keep_freed_heap() -> bool:
-    """Have glibc keep freed heap memory for reuse; True if it took.
-
-    Every frame allocates and frees up to ~2 MB of numpy temporaries
-    (the frame source's peak is 1.8 MB on cluttered_drift) and a 0.6 MB
-    depth image. With glibc's default, adaptive thresholds the heap top
-    goes back to the OS up to once a frame and is faulted in again by
-    the next one (cluttered_drift, whole runs: ~89 minor page faults a
-    frame, ~85,000 a second, against 0.03 a frame with this setting),
-    and heap layout alone decides whether those trims fall in the frame
-    source or in the pipeline step. Fixed thresholds keep arrays under
-    16 MiB on the heap and its free top in the process. The setting is
-    process-wide. Other C libraries are left as they are.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return bool(mallopt(M_MMAP_THRESHOLD, 16 << 20)
-                and mallopt(M_TRIM_THRESHOLD, 256 << 20))
-
-
 def run_scenario_detailed(scenario: Scenario,
                           config: PipelineConfig | None = None):
     """Stream every frame through a Pipeline; returns (SemanticMap,
     MetricsReport, event rows). A "true" correction hands the pipeline
     the true poses of keyframes 0..frame."""
-    keep_freed_heap()
     pipeline = Pipeline(scenario.intrinsics, config)
     corrections = {}
     for ev in scenario.correction_events:
@@ -722,6 +716,7 @@ def run_scenario_detailed(scenario: Scenario,
             i, i / scenario.fps, data.detections, data.depth,
             data.pose_estimate, list(data.landmarks.values()),
             corrections.get(i, []))))
+        del data  # so that the next frame's depth image takes its heap block
     triggers = []
     for row in events:
         person = {p["track"]: p["person"] for p in row["persons"]}

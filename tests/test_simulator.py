@@ -1,8 +1,6 @@
-import ctypes
 import dataclasses
 import json
 import math
-import platform
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +20,6 @@ from semmap.simulator import (
     Scenario,
     _sample_box_surface,
     compute_map_metrics,
-    keep_freed_heap,
     look_at,
     run_scenario_detailed,
     synthesize_frame_data,
@@ -304,6 +301,34 @@ class TestSynthesizeFrame:
         assert sc.attending_gt(0, 0) is True
         kinds = sorted(d.kind for d in data.detections)
         assert kinds == ["object", "person"]
+
+
+class TestDepthNotAliased:
+    # a frame whose windows pass every image edge takes the padded buffer;
+    # one cube in the middle of the image does not
+    @staticmethod
+    def padded(seed, background_depth):
+        return frame_scenario(seed, edge_cubes(150),
+                              background_depth=background_depth)
+
+    @staticmethod
+    def unpadded(seed, background_depth):
+        return frame_scenario(seed, [(0.0, 2.0, 0.0, CUBE, 300)],
+                              background_depth=background_depth)
+
+    @pytest.mark.parametrize("held", ["padded", "unpadded"])
+    def test_held_depth_survives_later_frames(self, held):
+        make = getattr(self, held)
+        data = synthesize_frame_data(make(0, 0.0), 0)
+        depth = data.depth.data
+        before = depth.tobytes()
+        # other samples and another background fill every later buffer
+        synthesize_frame_data(self.padded(1, 6.0), 0)
+        synthesize_frame_data(self.unpadded(1, 6.0), 0)
+        assert depth.tobytes() == before
+        assert before == synthesize_frame_data(make(0, 0.0), 0) \
+            .depth.data.tobytes()
+        assert not depth.flags.writeable
 
 
 class TestEdgeExamples:
@@ -600,6 +625,16 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="must be a JSON object"):
             Scenario.from_json(path)
 
+    def test_equal_loads_compare_equal(self):
+        d = json.loads((SCENARIO_DIR / "desk_orbit.json").read_text())
+        assert Scenario.from_dict(d) == Scenario.from_dict(d)
+        assert Scenario.from_dict(d) != Scenario.from_dict(
+            dict(d, seed=d["seed"] + 1))
+        moved = {"kind": "segments", "segments": [
+            {"position": [0.0, -2.5, 1.0], "look_at": [0.0, 0.0, 1.0],
+             "frames": 12}]}
+        assert scenario() != scenario(trajectory=moved)
+
     def test_shipped_scenarios_parse(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             sc = Scenario.from_json(path)
@@ -785,37 +820,3 @@ class TestRunScenario:
         window_start = sc.persons[0].attention_windows[0][0]
         # 3 s of sustained attention after the window opens
         assert times[0] == pytest.approx(window_start + 3.0, abs=0.2)
-
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-
-class TestKeepFreedHeap:
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="mallopt thresholds are glibc's")
-    def test_large_array_stays_on_heap_after_free(self):
-        mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-        if mallinfo2 is None:
-            pytest.skip("glibc before 2.33 has no mallinfo2")
-        mallinfo2.argtypes = ()
-        mallinfo2.restype = _MallInfo2
-        assert keep_freed_heap()
-        before = mallinfo2()
-        block = np.ones(1 << 20)  # 8 MiB: mmapped under the defaults
-        held = mallinfo2()
-        del block
-        after = mallinfo2()
-        assert held.hblkhd == before.hblkhd  # from the heap, not mmap
-        assert after.arena >= held.arena  # and not trimmed when freed
-
-    def test_runs_without_mallopt(self, monkeypatch):
-        def no_libc(name):
-            raise OSError("no C library")
-
-        monkeypatch.setattr(ctypes, "CDLL", no_libc)
-        assert keep_freed_heap() is False
-        _, _, events = run_scenario_detailed(scenario())
-        assert len(events) == 12

@@ -28,6 +28,7 @@ from .geometry import (
     CameraIntrinsics,
     DepthImage,
     RigidPose,
+    _derived_pose,
     _freeze,
     _trusted,
 )
@@ -57,6 +58,7 @@ MAX_SAMPLE_COUNT = 1_000_000
 # frames of one orbit or segment: an hour at 30 fps; an orbit builds a
 # pose per frame
 MAX_FRAMES = 108_000
+MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
@@ -69,21 +71,22 @@ def _cross(a, b) -> tuple:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def look_at(position, target, up=(0.0, 0.0, 1.0)) -> RigidPose:
-    """Camera-to-world pose at `position` with the optical axis on `target`."""
-    position = np.asarray(position, dtype=np.float64)
-    fwd = np.asarray(target, dtype=np.float64) - position
-    norm = np.linalg.norm(fwd)
-    if norm < 1e-12:
-        raise ScenarioError("look_at target coincides with camera position")
+def look_at(position, target) -> RigidPose:
+    """Camera-to-world pose at `position` with the optical axis on `target`
+    and up at +z: x = down × z cancels nothing, so R is a rotation as built."""
+    position = np.array(position, dtype=np.float64)  # the pose freezes it
+    with np.errstate(over="ignore"):
+        fwd = np.asarray(target, dtype=np.float64) - position
+        norm = np.linalg.norm(fwd)
+    if not 1e-12 <= norm < math.inf:
+        raise ScenarioError(f"look_at distance {norm} m outside [1e-12, inf)")
     z = fwd / norm
-    down = (-np.asarray(up, dtype=np.float64)).tolist()
-    x = np.array(_cross(down, z.tolist()))
+    x = np.array(_cross((-0.0, -0.0, -1.0), z.tolist()))
     if np.linalg.norm(x) < 1e-9:
         x = np.array(_cross((0.0, 1.0, 0.0), z.tolist()))
     x = x / np.linalg.norm(x)
     y = _cross(z.tolist(), x.tolist())
-    return RigidPose(np.column_stack([x, y, z]), position)
+    return _derived_pose(np.column_stack([x, y, z]), position)
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,9 @@ class Orbit:
         if not 0.0 <= self.radius < math.inf:
             raise ScenarioError(
                 f"orbit radius must be finite and >= 0, got {self.radius}")
+        if not abs(self.sweep_deg) <= MAX_SWEEP_DEG:
+            raise ScenarioError(f"orbit sweep_deg must be within "
+                                f"±{MAX_SWEEP_DEG}, got {self.sweep_deg}")
 
     def trajectory(self) -> list:
         center = np.asarray(self.center, dtype=np.float64)
@@ -312,15 +318,8 @@ class Scenario:
         if not 0 <= start < frames:
             raise ScenarioError(
                 f"drift start_frame {start} outside [0, {frames})")
-        # drift grows with the frame: finite at the last frame, it is finite
-        # at every frame, and drift_pose needs no check of its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            last = self.drift_pose(frames - 1)
-        if not np.isfinite(np.append(last.rotation, last.translation)).all():
-            raise ScenarioError(f"drift overflows by frame {frames - 1}")
-        # each frame's inverse() has translation -Rᵀt, and each drifted
-        # estimate drift_pose(i).compose(pose) has R_d t + t_d: all are
-        # checked at once, so that none overflows mid-run
+        # every frame's inverse() -Rᵀt and drifted estimate R_d t + t_d, which
+        # a non-finite drift reaches, are checked at once, before the run
         rot = np.array([pose.rotation for pose in self.trajectory])
         t = np.array([pose.translation for pose in self.trajectory])[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -426,12 +425,16 @@ class FrameData:
 
 
 def _jittered_bbox(bbox, rng, sigma, width, height):
-    x0, y0, x1, y1 = bbox
     if sigma > 0:
-        dx0, dy0, dx1, dy1 = rng.normal(0.0, sigma, 4).tolist()
-        x0, y0, x1, y1 = x0 + dx0, y0 + dy0, x1 + dx1, y1 + dy1
+        bbox = [c + d for c, d in zip(bbox, rng.normal(0.0, sigma, 4).tolist())]
     else:
         rng.normal(0.0, 1.0, 4)  # keep the stream position fixed
+    return _clamped_bbox(bbox, width, height)
+
+
+def _clamped_bbox(bbox, width, height):
+    """The box ordered and moved into the image, at least 1 px a side."""
+    x0, y0, x1, y1 = bbox
     x0, x1 = sorted((x0, x1))
     y0, y1 = sorted((y0, y1))
     x0 = float(min(max(x0, 0), width - 2))
@@ -475,7 +478,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     # translation is added along the samples, not in inner loops of length 3
     x, y, z = np.add((scenario.samples @ to_cam.rotation.T).T,
                      to_cam.translation[:, None], order="C")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = k.cx + k.fx * x / z
         v = k.cy + k.fy * y / z
     keep = (z > NEAR_PLANE) & (z <= scenario.max_range)
@@ -611,15 +614,11 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
         class_pool = scenario.false_positive_classes
         for j in range(n_fp):
             cls = class_pool[int(rng_fp.integers(len(class_pool)))]
-            cx_ = rng_fp.uniform(0, width)
-            cy_ = rng_fp.uniform(0, height)
-            w = rng_fp.uniform(10, 80)
-            h = rng_fp.uniform(10, 80)
-            x0 = float(min(max(cx_ - w / 2, 0), width - 2))
-            y0 = float(min(max(cy_ - h / 2, 0), height - 2))
-            x1 = float(min(max(cx_ + w / 2, x0 + 1), width))
-            y1 = float(min(max(cy_ + h / 2, y0 + 1), height))
-            detections.append(Detection2D((x0, y0, x1, y1), cls, score=0.3,
+            cx_, cy_ = rng_fp.uniform(0, width), rng_fp.uniform(0, height)
+            w, h = rng_fp.uniform(10, 80), rng_fp.uniform(10, 80)
+            bbox = _clamped_bbox((cx_ - w / 2, cy_ - h / 2, cx_ + w / 2,
+                                  cy_ + h / 2), width, height)
+            detections.append(Detection2D(bbox, cls, score=0.3,
                                           kind=KIND_OBJECT))
             provenance.append(("fp", j))
 

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semmap import simulator
@@ -44,6 +45,9 @@ BASE = {
 }
 
 
+COORD = st.floats(-1e3, 1e3)
+
+
 def scenario(**overrides):
     d = dict(BASE)
     d.update(overrides)
@@ -65,6 +69,51 @@ class TestLookAt:
     def test_coincident_target_rejected(self):
         with pytest.raises(ScenarioError):
             look_at([1, 1, 1], [1, 1, 1])
+
+    # a view `tilt` rad off vertical, up or down: under 1e-9 rad (and at 0)
+    # look_at takes its (0, 1, 0) × z branch, above it down × z
+    @given(position=st.tuples(COORD, COORD, COORD),
+           offset=st.one_of(
+               st.tuples(COORD, COORD, COORD),
+               st.builds(lambda tilt, azimuth, dist: (
+                   dist * tilt * math.cos(azimuth),
+                   dist * tilt * math.sin(azimuth), dist),
+                   st.one_of(st.just(0.0), st.floats(0.0, 1e-9),
+                             st.floats(0.0, 1e-6)),
+                   st.floats(0.0, 2 * math.pi),
+                   st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3)))))
+    @example(position=(0.5, -2.0, 1.0), offset=(0.0, 0.0, 3.0))
+    @example(position=(0.5, -2.0, 1.0), offset=(0.0, 0.0, -3.0))
+    @example(position=(0.0, 0.0, 1.0), offset=(1e-6, 0.0, -1.0))
+    @example(position=(0.0, 0.0, 1.0), offset=(0.0, -1e-10, 1.0))
+    def test_frame_is_a_rotation_by_construction(self, position, offset):
+        # what the public RigidPose check enforced before look_at skipped it
+        target = np.add(position, offset)
+        assume(np.linalg.norm(target - position) >= 1e-6)
+        pose = look_at(position, target)
+        r = pose.rotation
+        assert np.isfinite(r).all()
+        assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-12
+        assert np.linalg.det(r) > 0
+        assert pose.translation.tolist() == list(position)
+
+    @given(position=st.tuples(COORD, COORD, COORD),
+           axis=st.integers(0, 2), sign=st.sampled_from([-1.0, 1.0]),
+           far=st.floats(1.4e154, np.finfo(float).max))
+    @example(position=(0.0, 0.0, 1.0), axis=0, sign=1.0,
+             far=np.finfo(float).max)
+    def test_overflowing_distance_rejected_without_warning(
+            self, position, axis, sign, far):
+        target = list(position)
+        target[axis] = sign * far
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="look_at"):
+                look_at(position, target)
+            # from the mirrored position: near the top of the float range
+            # the difference itself overflows
+            with pytest.raises(ScenarioError, match="look_at"):
+                look_at(np.negative(target), target)
 
 
 class TestBoxSampling:
@@ -563,11 +612,11 @@ class TestSchema:
         # finite drift that overflows by the last frame loaded, and the
         # run died at a drifted frame
         ({"drift": {"translation_per_frame": [1e308, 0.0, 0.0]}},
-         "drift overflows by frame 11"),
+         "pose of frame 1 has no finite drifted estimate"),
         ({"drift": {"rotation_deg_per_frame": [0.0, 1e308, 0.0]}},
-         "drift overflows by frame 11"),
+         "pose of frame 0 has no finite drifted estimate"),
         ({"drift": {"rotation_deg_per_frame": [1e200, 0.0, 0.0]}},
-         "drift overflows by frame 11"),
+         "pose of frame 0 has no finite drifted estimate"),
         # fields that size work or memory, one past their caps: they
         # loaded, and sized the frame source's arrays or the trajectory
         ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
@@ -584,6 +633,11 @@ class TestSchema:
          "width"),
         ({"intrinsics": dict(BASE["intrinsics"], height=MAX_IMAGE_SIDE + 1)},
          "height"),
+        # more than a turn a frame loaded; near the largest float the frame
+        # angles overflowed, and the load warned
+        ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                         "radius": 2.0, "frames": 12, "sweep_deg": 1e308}},
+         "orbit sweep_deg"),
     ])
     def test_out_of_range_field_rejected(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):

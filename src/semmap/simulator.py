@@ -25,10 +25,10 @@ from .config import (
 )
 from .errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from .geometry import (
+    MAX_IMAGE_SIDE,
     CameraIntrinsics,
     DepthImage,
     RigidPose,
-    _derived_pose,
     _freeze,
     _trusted,
 )
@@ -51,6 +51,10 @@ MAX_FOOTPRINT_PX = 9  # side of the largest square a depth sample covers
 # image: past any detector's operating point, and the tracker's cost per
 # frame grows with its square
 MAX_FALSE_POSITIVE_RATE = 100.0
+# sd of the landmark jitter, px: the widest image side. Past it, a jittered
+# landmark lands outside any image more often than not, and near the
+# largest float the draws themselves overflow
+MAX_LANDMARK_JITTER_PX = float(MAX_IMAGE_SIDE)
 # surface samples per object: a million put a 1 m cube's faces ~2.4 mm
 # apart, finer than a 500 px focal length resolves from 1 m (2 mm a
 # pixel), and the frame source projects every sample every frame
@@ -63,30 +67,53 @@ MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
 
-def _cross(a, b) -> tuple:
-    """np.cross of two 3-vectors, bit for bit, on Python floats: each
-    product and difference is rounded on its own, as numpy does."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+# rows of a cross product: c[i] = a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_DOWN, _Y = np.array([-0.0, -0.0, -1.0]), np.array([0.0, 1.0, 0.0])
+
+
+def _cross(a, b) -> np.ndarray:
+    """np.cross of 3-vectors, or of each row of (n, 3) stacks, bit for bit:
+    each product and difference is rounded on its own, as numpy does, and
+    a -0.0 factor keeps its signed zeros."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a C-contiguous (n, 3) stack, bit for
+    bit: each row's (1, 3) @ (3, 1) product is the BLAS dot that norm takes."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).reshape(-1))
+
+
+def _look_at(positions, targets) -> list:
+    """A camera-to-world pose per row of `positions` (n, 3), its optical
+    axis on the matching row of `targets` (n, 3), or on one (3,) target,
+    and up at +z: x = down × z cancels nothing, so each R is a rotation as
+    built. Each pose is its own object, over frozen views of one stack.
+    A distance outside [1e-12, inf) is a ScenarioError that names it; a
+    non-finite position makes its distance inf or NaN, so no other check."""
+    positions = _freeze(np.array(positions, dtype=np.float64).reshape(-1, 3))
+    with np.errstate(over="ignore"):
+        fwd = np.asarray(targets, dtype=np.float64).reshape(-1, 3) - positions
+        norm = _norms(fwd)
+    ok = (norm >= 1e-12) & (norm < math.inf)
+    if not ok.all():
+        raise ScenarioError(
+            f"look_at distance {norm[ok.argmin()]} m outside [1e-12, inf)")
+    z = fwd / norm[:, None]
+    x = _cross(_DOWN, z)
+    # within 1e-9 rad of vertical, down × z is too short: (0, 1, 0) × z
+    x = np.where(_norms(x)[:, None] < 1e-9, _cross(_Y, z), x)
+    x /= _norms(x)[:, None]
+    rotations = _freeze(np.stack([x, _cross(z, x), z], axis=-1))
+    return [_trusted(RigidPose, rotation=r, translation=t)
+            for r, t in zip(rotations, positions)]
 
 
 def look_at(position, target) -> RigidPose:
     """Camera-to-world pose at `position` with the optical axis on `target`
-    and up at +z: x = down × z cancels nothing, so R is a rotation as built."""
-    position = np.array(position, dtype=np.float64)  # the pose freezes it
-    with np.errstate(over="ignore"):
-        fwd = np.asarray(target, dtype=np.float64) - position
-        norm = np.linalg.norm(fwd)
-    if not 1e-12 <= norm < math.inf:
-        raise ScenarioError(f"look_at distance {norm} m outside [1e-12, inf)")
-    z = fwd / norm
-    x = np.array(_cross((-0.0, -0.0, -1.0), z.tolist()))
-    if np.linalg.norm(x) < 1e-9:
-        x = np.array(_cross((0.0, 1.0, 0.0), z.tolist()))
-    x = x / np.linalg.norm(x)
-    y = _cross(z.tolist(), x.tolist())
-    return _derived_pose(np.column_stack([x, y, z]), position)
+    and up at +z."""
+    return _look_at([position], target)[0]
 
 
 @dataclass(frozen=True)
@@ -137,9 +164,13 @@ class NoiseModel:
             raise ScenarioError(
                 f"false_positive_rate must be in [0, "
                 f"{MAX_FALSE_POSITIVE_RATE}] per frame")
-        for name in ("bbox_jitter_px", "depth_noise_m", "landmark_jitter_px"):
+        for name in ("bbox_jitter_px", "depth_noise_m"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ScenarioError(f"{name} must be finite and >= 0")
+        if not 0.0 <= self.landmark_jitter_px <= MAX_LANDMARK_JITTER_PX:
+            raise ScenarioError(
+                f"landmark_jitter_px must be in [0, {MAX_LANDMARK_JITTER_PX}] "
+                f"px, got {self.landmark_jitter_px}")
 
 
 @dataclass(frozen=True)
@@ -208,14 +239,11 @@ class Orbit:
         center = np.asarray(self.center, dtype=np.float64)
         height = center[2] if self.height is None else self.height
         start, sweep = np.radians(self.start_deg), np.radians(self.sweep_deg)
-        poses = []
-        for i in range(self.frames):
-            ang = start + sweep * i / self.frames
-            pos = center + np.array([self.radius * np.cos(ang),
-                                     self.radius * np.sin(ang),
-                                     height - center[2]])
-            poses.append(look_at(pos, center))
-        return poses
+        ang = start + sweep * np.arange(self.frames) / self.frames
+        positions = center + np.column_stack([
+            self.radius * np.cos(ang), self.radius * np.sin(ang),
+            np.full(self.frames, height - center[2])])
+        return _look_at(positions, center)
 
 
 @dataclass(frozen=True)
@@ -573,40 +601,43 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
                if jitter > 0 else None)
     landmarks = {}
-    for pi, person in enumerate(scenario.persons):
-        head_cam = to_cam.transform(
-            np.asarray(person.position, dtype=np.float64))
-        if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
-            continue
-        cam = to_cam.transform(np.asarray(person.position) + _HEAD_BOX)
-        zc = np.maximum(cam[:, 2], NEAR_PLANE)
-        u = k.cx + k.fx * cam[:, 0] / zc
-        v = k.cy + k.fy * cam[:, 1] / zc
-        bbox = (u.min(), v.min(), u.max(), v.max())
-        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                              width, height)
-        dropped = rng_det.random() < noise.dropout_prob
-        if not dropped:
-            detections.append(Detection2D(bbox, "person", score=1.0,
-                                          kind=KIND_PERSON))
-            provenance.append(("person", pi))
-        head_rot = (np.eye(3) if scenario.attending_gt(pi, frame_idx)
-                    else scenario.away_rotations[pi])
-        try:
-            lmks = project_model(face_model, head_rot, head_cam, k)
-        except PointBehindCamera:
-            continue
-        inside = all(0 <= uu < width and 0 <= vv < height
-                     for uu, vv in lmks.values())
-        if not inside:
-            continue
-        if jitter > 0:
-            # one draw per face: the same stream as a u and a v draw per
-            # landmark in turn
-            du = rng_lmk.normal(0, jitter, 2 * len(lmks)).tolist()
-            lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
-                    for i, (n, (uu, vv)) in enumerate(lmks.items())}
-        landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
+    # a head far off the axis projects its box and landmarks to ±inf px,
+    # which the clamp and the in-image test take
+    with np.errstate(over="ignore"):
+        for pi, person in enumerate(scenario.persons):
+            head_cam = to_cam.transform(
+                np.asarray(person.position, dtype=np.float64))
+            if not (NEAR_PLANE < head_cam[2] <= scenario.max_range):
+                continue
+            cam = to_cam.transform(np.asarray(person.position) + _HEAD_BOX)
+            zc = np.maximum(cam[:, 2], NEAR_PLANE)
+            u = k.cx + k.fx * cam[:, 0] / zc
+            v = k.cy + k.fy * cam[:, 1] / zc
+            bbox = (u.min(), v.min(), u.max(), v.max())
+            bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
+                                  width, height)
+            dropped = rng_det.random() < noise.dropout_prob
+            if not dropped:
+                detections.append(Detection2D(bbox, "person", score=1.0,
+                                              kind=KIND_PERSON))
+                provenance.append(("person", pi))
+            head_rot = (np.eye(3) if scenario.attending_gt(pi, frame_idx)
+                        else scenario.away_rotations[pi])
+            try:
+                lmks = project_model(face_model, head_rot, head_cam, k)
+            except PointBehindCamera:
+                continue
+            inside = all(0 <= uu < width and 0 <= vv < height
+                         for uu, vv in lmks.values())
+            if not inside:
+                continue
+            if jitter > 0:
+                # one draw per face: the same stream as a u and a v draw per
+                # landmark in turn
+                du = rng_lmk.normal(0, jitter, 2 * len(lmks)).tolist()
+                lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
+                        for i, (n, (uu, vv)) in enumerate(lmks.items())}
+            landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
 
     if noise.false_positive_rate > 0:
         rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from semmap.errors import (
     NoConvergence,
     NonMonotonicFrame,
     PointBehindCamera,
+    ScenarioError,
     SemMapError,
     UnknownKeyframe,
 )
@@ -434,6 +437,46 @@ def _splat_depth(depth_min, us, vs, ds, footprint, width, height):
             if not np.any(ok):
                 continue
             np.minimum.at(flat, vv[ok] * width + uu[ok], ds[ok])
+
+
+def _reference_cross(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def reference_look_at(position, target) -> tuple:
+    """Reference for `simulator.look_at`: one pose at a time, on Python
+    floats and 3-vectors. Returns (rotation, translation)."""
+    position = np.array(position, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        fwd = np.asarray(target, dtype=np.float64) - position
+        norm = np.linalg.norm(fwd)
+    if not 1e-12 <= norm < math.inf:
+        raise ScenarioError(f"look_at distance {norm} m outside [1e-12, inf)")
+    z = fwd / norm
+    x = np.array(_reference_cross((-0.0, -0.0, -1.0), z.tolist()))
+    if np.linalg.norm(x) < 1e-9:
+        x = np.array(_reference_cross((0.0, 1.0, 0.0), z.tolist()))
+    x = x / np.linalg.norm(x)
+    y = _reference_cross(z.tolist(), x.tolist())
+    return np.column_stack([x, y, z]), position
+
+
+def reference_orbit(orbit) -> list:
+    """Reference for `simulator.Orbit.trajectory`: the frame angle, position
+    and `reference_look_at` of one frame per pass."""
+    center = np.asarray(orbit.center, dtype=np.float64)
+    height = center[2] if orbit.height is None else orbit.height
+    start, sweep = np.radians(orbit.start_deg), np.radians(orbit.sweep_deg)
+    poses = []
+    for i in range(orbit.frames):
+        ang = start + sweep * i / orbit.frames
+        pos = center + np.array([orbit.radius * np.cos(ang),
+                                 orbit.radius * np.sin(ang),
+                                 height - center[2]])
+        poses.append(reference_look_at(pos, center))
+    return poses
 
 
 def object_samples(scenario) -> list:

@@ -1,12 +1,12 @@
 """Extreme values at the scenario load boundary fail loudly or run cleanly.
 
-Every numeric leaf of a scenario's `trajectory` and `drift`, one at a time,
-is set to each of `VALUES`. The scenario must then either be rejected with
-`ScenarioError`, or load and run its first frames through `Pipeline.step`
-without a warning: a numpy overflow warning means bad input ran on into
-arithmetic that the load should have refused. The integer fields `frames`
-and `start_frame` are left alone: a frame count near its cap is accepted,
-and allocates gigabytes.
+Every numeric leaf of a scenario's `trajectory`, `drift`, `persons` and
+`noise`, one at a time, is set to each of `VALUES`. The scenario must then
+either be rejected with `ScenarioError`, or load and run its first frames
+through `Pipeline.step` without a warning: a numpy overflow warning means
+bad input ran on into arithmetic that the load should have refused. The
+integer fields `frames` and `start_frame` are left alone: a frame count
+near its cap is accepted, and allocates gigabytes.
 """
 
 import copy
@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = sorted((ROOT / "configs" / "scenarios").glob("*.json")) + [
     ROOT / "tests" / "data" / f"{name}.json"
     for name in ("tabletop_sweep", "cluttered_drift", "attention_crowd")]
+SECTIONS = ("trajectory", "drift", "persons", "noise")
 VALUES = (-1e308, -1e154, -1, 0, 1e-300, 1e154, 1e308)
 SIZES = {"frames", "start_frame"}
 FRAMES = 3
@@ -47,7 +48,7 @@ def numeric_leaves(value, path=()):
 def cases():
     for path in SCENARIOS:
         d = json.loads(path.read_text())
-        for section in ("trajectory", "drift"):
+        for section in SECTIONS:
             for leaf, _ in numeric_leaves(d.get(section), (section,)):
                 name = path.stem + ":" + ".".join(map(str, leaf))
                 for value in VALUES:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import warnings
@@ -17,7 +18,9 @@ from semmap.headpose import rodrigues, rotation_from_euler
 from semmap.simulator import (
     MAX_FALSE_POSITIVE_RATE,
     MAX_FRAMES,
+    MAX_LANDMARK_JITTER_PX,
     MAX_SAMPLE_COUNT,
+    Orbit,
     Scenario,
     _sample_box_surface,
     compute_map_metrics,
@@ -26,9 +29,15 @@ from semmap.simulator import (
     synthesize_frame_data,
 )
 
-from conftest import object_samples, per_object_frame_reference
+from conftest import (
+    object_samples,
+    per_object_frame_reference,
+    reference_look_at,
+    reference_orbit,
+)
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "configs" / "scenarios"
 
 BASE = {
     "seed": 7,
@@ -96,6 +105,10 @@ class TestLookAt:
         assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-12
         assert np.linalg.det(r) > 0
         assert pose.translation.tolist() == list(position)
+        # the one-row stack gives the per-pose reference's bytes
+        rotation, translation = reference_look_at(position, target)
+        assert r.tobytes() == rotation.tobytes()
+        assert pose.translation.tobytes() == translation.tobytes()
 
     @given(position=st.tuples(COORD, COORD, COORD),
            axis=st.integers(0, 2), sign=st.sampled_from([-1.0, 1.0]),
@@ -114,6 +127,132 @@ class TestLookAt:
             # the difference itself overflows
             with pytest.raises(ScenarioError, match="look_at"):
                 look_at(np.negative(target), target)
+
+
+def orbit_specs():
+    """(name, orbit spec) of every orbit in the shipped scenarios, in
+    tests/data, and in the benchmark workloads of seeds 1-3."""
+    paths = sorted(SCENARIO_DIR.glob("*.json")) + sorted(
+        (ROOT / "tests" / "data").glob("*.json"))
+    scenarios = [(p.stem, json.loads(p.read_text())) for p in paths]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.GENERATORS:
+        for seed in (1, 2, 3):
+            scenarios += [(f"{name}-{seed}-{i}", d) for i, d
+                          in enumerate(workloads.generate(name, seed))]
+    for name, d in scenarios:
+        trajectory = d["trajectory"]
+        if isinstance(trajectory, dict) and trajectory["kind"] == "orbit":
+            yield name, {k: v for k, v in trajectory.items() if k != "kind"}
+
+
+def same_poses(poses, reference) -> bool:
+    """The poses' rotations and translations, byte for byte, in order."""
+    return len(poses) == len(reference) and all(
+        p.rotation.tobytes() == r.tobytes() and p.translation.tobytes()
+        == t.tobytes() for p, (r, t) in zip(poses, reference))
+
+
+def assert_as_reference(make, reference):
+    """`make()` gives the reference's poses byte for byte, or raises a
+    ScenarioError with the reference's message; warnings are errors."""
+    def outcome(f):
+        try:
+            return f()
+        except ScenarioError as e:
+            return str(e)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = outcome(make), outcome(reference)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_poses(got, want)
+
+
+class TestOrbitMatchesScalarLoop:
+    """The stacked look_at kernel against the per-pose loop it replaced
+    (`conftest.reference_orbit` and `reference_look_at`), byte for byte."""
+
+    ORBITS = dict(orbit_specs())
+
+    def test_every_scenario_orbit_is_covered(self):
+        assert len(self.ORBITS) == 63
+
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_scenario_orbits(self, name):
+        orbit = Orbit(**self.ORBITS[name])
+        assert same_poses(orbit.trajectory(), reference_orbit(orbit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=st.tuples(COORD, COORD, COORD),
+           radius=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+           frames=st.integers(1, 40),
+           height=st.one_of(st.none(), COORD),
+           start_deg=st.floats(-1e6, 1e6),
+           sweep_deg=st.floats(-simulator.MAX_SWEEP_DEG,
+                               simulator.MAX_SWEEP_DEG))
+    # straight down and straight up at the centre: the (0, 1, 0) × z branch
+    @example(center=(0.5, -0.2, 0.9), radius=0.0, frames=4, height=2.4,
+             start_deg=0.0, sweep_deg=360.0)
+    @example(center=(0.5, -0.2, 0.9), radius=0.0, frames=4, height=-0.6,
+             start_deg=30.0, sweep_deg=90.0)
+    # a circle too small to leave the vertical branch, and one just past it
+    @example(center=(0.0, 0.0, 1.0), radius=1e-10, frames=8, height=2.0,
+             start_deg=0.0, sweep_deg=360.0)
+    @example(center=(0.0, 0.0, 1.0), radius=1e-8, frames=8, height=2.0,
+             start_deg=0.0, sweep_deg=360.0)
+    # zero distance: the camera sits at the centre
+    @example(center=(1.0, 2.0, 3.0), radius=0.0, frames=3, height=None,
+             start_deg=0.0, sweep_deg=360.0)
+    def test_random_orbits(self, center, radius, frames, height, start_deg,
+                           sweep_deg):
+        orbit = Orbit(center, radius, frames, height, start_deg, sweep_deg)
+        assert_as_reference(orbit.trajectory, lambda: reference_orbit(orbit))
+
+    @pytest.mark.parametrize("radius, height, message", [
+        (0.0, None, "look_at distance 0.0 m outside [1e-12, inf)"),
+        (1e-13, None, "look_at distance 1e-13 m outside [1e-12, inf)"),
+        (1e308, None, "look_at distance inf m outside [1e-12, inf)"),
+        (0.0, 1.5e154, "look_at distance inf m outside [1e-12, inf)"),
+    ])
+    def test_bad_distance_raises_as_the_loop(self, radius, height, message):
+        orbit = Orbit((0.0, 0.0, 1.0), radius, 12, height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (orbit.trajectory, lambda: reference_orbit(orbit)):
+                with pytest.raises(ScenarioError) as e:
+                    make()
+                assert str(e.value) == message
+
+    @given(sights=st.lists(st.one_of(
+        st.none(), st.tuples(st.tuples(COORD, COORD, COORD),
+                             st.tuples(COORD, COORD, COORD))), max_size=8))
+    @example(sights=[((0.0, 0.0, 1.0), (0.0, 0.0, 3.0)), None,
+                     ((0.0, -2.0, 1.0), (0.0, 0.0, 1.0))])
+    @example(sights=[((0.0, -2.0, 1.0), (0.0, 0.0, 1.0)), None,
+                     ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))])
+    def test_poses_kind(self, sights):
+        # None: a pose dict between the sights
+        pose = RigidPose(rotation_from_euler(10.0, 20.0, 30.0), [1.0, 2, 3])
+        spec = {"kind": "poses", "poses": [
+            pose.to_dict() if s is None else
+            {"position": list(s[0]), "look_at": list(s[1])} for s in sights]}
+        assert_as_reference(lambda: simulator._trajectory(spec), lambda: [
+            (pose.rotation, pose.translation) if s is None
+            else reference_look_at(*s) for s in sights])
+
+    def test_poses_are_distinct_frozen_objects(self):
+        poses = Orbit((0.0, 0.0, 1.0), 2.0, 5).trajectory()
+        assert len({id(p) for p in poses}) == 5
+        for p in poses:
+            assert not p.rotation.flags.writeable
+            assert not p.translation.flags.writeable
+            assert p.rotation.flags.c_contiguous
 
 
 class TestBoxSampling:
@@ -454,6 +593,16 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="false_positive_rate"):
             scenario(noise={"false_positive_rate": rate})
 
+    @pytest.mark.parametrize("jitter", [1.0, MAX_LANDMARK_JITTER_PX])
+    def test_landmark_jitter_up_to_cap_runs(self, jitter):
+        d = json.loads((ROOT / "tests" / "data" / "attention_crowd.json")
+                       .read_text())
+        d["noise"] = {"landmark_jitter_px": jitter}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, events = run_scenario_detailed(Scenario.from_dict(d))
+        assert len(events) == 45
+
     def test_away_rotations_are_frozen(self):
         sc = scenario(persons=[{"position": [0.0, 0.0, 1.5],
                                 "away_yaw_deg": 30.0}])
@@ -638,6 +787,10 @@ class TestSchema:
         ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
                          "radius": 2.0, "frames": 12, "sweep_deg": 1e308}},
          "orbit sweep_deg"),
+        # a jitter past the widest image loaded; near the largest float its
+        # draws overflowed, and the run died on a non-finite landmark
+        ({"noise": {"landmark_jitter_px": math.nextafter(
+            MAX_LANDMARK_JITTER_PX, math.inf)}}, "landmark_jitter_px"),
     ])
     def test_out_of_range_field_rejected(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):

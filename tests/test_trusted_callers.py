@@ -20,6 +20,7 @@ USES = {
     "geometry: RigidPose.identity": 1,
     "geometry: _derived_pose": 1,
     "semantic_map: SemanticObject.world_cloud": 1,
+    "simulator: _look_at": 1,
     "simulator: Scenario.drift_pose": 1,
     "simulator: synthesize_frame_data": 1,
 }
@@ -27,7 +28,6 @@ USES = {
 DERIVED_POSE_USES = {
     "geometry: RigidPose.compose": 1,
     "geometry: RigidPose.inverse": 1,
-    "simulator: look_at": 1,
 }
 
 

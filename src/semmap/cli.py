@@ -63,12 +63,16 @@ def cmd_run(args) -> int:
     except (ScenarioError, OSError) as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
+    out = Path(args.out)
+    try:  # before the run, so that a bad path does not cost a whole run
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
     registry, metrics, events = run_scenario_detailed(scenario, config)
     map_export = registry.export()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "map.json", "w") as f:
         f.write(_dump_json(map_export) + "\n")
     with open(out / "metrics.json", "w") as f:

@@ -28,7 +28,8 @@ MAX_IMAGE_SIDE = 16_384
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
+    if arr.flags.writeable:  # setting the flag costs more than reading it
+        arr.flags.writeable = False
     return arr
 
 

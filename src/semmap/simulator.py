@@ -445,6 +445,9 @@ class Scenario:
 
 @dataclass
 class FrameData:
+    """One frame as the pipeline sees it. Consecutive frames of a held
+    camera may share one read-only `depth`; nothing in it aliases the
+    splat's scratch buffers."""
     detections: list
     depth: DepthImage
     pose_estimate: RigidPose
@@ -475,6 +478,9 @@ def _clamped_bbox(bbox, width, height):
 # the depth splat's scratch arrays, one set per process (per scenario, they
 # would cost 1-2 MB each): reused, they are not faulted in afresh each frame
 _SCRATCH = {}
+# (scenario, true pose, view) of the last frame whose successor holds the
+# very same pose object, or None: a held camera renders once
+_held = None
 
 
 def _scratch(name: str, size: int, dtype=np.float64) -> np.ndarray:
@@ -485,19 +491,24 @@ def _scratch(name: str, size: int, dtype=np.float64) -> np.ndarray:
     return buf[:size]
 
 
-def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
-    """A fresh FrameData for one frame. Nothing in it aliases the splat's
-    reused scratch buffers, so it stays valid after later calls; the
-    function itself is not reentrant (one set of buffers per process)."""
-    if not 0 <= frame_idx < scenario.num_frames:
-        raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
+@dataclass
+class _View:
+    """What a frame's true pose shows before any per-frame draw."""
+    depth: DepthImage  # the frozen z-buffer
+    objects: list  # (object index, pixel hull box) per detectable object
+    persons: list  # (person index, head centre in camera, box) in range
+    # (person index, attending) -> in-image model landmarks, or None if
+    # the face is behind the camera or leaves the image; filled on first use
+    faces: dict = field(default_factory=dict)
+
+
+def _render(scenario: Scenario, frame_idx: int) -> _View:
+    """The view of a frame's true pose. It draws only the depth noise, so
+    without that noise it is the same for every frame of one pose."""
     k = scenario.intrinsics
     width, height = k.width, k.height
     to_cam = scenario.trajectory[frame_idx].inverse()
     noise = scenario.noise
-    # seeding a generator costs more than most draws: the depth, false
-    # positive and landmark generators are made only when their noise is on
-    rng_det = np.random.default_rng([scenario.seed, 2, frame_idx])
 
     # every object's samples in one pass: u and v of every sample (garbage
     # behind the camera), then one compaction to the visible, in-image
@@ -578,31 +589,15 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     if scenario.background_depth == 0:
         zbuf[np.isinf(zbuf)] = 0.0  # no sample, no background: invalid
 
-    detections = []
-    provenance = []
     boxes = np.stack([u_min - 0.5, v_min - 0.5, u_max + 0.5, v_max + 0.5],
                      axis=1)
-    for oi, n, bbox in zip(seen.tolist(), seen_counts.tolist(),
-                           boxes.tolist()):
-        if n < MIN_VISIBLE_SAMPLES:
-            continue
-        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                              width, height)
-        # uniform() is 0 + 1 * random(): the same draw, at a third the cost
-        dropped = rng_det.random() < noise.dropout_prob
-        if not dropped:
-            detections.append(Detection2D(
-                bbox, scenario.world_objects[oi].class_label, score=1.0,
-                kind=KIND_OBJECT))
-            provenance.append(("object", oi))
+    objects = [(oi, bbox) for oi, n, bbox in zip(
+        seen.tolist(), seen_counts.tolist(), boxes.tolist())
+        if n >= MIN_VISIBLE_SAMPLES]
 
-    face_model = FaceModel3D.default()
-    jitter = noise.landmark_jitter_px
-    rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
-               if jitter > 0 else None)
-    landmarks = {}
-    # a head far off the axis projects its box and landmarks to ±inf px,
-    # which the clamp and the in-image test take
+    persons = []
+    # a head far off the axis projects its box to ±inf px, which the clamp
+    # takes
     with np.errstate(over="ignore"):
         for pi, person in enumerate(scenario.persons):
             head_cam = to_cam.transform(
@@ -613,31 +608,94 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             zc = np.maximum(cam[:, 2], NEAR_PLANE)
             u = k.cx + k.fx * cam[:, 0] / zc
             v = k.cy + k.fy * cam[:, 1] / zc
-            bbox = (u.min(), v.min(), u.max(), v.max())
-            bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                                  width, height)
-            dropped = rng_det.random() < noise.dropout_prob
-            if not dropped:
-                detections.append(Detection2D(bbox, "person", score=1.0,
-                                              kind=KIND_PERSON))
-                provenance.append(("person", pi))
-            head_rot = (np.eye(3) if scenario.attending_gt(pi, frame_idx)
-                        else scenario.away_rotations[pi])
-            try:
-                lmks = project_model(face_model, head_rot, head_cam, k)
-            except PointBehindCamera:
-                continue
-            inside = all(0 <= uu < width and 0 <= vv < height
-                         for uu, vv in lmks.values())
-            if not inside:
-                continue
-            if jitter > 0:
-                # one draw per face: the same stream as a u and a v draw per
-                # landmark in turn
-                du = rng_lmk.normal(0, jitter, 2 * len(lmks)).tolist()
-                lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
-                        for i, (n, (uu, vv)) in enumerate(lmks.items())}
-            landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
+            persons.append(
+                (pi, head_cam, (u.min(), v.min(), u.max(), v.max())))
+    return _View(_trusted(DepthImage, data=zbuf), objects, persons)
+
+
+def _face(scenario: Scenario, pi: int, head_cam, attending: bool):
+    """Person `pi`'s model landmarks in the image, or None if the face is
+    behind the camera or leaves the image."""
+    k = scenario.intrinsics
+    head_rot = np.eye(3) if attending else scenario.away_rotations[pi]
+    # a head far off the axis projects to ±inf px, which the in-image
+    # test takes
+    with np.errstate(over="ignore"):
+        try:
+            lmks = project_model(FaceModel3D.default(), head_rot, head_cam, k)
+        except PointBehindCamera:
+            return None
+    inside = all(0 <= uu < k.width and 0 <= vv < k.height
+                 for uu, vv in lmks.values())
+    return lmks if inside else None
+
+
+def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
+    """A FrameData for one frame. The view of the true pose (`_render`) is
+    reused while consecutive frames hold the very same pose object and the
+    depth has no noise, so such frames share one read-only DepthImage; the
+    detection, landmark and false-positive draws are made every frame.
+    Nothing in the FrameData aliases the splat's scratch buffers, so it
+    stays valid after later calls; the function itself is not reentrant
+    (one set of buffers and one held view per process)."""
+    global _held
+    if not 0 <= frame_idx < scenario.num_frames:
+        raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
+    # identity, not equality: a segment repeats one pose object, and two
+    # equal poses may differ in their signed zeros
+    pose = scenario.trajectory[frame_idx]
+    held = _held
+    view = (held[2] if held is not None and held[0] is scenario
+            and held[1] is pose else _render(scenario, frame_idx))
+    nxt = frame_idx + 1
+    _held = (scenario, pose, view) if (
+        scenario.noise.depth_noise_m == 0 and nxt < scenario.num_frames
+        and scenario.trajectory[nxt] is pose) else None
+
+    k = scenario.intrinsics
+    width, height = k.width, k.height
+    noise = scenario.noise
+    # seeding a generator costs more than most draws: the false positive
+    # and landmark generators are made only when their noise is on
+    rng_det = np.random.default_rng([scenario.seed, 2, frame_idx])
+    detections = []
+    provenance = []
+    for oi, bbox in view.objects:
+        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
+                              width, height)
+        # uniform() is 0 + 1 * random(): the same draw, at a third the cost
+        dropped = rng_det.random() < noise.dropout_prob
+        if not dropped:
+            detections.append(Detection2D(
+                bbox, scenario.world_objects[oi].class_label, score=1.0,
+                kind=KIND_OBJECT))
+            provenance.append(("object", oi))
+
+    jitter = noise.landmark_jitter_px
+    rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
+               if jitter > 0 else None)
+    landmarks = {}
+    for pi, head_cam, bbox in view.persons:
+        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
+                              width, height)
+        dropped = rng_det.random() < noise.dropout_prob
+        if not dropped:
+            detections.append(Detection2D(bbox, "person", score=1.0,
+                                          kind=KIND_PERSON))
+            provenance.append(("person", pi))
+        key = (pi, scenario.attending_gt(pi, frame_idx))
+        if key not in view.faces:
+            view.faces[key] = _face(scenario, pi, head_cam, key[1])
+        lmks = view.faces[key]
+        if lmks is None:
+            continue
+        if jitter > 0:
+            # one draw per face: the same stream as a u and a v draw per
+            # landmark in turn
+            du = rng_lmk.normal(0, jitter, 2 * len(lmks)).tolist()
+            lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
+                    for i, (n, (uu, vv)) in enumerate(lmks.items())}
+        landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
 
     if noise.false_positive_rate > 0:
         rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
@@ -655,7 +713,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
 
     return FrameData(
         detections=detections,
-        depth=_trusted(DepthImage, data=zbuf),
+        depth=view.depth,
         pose_estimate=scenario.estimated_pose(frame_idx),
         provenance=provenance,
         landmarks=landmarks,
@@ -746,7 +804,10 @@ def run_scenario_detailed(scenario: Scenario,
             i, i / scenario.fps, data.detections, data.depth,
             data.pose_estimate, list(data.landmarks.values()),
             corrections.get(i, []))))
-        del data  # so that the next frame's depth image takes its heap block
+        # drop the frame before the next one is synthesized: unless the held
+        # view keeps its depth image for the next frame, the image is freed
+        # here, and the next render can take its heap block
+        del data
     triggers = []
     for row in events:
         person = {p["track"]: p["person"] for p in row["persons"]}

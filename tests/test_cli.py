@@ -90,6 +90,18 @@ class TestRun:
         assert not out.exists()
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["taken", "taken/out"])
+    def test_output_path_under_a_file_exit_2(self, tmp_path, capsys, out):
+        # checked before the first frame runs, not after the whole run
+        (tmp_path / "taken").write_text("kept")
+        scenario = SCENARIO_DIR / "drift_loop.json"
+        code = main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == "kept"
+
     def test_schema_error_exit_code(self, tmp_path):
         d = dict(SCENARIO)
         del d["trajectory"]

@@ -17,6 +17,7 @@ from semmap.geometry import (
     DepthImage,
     PointCloud,
     RigidPose,
+    _freeze,
     backproject,
     extract_object_cloud,
     voxel_downsample,
@@ -157,6 +158,18 @@ def test_derived_poses_are_bitwise_checked_ones(wa, ta, wb, tb):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert _frozen_float64(got)
+
+
+def test_freeze_returns_a_frozen_array_as_is():
+    """A read-only, C-contiguous float64 array is frozen already: it comes
+    back as the same object, still read-only; a writeable one is frozen."""
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    assert _freeze(frozen) is frozen
+    assert _frozen_float64(frozen)
+    writeable = np.eye(3)
+    assert _freeze(writeable) is writeable
+    assert _frozen_float64(writeable)
 
 
 def test_extracted_cloud_is_frozen(intrinsics):

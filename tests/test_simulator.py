@@ -519,6 +519,147 @@ class TestDepthNotAliased:
         assert not depth.flags.writeable
 
 
+HELD_SCENARIOS = {
+    "interaction": SCENARIO_DIR / "interaction.json",
+    "drift_loop": SCENARIO_DIR / "drift_loop.json",
+    "attention_crowd": ROOT / "tests" / "data" / "attention_crowd.json",
+}
+
+
+def frame_key(data) -> tuple:
+    """Depth bytes, detections, provenance and landmarks of a frame."""
+    return (data.depth.data.shape, data.depth.data.tobytes(),
+            [(d.bbox, d.class_label, d.kind, d.score)
+             for d in data.detections],
+            data.provenance,
+            {p: lm.landmarks for p, lm in data.landmarks.items()})
+
+
+@pytest.fixture(scope="module")
+def held_frames():
+    """The HELD_SCENARIOS by name, and the `frame_key` of the per-object
+    reference of each of their frames, by (name, frame)."""
+    scenarios = {name: Scenario.from_json(path)
+                 for name, path in HELD_SCENARIOS.items()}
+    return scenarios, {
+        (name, i): frame_key(per_object_frame_reference(sc, i))
+        for name, sc in scenarios.items() for i in range(sc.num_frames)}
+
+
+def count_renders(monkeypatch) -> list:
+    """The frame index of each `_render` call from now on."""
+    calls = []
+    render = simulator._render
+
+    def counted(scenario, frame_idx):
+        calls.append(frame_idx)
+        return render(scenario, frame_idx)
+
+    monkeypatch.setattr(simulator, "_render", counted)
+    return calls
+
+
+def held_person_scenario(position, windows):
+    """BASE's 12 held frames (1.2 s) with one person and jittered boxes
+    and landmarks."""
+    return scenario(persons=[{"position": position,
+                              "attention_windows": windows}],
+                    noise={"bbox_jitter_px": 1.0, "landmark_jitter_px": 1.0})
+
+
+class TestHeldView:
+    @pytest.mark.parametrize("order", ["in order", "reverse", "shuffled",
+                                       "interleaved"])
+    def test_every_frame_matches_per_object_reference(self, held_frames,
+                                                      order):
+        scenarios, reference = held_frames
+        keys = list(reference)  # scenario by scenario, frames in order
+        if order == "reverse":
+            keys.reverse()
+        elif order == "shuffled":
+            keys = [keys[i] for i in np.random.default_rng(3).permutation(
+                len(keys))]
+        elif order == "interleaved":
+            names = list(scenarios)
+            keys.sort(key=lambda key: (key[1], names.index(key[0])))
+        mismatches = [
+            key for key in keys if reference[key] != frame_key(
+                synthesize_frame_data(scenarios[key[0]], key[1]))]
+        assert mismatches == []
+
+    def test_depth_noise_renders_every_frame_and_holds_nothing(
+            self, monkeypatch):
+        sc = scenario(noise={"depth_noise_m": 0.02})
+        calls = count_renders(monkeypatch)
+        for i in range(sc.num_frames):
+            assert frame_key(synthesize_frame_data(sc, i)) \
+                == frame_key(per_object_frame_reference(sc, i))
+            assert simulator._held is None
+        assert calls == list(range(sc.num_frames))
+
+    @pytest.mark.parametrize("position, windows", [
+        ([1.4, 0.0, 1.0], [[0.0, 10.0]]),  # landmarks leave the image
+        ([0.0, -3.0, 1.0], [[0.0, 10.0]]),  # behind the camera
+        ([0.0, 0.0, 1.3], [[0.55, 10.0]]),  # attention opens at frame 6
+    ])
+    def test_held_person_matches_per_object_reference(self, position,
+                                                      windows):
+        sc = held_person_scenario(position, windows)
+        assert [frame_key(synthesize_frame_data(sc, i))
+                for i in range(sc.num_frames)] \
+            == [frame_key(per_object_frame_reference(sc, i))
+                for i in range(sc.num_frames)]
+
+    def test_landmarks_leaving_the_image_are_held_as_none(self):
+        sc = held_person_scenario([1.4, 0.0, 1.0], [[0.0, 10.0]])
+        for i in range(2):
+            data = synthesize_frame_data(sc, i)
+            assert data.landmarks == {}
+            assert data.provenance[-1] == ("person", 0)
+        assert simulator._held[2].faces == {(0, True): None}
+
+    def test_person_behind_the_camera_is_not_in_the_view(self):
+        sc = held_person_scenario([0.0, -3.0, 1.0], [[0.0, 10.0]])
+        data = synthesize_frame_data(sc, 0)
+        assert data.landmarks == {}
+        assert data.provenance == [("object", 0)]
+        assert simulator._held[2].persons == []
+
+    def test_window_opening_mid_segment_uses_both_faces(self):
+        sc = held_person_scenario([0.0, 0.0, 1.3], [[0.55, 10.0]])
+        frames = [synthesize_frame_data(sc, i) for i in range(11)]
+        assert not sc.attending_gt(0, 5) and sc.attending_gt(0, 6)
+        view = simulator._held[2]
+        assert view.faces.keys() == {(0, False), (0, True)}
+        assert all(f.depth is view.depth for f in frames)
+        away, facing = view.faces[0, False], view.faces[0, True]
+        assert away != facing
+        assert all(0 in f.landmarks for f in frames)
+
+    @pytest.mark.parametrize("name, renders", [
+        ("interaction.json", 1), ("drift_loop.json", 3),
+        ("desk_orbit.json", 100)])
+    def test_renders_per_run_and_nothing_held_after(self, monkeypatch, name,
+                                                    renders):
+        sc = Scenario.from_json(SCENARIO_DIR / name)
+        calls = count_renders(monkeypatch)
+        _, _, events = run_scenario_detailed(sc)
+        assert len(events) == sc.num_frames
+        assert len(calls) == renders
+        assert simulator._held is None
+
+    def test_repeated_pose_dict_renders_every_frame(self, monkeypatch):
+        # each entry of a poses trajectory is its own pose object, so no
+        # frame holds its predecessor's pose, equal as they are
+        pose = {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0]}
+        sc = scenario(trajectory={"kind": "poses", "poses": [pose] * 4})
+        calls = count_renders(monkeypatch)
+        for i in range(sc.num_frames):
+            synthesize_frame_data(sc, i)
+        assert calls == [0, 1, 2, 3]
+        assert simulator._held is None
+
+
 class TestEdgeExamples:
     @pytest.mark.parametrize("seed, count, spots, footprint", EDGE_EXAMPLES)
     def test_each_cube_has_the_footprint_and_reaches_its_edges(

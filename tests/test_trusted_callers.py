@@ -22,7 +22,7 @@ USES = {
     "semantic_map: SemanticObject.world_cloud": 1,
     "simulator: _look_at": 1,
     "simulator: Scenario.drift_pose": 1,
-    "simulator: synthesize_frame_data": 1,
+    "simulator: _render": 1,
 }
 # the same for `_derived_pose`
 DERIVED_POSE_USES = {

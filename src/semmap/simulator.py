@@ -455,24 +455,44 @@ class FrameData:
     landmarks: dict  # person index -> LandmarkSet2D
 
 
-def _jittered_bbox(bbox, rng, sigma, width, height):
+def _jittered_boxes(boxes: np.ndarray, rng, sigma: float,
+                    dropout_prob: float):
+    """`boxes` (n, 4) plus their jitter, and whether each is dropped. The
+    draws are made per box in turn, in one stream: four jitter draws of sd
+    `sigma` (a throwaway draw of sd 1 when it is 0, to keep the stream
+    position fixed), then the dropout draw. Then every box is jittered in
+    one pass."""
+    draws = np.empty_like(boxes)
+    dropped = []
+    for row in range(len(boxes)):
+        draws[row] = rng.normal(0.0, sigma or 1.0, 4)
+        # uniform() is 0 + 1 * random(): the same draw, at a third the cost
+        dropped.append(rng.random() < dropout_prob)
     if sigma > 0:
-        bbox = [c + d for c, d in zip(bbox, rng.normal(0.0, sigma, 4).tolist())]
-    else:
-        rng.normal(0.0, 1.0, 4)  # keep the stream position fixed
-    return _clamped_bbox(bbox, width, height)
+        # a far head's ±inf box plus an overflowed ∓inf draw gives NaN,
+        # which Detection2D rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            boxes = boxes + draws
+    return boxes, dropped
 
 
-def _clamped_bbox(bbox, width, height):
-    """The box ordered and moved into the image, at least 1 px a side."""
-    x0, y0, x1, y1 = bbox
-    x0, x1 = sorted((x0, x1))
-    y0, y1 = sorted((y0, y1))
-    x0 = float(min(max(x0, 0), width - 2))
-    y0 = float(min(max(y0, 0), height - 2))
-    x1 = float(min(max(x1, x0 + 1.0), width))
-    y1 = float(min(max(y1, y0 + 1.0), height))
-    return (x0, y0, x1, y1)
+def _clamped_boxes(boxes: np.ndarray, width: int, height: int) -> list:
+    """Each row (x0, y0, x1, y1) of `boxes` (n, 4) ordered and moved into
+    the image, at least 1 px a side where the image has it: rows of Python
+    floats. Each bound is the builtins' `min(max(x0, 0), max(width - 2, 0))`
+    and `min(max(x1, x0 + 1.0), width)` after `sorted((x0, x1))`, bit for
+    bit: numpy's minimum and maximum return their second argument on a tie,
+    so that argument is the one the builtins keep, and a signed zero keeps
+    its sign. A NaN coordinate leaves NaN in its axis, which Detection2D
+    rejects."""
+    first, last = boxes[:, :2], boxes[:, 2:]
+    lo = np.minimum(last, first)
+    np.maximum(0.0, lo, out=lo)
+    np.minimum((max(width - 2, 0), max(height - 2, 0)), lo, out=lo)
+    hi = np.maximum(first, last)
+    np.maximum(lo + 1.0, hi, out=hi)
+    np.minimum((width, height), hi, out=hi)
+    return np.concatenate([lo, hi], axis=1).tolist()
 
 
 # the depth splat's scratch arrays, one set per process (per scenario, they
@@ -495,8 +515,12 @@ def _scratch(name: str, size: int, dtype=np.float64) -> np.ndarray:
 class _View:
     """What a frame's true pose shows before any per-frame draw."""
     depth: DepthImage  # the frozen z-buffer
-    objects: list  # (object index, pixel hull box) per detectable object
-    persons: list  # (person index, head centre in camera, box) in range
+    # (n, 4) pre-jitter boxes (x0, y0, x1, y1): the pixel hull of each
+    # detectable object in object order, then the head box of each person
+    # in range; per row of them, its (class label, kind, provenance)
+    boxes: np.ndarray
+    sources: list
+    persons: list  # (person index, head centre in camera) per person in range
     # (person index, attending) -> in-image model landmarks, or None if
     # the face is behind the camera or leaves the image; filled on first use
     faces: dict = field(default_factory=dict)
@@ -513,10 +537,11 @@ def _render(scenario: Scenario, frame_idx: int) -> _View:
     # every object's samples in one pass: u and v of every sample (garbage
     # behind the camera), then one compaction to the visible, in-image
     # samples, which keeps them in object order. x, y and z are
-    # to_cam.transform(samples) bit for bit, as contiguous rows: the
-    # translation is added along the samples, not in inner loops of length 3
-    x, y, z = np.add((scenario.samples @ to_cam.rotation.T).T,
-                     to_cam.translation[:, None], order="C")
+    # to_cam.transform(samples) bit for bit, as contiguous rows: R @ samplesᵀ
+    # is the wide (3, 3) @ (3, N) product, which BLAS runs several times
+    # faster than the thin (N, 3) @ (3, 3) one, on a view of the samples
+    x, y, z = np.add(to_cam.rotation @ scenario.samples.T,
+                     to_cam.translation[:, None])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = k.cx + k.fx * x / z
         v = k.cy + k.fy * y / z
@@ -589,13 +614,14 @@ def _render(scenario: Scenario, frame_idx: int) -> _View:
     if scenario.background_depth == 0:
         zbuf[np.isinf(zbuf)] = 0.0  # no sample, no background: invalid
 
-    boxes = np.stack([u_min - 0.5, v_min - 0.5, u_max + 0.5, v_max + 0.5],
-                     axis=1)
-    objects = [(oi, bbox) for oi, n, bbox in zip(
-        seen.tolist(), seen_counts.tolist(), boxes.tolist())
-        if n >= MIN_VISIBLE_SAMPLES]
+    detectable = seen_counts >= MIN_VISIBLE_SAMPLES
+    hulls = np.stack([u_min - 0.5, v_min - 0.5, u_max + 0.5, v_max + 0.5],
+                     axis=1)[detectable]
+    sources = [(scenario.world_objects[oi].class_label, KIND_OBJECT,
+                ("object", oi)) for oi in seen[detectable].tolist()]
 
     persons = []
+    heads = []
     # a head far off the axis projects its box to ±inf px, which the clamp
     # takes
     with np.errstate(over="ignore"):
@@ -608,9 +634,11 @@ def _render(scenario: Scenario, frame_idx: int) -> _View:
             zc = np.maximum(cam[:, 2], NEAR_PLANE)
             u = k.cx + k.fx * cam[:, 0] / zc
             v = k.cy + k.fy * cam[:, 1] / zc
-            persons.append(
-                (pi, head_cam, (u.min(), v.min(), u.max(), v.max())))
-    return _View(_trusted(DepthImage, data=zbuf), objects, persons)
+            persons.append((pi, head_cam))
+            heads.append((u.min(), v.min(), u.max(), v.max()))
+            sources.append(("person", KIND_PERSON, ("person", pi)))
+    boxes = np.concatenate([hulls, heads]) if heads else hulls
+    return _View(_trusted(DepthImage, data=zbuf), boxes, sources, persons)
 
 
 def _face(scenario: Scenario, pi: int, head_cam, attending: bool):
@@ -658,31 +686,40 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     # seeding a generator costs more than most draws: the false positive
     # and landmark generators are made only when their noise is on
     rng_det = np.random.default_rng([scenario.seed, 2, frame_idx])
+    boxes, dropped = _jittered_boxes(view.boxes, rng_det,
+                                     noise.bbox_jitter_px, noise.dropout_prob)
+    classes = []  # per false positive
+    if noise.false_positive_rate > 0:
+        rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
+        n_fp = int(rng_fp.poisson(noise.false_positive_rate))
+        class_pool = scenario.false_positive_classes
+        corners = []
+        for _ in range(n_fp):
+            classes.append(class_pool[int(rng_fp.integers(len(class_pool)))])
+            cx_, cy_ = rng_fp.uniform(0, width), rng_fp.uniform(0, height)
+            w, h = rng_fp.uniform(10, 80), rng_fp.uniform(10, 80)
+            corners.append((cx_ - w / 2, cy_ - h / 2, cx_ + w / 2,
+                            cy_ + h / 2))
+        if corners:
+            boxes = np.concatenate([boxes, corners])
+    # the view's boxes, then the false positives', in one clamp
+    boxes = _clamped_boxes(boxes, width, height)
     detections = []
     provenance = []
-    for oi, bbox in view.objects:
-        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                              width, height)
-        # uniform() is 0 + 1 * random(): the same draw, at a third the cost
-        dropped = rng_det.random() < noise.dropout_prob
-        if not dropped:
-            detections.append(Detection2D(
-                bbox, scenario.world_objects[oi].class_label, score=1.0,
-                kind=KIND_OBJECT))
-            provenance.append(("object", oi))
+    for bbox, drop, (label, kind, source) in zip(boxes, dropped,
+                                                 view.sources):
+        if not drop:
+            detections.append(Detection2D(bbox, label, score=1.0, kind=kind))
+            provenance.append(source)
+    for j, (cls, bbox) in enumerate(zip(classes, boxes[len(dropped):])):
+        detections.append(Detection2D(bbox, cls, score=0.3, kind=KIND_OBJECT))
+        provenance.append(("fp", j))
 
     jitter = noise.landmark_jitter_px
     rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
                if jitter > 0 else None)
     landmarks = {}
-    for pi, head_cam, bbox in view.persons:
-        bbox = _jittered_bbox(bbox, rng_det, noise.bbox_jitter_px,
-                              width, height)
-        dropped = rng_det.random() < noise.dropout_prob
-        if not dropped:
-            detections.append(Detection2D(bbox, "person", score=1.0,
-                                          kind=KIND_PERSON))
-            provenance.append(("person", pi))
+    for pi, head_cam in view.persons:
         key = (pi, scenario.attending_gt(pi, frame_idx))
         if key not in view.faces:
             view.faces[key] = _face(scenario, pi, head_cam, key[1])
@@ -696,20 +733,6 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
                     for i, (n, (uu, vv)) in enumerate(lmks.items())}
         landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
-
-    if noise.false_positive_rate > 0:
-        rng_fp = np.random.default_rng([scenario.seed, 4, frame_idx])
-        n_fp = int(rng_fp.poisson(noise.false_positive_rate))
-        class_pool = scenario.false_positive_classes
-        for j in range(n_fp):
-            cls = class_pool[int(rng_fp.integers(len(class_pool)))]
-            cx_, cy_ = rng_fp.uniform(0, width), rng_fp.uniform(0, height)
-            w, h = rng_fp.uniform(10, 80), rng_fp.uniform(10, 80)
-            bbox = _clamped_bbox((cx_ - w / 2, cy_ - h / 2, cx_ + w / 2,
-                                  cy_ + h / 2), width, height)
-            detections.append(Detection2D(bbox, cls, score=0.3,
-                                          kind=KIND_OBJECT))
-            provenance.append(("fp", j))
 
     return FrameData(
         detections=detections,

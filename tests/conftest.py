@@ -42,7 +42,6 @@ from semmap.simulator import (
     MIN_VISIBLE_SAMPLES,
     NEAR_PLANE,
     FrameData,
-    _jittered_bbox,
 )
 from semmap.tracker import (
     KIND_OBJECT,
@@ -485,6 +484,30 @@ def object_samples(scenario) -> list:
     return np.split(scenario.samples, scenario.sample_starts[1:])
 
 
+def _jittered_bbox(bbox, rng, sigma, width, height):
+    """Reference for the detection boxes of `simulator.synthesize_frame_data`:
+    one box at a time, its four jitter draws (a throwaway draw of sd 1 when
+    `sigma` is 0), then `_clamped_bbox`, on Python floats."""
+    if sigma > 0:
+        bbox = [c + d for c, d in zip(bbox,
+                                      rng.normal(0.0, sigma, 4).tolist())]
+    else:
+        rng.normal(0.0, 1.0, 4)  # keep the stream position fixed
+    return _clamped_bbox(bbox, width, height)
+
+
+def _clamped_bbox(bbox, width, height):
+    """The box ordered and moved into the image, at least 1 px a side."""
+    x0, y0, x1, y1 = bbox
+    x0, x1 = sorted((x0, x1))
+    y0, y1 = sorted((y0, y1))
+    x0 = float(min(max(x0, 0), max(width - 2, 0)))
+    y0 = float(min(max(y0, 0), max(height - 2, 0)))
+    x1 = float(min(max(x1, x0 + 1.0), width))
+    y1 = float(min(max(y1, y0 + 1.0), height))
+    return (x0, y0, x1, y1)
+
+
 def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
     """Reference for `simulator.synthesize_frame_data`: projects and splats
     one object per pass, one `np.minimum.at` per footprint offset."""
@@ -591,8 +614,8 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
             cy_ = rng_fp.uniform(0, k.height)
             w = rng_fp.uniform(10, 80)
             h = rng_fp.uniform(10, 80)
-            x0 = float(np.clip(cx_ - w / 2, 0, k.width - 2))
-            y0 = float(np.clip(cy_ - h / 2, 0, k.height - 2))
+            x0 = float(np.clip(cx_ - w / 2, 0, max(k.width - 2, 0)))
+            y0 = float(np.clip(cy_ - h / 2, 0, max(k.height - 2, 0)))
             x1 = float(np.clip(cx_ + w / 2, x0 + 1, k.width))
             y1 = float(np.clip(cy_ + h / 2, y0 + 1, k.height))
             detections.append(Detection2D((x0, y0, x1, y1), cls, score=0.3,

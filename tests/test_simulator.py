@@ -22,6 +22,8 @@ from semmap.simulator import (
     MAX_SAMPLE_COUNT,
     Orbit,
     Scenario,
+    _clamped_boxes,
+    _jittered_boxes,
     _sample_box_surface,
     compute_map_metrics,
     look_at,
@@ -30,6 +32,7 @@ from semmap.simulator import (
 )
 
 from conftest import (
+    _jittered_bbox,
     object_samples,
     per_object_frame_reference,
     reference_look_at,
@@ -489,6 +492,68 @@ class TestSynthesizeFrame:
         assert sc.attending_gt(0, 0) is True
         kinds = sorted(d.kind for d in data.detections)
         assert kinds == ["object", "person"]
+
+
+# box corners: sub-pixel boxes and boxes past each edge of a 1-3 px image,
+# wide boxes, ±inf (a head far off the axis projects there) and signed zeros
+BOX_COORD = st.one_of(st.floats(-4.0, 8.0), st.floats(-1e4, 1e4),
+                      st.sampled_from([math.inf, -math.inf, 0.0, -0.0]))
+SIDE = st.one_of(st.integers(1, 3), st.integers(1, MAX_IMAGE_SIDE))
+INF = math.inf
+
+
+def box_bits(boxes) -> bytes:
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4).tobytes()
+
+
+class TestJitteredBoxes:
+    @given(boxes=st.lists(st.tuples(*[BOX_COORD] * 4), max_size=6),
+           seed=st.integers(0, 2**32 - 1),
+           sigma=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+           dropout=st.floats(0.0, 1.0), width=SIDE, height=SIDE)
+    @example(boxes=[(-INF, -INF, INF, INF), (5.0, 5.0, 0.5, 0.5),
+                    (0.2, 0.3, 0.4, 0.5), (0.0, -0.0, -0.0, 0.0)],
+             seed=0, sigma=0.0, dropout=0.0, width=1, height=1)
+    @example(boxes=[(INF, -INF, -INF, INF), (-0.0, -0.0, 0.0, 0.0)],
+             seed=1, sigma=0.0, dropout=0.5, width=2, height=3)
+    @example(boxes=[(INF, 0.5, -INF, 2.5), (3.0, -1.0, 2.2, 0.1)],
+             seed=2, sigma=1.5, dropout=0.5, width=3, height=2)
+    @example(boxes=[], seed=3, sigma=1.5, dropout=0.5, width=1, height=1)
+    def test_matches_one_box_at_a_time(self, boxes, seed, sigma, dropout,
+                                       width, height):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        jittered, dropped = _jittered_boxes(
+            np.array(boxes, dtype=np.float64).reshape(-1, 4), rng, sigma,
+            dropout)
+        got = _clamped_boxes(jittered, width, height)
+        want, want_dropped = [], []
+        for box in boxes:
+            want.append(_jittered_bbox(box, ref_rng, sigma, width, height))
+            want_dropped.append(ref_rng.uniform() < dropout)
+        assert box_bits(got) == box_bits(want)
+        assert all(type(c) is float for box in got for c in box)
+        assert dropped == want_dropped
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_every_box_lies_in_a_tiny_image(self, width, height):
+        # x0 is held to max(width - 2, 0): width - 2 is -1 on a 1 px side
+        sc = scenario(
+            intrinsics={"fx": 1.0, "fy": 1.0, "cx": width / 2,
+                        "cy": height / 2, "width": width, "height": height},
+            persons=[{"position": [0.2, 0.0, 1.3],
+                      "attention_windows": [[0.0, 10.0]]}],
+            noise={"bbox_jitter_px": 1.0, "false_positive_rate": 2.0})
+        kinds = set()
+        for i in range(sc.num_frames):
+            data = synthesize_frame_data(sc, i)
+            for det, (kind, _) in zip(data.detections, data.provenance):
+                kinds.add(kind)
+                x0, y0, x1, y1 = det.bbox
+                assert 0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height, \
+                    (i, kind, det.bbox)
+        assert kinds == {"object", "person", "fp"}
 
 
 class TestDepthNotAliased:

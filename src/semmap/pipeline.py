@@ -30,7 +30,7 @@ from .willingness import PersonWillingnessMap
 
 @dataclass
 class FrameInput:
-    """One frame as the robot's perception stack has it."""
+    """One frame from a robot's perception stack or the simulator."""
 
     frame: int
     t: float  # seconds

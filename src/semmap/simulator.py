@@ -19,6 +19,7 @@ import numpy as np
 from .config import (
     PipelineConfig,
     Vector3,
+    _echo,
     build,
     finite_numbers,
     read_json_object,
@@ -180,6 +181,18 @@ class DriftModel:
     rotation_deg_per_frame: Vector3 = (0.0, 0.0, 0.0)  # axis-angle, degrees
 
 
+def _keyframe_id(key) -> int:
+    """A keyframe id from its key: an int, or an int's canonical decimal
+    string ("7"; not "07", "+7", " 7" or "0_7"), so no two keys name one."""
+    try:
+        if str(int(key)) == str(key):
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise ScenarioError(f"correction keyframe id {_echo(key)} is not an "
+                        f"integer in canonical decimal form")
+
+
 @dataclass(frozen=True)
 class CorrectionEvent:
     frame: int
@@ -188,7 +201,7 @@ class CorrectionEvent:
     def __post_init__(self):
         if isinstance(self.poses, dict):  # JSON object keys are strings
             object.__setattr__(self, "poses", {
-                int(k): p if isinstance(p, RigidPose)
+                _keyframe_id(k): p if isinstance(p, RigidPose)
                 else RigidPose.from_dict(p, ScenarioError)
                 for k, p in self.poses.items()})
         elif self.poses != "true":
@@ -324,6 +337,9 @@ class Scenario:
     away_rotations: list = field(init=False, repr=False, compare=False)
     # the classes a false positive draws from, sorted
     false_positive_classes: list = field(init=False, repr=False, compare=False)
+    # frame -> its correction events, in file order
+    corrections_at: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         frames = len(self.trajectory)
@@ -375,6 +391,7 @@ class Scenario:
                 raise ScenarioError(
                     f"correction at frame {ev.frame} names keyframes "
                     f"{outside} outside [0, {ev.frame}]")
+            self.corrections_at.setdefault(ev.frame, []).append(ev)
         parts = [
             _sample_box_surface(obj.centroid, obj.extents, obj.sample_count,
                                 np.random.default_rng([self.seed, 7, idx]))
@@ -441,18 +458,6 @@ class Scenario:
         t = frame_idx / self.fps
         return any(t0 <= t < t1
                    for t0, t1 in self.persons[person_idx].attention_windows)
-
-
-@dataclass
-class FrameData:
-    """One frame as the pipeline sees it. Consecutive frames of a held
-    camera may share one read-only `depth`; nothing in it aliases the
-    splat's scratch buffers."""
-    detections: list
-    depth: DepthImage
-    pose_estimate: RigidPose
-    provenance: list  # per detection: ("object"|"person"|"fp", index)
-    landmarks: dict  # person index -> LandmarkSet2D
 
 
 def _jittered_boxes(boxes: np.ndarray, rng, sigma: float,
@@ -658,14 +663,18 @@ def _face(scenario: Scenario, pi: int, head_cam, attending: bool):
     return lmks if inside else None
 
 
-def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
-    """A FrameData for one frame. The view of the true pose (`_render`) is
+def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> tuple:
+    """One frame as the pipeline takes it, and its ground truth:
+    (FrameInput, provenance), provenance being ("object"|"person"|"fp",
+    index) per detection. Faces are in person order, each with its person
+    index as `face_id`; a "true" correction hands over the trajectory's own
+    poses of keyframes 0..frame. The view of the true pose (`_render`) is
     reused while consecutive frames hold the very same pose object and the
     depth has no noise, so such frames share one read-only DepthImage; the
     detection, landmark and false-positive draws are made every frame.
-    Nothing in the FrameData aliases the splat's scratch buffers, so it
-    stays valid after later calls; the function itself is not reentrant
-    (one set of buffers and one held view per process)."""
+    Nothing in the frame aliases the splat's scratch buffers, so it stays
+    valid after later calls; the function itself is not reentrant (one set
+    of buffers and one held view per process)."""
     global _held
     if not 0 <= frame_idx < scenario.num_frames:
         raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
@@ -718,7 +727,7 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
     jitter = noise.landmark_jitter_px
     rng_lmk = (np.random.default_rng([scenario.seed, 5, frame_idx])
                if jitter > 0 else None)
-    landmarks = {}
+    faces = []
     for pi, head_cam in view.persons:
         key = (pi, scenario.attending_gt(pi, frame_idx))
         if key not in view.faces:
@@ -732,15 +741,14 @@ def synthesize_frame_data(scenario: Scenario, frame_idx: int) -> FrameData:
             du = rng_lmk.normal(0, jitter, 2 * len(lmks)).tolist()
             lmks = {n: (uu + du[2 * i], vv + du[2 * i + 1])
                     for i, (n, (uu, vv)) in enumerate(lmks.items())}
-        landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
+        faces.append(LandmarkSet2D(lmks, face_id=pi))
 
-    return FrameData(
-        detections=detections,
-        depth=view.depth,
-        pose_estimate=scenario.estimated_pose(frame_idx),
-        provenance=provenance,
-        landmarks=landmarks,
-    )
+    corrections = [list(enumerate(scenario.trajectory[:frame_idx + 1]))
+                   if ev.poses == "true" else sorted(ev.poses.items())
+                   for ev in scenario.corrections_at.get(frame_idx, ())]
+    return FrameInput(frame_idx, frame_idx / scenario.fps, detections,
+                      view.depth, scenario.estimated_pose(frame_idx), faces,
+                      corrections), provenance
 
 
 @dataclass
@@ -811,26 +819,12 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
 
 def run_scenario_detailed(scenario: Scenario,
                           config: PipelineConfig | None = None):
-    """Stream every frame through a Pipeline; returns (SemanticMap,
-    MetricsReport, event rows). A "true" correction hands the pipeline
-    the true poses of keyframes 0..frame."""
+    """Stream every frame of the frame source through a Pipeline; returns
+    (SemanticMap, MetricsReport, event rows). Each frame is synthesized as
+    its step takes it, so one frame is alive at a time."""
     pipeline = Pipeline(scenario.intrinsics, config)
-    corrections = {}
-    for ev in scenario.correction_events:
-        corrections.setdefault(ev.frame, []).append(
-            list(enumerate(scenario.trajectory[:ev.frame + 1]))
-            if ev.poses == "true" else sorted(ev.poses.items()))
-    events = []
-    for i in range(scenario.num_frames):
-        data = synthesize_frame_data(scenario, i)
-        events.append(pipeline.step(FrameInput(
-            i, i / scenario.fps, data.detections, data.depth,
-            data.pose_estimate, list(data.landmarks.values()),
-            corrections.get(i, []))))
-        # drop the frame before the next one is synthesized: unless the held
-        # view keeps its depth image for the next frame, the image is freed
-        # here, and the next render can take its heap block
-        del data
+    events = [pipeline.step(synthesize_frame_data(scenario, i)[0])
+              for i in range(scenario.num_frames)]
     triggers = []
     for row in events:
         person = {p["track"]: p["person"] for p in row["persons"]}

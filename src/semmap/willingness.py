@@ -63,13 +63,17 @@ class PersonWillingnessMap:
         """Advance every known person by the time since the last step;
         returns ids that triggered this step.
 
-        `observations` lists (person_track_id, attending). Known persons not
-        listed are treated as not attending. Unknown listed persons are
-        created at value 0, after the step.
+        `observations` lists (person_track_id, attending), no id twice.
+        Known persons not listed are treated as not attending. Unknown
+        listed persons are created at value 0, after the step.
         """
         if self.t is not None and t_now < self.t:
             raise ClockWentBackwards(f"t={t_now} before last step {self.t}")
-        attending_by_id = dict(observations)
+        attending_by_id = {}
+        for pid, attending in observations:
+            if pid in attending_by_id:
+                raise ValueError(f"person {pid!r} observed twice in one step")
+            attending_by_id[pid] = attending
         dt = 0.0 if self.t is None else t_now - self.t
         self.t = t_now
         triggers = []

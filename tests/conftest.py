@@ -37,12 +37,9 @@ from semmap.headpose import (
     rodrigues,
     rotation_from_euler,
 )
+from semmap.pipeline import FrameInput
 from semmap.semantic_map import MergeReport, chamfer_distance, overlap_ratio
-from semmap.simulator import (
-    MIN_VISIBLE_SAMPLES,
-    NEAR_PLANE,
-    FrameData,
-)
+from semmap.simulator import MIN_VISIBLE_SAMPLES, NEAR_PLANE
 from semmap.tracker import (
     KIND_OBJECT,
     KIND_PERSON,
@@ -508,9 +505,11 @@ def _clamped_bbox(bbox, width, height):
     return (x0, y0, x1, y1)
 
 
-def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
-    """Reference for `simulator.synthesize_frame_data`: projects and splats
-    one object per pass, one `np.minimum.at` per footprint offset."""
+def per_object_frame_reference(scenario, frame_idx: int) -> tuple:
+    """Reference for the (FrameInput, provenance) of
+    `simulator.synthesize_frame_data`: projects and splats one object per
+    pass, one `np.minimum.at` per footprint offset, and finds the frame's
+    corrections by a scan of every correction event."""
     if not 0 <= frame_idx < scenario.num_frames:
         raise FrameOutOfRange(f"frame {frame_idx} of {scenario.num_frames}")
     k = scenario.intrinsics
@@ -562,7 +561,7 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
                 provenance.append(("object", oi))
 
     face_model = FaceModel3D.default()
-    landmarks = {}
+    faces = []
     for pi, person in enumerate(scenario.persons):
         attending = scenario.attending_gt(pi, frame_idx)
         head_cam = _project_points_cam(
@@ -602,7 +601,7 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
                     vv + rng_lmk.normal(0, noise.landmark_jitter_px))
                 for n, (uu, vv) in lmks.items()
             }
-        landmarks[pi] = LandmarkSet2D(lmks, face_id=pi)
+        faces.append(LandmarkSet2D(lmks, face_id=pi))
 
     if noise.false_positive_rate > 0:
         n_fp = int(rng_fp.poisson(noise.false_positive_rate))
@@ -628,13 +627,13 @@ def per_object_frame_reference(scenario, frame_idx: int) -> FrameData:
         depth = np.where(np.isinf(depth_min), 0.0, depth_min)
     depth = np.where(np.isinf(depth), scenario.background_depth, depth)
 
-    return FrameData(
-        detections=detections,
-        depth=DepthImage(depth),
-        pose_estimate=scenario.estimated_pose(frame_idx),
-        provenance=provenance,
-        landmarks=landmarks,
-    )
+    corrections = [list(enumerate(scenario.trajectory[:frame_idx + 1]))
+                   if ev.poses == "true" else sorted(ev.poses.items())
+                   for ev in scenario.correction_events
+                   if ev.frame == frame_idx]
+    return FrameInput(frame_idx, frame_idx / scenario.fps, detections,
+                      DepthImage(depth), scenario.estimated_pose(frame_idx),
+                      faces, corrections), provenance
 
 
 # Reference for `tracker.iou` and `IoUTracker.step`: the bodies as they were

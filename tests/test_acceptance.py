@@ -279,15 +279,15 @@ def test_criterion_9_false_positive_filter():
     spurious_confirmations = 0
     confirmations = 0
     for i in range(scenario.num_frames):
-        data = synthesize_frame_data(scenario, i)
-        total_fp += sum(1 for src in data.provenance if src[0] == "fp")
+        inp, provenance = synthesize_frame_data(scenario, i)
+        total_fp += sum(1 for src in provenance if src[0] == "fp")
         track_by_id = {}
-        for tid, _ in tracker.step(data.detections, i):
+        for tid, _ in tracker.step(inp.detections, i):
             confirmations += 1
             if not track_by_id:
                 track_by_id = {t.track_id: t for t in tracker.tracks}
             det_idx = track_by_id[tid].last_detection_index
-            if data.provenance[det_idx][0] == "fp":
+            if provenance[det_idx][0] == "fp":
                 spurious_confirmations += 1
     ok = total_fp > 50 and confirmations > 0 and spurious_confirmations == 0
     elapsed = time.perf_counter() - t0

@@ -736,6 +736,18 @@ class TestWillingness:
         assert captured.out == ""
         assert "timeline input error" in captured.err
 
+    def test_id_twice_in_one_record_exit_2(self, tmp_path, capsys):
+        # the last observation silently won, and the run exited 0
+        path = self.write_timeline(tmp_path, [
+            {"t": 0.1, "persons": [{"id": 1, "attending": True},
+                                   {"id": 1, "attending": False}]}])
+        code = main(["willingness", "--timeline", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeline input error: person 1 observed twice" \
+            in captured.err
+
     def test_repeated_time_after_gap_ok(self, tmp_path, capsys):
         # each state once kept its own clock as last + dt, which drifted to
         # 0.9000000000000001 over the gap and took the second 0.9 for a

@@ -26,7 +26,7 @@ import pytest
 from semmap.cli import EXIT_CONFIG, EXIT_OK, main
 from semmap.config import PipelineConfig
 from semmap.errors import ScenarioError
-from semmap.pipeline import FrameInput, Pipeline
+from semmap.pipeline import Pipeline
 from semmap.simulator import (
     Scenario,
     run_scenario_detailed,
@@ -94,10 +94,7 @@ def test_rejected_or_runs_without_warning(path, leaf, value):
             return
         pipeline = Pipeline(sc.intrinsics)
         for i in range(min(FRAMES.get(leaf[0], 1), sc.num_frames)):
-            data = synthesize_frame_data(sc, i)
-            pipeline.step(FrameInput(
-                i, i / sc.fps, data.detections, data.depth,
-                data.pose_estimate, list(data.landmarks.values()), []))
+            pipeline.step(synthesize_frame_data(sc, i)[0])
 
 
 # `semmap run --config` with one PipelineConfig field at each extreme value

@@ -43,12 +43,10 @@ def test_faces_need_no_labels_or_order():
     pipeline = Pipeline(sc.intrinsics)
     got = []
     for i in range(sc.num_frames):
-        data = synthesize_frame_data(sc, i)
+        inp, _ = synthesize_frame_data(sc, i)
         faces = [LandmarkSet2D(lm.landmarks, face_id=f"face-{lm.face_id}")
-                 for lm in reversed(data.landmarks.values())]
-        got.append(pipeline.step(FrameInput(
-            i, i / sc.fps, data.detections, data.depth, data.pose_estimate,
-            faces, [])))
+                 for lm in reversed(inp.faces)]
+        got.append(pipeline.step(dataclasses.replace(inp, faces=faces)))
     assert [without_person(row) for row in got] \
         == [without_person(row) for row in want]
     rows = [(p, q) for g, w in zip(got, want)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,11 +16,13 @@ from semmap import simulator
 from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from semmap.geometry import MAX_IMAGE_SIDE, RigidPose
 from semmap.headpose import rodrigues, rotation_from_euler
+from semmap.pipeline import Pipeline
 from semmap.simulator import (
     MAX_FALSE_POSITIVE_RATE,
     MAX_FRAMES,
     MAX_LANDMARK_JITTER_PX,
     MAX_SAMPLE_COUNT,
+    CorrectionEvent,
     Orbit,
     Scenario,
     _clamped_boxes,
@@ -388,17 +391,17 @@ class TestSynthesizeFrame:
                                           background_depth, noise, persons):
         sc = frame_scenario(seed, objects, max_range, background_depth, noise,
                             persons)
-        got = synthesize_frame_data(sc, 0)
-        want = per_object_frame_reference(sc, 0)
+        got, got_provenance = synthesize_frame_data(sc, 0)
+        want, want_provenance = per_object_frame_reference(sc, 0)
         assert got.depth.data.shape == want.depth.data.shape
         assert got.depth.data.tobytes() == want.depth.data.tobytes()
         assert [(d.bbox, d.class_label, d.kind, d.score)
                 for d in got.detections] \
             == [(d.bbox, d.class_label, d.kind, d.score)
                 for d in want.detections]
-        assert got.provenance == want.provenance
-        assert {p: lm.landmarks for p, lm in got.landmarks.items()} \
-            == {p: lm.landmarks for p, lm in want.landmarks.items()}
+        assert got_provenance == want_provenance
+        assert [(f.face_id, f.landmarks) for f in got.faces] \
+            == [(f.face_id, f.landmarks) for f in want.faces]
 
     def test_landmark_projection_fault_propagates(self, monkeypatch):
         # only a face behind the camera is dropped; any other fault in
@@ -419,9 +422,9 @@ class TestSynthesizeFrame:
         monkeypatch.setattr(simulator, "project_model", behind)
         sc = scenario(persons=[{"position": [0.0, 0.0, 1.3],
                                 "attention_windows": [[0.0, 10.0]]}])
-        data = synthesize_frame_data(sc, 0)
-        assert data.landmarks == {}
-        assert [d.kind for d in data.detections] == ["object", "person"]
+        inp, _ = synthesize_frame_data(sc, 0)
+        assert inp.faces == []
+        assert [d.kind for d in inp.detections] == ["object", "person"]
 
     def test_object_samples_are_views_of_one_array(self):
         sc = frame_scenario(objects=[(0.0, 2.0, 0.0, CUBE, 30),
@@ -433,10 +436,10 @@ class TestSynthesizeFrame:
 
     def test_noiseless_bbox_is_sample_hull(self):
         sc = scenario()
-        data = synthesize_frame_data(sc, 0)
-        dets = data.detections
+        inp, _ = synthesize_frame_data(sc, 0)
+        dets = inp.detections
         assert len(dets) == 1
-        cam = data.pose_estimate.inverse().transform(object_samples(sc)[0])
+        cam = inp.pose_estimate.inverse().transform(object_samples(sc)[0])
         u = sc.intrinsics.cx + sc.intrinsics.fx * cam[:, 0] / cam[:, 2]
         v = sc.intrinsics.cy + sc.intrinsics.fy * cam[:, 1] / cam[:, 2]
         x0, y0, x1, y1 = dets[0].bbox
@@ -447,9 +450,9 @@ class TestSynthesizeFrame:
 
     def test_depth_inside_bbox_matches_range(self):
         sc = scenario()
-        data = synthesize_frame_data(sc, 0)
-        x0, y0, x1, y1 = data.detections[0].bbox
-        patch = data.depth.data[int(y0) + 1:int(y1), int(x0) + 1:int(x1)]
+        inp, _ = synthesize_frame_data(sc, 0)
+        x0, y0, x1, y1 = inp.detections[0].bbox
+        patch = inp.depth.data[int(y0) + 1:int(y1), int(x0) + 1:int(x1)]
         valid = patch[patch > 0]
         assert valid.size > 0
         # camera sits 2 m from the cup centroid
@@ -457,7 +460,7 @@ class TestSynthesizeFrame:
 
     def test_full_dropout_removes_detections(self):
         sc = scenario(noise={"dropout_prob": 1.0})
-        assert synthesize_frame_data(sc, 0).detections == []
+        assert synthesize_frame_data(sc, 0)[0].detections == []
 
     def test_fixed_seed_bitwise_identity(self):
         noisy = dict(BASE, noise={"bbox_jitter_px": 1.0, "depth_noise_m": 0.01,
@@ -465,16 +468,16 @@ class TestSynthesizeFrame:
         a = Scenario.from_dict(noisy)
         b = Scenario.from_dict(noisy)
         for i in range(3):
-            da = synthesize_frame_data(a, i)
-            db = synthesize_frame_data(b, i)
+            da, _ = synthesize_frame_data(a, i)
+            db, _ = synthesize_frame_data(b, i)
             assert [d.bbox for d in da.detections] \
                 == [d.bbox for d in db.detections]
             np.testing.assert_array_equal(da.depth.data, db.depth.data)
 
     def test_noise_changes_the_frame(self):
-        clean = synthesize_frame_data(scenario(), 0).detections[0].bbox
+        clean = synthesize_frame_data(scenario(), 0)[0].detections[0].bbox
         noisy = synthesize_frame_data(
-            scenario(noise={"bbox_jitter_px": 2.0}), 0).detections[0].bbox
+            scenario(noise={"bbox_jitter_px": 2.0}), 0)[0].detections[0].bbox
         assert clean != noisy
 
     def test_frame_out_of_range(self):
@@ -487,10 +490,10 @@ class TestSynthesizeFrame:
     def test_person_landmarks_present_when_visible(self):
         sc = scenario(persons=[{"position": [0.0, 0.0, 1.3],
                                 "attention_windows": [[0.0, 10.0]]}])
-        data = synthesize_frame_data(sc, 0)
-        assert 0 in data.landmarks
+        inp, _ = synthesize_frame_data(sc, 0)
+        assert [f.face_id for f in inp.faces] == [0]
         assert sc.attending_gt(0, 0) is True
-        kinds = sorted(d.kind for d in data.detections)
+        kinds = sorted(d.kind for d in inp.detections)
         assert kinds == ["object", "person"]
 
 
@@ -547,8 +550,8 @@ class TestJitteredBoxes:
             noise={"bbox_jitter_px": 1.0, "false_positive_rate": 2.0})
         kinds = set()
         for i in range(sc.num_frames):
-            data = synthesize_frame_data(sc, i)
-            for det, (kind, _) in zip(data.detections, data.provenance):
+            inp, provenance = synthesize_frame_data(sc, i)
+            for det, (kind, _) in zip(inp.detections, provenance):
                 kinds.add(kind)
                 x0, y0, x1, y1 = det.bbox
                 assert 0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height, \
@@ -572,14 +575,13 @@ class TestDepthNotAliased:
     @pytest.mark.parametrize("held", ["padded", "unpadded"])
     def test_held_depth_survives_later_frames(self, held):
         make = getattr(self, held)
-        data = synthesize_frame_data(make(0, 0.0), 0)
-        depth = data.depth.data
+        depth = synthesize_frame_data(make(0, 0.0), 0)[0].depth.data
         before = depth.tobytes()
         # other samples and another background fill every later buffer
         synthesize_frame_data(self.padded(1, 6.0), 0)
         synthesize_frame_data(self.unpadded(1, 6.0), 0)
         assert depth.tobytes() == before
-        assert before == synthesize_frame_data(make(0, 0.0), 0) \
+        assert before == synthesize_frame_data(make(0, 0.0), 0)[0] \
             .depth.data.tobytes()
         assert not depth.flags.writeable
 
@@ -591,13 +593,14 @@ HELD_SCENARIOS = {
 }
 
 
-def frame_key(data) -> tuple:
-    """Depth bytes, detections, provenance and landmarks of a frame."""
-    return (data.depth.data.shape, data.depth.data.tobytes(),
+def frame_key(frame) -> tuple:
+    """Every field of a (FrameInput, provenance) pair, depth as bytes."""
+    inp, provenance = frame
+    return (inp.frame, inp.t, inp.depth.data.shape, inp.depth.data.tobytes(),
             [(d.bbox, d.class_label, d.kind, d.score)
-             for d in data.detections],
-            data.provenance,
-            {p: lm.landmarks for p, lm in data.landmarks.items()})
+             for d in inp.detections],
+            inp.pose_estimate, [(f.face_id, f.landmarks) for f in inp.faces],
+            inp.corrections, provenance)
 
 
 @pytest.fixture(scope="module")
@@ -678,28 +681,28 @@ class TestHeldView:
     def test_landmarks_leaving_the_image_are_held_as_none(self):
         sc = held_person_scenario([1.4, 0.0, 1.0], [[0.0, 10.0]])
         for i in range(2):
-            data = synthesize_frame_data(sc, i)
-            assert data.landmarks == {}
-            assert data.provenance[-1] == ("person", 0)
+            inp, provenance = synthesize_frame_data(sc, i)
+            assert inp.faces == []
+            assert provenance[-1] == ("person", 0)
         assert simulator._held[2].faces == {(0, True): None}
 
     def test_person_behind_the_camera_is_not_in_the_view(self):
         sc = held_person_scenario([0.0, -3.0, 1.0], [[0.0, 10.0]])
-        data = synthesize_frame_data(sc, 0)
-        assert data.landmarks == {}
-        assert data.provenance == [("object", 0)]
+        inp, provenance = synthesize_frame_data(sc, 0)
+        assert inp.faces == []
+        assert provenance == [("object", 0)]
         assert simulator._held[2].persons == []
 
     def test_window_opening_mid_segment_uses_both_faces(self):
         sc = held_person_scenario([0.0, 0.0, 1.3], [[0.55, 10.0]])
-        frames = [synthesize_frame_data(sc, i) for i in range(11)]
+        frames = [synthesize_frame_data(sc, i)[0] for i in range(11)]
         assert not sc.attending_gt(0, 5) and sc.attending_gt(0, 6)
         view = simulator._held[2]
         assert view.faces.keys() == {(0, False), (0, True)}
         assert all(f.depth is view.depth for f in frames)
         away, facing = view.faces[0, False], view.faces[0, True]
         assert away != facing
-        assert all(0 in f.landmarks for f in frames)
+        assert all([f.face_id for f in inp.faces] == [0] for inp in frames)
 
     @pytest.mark.parametrize("name, renders", [
         ("interaction.json", 1), ("drift_loop.json", 3),
@@ -786,6 +789,36 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="keyframes"):
             scenario(correction_events=[
                 {"frame": 3, "poses": {"0": pose, str(keyframe): pose}}])
+
+    @pytest.mark.parametrize("key", [
+        " 1", "1 ", "+2", "1_0", "01", "00", "-0", "\uff11", "\u0663",
+        "1.0", "1e0", "0x1", "a", ""])
+    def test_keyframe_key_takes_only_canonical_decimals(self, key):
+        # int() read the first nine ("1_0" as 10, "01" as 1) and rejected
+        # the rest with its own message
+        pose = RigidPose.identity().to_dict()
+        with pytest.raises(ScenarioError,
+                           match=f"keyframe id {re.escape(json.dumps(key))} "
+                                 f"is not an integer"):
+            scenario(correction_events=[{"frame": 11, "poses": {key: pose}}])
+
+    def test_two_keys_naming_one_keyframe_rejected(self):
+        # "1" and "01" both named keyframe 1, and the last one silently won
+        d = json.loads((SCENARIO_DIR / "drift_loop.json").read_text())
+        first, second = (dict(RigidPose.identity().to_dict(),
+                              translation=[x, 0.0, 0.0]) for x in (1.0, 2.0))
+        d["correction_events"] = [{"frame": 45, "poses": {"1": first,
+                                                          "01": second}}]
+        with pytest.raises(ScenarioError, match='keyframe id "01"'):
+            Scenario.from_dict(d)
+
+    def test_keyframe_keys_canonical_or_int_accepted(self):
+        pose = RigidPose.identity()
+        event = CorrectionEvent(11, {"0": pose, "10": pose, 7: pose,
+                                     "-3": pose})
+        assert list(event.poses) == [0, 10, 7, -3]
+        with pytest.raises(ScenarioError, match="keyframe id true"):
+            CorrectionEvent(11, {True: pose})
 
     @pytest.mark.parametrize("rate", [0.0, 2.0, MAX_FALSE_POSITIVE_RATE])
     def test_false_positive_rate_up_to_cap_accepted(self, rate):
@@ -1021,9 +1054,9 @@ class TestSchema:
         # np.full takes the z-buffer's dtype from its fill value: an int
         # background truncated every depth to whole metres
         sc = Scenario.from_json(SCENARIO_DIR / "desk_orbit.json")
-        depth = synthesize_frame_data(sc, 0).depth.data
+        depth = synthesize_frame_data(sc, 0)[0].depth.data
         as_int = synthesize_frame_data(
-            dataclasses.replace(sc, background_depth=8), 0).depth.data
+            dataclasses.replace(sc, background_depth=8), 0)[0].depth.data
         np.testing.assert_array_equal(as_int, depth)
 
     def test_malformed_json_file(self, tmp_path):
@@ -1233,3 +1266,85 @@ class TestRunScenario:
         window_start = sc.persons[0].attention_windows[0][0]
         # 3 s of sustained attention after the window opens
         assert times[0] == pytest.approx(window_start + 3.0, abs=0.2)
+
+
+def shifted_pose(x: float) -> dict:
+    """The identity pose moved `x` m along the world x axis, as JSON."""
+    return dict(RigidPose.identity().to_dict(), translation=[x, 0.0, 0.0])
+
+
+class TestFrameSource:
+    """What the frame source hands the pipeline beyond the picture: the
+    frame's time and its corrections, and when it is asked for a frame."""
+
+    @pytest.mark.parametrize("path", [
+        SCENARIO_DIR / "drift_loop.json",
+        ROOT / "tests" / "data" / "cluttered_drift.json"],
+        ids=lambda path: path.stem)
+    def test_true_correction_hands_over_the_trajectory_poses(self, path):
+        sc = Scenario.from_json(path)
+        frames = {ev.frame for ev in sc.correction_events}
+        assert frames
+        for i in range(sc.num_frames):
+            inp, _ = synthesize_frame_data(sc, i)
+            assert (inp.frame, inp.t) == (i, i / sc.fps)
+            if i not in frames:
+                assert inp.corrections == []
+                continue
+            correction, = inp.corrections
+            assert [k for k, _ in correction] == list(range(i + 1))
+            # the very objects: a correction skips unchanged poses by `is`
+            assert all(pose is sc.trajectory[k] for k, pose in correction)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_events_at_one_frame_keep_file_order(self, reverse):
+        true = {"frame": 5, "poses": "true"}
+        explicit = {"frame": 5, "poses": {str(k): shifted_pose(k)
+                                          for k in (4, 0, 2)}}
+        events = [true, explicit, {"frame": 2, "poses": "true"}]
+        if reverse:
+            events.reverse()
+        sc = scenario(correction_events=events)
+        poses = next(ev.poses for ev in sc.correction_events
+                     if ev.poses != "true")
+        want = [list(enumerate(sc.trajectory[:6])),
+                [(k, poses[k]) for k in (0, 2, 4)]]
+        if reverse:
+            want.reverse()
+        got = synthesize_frame_data(sc, 5)[0].corrections
+        assert got == want
+        assert all(a is b for c, d in zip(got, want)
+                   for (_, a), (_, b) in zip(c, d))
+        assert synthesize_frame_data(sc, 2)[0].corrections \
+            == [list(enumerate(sc.trajectory[:3]))]
+        assert synthesize_frame_data(sc, 3)[0].corrections == []
+
+    def test_explicit_poses_sorted_by_keyframe(self):
+        sc = scenario(correction_events=[{"frame": 11, "poses": {
+            str(k): shifted_pose(k) for k in (10, 3, 0, 7)}}])
+        correction, = synthesize_frame_data(sc, 11)[0].corrections
+        assert [k for k, _ in correction] == [0, 3, 7, 10]
+        assert [pose.translation[0] for _, pose in correction] \
+            == [0.0, 3.0, 7.0, 10.0]
+
+    def test_runner_takes_each_frame_as_its_step_needs_it(self, monkeypatch):
+        # the benchmark times the frame source by wrapping this module
+        # global: one call a frame, never ahead of the pipeline's step
+        calls = []
+        source, step = simulator.synthesize_frame_data, Pipeline.step
+
+        def recorded_source(scenario, frame_idx):
+            calls.append(("synthesize", frame_idx))
+            return source(scenario, frame_idx)
+
+        def recorded_step(pipeline, inp):
+            calls.append(("step", inp.frame))
+            return step(pipeline, inp)
+
+        monkeypatch.setattr(simulator, "synthesize_frame_data",
+                            recorded_source)
+        monkeypatch.setattr(Pipeline, "step", recorded_step)
+        sc = Scenario.from_json(SCENARIO_DIR / "drift_loop.json")
+        run_scenario_detailed(sc)
+        assert calls == [(name, i) for i in range(sc.num_frames)
+                         for name in ("synthesize", "step")]

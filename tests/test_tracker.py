@@ -276,7 +276,7 @@ class TestReplay:
     @pytest.fixture(scope="class")
     def stream(self):
         sc = Scenario.from_json(DATA_DIR / "cluttered_drift.json")
-        return [synthesize_frame_data(sc, i).detections
+        return [synthesize_frame_data(sc, i)[0].detections
                 for i in range(sc.num_frames)]
 
     @staticmethod

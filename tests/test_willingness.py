@@ -140,6 +140,14 @@ class TestPersonMap:
         with pytest.raises(ClockWentBackwards):
             m.step_frame([(1, True)], 0.5)
 
+    def test_id_observed_twice_in_one_step_rejected(self):
+        # the last observation silently won
+        m = PersonWillingnessMap()
+        m.step_frame([(1, True)], 0.0)
+        with pytest.raises(ValueError, match="person 1 observed twice"):
+            m.step_frame([(1, True), (2, True), (1, False)], 0.1)
+        assert m.t == 0.0 and set(m.states) == {1}
+
     def test_prune_drops_dead_tracks(self):
         m = PersonWillingnessMap()
         m.step_frame([(1, True), (2, True)], 0.0)

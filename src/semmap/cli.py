@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -153,10 +152,6 @@ class TimelineRecord:
 
     t: float
     persons: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
 
 
 def _read_faces(path) -> list:

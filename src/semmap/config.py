@@ -28,9 +28,19 @@ def _json_object(value, error, what: str) -> dict:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; ValueError names a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()  # set.add returns None: each key is seen, then added
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"repeated key {_echo(key)}")
+    return obj
+
+
 def _parse_object(text: str, error, what: str) -> dict:
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as e:  # also an integer past Python's digit limit
         raise error(f"malformed {what} JSON: {e}") from e
     return _json_object(value, error, what)

@@ -73,11 +73,6 @@ def _rodrigues(w: np.ndarray):
     return rot, theta2
 
 
-def rodrigues(w: np.ndarray) -> np.ndarray:
-    """Axis-angle 3-vector -> rotation matrix."""
-    return _rodrigues(np.asarray(w, dtype=np.float64).reshape(1, 3))[0][0]
-
-
 @dataclass(frozen=True)
 class FaceModel3D:
     """Named 3D landmark positions in the canonical head frame, meters.

@@ -319,19 +319,12 @@ class SemanticMap:
         return MergeReport(pairs, before, len(self.objects))
 
     def export(self) -> dict:
-        objs = []
-        for obj_id in sorted(self.objects):
-            obj = self.objects[obj_id]
-            objs.append({
-                "id": obj.object_id,
-                "class": obj.class_label,
-                "centroid": [float(c) for c in obj.centroid],
-                "aabb": {
-                    "min": [float(c) for c in obj.aabb[0]],
-                    "max": [float(c) for c in obj.aabb[1]],
-                },
-                "num_points": int(len(obj.world_points)),
-                "num_observations": len(obj.observations),
-            })
-        return {"objects": objs}
+        return {"objects": [{
+            "id": obj.object_id,
+            "class": obj.class_label,
+            "centroid": obj.centroid.tolist(),
+            "aabb": {"min": obj.aabb[0].tolist(), "max": obj.aabb[1].tolist()},
+            "num_points": len(obj.world_points),
+            "num_observations": len(obj.observations),
+        } for _, obj in sorted(self.objects.items())]}
 

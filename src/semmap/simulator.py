@@ -38,7 +38,6 @@ from .headpose import (
     LandmarkSet2D,
     _rodrigues,
     project_model,
-    rodrigues,
     rotation_from_euler,
 )
 from .pipeline import FrameInput, Pipeline
@@ -64,6 +63,10 @@ MAX_SAMPLE_COUNT = 1_000_000
 # pose per frame
 MAX_FRAMES = 108_000
 MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
+# a corrected keyframe's translation, m, per axis: a cloud moved within it
+# keeps its squared gaps to clouds near the origin, 3 (2e150)² ≈ 1e301, and
+# its centroid's sum of up to 1e158 points under the largest float, 1.8e308
+MAX_CORRECTION_TRANSLATION = 1e150
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
@@ -317,6 +320,10 @@ def _trajectory(spec) -> list:
 
 @dataclass
 class Scenario:
+    """A synthetic world and camera path. The load derives every frame's
+    poses once: each true pose's inverse translation -Rᵀt (`camera_t`);
+    with drift, from start_frame on, each estimate R_d R (`estimate_rot`)
+    and R_d t + t_d (`estimate_t`) under the drift R_d, t_d of that frame."""
     seed: int
     intrinsics: CameraIntrinsics
     world_objects: list
@@ -340,6 +347,9 @@ class Scenario:
     # frame -> its correction events, in file order
     corrections_at: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    camera_t: np.ndarray = field(init=False, repr=False, compare=False)
+    estimate_rot: np.ndarray = field(init=False, repr=False, compare=False)
+    estimate_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = len(self.trajectory)
@@ -362,22 +372,25 @@ class Scenario:
         if not 0 <= start < frames:
             raise ScenarioError(
                 f"drift start_frame {start} outside [0, {frames})")
-        # every frame's inverse() -Rᵀt and drifted estimate R_d t + t_d, which
-        # a non-finite drift reaches, are checked at once, before the run
-        rot = np.array([pose.rotation for pose in self.trajectory])
-        t = np.array([pose.translation for pose in self.trajectory])[..., None]
+        # every pose copied once, into stacks: concatenate beats np.array
+        rot = np.concatenate([pose.rotation for pose in self.trajectory])
+        t = np.concatenate([pose.translation for pose in self.trajectory])
+        rot, t = rot.reshape(-1, 3, 3), t.reshape(-1, 3, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            checks = [("inverse", 0, rot.transpose(0, 2, 1) @ t)]
+            # -Rᵀ, then the product, as inverse() takes it: the same zeros
+            self.camera_t = _freeze((-rot.transpose(0, 2, 1) @ t)[..., 0])
+            checks = [("inverse", 0, self.camera_t)]
             if self.drift is not None:
                 n = np.arange(1.0, frames - start + 1)[:, None]
                 w = np.radians(self.drift.rotation_deg_per_frame) * n
-                # as in drift_pose, a zero rate rotates by the identity
+                # a zero rate rotates by the identity
                 r_d = _rodrigues(w)[0] if w.any() else np.eye(3)
                 t_d = n * np.asarray(self.drift.translation_per_frame, float)
-                checks.append(("drifted estimate", start,
-                               r_d @ t[start:] + t_d[..., None]))
-        for kind, first, poses in checks:
-            bad = np.flatnonzero(~np.isfinite(poses).all(axis=(1, 2)))
+                self.estimate_rot = _freeze(r_d @ rot[start:])
+                self.estimate_t = _freeze((r_d @ t[start:])[..., 0] + t_d)
+                checks.append(("drifted estimate", start, self.estimate_t))
+        for kind, first, translations in checks:
+            bad = np.flatnonzero(~np.isfinite(translations).all(axis=1))
             if bad.size:
                 raise ScenarioError(
                     f"pose of frame {first + bad[0]} has no finite {kind}")
@@ -391,6 +404,11 @@ class Scenario:
                 raise ScenarioError(
                     f"correction at frame {ev.frame} names keyframes "
                     f"{outside} outside [0, {ev.frame}]")
+            for k, pose in sorted(keyframes.items()):
+                if np.abs(pose.translation).max() > MAX_CORRECTION_TRANSLATION:
+                    raise ScenarioError(
+                        f"correction at frame {ev.frame} moves keyframe {k} "
+                        f"beyond ±{MAX_CORRECTION_TRANSLATION} m")
             self.corrections_at.setdefault(ev.frame, []).append(ev)
         parts = [
             _sample_box_surface(obj.centroid, obj.extents, obj.sample_count,
@@ -436,23 +454,13 @@ class Scenario:
     def from_json(cls, path) -> "Scenario":
         return cls.from_dict(read_json_object(path, ScenarioError, "scenario"))
 
-    def drift_pose(self, frame_idx: int) -> RigidPose:
-        """Accumulated world-frame drift perturbation at a frame."""
-        if self.drift is None or frame_idx < self.drift.start_frame:
-            return RigidPose.identity()
-        n = frame_idx - self.drift.start_frame + 1
-        t = np.asarray(self.drift.translation_per_frame, float) * n
-        rate = self.drift.rotation_deg_per_frame
-        # rodrigues of a zero rotation is np.eye(3) bit for bit
-        rot = rodrigues(np.radians(np.asarray(rate, float)) * n) \
-            if any(rate) else np.eye(3)
-        return _trusted(RigidPose, rotation=rot, translation=t)
-
     def estimated_pose(self, frame_idx: int) -> RigidPose:
-        pose = self.trajectory[frame_idx]
+        """The true pose itself before drift starts, then the estimate."""
         if self.drift is None or frame_idx < self.drift.start_frame:
-            return pose  # no drift yet: the true pose itself
-        return self.drift_pose(frame_idx).compose(pose)
+            return self.trajectory[frame_idx]
+        j = frame_idx - self.drift.start_frame
+        return _trusted(RigidPose, rotation=self.estimate_rot[j],
+                        translation=self.estimate_t[j])
 
     def attending_gt(self, person_idx: int, frame_idx: int) -> bool:
         t = frame_idx / self.fps
@@ -532,11 +540,13 @@ class _View:
 
 
 def _render(scenario: Scenario, frame_idx: int) -> _View:
-    """The view of a frame's true pose. It draws only the depth noise, so
-    without that noise it is the same for every frame of one pose."""
+    """The view of a frame's true pose, through its inverse: Rᵀ, and the
+    -Rᵀt derived at load. It draws only the depth noise, so without that
+    noise it is the same for every frame of one pose."""
     k = scenario.intrinsics
     width, height = k.width, k.height
-    to_cam = scenario.trajectory[frame_idx].inverse()
+    to_cam = _trusted(RigidPose, translation=scenario.camera_t[frame_idx],
+                      rotation=scenario.trajectory[frame_idx].rotation.T)
     noise = scenario.noise
 
     # every object's samples in one pass: u and v of every sample (garbage
@@ -778,16 +788,11 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
     claimed = [False] * len(gt)
     matched_sq = []
     duplicates = 0
-    for obj_id in sorted(registry.objects):
-        obj = registry.objects[obj_id]
+    for _, obj in sorted(registry.objects.items()):
         centroid = obj.centroid
-        cands = [
-            (float(np.linalg.norm(centroid - c)), gi)
-            for gi, (cls, c) in enumerate(gt)
-            if cls == obj.class_label
-            and np.linalg.norm(centroid - c) <= match_radius
-        ]
-        cands.sort()
+        cands = sorted(
+            (d, gi) for gi, (cls, c) in enumerate(gt) if cls == obj.class_label
+            and (d := float(np.linalg.norm(centroid - c))) <= match_radius)
         free = [(d, gi) for d, gi in cands if not claimed[gi]]
         if free:
             d, gi = free[0]

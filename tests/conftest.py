@@ -30,11 +30,11 @@ from semmap.headpose import (
     LandmarkSet2D,
     _jacobian,
     _residuals,
+    _rodrigues,
     _skew_gather,
     euler_from_rotation,
     lm_solve_poses,
     project_model,
-    rodrigues,
     rotation_from_euler,
 )
 from semmap.pipeline import FrameInput
@@ -53,6 +53,12 @@ from semmap.tracker import (
 def intrinsics():
     return CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
                             width=640, height=480)
+
+
+def rodrigues(w) -> np.ndarray:
+    """Axis-angle 3-vector -> rotation matrix: `headpose._rodrigues` of one
+    vector."""
+    return _rodrigues(np.asarray(w, dtype=np.float64).reshape(1, 3))[0][0]
 
 
 def random_pose(rng, trans_scale=2.0) -> RigidPose:
@@ -505,6 +511,35 @@ def _clamped_bbox(bbox, width, height):
     return (x0, y0, x1, y1)
 
 
+# Reference for the poses `Scenario.__post_init__` derives for every frame:
+# the frame source's old forms, one frame at a time. The drift is rodrigues
+# of the accumulated rate, composed world-side with the true pose; the
+# camera sees through the true pose's inverse().
+
+def reference_drift_pose(scenario, frame_idx: int) -> RigidPose:
+    """Accumulated world-frame drift perturbation at a frame."""
+    if scenario.drift is None or frame_idx < scenario.drift.start_frame:
+        return RigidPose.identity()
+    n = frame_idx - scenario.drift.start_frame + 1
+    t = np.asarray(scenario.drift.translation_per_frame, float) * n
+    rate = scenario.drift.rotation_deg_per_frame
+    # rodrigues of a zero rotation is np.eye(3) bit for bit
+    rot = rodrigues(np.radians(np.asarray(rate, float)) * n) \
+        if any(rate) else np.eye(3)
+    return RigidPose(rot, t)
+
+
+def reference_estimated_pose(scenario, frame_idx: int) -> RigidPose:
+    pose = scenario.trajectory[frame_idx]
+    if scenario.drift is None or frame_idx < scenario.drift.start_frame:
+        return pose  # no drift yet: the true pose itself
+    return reference_drift_pose(scenario, frame_idx).compose(pose)
+
+
+def reference_world_to_camera(scenario, frame_idx: int) -> RigidPose:
+    return scenario.trajectory[frame_idx].inverse()
+
+
 def per_object_frame_reference(scenario, frame_idx: int) -> tuple:
     """Reference for the (FrameInput, provenance) of
     `simulator.synthesize_frame_data`: projects and splats one object per
@@ -632,7 +667,8 @@ def per_object_frame_reference(scenario, frame_idx: int) -> tuple:
                    for ev in scenario.correction_events
                    if ev.frame == frame_idx]
     return FrameInput(frame_idx, frame_idx / scenario.fps, detections,
-                      DepthImage(depth), scenario.estimated_pose(frame_idx),
+                      DepthImage(depth),
+                      reference_estimated_pose(scenario, frame_idx),
                       faces, corrections), provenance
 
 

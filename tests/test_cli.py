@@ -770,3 +770,79 @@ class TestWillingness:
         code = main(["willingness", "--timeline", str(path)])
         assert code == 5
         assert "timeline error" in capsys.readouterr().err
+
+
+def repeat_first_key(text: str, value: str) -> str:
+    """JSON object `text` with its first key written once more, first, with
+    `value`: json.dumps cannot write a repeated key."""
+    key = text[1:text.index(":")]
+    return "{" + key + ": " + value + ", " + text[1:]
+
+
+class TestRepeatedKeys:
+    """A key repeated in one JSON object is an input error: a plain
+    json.loads kept its last value without a word."""
+
+    def run(self, tmp_path, scenario_text, config_text=None):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(scenario_text)
+        argv = ["run", "--scenario", str(scenario),
+                "--out", str(tmp_path / "out")]
+        if config_text is not None:
+            config = tmp_path / "config.json"
+            config.write_text(config_text)
+            argv += ["--config", str(config)]
+        return main(argv)
+
+    def test_scenario_key_exit_3(self, tmp_path, capsys):
+        # "seed": 99, "seed": 11 loaded as seed 11
+        code = self.run(tmp_path, repeat_first_key(json.dumps(SCENARIO), "99"))
+        assert code == 3
+        assert 'scenario error: malformed scenario JSON: repeated key "seed"' \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nested_correction_keyframe_exit_3(self, tmp_path, capsys):
+        # {"1": A, "1": B} kept only B
+        poses = json.dumps({"1": RigidPose.identity().to_dict()})
+        d = dict(SCENARIO, correction_events=[{"frame": 3, "poses": "P"}])
+        text = json.dumps(d).replace(
+            '"P"', repeat_first_key(poses, poses[poses.index(":") + 2:-1]))
+        assert text.count('"1": ') == 2
+        code = self.run(tmp_path, text)
+        assert code == 3
+        assert 'repeated key "1"' in capsys.readouterr().err
+
+    def test_config_key_exit_2(self, tmp_path, capsys):
+        code = self.run(tmp_path, json.dumps(SCENARIO),
+                        repeat_first_key('{"track_ttl": 3}', "30"))
+        assert code == 2
+        assert 'config error: malformed config JSON: repeated key ' \
+            '"track_ttl"' in capsys.readouterr().err
+
+    def test_headpose_record_exit_2(self, tmp_path, capsys):
+        kpath = tmp_path / "intrinsics.json"
+        kpath.write_text(json.dumps(INTRINSICS))
+        lpath = tmp_path / "landmarks.jsonl"
+        # a landmark named twice in one face
+        lpath.write_text(json.dumps(FACE) + "\n" + json.dumps(FACE).replace(
+            '"landmarks": {', '"landmarks": {"nose_tip": [1.0, 2.0], ')
+            + "\n")
+        code = main(["headpose", "--landmarks", str(lpath),
+                     "--intrinsics", str(kpath)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed landmarks line 2 JSON: repeated key " \
+            '"nose_tip"' in captured.err
+
+    def test_willingness_record_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "timeline.jsonl"
+        path.write_text('{"t": 0.1, "persons": []}\n'
+                        '{"t": 9.0, "t": 0.2, "persons": []}\n')
+        code = main(["willingness", "--timeline", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert 'malformed timeline line 2 JSON: repeated key "t"' \
+            in captured.err

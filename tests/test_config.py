@@ -159,6 +159,11 @@ class TestReaders:
         # past Python's int digit limit: json.loads raised a bare ValueError
         pytest.param('{"a": ' + "9" * 5001 + "}",
                      "malformed thing JSON.*4300 digits", id="5001_digits"),
+        # a repeated key kept its last value
+        pytest.param('{"a": 1, "a": 2}', 'malformed thing JSON: repeated '
+                     'key "a"', id="repeated_key"),
+        pytest.param('{"a": {"b": 1, "c": 2, "b": 1}}', 'malformed thing '
+                     'JSON: repeated key "b"', id="repeated_nested_key"),
     ])
     def test_object_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "a.json"
@@ -177,6 +182,8 @@ class TestReaders:
         ("{", "malformed log line 3 JSON"),
         pytest.param('{"a": ' + "9" * 5001 + "}",
                      "malformed log line 3 JSON", id="5001_digits"),
+        pytest.param('{"a": 1, "a": 1}', 'malformed log line 3 JSON: '
+                     'repeated key "a"', id="repeated_key"),
     ])
     def test_record_rejected_by_line(self, tmp_path, line, match):
         path = tmp_path / "a.jsonl"

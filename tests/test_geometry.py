@@ -23,13 +23,12 @@ from semmap.geometry import (
     voxel_downsample,
     write_ply,
 )
-from semmap.headpose import rodrigues
-
 from conftest import (
     NonPositiveDepth,
     project,
     random_pose,
     reference_extract_object_cloud,
+    rodrigues,
 )
 
 

@@ -9,6 +9,7 @@ from conftest import (
     per_landmark_jacobian,
     reference_descent,
     residuals_and_jacobian,
+    rodrigues,
     solve_one,
 )
 
@@ -28,7 +29,6 @@ from semmap.headpose import (
     is_attending,
     lm_solve_poses,
     project_model,
-    rodrigues,
     rotation_from_euler,
 )
 

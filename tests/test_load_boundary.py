@@ -11,11 +11,18 @@ sizing fields `frames`, `start_frame`, `width`, `height`, `sample_count`
 and a correction's `frame` are left alone: a size near its cap is
 accepted, and allocates gigabytes.
 
+The shipped corrections are all "true", so no correction pose has a leaf
+to set. The short scenario below gets explicit correction poses instead,
+and each of their translation leaves is set to each of `VALUES`; every
+case runs through the correction frame, where the map moves and merges
+the sightings of the corrected keyframes, and on to the map metrics.
+
 Likewise every `PipelineConfig` field, one at a time, at each of
 `CONFIG_VALUES`: `semmap run --config` on a short scenario must exit with
 a config error, or succeed without a warning.
 """
 
+import copy
 import dataclasses
 import json
 import warnings
@@ -153,3 +160,45 @@ def test_config_rejected_or_runs_without_warning(short_scenario, tmp_path,
         assert err.startswith("config error: ")
     else:
         assert (code, err) == (EXIT_OK, "")
+
+
+# the keyframes of the short scenario's two sightings of the cup, which
+# its correction merges
+CORRECTED_KEYFRAMES = (4, 14)
+
+
+@pytest.fixture(scope="module")
+def explicit_correction(short_scenario) -> dict:
+    """The short scenario, its "true" correction replaced by explicit
+    poses: the true poses of CORRECTED_KEYFRAMES."""
+    d = json.loads(short_scenario.read_text())
+    trajectory = Scenario.from_dict(d).trajectory
+    d["correction_events"][0]["poses"] = {
+        str(k): trajectory[k].to_dict() for k in CORRECTED_KEYFRAMES}
+    return d
+
+
+def test_explicit_correction_merges_the_sightings(explicit_correction):
+    _, _, events = run_scenario_detailed(
+        Scenario.from_dict(explicit_correction))
+    assert [r["object"] for e in events for r in e["registered"]] == [0, 1]
+    assert events[CONFIG_FRAMES - 2]["merges"][0]["pairs"] == [[0, 1]]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("keyframe", CORRECTED_KEYFRAMES)
+def test_correction_pose_rejected_or_runs_without_warning(
+        explicit_correction, keyframe, axis, value):
+    # ±1e308 (and 1e200, which VALUES lacks) loaded and died in the run:
+    # a squared gap or a centroid's sum overflowed
+    d = copy.deepcopy(explicit_correction)
+    d["correction_events"][0]["poses"][str(keyframe)]["translation"][axis] \
+        = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sc = Scenario.from_dict(d)
+        except ScenarioError:
+            return
+        run_scenario_detailed(sc)

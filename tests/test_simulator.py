@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from semmap import simulator
 from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from semmap.geometry import MAX_IMAGE_SIDE, RigidPose
-from semmap.headpose import rodrigues, rotation_from_euler
+from semmap.headpose import rotation_from_euler
 from semmap.pipeline import Pipeline
 from semmap.simulator import (
+    MAX_CORRECTION_TRANSLATION,
     MAX_FALSE_POSITIVE_RATE,
     MAX_FRAMES,
     MAX_LANDMARK_JITTER_PX,
@@ -38,8 +39,11 @@ from conftest import (
     _jittered_bbox,
     object_samples,
     per_object_frame_reference,
+    reference_estimated_pose,
     reference_look_at,
     reference_orbit,
+    reference_world_to_camera,
+    rodrigues,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -948,7 +952,8 @@ class TestSchema:
     def test_drift_start_at_last_frame_accepted(self):
         sc = scenario(drift={"start_frame": 11,
                              "translation_per_frame": [0.1, 0, 0]})
-        np.testing.assert_allclose(sc.drift_pose(11).translation,
+        np.testing.assert_allclose(sc.estimated_pose(11).translation
+                                   - sc.trajectory[11].translation,
                                    [0.1, 0, 0])
 
     def test_bad_noise_field(self):
@@ -1091,8 +1096,9 @@ class TestDrift:
     def test_no_drift_before_start(self):
         sc = scenario(drift={"start_frame": 5,
                              "translation_per_frame": [0.1, 0, 0]})
-        assert np.abs(sc.drift_pose(4).translation).max() == 0.0
-        np.testing.assert_allclose(sc.drift_pose(6).translation,
+        assert sc.estimated_pose(4) is sc.trajectory[4]
+        np.testing.assert_allclose(sc.estimated_pose(6).translation
+                                   - sc.trajectory[6].translation,
                                    [0.2, 0, 0])
 
     @pytest.mark.parametrize("rate", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
@@ -1103,8 +1109,9 @@ class TestDrift:
                              "translation_per_frame": [0.01, 0.0, 0.0],
                              "rotation_deg_per_frame": rate})
         for frame in (2, 7, 11):
-            got = sc.drift_pose(frame).rotation
-            want = rodrigues(np.radians(np.asarray(rate)) * (frame - 1))
+            got = sc.estimated_pose(frame).rotation
+            want = rodrigues(np.radians(np.asarray(rate)) * (frame - 1)) \
+                @ sc.trajectory[frame].rotation
             assert got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and not got.flags.writeable
 
@@ -1139,6 +1146,66 @@ class TestDrift:
         sc = scenario(trajectory=trajectory, drift=drift)
         for i in range(sc.num_frames):
             assert np.isfinite(sc.estimated_pose(i).translation).all()
+
+
+ROTATING_DRIFT = {"start_frame": 3,
+                  "translation_per_frame": [0.004, -0.0, 0.002],
+                  "rotation_deg_per_frame": [-0.0, 0.3, -0.0]}
+
+
+class TestDerivedPoses:
+    """The poses the load derives, against the frame source's old forms in
+    conftest (rodrigues, then compose; inverse()), bit for bit, on every
+    frame: -0.0 and 0.0 compare equal, so equality would miss a sign."""
+
+    @pytest.fixture(params=["drift_loop", "cluttered_drift", "rotating",
+                            "rotating_three_axes"])
+    def derived(self, request):
+        name = request.param
+        path = (ROOT / "tests" / "data" / "cluttered_drift.json"
+                if name == "cluttered_drift"
+                else SCENARIO_DIR / "drift_loop.json")
+        d = json.loads(path.read_text())
+        if name == "rotating":
+            d["drift"] = ROTATING_DRIFT
+        elif name == "rotating_three_axes":
+            d["drift"] = dict(d["drift"],
+                              rotation_deg_per_frame=[0.2, -0.15, 0.1])
+        return Scenario.from_dict(d)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
+        for arr in (got.rotation, got.translation):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_estimated_pose(self, derived):
+        sc = derived
+        assert sc.drift is not None
+        for i in range(sc.num_frames):
+            got = sc.estimated_pose(i)
+            if i < sc.drift.start_frame:
+                assert got is sc.trajectory[i]
+            self.assert_same_bits(got, reference_estimated_pose(sc, i))
+
+    def test_render_sees_through_the_inverse(self, derived, monkeypatch):
+        sc = derived
+        seen = []
+        trusted = simulator._trusted
+
+        def recorded(cls, **fields):
+            obj = trusted(cls, **fields)
+            if cls is RigidPose:
+                seen.append(obj)
+            return obj
+
+        monkeypatch.setattr(simulator, "_trusted", recorded)
+        for i in range(sc.num_frames):
+            simulator._render(sc, i)
+            to_cam, = seen
+            seen.clear()
+            self.assert_same_bits(to_cam, reference_world_to_camera(sc, i))
 
 
 def fake_registry(objects):
@@ -1348,3 +1415,46 @@ class TestFrameSource:
         run_scenario_detailed(sc)
         assert calls == [(name, i) for i in range(sc.num_frames)
                          for name in ("synthesize", "step")]
+
+
+class TestCorrectionBound:
+    """Explicit correction poses farther than MAX_CORRECTION_TRANSLATION
+    are rejected at load: past it, the map's squared gaps and centroid sums
+    overflow mid-run."""
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("x, loads", [
+        (MAX_CORRECTION_TRANSLATION, True),
+        (-MAX_CORRECTION_TRANSLATION, True),
+        (float(np.nextafter(MAX_CORRECTION_TRANSLATION, np.inf)), False),
+        (-1e200, False), (1e308, False)])
+    def test_bound_names_frame_and_keyframe(self, x, loads, axis):
+        far = RigidPose.identity().to_dict()
+        far["translation"][axis] = x
+        events = [{"frame": 2, "poses": "true"},
+                  {"frame": 5, "poses": {"1": shifted_pose(1.0), "4": far,
+                                         "3": far}}]
+        if loads:
+            sc = scenario(correction_events=events)
+            assert sc.corrections_at[5][0].poses[3].translation[axis] == x
+            return
+        with pytest.raises(ScenarioError, match=re.escape(
+                "correction at frame 5 moves keyframe 3 beyond ±1e+150 m")):
+            scenario(correction_events=events)
+
+    @pytest.mark.parametrize("x, loads", [(1e150, True), (1e200, False),
+                                          (1e308, False)])
+    def test_moved_drift_loop_rejected_or_runs(self, x, loads):
+        # keyframes 0-45 at [x, 0, 0]: 1e200 died in `associate` (overflow
+        # in dot), 1e308 in the map metrics' centroid (overflow in reduce)
+        d = json.loads((SCENARIO_DIR / "drift_loop.json").read_text())
+        d["correction_events"] = [{"frame": 45, "poses": {
+            str(k): shifted_pose(x) for k in range(46)}}]
+        if not loads:
+            with pytest.raises(ScenarioError,
+                               match="frame 45 moves keyframe 0 beyond"):
+                Scenario.from_dict(d)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_scenario_detailed(Scenario.from_dict(d))

@@ -21,8 +21,8 @@ USES = {
     "geometry: _derived_pose": 1,
     "semantic_map: SemanticObject.world_cloud": 1,
     "simulator: _look_at": 1,
-    "simulator: Scenario.drift_pose": 1,
-    "simulator: _render": 1,
+    "simulator: Scenario.estimated_pose": 1,
+    "simulator: _render": 2,
 }
 # the same for `_derived_pose`
 DERIVED_POSE_USES = {

@@ -9,7 +9,6 @@ association decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +81,8 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
 
 def overlap_ratio(a: np.ndarray, b: np.ndarray, radius: float) -> float:
     """Fraction of the smaller cloud's points within `radius` of the larger."""
+    if len(a) == 0 or len(b) == 0:
+        raise EmptyCloud("overlap ratio needs non-empty clouds")
     small, large = (a, b) if len(a) <= len(b) else (b, a)
     d2, _ = _nearest_sq_distances_both(small, large)
     return int(np.count_nonzero(d2 <= radius * radius)) / len(small)
@@ -166,11 +167,11 @@ class SemanticMap:
         """Nearest same-class object by chamfer distance, if close enough.
 
         Every nearest-neighbour distance between two clouds is at least the
-        gap between their AABBs, so their chamfer distance is too. An
-        object whose AABB lies farther than `assoc_dist` from the
-        candidate's can therefore not be the match, nor change which
-        object is, and its chamfer scan is skipped. The margin keeps
-        rounding from flipping a decision.
+        gap between their AABBs on any one axis, so their chamfer distance
+        is too. An object whose AABB lies farther than `assoc_dist` from
+        the candidate's on some axis can therefore not be the match, nor
+        change which object is, and its chamfer scan is skipped. The
+        margin keeps rounding from flipping a decision.
         """
         if len(candidate) == 0:
             raise EmptyCloud("empty candidate cloud")
@@ -182,9 +183,8 @@ class SemanticMap:
             obj = self.objects[obj_id]
             if obj.class_label != class_label:
                 continue
-            gap = np.maximum(np.maximum(lo - obj.aabb[1], obj.aabb[0] - hi),
-                             0.0)
-            if math.sqrt(gap @ gap) > reach:
+            if max(np.maximum(lo - obj.aabb[1], obj.aabb[0] - hi).tolist()) \
+                    > reach:
                 continue
             d = chamfer_distance(candidate, obj.world_cloud)
             if d < best_dist:
@@ -225,6 +225,8 @@ class SemanticMap:
             raise ClassMismatch(
                 f"{survivor.class_label!r} vs {absorbed.class_label!r}"
             )
+        if survivor is absorbed:
+            raise ValueError(f"object {survivor.object_id} cannot absorb itself")
         survivor.observations.extend(absorbed.observations)
         survivor.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
         return survivor
@@ -233,21 +235,16 @@ class SemanticMap:
         """Merge same-class objects whose clouds saliently overlap; returns
         the (survivor_id, absorbed_id) pairs in merge order.
 
-        Each merge is the first pair, in `(id_a, id_b)` order of sorted
-        ids, whose AABBs lie within `overlap_radius` and whose
-        `overlap_ratio` reaches `merge_overlap`; the lower id survives.
-        The pass keeps a frontier: every pair before it failed, and still
-        fails unless it holds the survivor of the last merge, the one
-        object that merge changed. So the next merge is the survivor's
-        first passing pair before the frontier, or else the first passing
-        pair from the frontier on, and each pair's ratio is taken once
-        per change of its objects. One stacked comparison gives all
-        candidate pairs; a merge recomputes the survivor's.
+        A scan that restarts after each merge: the next merge is the first
+        pair, in `(id_a, id_b)` order of sorted ids, whose AABBs lie
+        within `overlap_radius` and whose `overlap_ratio` reaches
+        `merge_overlap`; the lower id survives. A pair that falls short
+        leaves the candidates. A merge changes only its survivor, so its
+        row and column are recomputed and every other failure still
+        holds: each pair's ratio is taken once per change of its objects.
         """
         ids = sorted(self.objects)
         n = len(ids)
-        if n < 2:
-            return []
         objs = [self.objects[i] for i in ids]
         codes = {}
         cls = np.array([codes.setdefault(o.class_label, len(codes))
@@ -260,43 +257,30 @@ class SemanticMap:
         below = np.ones((n, n), dtype=bool)
         for lo_k, reach_k in zip(lo, reach):
             below &= lo_k[:, None] <= reach_k
-        # candidate[i, j], i < j: same class, AABBs within the radius
+        # candidate[i, j], i < j: same class, AABBs within the radius, and
+        # no failed ratio since i or j last changed
         candidate = ((cls[:, None] == cls) & below & below.T
                      & (index[:, None] < index))
-        flat = candidate.ravel()
-
-        def passes(pair: int) -> bool:
-            a, b = divmod(pair, n)
-            return overlap_ratio(objs[a].world_points, objs[b].world_points,
-                                 self.overlap_radius) >= self.merge_overlap
-
         pairs = []
-        frontier = 0  # flat index i * n + j of the next unscanned pair
-        before = []  # the survivor's candidate pairs before the frontier
         while True:
-            hit = next((p for p in before if passes(p)), None)
-            if hit is None:
-                ahead = np.flatnonzero(flat[frontier:]) + frontier
-                hit = next((p for p in ahead.tolist() if passes(p)), None)
-                if hit is None:
-                    return pairs
-                frontier = hit + 1
-            a, b = divmod(hit, n)
+            for a, b in np.argwhere(candidate).tolist():
+                if overlap_ratio(objs[a].world_points, objs[b].world_points,
+                                 self.overlap_radius) >= self.merge_overlap:
+                    break
+                candidate[a, b] = False
+            else:
+                return pairs
             survivor = self.merge_objects(objs[a], objs[b])
             del self.objects[ids[b]]
             pairs.append((ids[a], ids[b]))
+            cls[b] = -1  # matches nothing
             candidate[b] = candidate[:, b] = False
-            lo[:, b] = np.inf  # touches nothing
             lo[:, a] = survivor.aabb[0]
             reach[:, a] = survivor.aabb[1] + self.overlap_radius
             near = (cls == cls[a]) & np.logical_and.reduce(
                 (lo[:, a, None] <= reach) & (lo <= reach[:, a, None]))
-            # a pair (x, a) precedes the merged (a, b), so the frontier
-            # too: of a's pairs, only its row can lie ahead of it
-            candidate[a, a + 1:] = near[a + 1:]
-            before = [x * n + a for x in np.flatnonzero(near[:a]).tolist()]
-            before += [p for p in (np.flatnonzero(near[a + 1:])
-                                   + a * n + a + 1).tolist() if p < frontier]
+            candidate[a] = near & (index > a)
+            candidate[:, a] = near & (index < a)
 
     def apply_trajectory_correction(self, corrected) -> MergeReport:
         """Replace keyframe poses, re-derive the geometry of the objects

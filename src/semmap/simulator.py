@@ -63,10 +63,11 @@ MAX_SAMPLE_COUNT = 1_000_000
 # pose per frame
 MAX_FRAMES = 108_000
 MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
-# a corrected keyframe's translation, m, per axis: a cloud moved within it
-# keeps its squared gaps to clouds near the origin, 3 (2e150)² ≈ 1e301, and
-# its centroid's sum of up to 1e158 points under the largest float, 1.8e308
-MAX_CORRECTION_TRANSLATION = 1e150
+# a world coordinate, m, on each axis: of an object's box, a camera
+# position or a corrected keyframe's translation. Within it, the squared
+# distances between clouds, ≤ 3 (2e150)² ≈ 1e301, and a centroid's sum of
+# up to 1e158 points stay under the largest float, 1.8e308
+MAX_COORDINATE = 1e150
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
@@ -394,6 +395,16 @@ class Scenario:
             if bad.size:
                 raise ScenarioError(
                     f"pose of frame {first + bad[0]} has no finite {kind}")
+        far = np.flatnonzero(np.abs(t[..., 0]).max(axis=1) > MAX_COORDINATE)
+        if far.size:
+            raise ScenarioError(f"camera of frame {far[0]} lies beyond "
+                                f"±{MAX_COORDINATE} m")
+        for idx, obj in enumerate(self.world_objects):
+            if max(abs(c) + e / 2 for c, e in zip(obj.centroid, obj.extents)) \
+                    > MAX_COORDINATE:
+                raise ScenarioError(
+                    f"world object {idx} ({obj.class_label!r}) reaches "
+                    f"beyond ±{MAX_COORDINATE} m")
         for ev in self.correction_events:
             if not 0 <= ev.frame < frames:
                 raise ScenarioError(
@@ -405,10 +416,10 @@ class Scenario:
                     f"correction at frame {ev.frame} names keyframes "
                     f"{outside} outside [0, {ev.frame}]")
             for k, pose in sorted(keyframes.items()):
-                if np.abs(pose.translation).max() > MAX_CORRECTION_TRANSLATION:
+                if np.abs(pose.translation).max() > MAX_COORDINATE:
                     raise ScenarioError(
                         f"correction at frame {ev.frame} moves keyframe {k} "
-                        f"beyond ±{MAX_CORRECTION_TRANSLATION} m")
+                        f"beyond ±{MAX_COORDINATE} m")
             self.corrections_at.setdefault(ev.frame, []).append(ev)
         parts = [
             _sample_box_surface(obj.centroid, obj.extents, obj.sample_count,

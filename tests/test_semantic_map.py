@@ -99,6 +99,12 @@ class TestOverlapRatio:
             b = b + rng.uniform(-radius, radius, b.shape)
         assert overlap_ratio(a, b, radius) == brute_force_overlap(a, b, radius)
 
+    @pytest.mark.parametrize("sizes", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_raises(self, sizes):
+        a, b = (np.zeros((n, 3)) for n in sizes)
+        with pytest.raises(EmptyCloud):
+            overlap_ratio(a, b, 0.05)
+
 
 class TestBounds:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
@@ -315,6 +321,15 @@ class TestMerge:
         b = m.register_candidate(cube_cloud([5, 0, 1]).points, "book", 0)
         with pytest.raises(ClassMismatch):
             m.merge_objects(m.objects[a], m.objects[b])
+
+    def test_object_cannot_absorb_itself(self):
+        m = make_map()
+        obj = m.objects[m.register_candidate(cube_cloud([0, 0, 1]).points,
+                                             "cup", 0)]
+        points = obj.world_points
+        with pytest.raises(ValueError, match="cannot absorb itself"):
+            m.merge_objects(obj, obj)
+        assert len(obj.observations) == 1 and obj.world_points is points
 
 
 class TestTrajectoryCorrection:
@@ -546,9 +561,47 @@ def counting_overlaps(module, fn, *args):
         return fn(*args), len(calls)
 
 
+def random_clusters(seed: int, count: int) -> SemanticMap:
+    """Objects scattered about a few centres, with ids in shuffled order:
+    merges chain, and a survivor often overlaps a lower id."""
+    rng = np.random.default_rng(seed)
+    m = make_map(merge_overlap=float(rng.choice([0.2, 0.5])),
+                 overlap_radius=0.05)
+    centres = rng.uniform(-0.3, 0.3, (3, 3))
+    for obj_id in rng.permutation(count).tolist():
+        obj = SemanticObject(obj_id, str(rng.choice(["cup", "book"])))
+        centre = centres[rng.integers(len(centres))]
+        obj.observations.append(Observation(
+            0, centre + rng.uniform(-0.06, 0.06, (int(rng.integers(5, 40)),
+                                                  3))))
+        obj.rebuild(m.keyframes, m.voxel_leaf, m.max_cloud_points)
+        m.objects[obj_id] = obj
+    return m
+
+
+def distinct_overlap_pairs(fn, *args) -> int:
+    """Run `fn(*args)` and return its number of `overlap_ratio` calls, after
+    checking that no two of them got the same pair of arrays. A merge
+    gives its survivor a new `world_points` array, so a repeated pair is
+    a ratio taken again with neither object changed."""
+    calls = []  # holds the arrays, so that no id is reused
+
+    def spy(a, b, radius):
+        calls.append((a, b))
+        return overlap_ratio(a, b, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantic_map, "overlap_ratio", spy)
+        fn(*args)
+    pairs = [(id(a), id(b)) for a, b in calls]
+    assert len(set(pairs)) == len(pairs)
+    return len(pairs)
+
+
 class TestMergePass:
-    """The frontier merge pass against the restarting all-pairs scan it
-    replaced (`conftest.reference_apply_trajectory_correction`)."""
+    """The merge pass, a restarting scan that memoizes failed pairs,
+    against the restarting all-pairs scan without the memo
+    (`conftest.reference_apply_trajectory_correction`)."""
 
     @staticmethod
     def assert_same(got, want):
@@ -614,26 +667,13 @@ class TestMergePass:
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 14))
     @settings(max_examples=60, deadline=None)
     def test_random_clusters_merge_as_the_restarting_scan(self, seed, count):
-        """Objects scattered about a few centres, with ids in shuffled
-        order: merges chain, and a survivor often overlaps a lower id."""
-        rng = np.random.default_rng(seed)
-        m = make_map(merge_overlap=float(rng.choice([0.2, 0.5])),
-                     overlap_radius=0.05)
-        centres = rng.uniform(-0.3, 0.3, (3, 3))
-        for obj_id in rng.permutation(count).tolist():
-            obj = SemanticObject(obj_id, str(rng.choice(["cup", "book"])))
-            centre = centres[rng.integers(len(centres))]
-            obj.observations.append(Observation(
-                0, centre + rng.uniform(-0.06, 0.06, (int(rng.integers(5, 40)),
-                                                      3))))
-            obj.rebuild(m.keyframes, m.voxel_leaf, m.max_cloud_points)
-            m.objects[obj_id] = obj
+        m = random_clusters(seed, count)
         self.correct_both(m, [(0, m.keyframes[0])])
 
     @pytest.mark.parametrize("xs, pairs", [
         # a cloud covering half of each of two objects passes against
-        # neither, then against the two merged: the pass goes back to the
-        # survivor's pairs before its frontier
+        # neither, then against the two merged: the pass takes the
+        # survivor's failed pairs again
         ([[0.0, 0.01, 0.02, 0.03, 2.0, 2.01, 2.02, 2.03, 5.0, 5.01],
           np.arange(51) * 0.01,
           [0.40, 0.41, 0.42, 0.43, 0.44, 0.45, 2.0, 2.01, 2.02, 2.03]],
@@ -680,6 +720,21 @@ class TestMergePass:
         m.register_candidate(cloud.points, "cup", 1)
         m.apply_trajectory_correction([(1, RigidPose.identity())])
         assert calls == [(120, 120, m.overlap_radius)]
+
+    def test_merge_heavy_run_takes_no_ratio_twice(self):
+        d = json.loads((ROOT / "tests/data/cluttered_drift.json").read_text())
+        config = PipelineConfig(assoc_dist_m=0.02, merge_overlap_ratio=0.3,
+                                overlap_radius_m=0.08)
+        assert distinct_overlap_pairs(run_scenario_detailed,
+                                      Scenario.from_dict(d), config) > 30
+
+    # every ratio of that run merges; here many fall short
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_random_clusters_take_no_ratio_twice(self, seed, count):
+        m = random_clusters(seed, count)
+        distinct_overlap_pairs(m.apply_trajectory_correction,
+                               [(0, m.keyframes[0])])
 
     def test_correction_rebuilds_only_objects_whose_keyframes_moved(
             self, monkeypatch):

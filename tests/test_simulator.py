@@ -13,12 +13,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semmap import simulator
+from semmap.cli import EXIT_SCENARIO, main
 from semmap.errors import FrameOutOfRange, PointBehindCamera, ScenarioError
 from semmap.geometry import MAX_IMAGE_SIDE, RigidPose
 from semmap.headpose import rotation_from_euler
 from semmap.pipeline import Pipeline
 from semmap.simulator import (
-    MAX_CORRECTION_TRANSLATION,
+    MAX_COORDINATE,
     MAX_FALSE_POSITIVE_RATE,
     MAX_FRAMES,
     MAX_LANDMARK_JITTER_PX,
@@ -1125,7 +1126,9 @@ class TestDrift:
         np.testing.assert_allclose(est.rotation, true.rotation)
 
     # three frames at [1.3e308, 1.3e308, 1]: every inverse is finite, and
-    # each drift alone stays finite by the last frame
+    # each drift alone stays finite by the last frame. Such a camera lies
+    # beyond MAX_COORDINATE, rejected after these checks, so the drift
+    # that loads moves cameras at the bound
     @pytest.mark.parametrize("drift, frame, loads", [
         ({"translation_per_frame": [4e307, 0.0, 0.0]}, 1, False),
         ({"rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 0, False),
@@ -1143,6 +1146,9 @@ class TestDrift:
                                "has no finite drifted estimate"):
                 scenario(trajectory=trajectory, drift=drift)
             return
+        at_bound = [MAX_COORDINATE, MAX_COORDINATE, 1.0]
+        trajectory = [{"rotation": np.eye(3).tolist(),
+                       "translation": at_bound}] * 3
         sc = scenario(trajectory=trajectory, drift=drift)
         for i in range(sc.num_frames):
             assert np.isfinite(sc.estimated_pose(i).translation).all()
@@ -1340,6 +1346,84 @@ def shifted_pose(x: float) -> dict:
     return dict(RigidPose.identity().to_dict(), translation=[x, 0.0, 0.0])
 
 
+def two_cups(x: float) -> dict:
+    """Two cups, at the origin and `x` m along the world x axis, each seen
+    by one segment of a two-segment trajectory."""
+    cup = BASE["world_objects"][0]
+    far = [x, 0.0, 1.0]
+    return dict(
+        BASE, world_objects=[cup, dict(cup, centroid=far)],
+        trajectory={"kind": "segments", "segments": [
+            BASE["trajectory"]["segments"][0],
+            {"position": [x, -2.0, 1.0], "look_at": far, "frames": 12}]})
+
+
+class TestCoordinateBound:
+    """World objects and camera positions farther than MAX_COORDINATE are
+    rejected at load: past it, the map metrics' distances and centroid
+    sums overflow mid-run."""
+
+    @pytest.mark.parametrize("x", [1e155, -1e155])
+    def test_far_cups_exit_3(self, tmp_path, x):
+        # died in `associate`'s squared AABB gap (overflow in matmul)
+        path = tmp_path / "two_cups.json"
+        path.write_text(json.dumps(two_cups(x)))
+        assert main(["run", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("x", [MAX_COORDINATE, -MAX_COORDINATE])
+    def test_cups_at_the_bound_run(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            registry, metrics, _ = run_scenario_detailed(
+                Scenario.from_dict(two_cups(x)))
+        assert len(registry.objects) == 2
+        assert metrics.recall == 1.0
+
+    # the box reaches |centroid| + extent / 2 on an axis
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("centre, extent, loads", [
+        (MAX_COORDINATE, 0.1, True),
+        (-MAX_COORDINATE, 0.1, True),
+        (float(np.nextafter(MAX_COORDINATE, np.inf)), 0.1, False),
+        (-1e308, 0.1, False),
+        (0.0, 2 * MAX_COORDINATE, True),
+        (0.0, float(np.nextafter(2 * MAX_COORDINATE, np.inf)), False),
+        (1e308, 1e308, False)])
+    def test_object_bound_names_the_object(self, centre, extent, loads,
+                                           axis):
+        book = {"class": "book", "centroid": [0.0, 0.0, 1.0],
+                "extents": [0.1, 0.1, 0.1]}
+        book["centroid"][axis] = centre
+        book["extents"][axis] = extent
+        objects = BASE["world_objects"] + [book]
+        if loads:
+            sc = scenario(world_objects=objects)
+            assert sc.world_objects[1].centroid[axis] == centre
+            return
+        with pytest.raises(ScenarioError, match=re.escape(
+                "world object 1 ('book') reaches beyond ±1e+150 m")):
+            scenario(world_objects=objects)
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("x, loads", [
+        (MAX_COORDINATE, True),
+        (-MAX_COORDINATE, True),
+        (float(np.nextafter(MAX_COORDINATE, np.inf)), False),
+        (-1e200, False), (1e308, False)])
+    def test_camera_bound_names_the_frame(self, x, loads, axis):
+        far = RigidPose.identity().to_dict()
+        far["translation"][axis] = x
+        trajectory = [RigidPose.identity().to_dict()] * 2 + [far]
+        if loads:
+            sc = scenario(trajectory=trajectory)
+            assert sc.trajectory[2].translation[axis] == x
+            return
+        with pytest.raises(ScenarioError, match=re.escape(
+                "camera of frame 2 lies beyond ±1e+150 m")):
+            scenario(trajectory=trajectory)
+
+
 class TestFrameSource:
     """What the frame source hands the pipeline beyond the picture: the
     frame's time and its corrections, and when it is asked for a frame."""
@@ -1418,15 +1502,15 @@ class TestFrameSource:
 
 
 class TestCorrectionBound:
-    """Explicit correction poses farther than MAX_CORRECTION_TRANSLATION
-    are rejected at load: past it, the map's squared gaps and centroid sums
-    overflow mid-run."""
+    """Explicit correction poses farther than MAX_COORDINATE are rejected
+    at load: past it, the map metrics' distances and centroid sums overflow
+    mid-run."""
 
     @pytest.mark.parametrize("axis", range(3))
     @pytest.mark.parametrize("x, loads", [
-        (MAX_CORRECTION_TRANSLATION, True),
-        (-MAX_CORRECTION_TRANSLATION, True),
-        (float(np.nextafter(MAX_CORRECTION_TRANSLATION, np.inf)), False),
+        (MAX_COORDINATE, True),
+        (-MAX_COORDINATE, True),
+        (float(np.nextafter(MAX_COORDINATE, np.inf)), False),
         (-1e200, False), (1e308, False)])
     def test_bound_names_frame_and_keyframe(self, x, loads, axis):
         far = RigidPose.identity().to_dict()

@@ -25,25 +25,32 @@ from .geometry import CameraIntrinsics, _freeze
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
-# [v]x and -[v]x as gathers from (x, y, z, 0, -x, -y, -z, -0): every entry
-# is v's component, its negation or a zero of the sign a negation leaves
-_SKEW_INDEX = np.array([3, 6, 1, 2, 3, 4, 5, 0, 3])
-_NEG_SKEW_INDEX = np.array([7, 2, 5, 6, 7, 0, 1, 4, 7])
+# [v]x as v's components times signs, row by row:
+# [[0, -z, y], [z, 0, -x], [-y, x, 0]]; -[v]x takes the opposite signs
+_SKEW_COMPONENT = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+_NEG_SKEW_SIGN = -_SKEW_SIGN
+# flat indices of R02, R10 and of R22, R11: yaw's and roll's atan2 arguments
+_EULER_SIN = np.array([2, 3])
+_EULER_COS = np.array([8, 4])
+_ZERO6 = np.zeros(6)
 
 
-def _skew_gather(v: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """[v]x or -[v]x, by index, as C-order (..., 3, 3) matrices."""
-    signed = np.zeros(v.shape[:-1] + (8,))
-    signed[..., :3] = v
-    np.negative(signed[..., :4], out=signed[..., 4:])
-    return signed.take(index, axis=-1).reshape(v.shape[:-1] + (3, 3))
+def _skew(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """[v]x (`_SKEW_SIGN`) or -[v]x (`_NEG_SKEW_SIGN`) of each (..., 3)
+    vector, as C-order (..., 3, 3) matrices. Negation is exact, so every
+    entry is v's component or its negation, and the diagonal is +0 in [v]x
+    and -0 in -[v]x whatever the signs of v's components."""
+    skew = v.take(_SKEW_COMPONENT, axis=-1)
+    skew *= sign
+    skew[..., ::4] = sign[0]
+    return skew.reshape(v.shape[:-1] + (3, 3))
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """v @ v of each row of a 2-D array, shaped (B, 1, 1). A stacked
-    (1, n) @ (n, 1) matmul is the same dot per row as `v @ v` of one row;
-    einsum is not."""
-    return v[:, None, :] @ v[:, :, None]
+    """v @ v of each row of a 2-D array, shaped (B,). `np.vecdot` calls the
+    same dot per row as `v @ v` of one row does; einsum does not."""
+    return np.vecdot(v, v)
 
 
 def _least(values: np.ndarray) -> float:
@@ -59,17 +66,28 @@ def _take(index, *arrays) -> list:
 
 def _rodrigues(w: np.ndarray):
     """Rotation matrices (B, 3, 3) of a (B, 3) stack of axis-angle vectors,
-    and w @ w per row, shaped (B, 1, 1)."""
+    and w @ w per row, shaped (B,).
+
+    theta is repeated to the matrices' shape, so that the products with
+    it need no broadcast.
+    """
     theta2 = _sq_norms(w)
     theta = np.sqrt(theta2)
-    any_small = _least(theta) < 1e-12
-    if any_small:
+    small = None
+    if min(theta.tolist()) < 1e-12:
         small = theta < 1e-12
         theta = np.where(small, 1.0, theta)
-    kx = _skew_gather(w / theta[:, 0], _SKEW_INDEX)
-    rot = _EYE3 + np.sin(theta) * kx + (1 - np.cos(theta)) * (kx @ kx)
-    if any_small:
-        rot = np.where(small, _EYE3 + _skew_gather(w, _SKEW_INDEX), rot)
+    # [w]x but for its diagonal's zeros, whose signs I + [w]x and
+    # I + s [k]x + c [k]x @ [k]x do not show
+    skew = (w.take(_SKEW_COMPONENT, axis=1) * _SKEW_SIGN).reshape(-1, 3, 3)
+    theta = theta.repeat(9).reshape(-1, 3, 3)
+    kx = skew / theta
+    rot = _EYE3 + np.sin(theta) * kx
+    kk = kx @ kx
+    kk *= 1 - np.cos(theta)
+    rot += kk
+    if small is not None:
+        rot = np.where(small[:, None, None], _EYE3 + skew, rot)
     return rot, theta2
 
 
@@ -177,9 +195,9 @@ def _residuals(params: np.ndarray, model_points: np.ndarray,
 
     `params` is a (B, 6) float64 stack and `observed` (B, N, 2); `focal`
     is (fx, fy) and `center` is (cx, cy). Returns the residuals (B, 2N)
-    and the terms (w, w @ w, rot, rx, cam) that `_jacobian` reuses. A row
-    that puts a model point at non-positive camera depth has inf
-    residuals, so its cost is inf.
+    and the terms (w, w @ w, rot, rx, -f p, cam) that `_jacobian`
+    reuses. A row that puts a model point at non-positive
+    camera depth has inf residuals, so its cost is inf.
     """
     w = params[:, :3]
     rot, theta2 = _rodrigues(w)
@@ -190,17 +208,20 @@ def _residuals(params: np.ndarray, model_points: np.ndarray,
     if _least(depth) <= 1e-9:
         behind = depth.min(axis=1) <= 1e-9  # (B, 1)
         depth = np.where(behind[:, None], 1.0, depth)
-    # (c + f p / z) - observed: this order keeps the shipped outputs' bits
-    res = (center + focal * cam[..., :2] / depth - observed).reshape(
-        len(params), -1)
+    # (c + f p / z) - observed keeps the shipped outputs' bits; c - (-f p)
+    # / z is the same sum, since negation is exact
+    neg_fp = -focal * cam[..., :2]
+    res = center - neg_fp / depth
+    res -= observed
+    res = res.reshape(len(params), -1)
     if behind is not None:
         res[behind[:, 0]] = math.inf
-    return res, (w, theta2, rot, rx, cam)
+    return res, (w, theta2, rot, rx, neg_fp, cam)
 
 
 def _jacobian(model_points: np.ndarray, focal: np.ndarray, w: np.ndarray,
               theta2: np.ndarray, rot: np.ndarray, rx: np.ndarray,
-              cam: np.ndarray) -> np.ndarray:
+              neg_fp: np.ndarray, cam: np.ndarray) -> np.ndarray:
     """Analytic Jacobians (B, 2N, 6) of `_residuals` at the rows it
     evaluated."""
     b, n = cam.shape[:2]
@@ -211,7 +232,7 @@ def _jacobian(model_points: np.ndarray, focal: np.ndarray, w: np.ndarray,
     # 10 and -f p/z^2 at 5 and 11; 4 and 9 stay zero.
     flat = jac.reshape(b, n, 12)
     np.divide(focal, depth, out=flat[..., 3::7])
-    np.divide(-focal * cam[..., :2], depth * depth, out=flat[..., 5::6])
+    np.divide(neg_fp, depth * depth, out=flat[..., 5::6])
     # d(R x)/dw in Gallego-Yezzi matrix form (arXiv 1312.0788):
     # -[R x]x (w w^T + [w]x (I - R)) / theta^2, and -[x]x near w = 0.
     # For an exact R this equals -R [x]x (w w^T + (R^T - I)[w]x) / theta^2;
@@ -220,12 +241,13 @@ def _jacobian(model_points: np.ndarray, focal: np.ndarray, w: np.ndarray,
     if any_small:
         small = theta2 < 1e-16
         theta2 = np.where(small, 1.0, theta2)
-    m = (w[:, :, None] * w[:, None, :]
-         + _skew_gather(w, _SKEW_INDEX) @ (_EYE3 - rot)) / theta2
-    dp_dw = _skew_gather(rx, _NEG_SKEW_INDEX) @ m[:, None]
+    m = _skew(w, _SKEW_SIGN) @ (_EYE3 - rot)
+    m += w[:, :, None] * w[:, None, :]
+    m = m / theta2[:, None, None]
+    dp_dw = _skew(rx, _NEG_SKEW_SIGN) @ m[:, None]
     if any_small:
-        dp_dw = np.where(small[:, None],
-                         _skew_gather(model_points, _NEG_SKEW_INDEX), dp_dw)
+        dp_dw = np.where(small[:, None, None, None],
+                         _skew(model_points, _NEG_SKEW_SIGN), dp_dw)
     np.matmul(jac[..., 3:], dp_dw, out=jac[..., :3])
     return jac.reshape(b, 2 * n, 6)
 
@@ -295,7 +317,7 @@ def _closed_form_starts(points: np.ndarray, observed: np.ndarray,
         cands = np.where(usable[:, None], cands, fallback)
         res, _ = _residuals(cands, points, np.concatenate((observed, observed)),
                             focal, center)
-        cost = np.where(usable, _sq_norms(res).ravel(), math.inf)
+        cost = np.where(usable, _sq_norms(res), math.inf)
     cands = np.where(np.isinf(cost)[:, None], fallback, cands)
     return np.where((cost[b:] < cost[:b])[:, None], cands[b:], cands[:b])
 
@@ -345,14 +367,16 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
     """
     final = np.array(params, dtype=np.float64)
     dof = 2 * len(points) - 6
+    noise = K**2
     final_cost = [math.inf] * len(final)
     errors = [None] * len(final)
     res, terms = _residuals(final, points, observed, focal, center)
     final_rot = terms[2]
+    cost = _sq_norms(res).tolist()
     rows = list(range(len(final)))  # the rows still descending
-    depth = terms[-1][..., 2]
-    if _least(depth) <= 1e-9:
+    if math.inf in cost:  # as is the cost of a start behind the camera
         rows = []
+        depth = terms[-1][..., 2]
         for i, ok in enumerate((depth.min(axis=1) > 1e-9).tolist()):
             if ok:
                 rows.append(i)
@@ -360,9 +384,11 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
                 errors[i] = PointBehindCamera(
                     "model point at non-positive camera depth")
         res, *terms = _take(rows, res, *terms)
-    params, observed = _take(rows, final, observed)
+        params, observed = _take(rows, final, observed)
+        cost = [cost[i] for i in rows]
+    else:
+        params = final.copy()
     rot = terms[2]
-    cost = _sq_norms(res).ravel().tolist()
     lam = [float(lambda_init)] * len(rows)
     iterations = max_iterations if rows else 0
     if iterations:
@@ -371,29 +397,31 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
     def retire(stop):
         """Take the `stop` rows out of the descent, keeping their result;
         returns the rows that go on, as indices into the live stacks."""
-        nonlocal rows, params, rot, observed, jtj, neg_jtr, cost, lam
+        nonlocal rows, params, rot, observed, cost, lam
         for j in stop:
             i = rows[j]
             final[i], final_rot[i], final_cost[i] = params[j], rot[j], cost[j]
         keep = [j for j in range(len(rows)) if j not in stop]
         rows, cost, lam = ([x[j] for j in keep] for x in (rows, cost, lam))
         if keep:
-            params, rot, observed, jtj, neg_jtr = _take(
-                keep, params, rot, observed, jtj, neg_jtr)
+            params, rot, observed = _take(keep, params, rot, observed)
         return keep
 
     for iteration in range(iterations):
         step = _solve(jtj + np.multiply.outer(lam, _EYE6), neg_jtr)
-        sq = _sq_norms(step).ravel().tolist()
-        if not all(map(math.isfinite, sq)):  # singular: damp harder
+        sq = _sq_norms(step).tolist()
+        rescued = not all(map(math.isfinite, sq))
+        if rescued:  # singular: damp harder
             for j in np.flatnonzero(~np.isfinite(step).all(axis=1)):
                 while lam[j] <= 1e12 and not np.isfinite(step[j]).all():
                     lam[j] *= 10.0
                     step[j] = _solve(jtj[j] + lam[j] * _EYE6, neg_jtr[j])
-            sq = _sq_norms(step).ravel().tolist()
-        norm = [math.sqrt(x) for x in sq]
-        stop = [j for j, n in enumerate(norm)
-                if lam[j] > 1e12 or (iteration == 0 and n < step_tol)]
+            sq = _sq_norms(step).tolist()
+        # damping past 1e12 comes only from the rescue, since a trial that
+        # takes it there stops its row
+        stop = [j for j, x in enumerate(sq) if lam[j] > 1e12
+                or (iteration == 0 and math.sqrt(x) < step_tol)] \
+            if iteration == 0 or rescued else ()
         if stop:
             for j in stop:
                 if lam[j] > 1e12:
@@ -402,18 +430,19 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
             keep = retire(stop)
             if not rows:
                 break
-            (step,), norm = _take(keep, step), [norm[j] for j in keep]
+            step, jtj, neg_jtr = _take(keep, step, jtj, neg_jtr)
+            sq = [sq[j] for j in keep]
         trial = params + step
         trial_res, terms = _residuals(trial, points, observed, focal, center)
-        trial_cost = _sq_norms(trial_res).ravel().tolist()
+        trial_cost = _sq_norms(trial_res).tolist()
         better, grow, stop = [], [], []
         for j, (c, t) in enumerate(zip(cost, trial_cost)):
             if t < c:  # a trial behind the camera costs inf: rejected
                 better.append(j)
                 cost[j] = t
                 lam[j] = max(lam[j] / 10.0, 1e-12)
-                (stop if norm[j] < step_tol
-                 or c - t < cost_tol + K**2 * c / dof else grow).append(j)
+                (stop if math.sqrt(sq[j]) < step_tol
+                 or c - t < cost_tol + noise * c / dof else grow).append(j)
             else:
                 lam[j] *= 10.0
                 if lam[j] > 1e12:
@@ -423,47 +452,38 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
         else:
             for j in better:
                 params[j], rot[j] = trial[j], terms[2][j]
-        if grow and iteration + 1 < iterations:
-            if len(grow) == len(rows):
-                jtj, neg_jtr = _normal_equations(points, focal, trial_res,
-                                                 *terms)
-            else:
-                new = _normal_equations(points, focal,
-                                        *_take(grow, trial_res, *terms))
-                for r, j in enumerate(grow):
-                    jtj[j], neg_jtr[j] = new[0][r], new[1][r]
+        keep = range(len(rows))
         if stop:
-            retire(stop)
+            keep = retire(stop)
             if not rows:
                 break
+            if len(grow) < len(rows):  # rejected rows keep their equations
+                jtj, neg_jtr = _take(keep, jtj, neg_jtr)
+        if grow and iteration + 1 < iterations:
+            moved = (trial_res, *terms) if len(grow) == len(trial_res) \
+                else _take(grow, trial_res, *terms)
+            if len(grow) == len(rows):
+                jtj, neg_jtr = _normal_equations(points, focal, *moved)
+            else:
+                new = _normal_equations(points, focal, *moved)
+                at = {j: r for r, j in enumerate(keep)}
+                for r, j in enumerate(grow):
+                    jtj[at[j]], neg_jtr[at[j]] = new[0][r], new[1][r]
     if rows:
         retire(range(len(rows)))
     return final, final_rot, final_cost, errors
 
 
 def _checked_init(init) -> np.ndarray:
-    """A caller's start as a fresh float64 6-vector; ValueError for anything
-    but six finite numbers."""
+    """A caller's start as a float64 6-vector, not copied if it is one;
+    ValueError for anything but six finite numbers."""
     try:
-        params = np.array(init, dtype=np.float64)
+        params = np.asarray(init, dtype=np.float64)
     except (TypeError, ValueError):
         params = np.empty(0)
-    if params.shape != (6,) or not np.isfinite(params).all():
+    if params.shape != (6,) or not all(map(math.isfinite, params.tolist())):
         raise ValueError(f"init must be six finite numbers, got {init!r}")
     return params
-
-
-def _pose(params: np.ndarray, rot: np.ndarray, cost: float, n: int,
-          accept_rms: float) -> HeadPose | NoConvergence:
-    """The HeadPose of a descent's end point and its rotation matrix, or
-    NoConvergence when its rms over `n` landmarks exceeds `accept_rms`."""
-    rms = math.sqrt(cost / n)
-    if rms > accept_rms:
-        return NoConvergence(
-            f"rms {rms:.2f} px above accept bound {accept_rms}")
-    yaw, pitch, roll = euler_from_rotation(rot)
-    return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms,
-                    params[:3].copy())
 
 
 def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
@@ -479,7 +499,9 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
     Faces with the same landmark set descend as one stack, each once from
     `inits[i]`, six finite numbers (axis-angle rotation, translation, as a
     pose's own `(axis_angle, translation)`), or for None from the start of
-    `_closed_form_starts`.
+    `_closed_form_starts`. A pose whose rms over its landmarks exceeds
+    `accept_rms` is NoConvergence. The poses of one call share their
+    arrays' memory with each other and with nothing else.
     """
     if inits is None:
         inits = [None] * len(faces)
@@ -501,8 +523,11 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
     for names, group in groups.items():
         n = len(names)
         sub = model if n == len(model.names) else model.subset(names)
-        observed = np.array([faces[i].array_for(names) for i in group])
-        starts = np.array([np.zeros(6) if inits[i] is None else inits[i]
+        # one flat list of floats: numpy reads it faster than nested pairs
+        observed = np.array([c for i in group for name in names
+                             for c in faces[i].landmarks[name]]).reshape(
+                                 len(group), n, 2)
+        starts = np.array([_ZERO6 if inits[i] is None else inits[i]
                            for i in group])
         cold = [j for j, i in enumerate(group) if inits[i] is None]
         if cold:
@@ -510,9 +535,17 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
                                                focal, center)
         params, rots, cost, errors = _lm_minimize(
             starts, sub.points, observed, focal, center, *options)
+        angles = euler_from_rotation(rots)
         for j, i in enumerate(group):
-            outcomes[i] = errors[j] if errors[j] is not None \
-                else _pose(params[j], rots[j], cost[j], n, accept_rms)
+            rms = math.sqrt(cost[j] / n)
+            if errors[j] is not None:
+                outcomes[i] = errors[j]
+            elif rms > accept_rms:
+                outcomes[i] = NoConvergence(
+                    f"rms {rms:.2f} px above accept bound {accept_rms}")
+            else:
+                outcomes[i] = HeadPose(rots[j], params[j, 3:], *angles[j],
+                                       rms, params[j, :3])
     return outcomes
 
 
@@ -533,25 +566,30 @@ def euler_from_rotation(rot: np.ndarray):
 
     yaw in (-180, 180], pitch in [-90, 90], roll in (-180, 180].
     At gimbal lock (|pitch| = 90) roll is fixed to 0 by convention.
+    Returns (yaw, pitch, roll) of a 3x3 rotation, or a list of them for a
+    (B, 3, 3) stack: one numpy call per function over the stack, and
+    Python floats for the clip, the gimbal-lock test and the wrap.
     """
     rot = np.asarray(rot, dtype=np.float64)
-    sb = min(max(float(-rot[1, 2]), -1.0), 1.0)
-    pitch = np.degrees(np.arcsin(sb))
-    cb = math.sqrt(max(0.0, 1.0 - sb * sb))
-    if cb < 1e-12:
-        roll = 0.0
-        if sb > 0:
-            yaw = np.degrees(np.arctan2(rot[0, 1], rot[0, 0]))
-        else:
-            yaw = np.degrees(np.arctan2(-rot[0, 1], rot[0, 0]))
-    else:
-        yaw = np.degrees(np.arctan2(rot[0, 2], rot[2, 2]))
-        roll = np.degrees(np.arctan2(rot[1, 0], rot[1, 1]))
-    if yaw <= -180.0:
-        yaw += 360.0
-    if roll <= -180.0:
-        roll += 360.0
-    return float(yaw), float(pitch), float(roll)
+    flat = rot.reshape(-1, 9)
+    sbs = [min(max(-x, -1.0), 1.0) for x in flat[:, 5].tolist()]
+    pitches = np.degrees(np.arcsin(sbs)).tolist()
+    # yaw = atan2(R02, R22) and roll = atan2(R10, R11) off gimbal lock
+    yaw_rolls = np.degrees(np.arctan2(flat.take(_EULER_SIN, axis=1),
+                                      flat.take(_EULER_COS, axis=1))).tolist()
+    angles = []
+    for j, (sb, pitch, (yaw, roll)) in enumerate(
+            zip(sbs, pitches, yaw_rolls)):
+        if math.sqrt(max(0.0, 1.0 - sb * sb)) < 1e-12:
+            r01, r00 = flat[j, 1], flat[j, 0]
+            yaw = float(np.degrees(np.arctan2(r01 if sb > 0 else -r01, r00)))
+            roll = 0.0
+        if yaw <= -180.0:
+            yaw += 360.0
+        if roll <= -180.0:
+            roll += 360.0
+        angles.append((yaw, pitch, roll))
+    return angles if rot.ndim == 3 else angles[0]
 
 
 def is_attending(pose: HeadPose, cone_deg: float = 15.0) -> bool:

@@ -64,9 +64,10 @@ MAX_SAMPLE_COUNT = 1_000_000
 MAX_FRAMES = 108_000
 MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
 # a world coordinate, m, on each axis: of an object's box, a camera
-# position or a corrected keyframe's translation. Within it, the squared
-# distances between clouds, ≤ 3 (2e150)² ≈ 1e301, and a centroid's sum of
-# up to 1e158 points stay under the largest float, 1.8e308
+# position, its drifted estimate or a corrected keyframe's translation.
+# Within it, the squared distances between clouds, ≤ 3 (2e150)² ≈ 1e301,
+# and a centroid's sum of up to 1e158 points stay under the largest float,
+# 1.8e308
 MAX_COORDINATE = 1e150
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
@@ -399,6 +400,14 @@ class Scenario:
         if far.size:
             raise ScenarioError(f"camera of frame {far[0]} lies beyond "
                                 f"±{MAX_COORDINATE} m")
+        if self.drift is not None:
+            # drift carries the map's clouds with the estimate
+            far = np.flatnonzero(
+                np.abs(self.estimate_t).max(axis=1) > MAX_COORDINATE)
+            if far.size:
+                raise ScenarioError(
+                    f"drifted estimate of frame {start + far[0]} lies beyond "
+                    f"±{MAX_COORDINATE} m")
         for idx, obj in enumerate(self.world_objects):
             if max(abs(c) + e / 2 for c, e in zip(obj.centroid, obj.extents)) \
                     > MAX_COORDINATE:

@@ -23,7 +23,6 @@ from semmap.geometry import (
     voxel_downsample,
 )
 from semmap.headpose import (
-    _SKEW_INDEX,
     K,
     FaceModel3D,
     HeadPose,
@@ -31,8 +30,6 @@ from semmap.headpose import (
     _jacobian,
     _residuals,
     _rodrigues,
-    _skew_gather,
-    euler_from_rotation,
     lm_solve_poses,
     project_model,
     rotation_from_euler,
@@ -213,10 +210,44 @@ def reference_extract_object_cloud(bbox, depth: DepthImage, pose: RigidPose,
     return PointCloud(pts)
 
 
+# The references' own cross-product matrix and Euler decomposition: frozen
+# copies of the solver's, as they were when the references were taken, so
+# that a rewritten solver kernel is checked against independent code.
+
+_SKEW_INDEX = np.array([3, 6, 1, 2, 3, 4, 5, 0, 3])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix [v]x, batched over the leading axes of v, as
-    the solver's kernels build it: signed zeros and all."""
-    return _skew_gather(np.asarray(v, dtype=np.float64), _SKEW_INDEX)
+    """Cross-product matrix [v]x, batched over the leading axes of v,
+    gathered from (x, y, z, 0, -x, -y, -z, -0): signed zeros and all."""
+    v = np.asarray(v, dtype=np.float64)
+    signed = np.zeros(v.shape[:-1] + (8,))
+    signed[..., :3] = v
+    np.negative(signed[..., :4], out=signed[..., 4:])
+    return signed.take(_SKEW_INDEX, axis=-1).reshape(v.shape[:-1] + (3, 3))
+
+
+def reference_euler(rot) -> tuple:
+    """R = Ry(yaw) Rx(pitch) Rz(roll) decomposed, in degrees, one rotation
+    at a time; at gimbal lock (|pitch| = 90) roll is 0."""
+    rot = np.asarray(rot, dtype=np.float64)
+    sb = min(max(float(-rot[1, 2]), -1.0), 1.0)
+    pitch = np.degrees(np.arcsin(sb))
+    cb = math.sqrt(max(0.0, 1.0 - sb * sb))
+    if cb < 1e-12:
+        roll = 0.0
+        if sb > 0:
+            yaw = np.degrees(np.arctan2(rot[0, 1], rot[0, 0]))
+        else:
+            yaw = np.degrees(np.arctan2(-rot[0, 1], rot[0, 0]))
+    else:
+        yaw = np.degrees(np.arctan2(rot[0, 2], rot[2, 2]))
+        roll = np.degrees(np.arctan2(rot[1, 0], rot[1, 1]))
+    if yaw <= -180.0:
+        yaw += 360.0
+    if roll <= -180.0:
+        roll += 360.0
+    return float(yaw), float(pitch), float(roll)
 
 
 def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
@@ -396,7 +427,7 @@ def reference_lm_solve_pose(obs, model, k, init, lambda_init=1e-3,
     if rms > accept_rms:
         raise NoConvergence(f"rms {rms:.2f} px above accept bound {accept_rms}")
     rot = _reference_rodrigues(params[:3])
-    yaw, pitch, roll = euler_from_rotation(rot)
+    yaw, pitch, roll = reference_euler(rot)
     return HeadPose(rot, params[3:6].copy(), yaw, pitch, roll, rms)
 
 
@@ -418,7 +449,7 @@ def reference_descent(obs, model, k, init, lambda_init=1e-3, step_tol=1e-8,
                 raise NoConvergence(
                     f"rms {rms:.2f} px above accept bound {accept_rms}")
             rot = _reference_rodrigues(init[:3])
-            yaw, pitch, roll = euler_from_rotation(rot)
+            yaw, pitch, roll = reference_euler(rot)
             return HeadPose(rot, init[3:6].copy(), yaw, pitch, roll, rms)
     return reference_lm_solve_pose(obs, model, k, init, lambda_init,
                                    step_tol, accept_rms=accept_rms, **options)

@@ -1,15 +1,19 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     per_landmark_jacobian,
     reference_descent,
+    reference_euler,
     residuals_and_jacobian,
     rodrigues,
+    skew,
     solve_one,
 )
 
@@ -20,6 +24,7 @@ from semmap.errors import (
     PointBehindCamera,
 )
 from semmap.geometry import CameraIntrinsics
+from semmap.pipeline import Pipeline
 from semmap.headpose import (
     FaceModel3D,
     HeadPose,
@@ -31,6 +36,7 @@ from semmap.headpose import (
     project_model,
     rotation_from_euler,
 )
+from semmap.simulator import Scenario, synthesize_frame_data
 
 MODEL = FaceModel3D.default()
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0,
@@ -511,6 +517,153 @@ class TestBatchedSolves:
             lm_solve_poses([obs, obs], MODEL, K, inits=[None])
 
 
+class TestReferenceIsIndependent:
+    """The oracle of the bitwise tests runs none of the solver's kernels,
+    so a rewritten kernel is not checked against itself."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_reference_descent_without_solver_kernels(self, warm,
+                                                      monkeypatch):
+        obs, model, init = solver_case(4, 1.0, True, 1, warm, 0.6)
+        start = descent_start(obs, model, init)
+        want = _outcome(reference_descent, obs, model, K, start)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference called a solver kernel")
+
+        for name in ("_skew", "_rodrigues", "_residuals", "_jacobian",
+                     "_normal_equations", "_solve", "euler_from_rotation",
+                     "lm_solve_poses"):
+            monkeypatch.setattr(headpose, name, refuse)
+            monkeypatch.setattr(conftest, name, refuse, raising=False)
+        assert _outcome(reference_descent, obs, model, K, start) == want
+        assert isinstance(want, tuple)
+
+
+def pose_arrays(poses) -> list:
+    """The arrays of each HeadPose among `poses`."""
+    return [getattr(p, name) for p in poses if isinstance(p, HeadPose)
+            for name in ("rotation", "translation", "axis_angle")]
+
+
+def kernel_arrays(seed, b, n) -> list:
+    """The residuals and Jacobian of `b` poses in front of the camera,
+    fitting `n` landmarks of the extended model, from the solver's kernels
+    as the descent calls them, and one pose's by `residuals_and_jacobian`."""
+    rng = np.random.default_rng(seed)
+    points = EXTENDED_MODEL.points[rng.permutation(9)[:n]]
+    params = np.column_stack([rng.normal(0, 0.5, (b, 3)),
+                              rng.normal(0, 0.05, (b, 2)),
+                              rng.uniform(0.6, 2.0, b)])
+    observed = rng.uniform([0, 0], [640, 480], (b, n, 2))
+    focal, center = np.array([K.fx, K.fy]), np.array([K.cx, K.cy])
+    res, terms = headpose._residuals(params, points, observed, focal, center)
+    jac = headpose._jacobian(points, focal, *terms)
+    one = residuals_and_jacobian(params[0], points, observed[0], K)
+    return [res, jac, *one]
+
+
+operations = st.one_of(
+    st.tuples(st.just("solve"), st.lists(face_cases, min_size=1, max_size=5)),
+    st.tuples(st.just("kernels"), st.integers(0, 2**32 - 1),
+              st.integers(1, 5), st.integers(6, 9)))
+
+
+class TestNoSharedMemory:
+    """No array a solve or a kernel returns lives in memory that a later
+    call reuses: each keeps its bytes, and shares no memory with arrays
+    that later calls return."""
+
+    @staticmethod
+    def check(kept, new):
+        for arr in new:
+            assert not any(np.shares_memory(arr, old) for old, _ in kept)
+        kept += [(arr, arr.tobytes()) for arr in new]
+        for arr, data in kept:
+            assert arr.tobytes() == data
+
+    @given(ops=st.lists(operations, min_size=2, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_calls(self, ops):
+        kept = []
+        for kind, *args in ops:
+            if kind == "solve":
+                faces = [solver_case(*case)[::2] for case in args[0]]
+                new = pose_arrays(lm_solve_poses(
+                    [obs for obs, _ in faces], EXTENDED_MODEL, K,
+                    inits=[init for _, init in faces]))
+            else:
+                new = kernel_arrays(*args)
+            self.check(kept, new)
+
+    def test_warm_poses_the_pipeline_keeps(self):
+        sc = Scenario.from_json(Path(__file__).resolve().parent / "data"
+                                / "attention_crowd.json")
+        pipeline = Pipeline(sc.intrinsics)
+        kept, seen = [], set()
+        for i in range(20):
+            pipeline.step(synthesize_frame_data(sc, i)[0])
+            new = [p for p in pipeline.head_poses.values()
+                   if id(p) not in seen]
+            seen.update(map(id, new))
+            self.check(kept, pose_arrays(new))
+        assert len(seen) > 20
+
+
+# rotations whose decomposition meets a branch or a boundary: the identity
+# with zeros of either sign, pitch at ±90° (gimbal lock), yaw and roll at
+# the -180° wrap, and NaN
+EULER_EDGES = [
+    np.eye(3),
+    np.array([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]]),
+    np.array([[1.0, 0.0, -0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 1.0]]),
+    rotation_from_euler(20, 90, 35), rotation_from_euler(20, -90, 35),
+    rotation_from_euler(-170, 90, 0), rotation_from_euler(0, -90, 170),
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]),
+    np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
+    np.array([[-1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, -1.0]]),
+    np.array([[1.0, 0.0, 0.0], [-0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[-1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0 - 1e-15], [0.0, 1.0, 0.0]]),
+    np.full((3, 3), np.nan),
+]
+
+
+def euler_bits(angles) -> bytes:
+    return np.array(angles, dtype=np.float64).tobytes()
+
+
+class TestBatchedEuler:
+    """`euler_from_rotation` of a stack against the one-rotation
+    decomposition it replaced (`conftest.reference_euler`), bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_random_rotations(self, seed, b):
+        rng = np.random.default_rng(seed)
+        rots = np.array([rodrigues(w) for w in rng.normal(0, 2.0, (b, 3))])
+        got = euler_from_rotation(rots)
+        assert euler_bits(got) == euler_bits(
+            [reference_euler(r) for r in rots])
+
+    @given(picks=st.lists(st.integers(0, len(EULER_EDGES) - 1), min_size=1,
+                          max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_edges_in_any_stack(self, picks):
+        rots = np.array([EULER_EDGES[i] for i in picks])
+        got = euler_from_rotation(rots)
+        assert euler_bits(got) == euler_bits(
+            [reference_euler(r) for r in rots])
+
+    @pytest.mark.parametrize("index", range(len(EULER_EDGES)))
+    def test_each_edge(self, index):
+        rot = EULER_EDGES[index]
+        assert euler_bits(euler_from_rotation(rot)) \
+            == euler_bits(reference_euler(rot))
+        assert all(type(a) is float for a in euler_from_rotation(rot))
+
+
 class TestSolverGates:
     """Solver gates, never tuned to pass."""
 
@@ -608,6 +761,17 @@ class TestAttending:
 def test_skew_cross_product_identity():
     rng = np.random.default_rng(2)
     a, b = rng.normal(0, 1, (2, 3))
-    np.testing.assert_allclose(
-        headpose._skew_gather(a, headpose._SKEW_INDEX) @ b, np.cross(a, b),
-        atol=1e-15)
+    np.testing.assert_allclose(headpose._skew(a, headpose._SKEW_SIGN) @ b,
+                               np.cross(a, b), atol=1e-15)
+
+
+@given(v=st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25])
+                  | st.floats(-1e3, 1e3), min_size=3, max_size=3))
+def test_skew_is_the_gathered_one_bit_for_bit(v):
+    # [v]x and -[v]x as the reference gathers them from
+    # (x, y, z, 0, -x, -y, -z, -0), zeros' signs included
+    v = np.array([v, v[::-1]])
+    assert headpose._skew(v, headpose._SKEW_SIGN).tobytes() \
+        == skew(v).tobytes()
+    assert headpose._skew(v, headpose._NEG_SKEW_SIGN).tobytes() \
+        == (-skew(v)).tobytes()

@@ -1128,13 +1128,14 @@ class TestDrift:
     # three frames at [1.3e308, 1.3e308, 1]: every inverse is finite, and
     # each drift alone stays finite by the last frame. Such a camera lies
     # beyond MAX_COORDINATE, rejected after these checks, so the drift
-    # that loads moves cameras at the bound
+    # that loads moves cameras at the bound, and towards the origin: the
+    # drifted estimate is held to the same bound
     @pytest.mark.parametrize("drift, frame, loads", [
         ({"translation_per_frame": [4e307, 0.0, 0.0]}, 1, False),
         ({"rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 0, False),
         ({"start_frame": 1, "rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 1,
          False),
-        ({"translation_per_frame": [1e307, 0.0, 0.0]}, None, True),
+        ({"translation_per_frame": [-1e149, 0.0, 0.0]}, None, True),
     ], ids=["translation", "rotation", "rotation_from_frame_1", "in_range"])
     def test_estimate_that_overflows_rejected_at_load(self, drift, frame,
                                                        loads):
@@ -1359,9 +1360,38 @@ def two_cups(x: float) -> dict:
 
 
 class TestCoordinateBound:
-    """World objects and camera positions farther than MAX_COORDINATE are
-    rejected at load: past it, the map metrics' distances and centroid
-    sums overflow mid-run."""
+    """World objects, camera positions and their drifted estimates farther
+    than MAX_COORDINATE are rejected at load: past it, the map metrics'
+    distances and centroid sums overflow mid-run."""
+
+    def test_far_drifted_estimate_exits_3(self, tmp_path):
+        # loaded, then died in `compute_map_metrics` (overflow in dot)
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps(dict(
+            BASE, drift={"translation_per_frame": [1e154, 0.0, 0.0]})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == EXIT_SCENARIO
+
+    # a drift of `step` m a frame from frame `start` of 12: frame f's
+    # estimate lies f - start + 1 steps from the camera, at x = 0; at
+    # ±MAX_COORDINATE / 12 the last one lies on the bound
+    @pytest.mark.parametrize("start, step, frame", [
+        (0, 1e154, 0), (4, 1e154, 4), (0, -1e149, 10), (3, 1.2e149, 11),
+        (0, MAX_COORDINATE / 12, None), (0, -MAX_COORDINATE / 12, None)])
+    def test_drifted_estimate_bound_names_the_frame(self, start, step,
+                                                    frame):
+        drift = {"start_frame": start, "translation_per_frame": [step, 0, 0]}
+        if frame is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, metrics, _ = run_scenario_detailed(scenario(drift=drift))
+            assert metrics.registered_count >= 1
+            return
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"drifted estimate of frame {frame} lies beyond ±1e+150 m")):
+            scenario(drift=drift)
 
     @pytest.mark.parametrize("x", [1e155, -1e155])
     def test_far_cups_exit_3(self, tmp_path, x):

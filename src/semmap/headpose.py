@@ -36,14 +36,37 @@ _EULER_COS = np.array([8, 4])
 _ZERO6 = np.zeros(6)
 
 
+# Stacks of more rows broadcast the kernels' constants: there the
+# arithmetic outweighs numpy's dispatch, and repeated constants would grow
+# with the stack.
+_STACKED_ROWS = 64
+
+
+@functools.lru_cache(maxsize=32)
+def _stacked(b: int, n: int) -> tuple:
+    """The constants that the kernels combine with stacks of b rows,
+    repeated to the stacks' shapes, read-only: I (b, 3, 3), ones
+    (b, 3, 3), the signs of [v]x (b, 9) and those of -[v]x for n points a
+    row (b, n, 9). numpy runs an operation on operands of one shape much
+    faster than a broadcast over a few rows."""
+    if b > _STACKED_ROWS:
+        return _EYE3, 1.0, _SKEW_SIGN, _NEG_SKEW_SIGN
+    stacked = (np.tile(_EYE3, (b, 1, 1)), np.ones((b, 3, 3)),
+               np.tile(_SKEW_SIGN, (b, 1)), np.tile(_NEG_SKEW_SIGN, (b, n, 1)))
+    for array in stacked:
+        array.flags.writeable = False
+    return stacked
+
+
 def _skew(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """[v]x (`_SKEW_SIGN`) or -[v]x (`_NEG_SKEW_SIGN`) of each (..., 3)
-    vector, as C-order (..., 3, 3) matrices. Negation is exact, so every
-    entry is v's component or its negation, and the diagonal is +0 in [v]x
-    and -0 in -[v]x whatever the signs of v's components."""
+    """[v]x (`_SKEW_SIGN`) or -[v]x (`_NEG_SKEW_SIGN`, or either repeated
+    to v's rows) of each (..., 3) vector, as C-order (..., 3, 3) matrices.
+    Negation is exact, so every entry is v's component or its negation, and
+    the diagonal is +0 in [v]x and -0 in -[v]x whatever the signs of v's
+    components."""
     skew = v.take(_SKEW_COMPONENT, axis=-1)
     skew *= sign
-    skew[..., ::4] = sign[0]
+    skew[..., ::4] = sign.flat[0]
     return skew.reshape(v.shape[:-1] + (3, 3))
 
 
@@ -64,12 +87,12 @@ def _take(index, *arrays) -> list:
     return [x.take(index, axis=0) for x in arrays]
 
 
-def _rodrigues(w: np.ndarray):
+def _rodrigues(w: np.ndarray, eye=_EYE3, one=1.0, sign=_SKEW_SIGN):
     """Rotation matrices (B, 3, 3) of a (B, 3) stack of axis-angle vectors,
     and w @ w per row, shaped (B,).
 
-    theta is repeated to the matrices' shape, so that the products with
-    it need no broadcast.
+    theta is repeated to the matrices' shape, and `eye`, `one` and `sign`
+    may be `_stacked`'s, so that no operation needs a broadcast.
     """
     theta2 = _sq_norms(w)
     theta = np.sqrt(theta2)
@@ -79,15 +102,15 @@ def _rodrigues(w: np.ndarray):
         theta = np.where(small, 1.0, theta)
     # [w]x but for its diagonal's zeros, whose signs I + [w]x and
     # I + s [k]x + c [k]x @ [k]x do not show
-    skew = (w.take(_SKEW_COMPONENT, axis=1) * _SKEW_SIGN).reshape(-1, 3, 3)
+    skew = (w.take(_SKEW_COMPONENT, axis=1) * sign).reshape(-1, 3, 3)
     theta = theta.repeat(9).reshape(-1, 3, 3)
     kx = skew / theta
-    rot = _EYE3 + np.sin(theta) * kx
+    rot = eye + np.sin(theta) * kx
     kk = kx @ kx
-    kk *= 1 - np.cos(theta)
+    kk *= one - np.cos(theta)
     rot += kk
     if small is not None:
-        rot = np.where(small[:, None, None], _EYE3 + skew, rot)
+        rot = np.where(small[:, None, None], eye + skew, rot)
     return rot, theta2
 
 
@@ -196,11 +219,11 @@ def _residuals(params: np.ndarray, model_points: np.ndarray,
     `params` is a (B, 6) float64 stack and `observed` (B, N, 2); `focal`
     is (fx, fy) and `center` is (cx, cy). Returns the residuals (B, 2N)
     and the terms (w, w @ w, rot, rx, -f p, cam) that `_jacobian`
-    reuses. A row that puts a model point at non-positive
-    camera depth has inf residuals, so its cost is inf.
+    reuses. A row that puts a model point at non-positive camera depth has
+    inf residuals, so its cost is inf.
     """
     w = params[:, :3]
-    rot, theta2 = _rodrigues(w)
+    rot, theta2 = _rodrigues(w, *_stacked(len(w), len(model_points))[:3])
     rx = model_points @ rot.transpose(0, 2, 1)
     cam = rx + params[:, None, 3:]
     depth = cam[..., 2:]
@@ -241,10 +264,11 @@ def _jacobian(model_points: np.ndarray, focal: np.ndarray, w: np.ndarray,
     if any_small:
         small = theta2 < 1e-16
         theta2 = np.where(small, 1.0, theta2)
-    m = _skew(w, _SKEW_SIGN) @ (_EYE3 - rot)
+    eye, _, sign, neg_sign = _stacked(b, n)
+    m = _skew(w, sign) @ (eye - rot)
     m += w[:, :, None] * w[:, None, :]
     m = m / theta2[:, None, None]
-    dp_dw = _skew(rx, _NEG_SKEW_SIGN) @ m[:, None]
+    dp_dw = _skew(rx, neg_sign) @ m[:, None]
     if any_small:
         dp_dw = np.where(small[:, None, None, None],
                          _skew(model_points, _NEG_SKEW_SIGN), dp_dw)

@@ -197,6 +197,28 @@ class TestResidualsAndJacobian:
         assert res.tobytes() == ref_res.tobytes()
         assert np.abs(jac - ref_jac).max() <= 1e-12 * np.abs(ref_jac).max()
 
+    @pytest.mark.parametrize("depth", [3, headpose._STACKED_ROWS + 6])
+    def test_rows_as_if_alone(self, depth):
+        # a stack of a few rows combines with repeated constants, a deep
+        # one with broadcast ones; each row's bits are its own either way
+        rng = np.random.default_rng(depth)
+        points = EXTENDED_MODEL.points[:7]
+        params = np.column_stack([rng.normal(0, 0.5, (depth, 3)),
+                                  rng.normal(0, 0.05, (depth, 2)),
+                                  rng.uniform(0.6, 2.0, depth)])
+        params[0, :3] = 0.0  # the small-angle branch
+        observed = rng.uniform([0, 0], [640, 480], (depth, 7, 2))
+        focal, center = np.array([K.fx, K.fy]), np.array([K.cx, K.cy])
+        res, terms = headpose._residuals(params, points, observed, focal,
+                                         center)
+        jac = headpose._jacobian(points, focal, *terms)
+        for i in range(depth):
+            one_res, one_jac = residuals_and_jacobian(params[i], points,
+                                                      observed[i], K)
+            assert one_res.tobytes() == res[i].tobytes()
+            assert one_jac.tobytes() == jac[i].tobytes()
+            assert rodrigues(params[i, :3]).tobytes() == terms[2][i].tobytes()
+
     def test_behind_camera_raises(self, intrinsics):
         params = np.array([0, 0, 0, 0, 0, -1.0])
         with pytest.raises(PointBehindCamera):

@@ -398,7 +398,7 @@ def _lm_minimize(params, points, observed, focal, center, lambda_init,
     final_rot = terms[2]
     cost = _sq_norms(res).tolist()
     rows = list(range(len(final)))  # the rows still descending
-    if math.inf in cost:  # as is the cost of a start behind the camera
+    if math.inf in cost:  # the cost of a start behind the camera
         rows = []
         depth = terms[-1][..., 2]
         for i, ok in enumerate((depth.min(axis=1) > 1e-9).tolist()):

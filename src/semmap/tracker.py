@@ -1,10 +1,13 @@
 """IoU-based multi-object tracker over 2D detections.
 
 Detections of equal class are associated frame-to-frame by bounding box
-overlap. A track is confirmed on the step its length, the number of
-detections it holds, reaches a threshold; length grows by one per match, so
-that happens exactly once. Short-lived tracks (typically false positives)
-never confirm and are dropped after a few missed frames.
+overlap. Every detection can extend a live track, but only one scoring at
+least a start score can start one: a detector's low-confidence boxes, most
+of its false positives, never become tracks (ByteTrack's rule, Zhang et
+al., arXiv 2110.06864). A track is confirmed on the step its length, the
+number of detections it holds, reaches a threshold; length grows by one
+per match, so that happens exactly once. Short-lived tracks never confirm
+and are dropped after a few missed frames.
 """
 
 from __future__ import annotations
@@ -73,19 +76,25 @@ def iou(a, b) -> float:
 class IoUTracker:
     """Greedy global-best IoU association with class gating.
 
-    Deterministic: ties on IoU break toward the lower track id, then the
-    earlier detection; new track ids are assigned in detection order.
+    Every detection takes part in the association. An unmatched one starts
+    a track only if its score is at least `start_score`; at 0.0 every
+    unmatched detection does. Deterministic: ties on IoU break toward the
+    lower track id, then the earlier detection; new track ids are assigned
+    in detection order.
     """
 
     def __init__(self, iou_threshold: float = 0.5, min_track_length: int = 5,
-                 ttl: int = 3):
+                 ttl: int = 3, start_score: float = 0.5):
         if not 0.0 < iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in (0, 1]")
         if min_track_length < 1 or ttl < 0:
             raise ValueError("min_track_length >= 1 and ttl >= 0 required")
+        if not 0.0 <= start_score <= 1.0:
+            raise ValueError("start_score must be in [0, 1]")
         self.iou_threshold = iou_threshold
         self.min_track_length = min_track_length
         self.ttl = ttl
+        self.start_score = start_score
         self.tracks: list[Track] = []
         self._next_id = 0
         self._last_frame: int | None = None
@@ -148,8 +157,9 @@ class IoUTracker:
                     survivors.append(track)
         self.tracks = survivors
 
+        start_score = self.start_score
         for di, det in enumerate(detections):
-            if di in matched_dets:
+            if di in matched_dets or det.score < start_score:
                 continue
             track = Track(
                 track_id=self._next_id,

@@ -426,8 +426,8 @@ class TestWorkloadDigests:
                         "6815f1ce1e0a0f07ef9262f7e9efdcf9",
             "metrics.json": "c324a08987dac5c67670f3aa52eb906f"
                             "424e65b29ab890661853521e65297963",
-            "events.jsonl": "0d24f7313c272e95db91b124abc675a6"
-                            "7d80aa1b3967396fbb2a3e06c7b0f29d",
+            "events.jsonl": "8edfb54d16e353d3be5ce0d8e73a439a"
+                            "aae37efe0440350005068c92d2bccb37",
         },
     }
 
@@ -439,6 +439,20 @@ class TestWorkloadDigests:
         digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                    for f in self.EXPECTED[name]}
         assert digests == self.EXPECTED[name]
+
+    def test_tabletop_sweep_events_before_the_start_rule(self, tmp_path):
+        """At track start score 0 every unmatched detection starts a
+        track, as before the start rule, and events.jsonl keeps its old
+        digest: the rule alone moved the pin above."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"track_start_score": 0.0}))
+        out = tmp_path / "out"
+        scenario = DATA_DIR / "tabletop_sweep.json"
+        assert main(["run", "--scenario", str(scenario), "--config",
+                     str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "events.jsonl").read_bytes()) \
+            .hexdigest() == ("0d24f7313c272e95db91b124abc675a6"
+                             "7d80aa1b3967396fbb2a3e06c7b0f29d")
 
 
 class TestCliDigests:

@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import struct
 from pathlib import Path
@@ -9,14 +11,24 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceTracker, reference_iou
 from semmap.errors import NonMonotonicFrame
-from semmap.simulator import Scenario, synthesize_frame_data
+from semmap.simulator import (
+    Scenario,
+    run_scenario_detailed,
+    synthesize_frame_data,
+)
 from semmap.tracker import Detection2D, IoUTracker, iou
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 
 
-def det(bbox, label="cup", kind="object"):
-    return Detection2D(bbox=bbox, class_label=label, kind=kind)
+def det(bbox, label="cup", kind="object", score=1.0):
+    return Detection2D(bbox=bbox, class_label=label, score=score, kind=kind)
+
+
+# detection scores the oracle tests draw: below, at and above the default
+# start score
+SCORES = (0.3, 0.5, 1.0)
 
 
 rects = st.tuples(
@@ -158,6 +170,22 @@ class TestStep:
         tracker.step([det((8, 0, 18, 10))], 2)  # IoU = 2/18 < 0.5
         assert len(tracker.tracks) == 2
 
+    def test_low_score_detection_extends_but_never_starts(self):
+        tracker = IoUTracker(min_track_length=3, start_score=0.5)
+        tracker.step([det((0, 0, 10, 10), score=0.3)], 1)
+        assert tracker.tracks == []
+        tracker.step([det((0, 0, 10, 10), score=0.5)], 2)
+        confirmed = []
+        for frame in (3, 4):
+            confirmed += tracker.step([det((1, 0, 11, 10), score=0.3)], frame)
+        assert [(t.track_id, t.length) for t in tracker.tracks] == [(0, 3)]
+        assert [tid for tid, _ in confirmed] == [0]
+
+    def test_start_score_out_of_range_rejected(self):
+        for score in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="start_score"):
+                IoUTracker(start_score=score)
+
     def test_ttl_drops_stale_tracks(self):
         tracker = IoUTracker(ttl=2)
         tracker.step([det((0, 0, 10, 10))], 1)
@@ -204,7 +232,9 @@ class TestStep:
     @settings(max_examples=50, deadline=None)
     def test_matches_all_pairs_greedy(self, seed):
         """Same tracks and confirmations as scoring every same-class
-        (track, detection) pair, touching and disjoint boxes included."""
+        (track, detection) pair, touching and disjoint boxes included; new
+        tracks are the unmatched detections that score at least the start
+        score, in detection order."""
         rng = np.random.default_rng(seed)
         frames = []
         for _ in range(20):
@@ -214,7 +244,8 @@ class TestStep:
                 x0, y0 = rng.integers(0, 12, 2) * 5.0
                 w, h = rng.integers(1, 5, 2) * 5.0
                 boxes.append((x0, y0, x0 + w, y0 + h))
-            frames.append([det(b, label=str(rng.choice(["a", "b", "c"])))
+            frames.append([det(b, label=str(rng.choice(["a", "b", "c"])),
+                               score=float(rng.choice(SCORES)))
                            for b in boxes])
         tracker = IoUTracker(iou_threshold=0.3, min_track_length=2, ttl=1)
         for i, dets in enumerate(frames):
@@ -223,6 +254,12 @@ class TestStep:
             got = {t.track_id: t.last_detection_index for t in tracker.tracks
                    if t.misses == 0 and t.length > 1}
             assert got == expected
+            started = [t.last_detection_index for t in tracker.tracks
+                       if t.length == 1 and t.misses == 0]
+            assert started == [
+                di for di, d in enumerate(dets)
+                if di not in expected.values()
+                and d.score >= tracker.start_score]
 
     @given(seed=st.integers(0, 2**32 - 1), min_length=st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
@@ -240,7 +277,8 @@ class TestStep:
                 x0, y0 = rng.integers(0, 6, 2) * 10.0
                 w, h = rng.integers(2, 5, 2) * 10.0
                 dets.append(det((x0, y0, x0 + w, y0 + h),
-                                label=str(rng.choice(["a", "b"]))))
+                                label=str(rng.choice(["a", "b"])),
+                                score=float(rng.choice(SCORES))))
             got = tracker.step(dets, i)
             expected = []
             for track in tracker.tracks:
@@ -269,15 +307,19 @@ def reference_matches(tracker, dets):
     return matched
 
 
+@functools.cache
+def detection_stream(name: str) -> list:
+    """Each frame's detections of the scenario tests/data/{name}.json."""
+    sc = Scenario.from_json(DATA_DIR / f"{name}.json")
+    return [synthesize_frame_data(sc, i)[0].detections
+            for i in range(sc.num_frames)]
+
+
 class TestReplay:
     """The tracker and a copy of its step from before it took min and max by
-    comparison agree on every frame of a shipped detection stream."""
-
-    @pytest.fixture(scope="class")
-    def stream(self):
-        sc = Scenario.from_json(DATA_DIR / "cluttered_drift.json")
-        return [synthesize_frame_data(sc, i)[0].detections
-                for i in range(sc.num_frames)]
+    comparison agree on every frame of a shipped detection stream.
+    tabletop_sweep's false positives score 0.3, so at start score 0.5 they
+    extend tracks but start none."""
 
     @staticmethod
     def state(tracker):
@@ -286,10 +328,14 @@ class TestReplay:
 
     @pytest.mark.parametrize("threshold, min_length, ttl",
                              [(0.5, 5, 3), (0.3, 1, 0), (0.7, 3, 5)])
-    def test_matches_reference_step(self, stream, threshold, min_length,
-                                    ttl):
-        tracker = IoUTracker(threshold, min_length, ttl)
-        reference = ReferenceTracker(threshold, min_length, ttl)
+    @pytest.mark.parametrize("name, start_score", [
+        ("cluttered_drift", 0.5), ("tabletop_sweep", 0.0),
+        ("tabletop_sweep", 0.5)])
+    def test_matches_reference_step(self, name, start_score, threshold,
+                                    min_length, ttl):
+        stream = detection_stream(name)
+        tracker = IoUTracker(threshold, min_length, ttl, start_score)
+        reference = ReferenceTracker(threshold, min_length, ttl, start_score)
         confirmed = 0
         for i, dets in enumerate(stream):
             got = tracker.step(dets, i)
@@ -297,3 +343,29 @@ class TestReplay:
             assert self.state(tracker) == self.state(reference)
             confirmed += len(got)
         assert confirmed > 0
+
+
+class TestFalsePositiveFlood:
+    def test_false_positives_start_no_tracks(self, monkeypatch):
+        """desk_orbit at 100 false positives a frame, all scoring 0.3: the
+        tracker holds only the five objects' tracks, and the map only the
+        five objects. Every false positive used to start a track that
+        lived `ttl` frames: ~380 live tracks a frame, whose cost grew with
+        the square of the rate, and 14 of them registered."""
+        d = json.loads((SCENARIO_DIR / "desk_orbit.json").read_text())
+        d["noise"]["false_positive_rate"] = 100
+        live = []
+        step = IoUTracker.step
+
+        def counted(self, detections, frame_id):
+            out = step(self, detections, frame_id)
+            live.append(len(self.tracks))
+            return out
+
+        monkeypatch.setattr(IoUTracker, "step", counted)
+        scenario = Scenario.from_dict(d)
+        _, metrics, _ = run_scenario_detailed(scenario)
+        assert len(live) == scenario.num_frames
+        assert max(live) <= 5
+        assert metrics.registered_count == 5
+        assert metrics.precision == 1.0

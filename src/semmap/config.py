@@ -161,7 +161,6 @@ class PipelineConfig:
     iou_threshold: float = 0.5
     min_track_length: int = 5
     track_ttl: int = 3
-    track_start_score: float = 0.5
     extraction_stride: int = 4
     assoc_dist_m: float = 0.3
     merge_overlap_ratio: float = 0.5
@@ -183,8 +182,6 @@ class PipelineConfig:
             (0.0 < self.iou_threshold <= 1.0, "iou_threshold in (0, 1]"),
             (self.min_track_length >= 1, "min_track_length >= 1"),
             (self.track_ttl >= 0, "track_ttl >= 0"),
-            (0.0 <= self.track_start_score <= 1.0,
-             "track_start_score in [0, 1]"),
             (self.extraction_stride >= 1, "extraction_stride >= 1"),
             (self.assoc_dist_m > 0, "assoc_dist_m > 0"),
             (0.0 < self.merge_overlap_ratio <= 1.0,

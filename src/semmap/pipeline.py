@@ -68,8 +68,7 @@ class Pipeline:
         self.intrinsics = intrinsics
         self.config = config = config or PipelineConfig()
         self.tracker = IoUTracker(config.iou_threshold,
-                                  config.min_track_length, config.track_ttl,
-                                  start_score=config.track_start_score)
+                                  config.min_track_length, config.track_ttl)
         self.registry = SemanticMap(
             assoc_dist=config.assoc_dist_m,
             merge_overlap=config.merge_overlap_ratio,

@@ -77,24 +77,24 @@ class IoUTracker:
     """Greedy global-best IoU association with class gating.
 
     Every detection takes part in the association. An unmatched one starts
-    a track only if its score is at least `start_score`; at 0.0 every
-    unmatched detection does. Deterministic: ties on IoU break toward the
-    lower track id, then the earlier detection; new track ids are assigned
-    in detection order.
+    a track only if its score is at least `START_SCORE`. Deterministic:
+    ties on IoU break toward the lower track id, then the earlier
+    detection; new track ids are assigned in detection order.
     """
 
+    # the least score of a detection that starts a track; the frame source
+    # scores its objects 1.0 and its false positives 0.3
+    START_SCORE = 0.5
+
     def __init__(self, iou_threshold: float = 0.5, min_track_length: int = 5,
-                 ttl: int = 3, start_score: float = 0.5):
+                 ttl: int = 3):
         if not 0.0 < iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in (0, 1]")
         if min_track_length < 1 or ttl < 0:
             raise ValueError("min_track_length >= 1 and ttl >= 0 required")
-        if not 0.0 <= start_score <= 1.0:
-            raise ValueError("start_score must be in [0, 1]")
         self.iou_threshold = iou_threshold
         self.min_track_length = min_track_length
         self.ttl = ttl
-        self.start_score = start_score
         self.tracks: list[Track] = []
         self._next_id = 0
         self._last_frame: int | None = None
@@ -157,7 +157,7 @@ class IoUTracker:
                     survivors.append(track)
         self.tracks = survivors
 
-        start_score = self.start_score
+        start_score = self.START_SCORE
         for di, det in enumerate(detections):
             if di in matched_dets or det.score < start_score:
                 continue

@@ -707,7 +707,7 @@ def per_object_frame_reference(scenario, frame_idx: int) -> tuple:
 # before `iou` took min and max by comparison and `step` skipped the tracks
 # with no same-class detection. Bodies verbatim, but for the name of the
 # `iou` that `step` calls and the start rule: an unmatched detection
-# scoring below `start_score` starts no track.
+# scoring below `START_SCORE` starts no track.
 
 def reference_iou(a, b) -> float:
     """Intersection-over-union of two (x0, y0, x1, y1) rects."""
@@ -780,7 +780,7 @@ class ReferenceTracker(IoUTracker):
         self.tracks = survivors
 
         for di, det in enumerate(detections):
-            if di in matched_dets or det.score < self.start_score:
+            if di in matched_dets or det.score < self.START_SCORE:
                 continue
             track = Track(
                 track_id=self._next_id,

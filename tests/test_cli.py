@@ -8,6 +8,7 @@ import pytest
 from semmap.cli import main
 from semmap.geometry import RigidPose
 from semmap.headpose import FaceModel3D, project_model, rotation_from_euler
+from semmap.tracker import IoUTracker
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -440,16 +441,16 @@ class TestWorkloadDigests:
                    for f in self.EXPECTED[name]}
         assert digests == self.EXPECTED[name]
 
-    def test_tabletop_sweep_events_before_the_start_rule(self, tmp_path):
-        """At track start score 0 every unmatched detection starts a
-        track, as before the start rule, and events.jsonl keeps its old
-        digest: the rule alone moved the pin above."""
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"track_start_score": 0.0}))
+    def test_tabletop_sweep_events_before_the_start_rule(self, tmp_path,
+                                                         monkeypatch):
+        """At start score 0 every unmatched detection starts a track, as
+        before the start rule, and events.jsonl keeps its old digest: the
+        rule alone moved the pin above."""
+        monkeypatch.setattr(IoUTracker, "START_SCORE", 0.0)
         out = tmp_path / "out"
         scenario = DATA_DIR / "tabletop_sweep.json"
-        assert main(["run", "--scenario", str(scenario), "--config",
-                     str(cfg), "--out", str(out)]) == 0
+        assert main(["run", "--scenario", str(scenario), "--out",
+                     str(out)]) == 0
         assert hashlib.sha256((out / "events.jsonl").read_bytes()) \
             .hexdigest() == ("0d24f7313c272e95db91b124abc675a6"
                              "7d80aa1b3967396fbb2a3e06c7b0f29d")

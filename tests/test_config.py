@@ -3,12 +3,9 @@
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from semmap.cli import EXIT_CONFIG, main
 from semmap.config import (
     PipelineConfig,
     build,
@@ -16,9 +13,6 @@ from semmap.config import (
     read_json_records,
 )
 from semmap.errors import ConfigError
-
-SCENARIO = (Path(__file__).resolve().parents[1] / "configs" / "scenarios"
-            / "desk_orbit.json")
 
 
 @dataclass(frozen=True)
@@ -223,21 +217,3 @@ class TestPipelineConfig:
     def test_out_of_range_value_named(self):
         with pytest.raises(ConfigError, match="iou_threshold in"):
             PipelineConfig.from_dict({"iou_threshold": 1.5})
-
-    @pytest.mark.parametrize("score", [0.0, 1.0])
-    def test_track_start_score_takes_its_bounds(self, score):
-        assert PipelineConfig.from_dict(
-            {"track_start_score": score}).track_start_score == score
-
-    @pytest.mark.parametrize("score", [np.nextafter(0.0, -1.0),
-                                       np.nextafter(1.0, 2.0)],
-                             ids=["below_0", "above_1"])
-    def test_track_start_score_beyond_its_bounds_exit_2(self, tmp_path,
-                                                        capsys, score):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"track_start_score": float(score)}))
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", str(SCENARIO), "--config",
-                     str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert "track_start_score in [0, 1]" in capsys.readouterr().err
-        assert not out.exists()

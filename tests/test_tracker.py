@@ -26,8 +26,8 @@ def det(bbox, label="cup", kind="object", score=1.0):
     return Detection2D(bbox=bbox, class_label=label, score=score, kind=kind)
 
 
-# detection scores the oracle tests draw: below, at and above the default
-# start score
+# detection scores the oracle tests draw: below, at and above the start
+# score
 SCORES = (0.3, 0.5, 1.0)
 
 
@@ -171,7 +171,7 @@ class TestStep:
         assert len(tracker.tracks) == 2
 
     def test_low_score_detection_extends_but_never_starts(self):
-        tracker = IoUTracker(min_track_length=3, start_score=0.5)
+        tracker = IoUTracker(min_track_length=3)
         tracker.step([det((0, 0, 10, 10), score=0.3)], 1)
         assert tracker.tracks == []
         tracker.step([det((0, 0, 10, 10), score=0.5)], 2)
@@ -180,11 +180,6 @@ class TestStep:
             confirmed += tracker.step([det((1, 0, 11, 10), score=0.3)], frame)
         assert [(t.track_id, t.length) for t in tracker.tracks] == [(0, 3)]
         assert [tid for tid, _ in confirmed] == [0]
-
-    def test_start_score_out_of_range_rejected(self):
-        for score in (-0.1, 1.1, math.nan):
-            with pytest.raises(ValueError, match="start_score"):
-                IoUTracker(start_score=score)
 
     def test_ttl_drops_stale_tracks(self):
         tracker = IoUTracker(ttl=2)
@@ -259,7 +254,7 @@ class TestStep:
             assert started == [
                 di for di, d in enumerate(dets)
                 if di not in expected.values()
-                and d.score >= tracker.start_score]
+                and d.score >= IoUTracker.START_SCORE]
 
     @given(seed=st.integers(0, 2**32 - 1), min_length=st.integers(1, 5))
     @settings(max_examples=50, deadline=None)
@@ -331,11 +326,12 @@ class TestReplay:
     @pytest.mark.parametrize("name, start_score", [
         ("cluttered_drift", 0.5), ("tabletop_sweep", 0.0),
         ("tabletop_sweep", 0.5)])
-    def test_matches_reference_step(self, name, start_score, threshold,
-                                    min_length, ttl):
+    def test_matches_reference_step(self, monkeypatch, name, start_score,
+                                    threshold, min_length, ttl):
+        monkeypatch.setattr(IoUTracker, "START_SCORE", start_score)
         stream = detection_stream(name)
-        tracker = IoUTracker(threshold, min_length, ttl, start_score)
-        reference = ReferenceTracker(threshold, min_length, ttl, start_score)
+        tracker = IoUTracker(threshold, min_length, ttl)
+        reference = ReferenceTracker(threshold, min_length, ttl)
         confirmed = 0
         for i, dets in enumerate(stream):
             got = tracker.step(dets, i)

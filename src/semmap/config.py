@@ -2,7 +2,9 @@
 
 Every JSON input is read by `read_json_object` or `read_json_records`, and
 every object in it that becomes a dataclass is built by `build`: the
-dataclass's init fields are its schema.
+dataclass's init fields are its schema. A field's range is declared beside
+it with `bound`, and the class's `__post_init__` checks every declared
+range with `check_bounds`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .errors import ConfigError
+from .willingness import DEFAULT_RATE_DOWN, DEFAULT_RATE_UP, DEFAULT_RESET
 
 
 # "class" is a Python keyword: it names `class_label`, which is no JSON key
@@ -156,54 +159,65 @@ def build(cls, value, error, what: str, **parse):
         raise error(f"bad {what}: {e}") from e
 
 
+def bound(interval: str, default=dataclasses.MISSING):
+    """A dataclass field whose values lie in `interval`: "[" or "(", two
+    numbers ("inf" for none), "]" or ")", as in "(0, 1]" or "[1, inf)".
+    For a `Vector3` field, each component does."""
+    return dataclasses.field(default=default, metadata={"bound": interval})
+
+
+@functools.cache
+def bounds(cls) -> dict:
+    """Init field name -> its declared interval, for each field of `cls`
+    that declares one."""
+    return {f.name: f.metadata["bound"] for f in dataclasses.fields(cls)
+            if f.init and "bound" in f.metadata}
+
+
+def check_bounds(obj, error) -> None:
+    """Raise `error` for the first field of `obj` that lies outside its
+    declared interval, naming the field, the interval and the value. NaN
+    lies in no interval."""
+    types = _annotations(type(obj))
+    for name, text in bounds(type(obj)).items():
+        lo, hi = map(float, text[1:-1].split(", "))
+        value = getattr(obj, name)
+        for i, v in enumerate(value) if types[name] == "Vector3" \
+                else [(None, value)]:
+            if not ((lo <= v if text[0] == "[" else lo < v)
+                    and (v <= hi if text[-1] == "]" else v < hi)):
+                label = name if i is None else f"{name}[{i}]"
+                raise error(f"{label} must be in {text}, got {_echo(v)}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    iou_threshold: float = 0.5
-    min_track_length: int = 5
-    track_ttl: int = 3
-    extraction_stride: int = 4
-    assoc_dist_m: float = 0.3
-    merge_overlap_ratio: float = 0.5
-    overlap_radius_m: float = 0.05
-    voxel_leaf_m: float = 0.01
-    max_cloud_points: int = 50000
-    attention_cone_deg: float = 15.0
-    willingness_rate_up: float = 1.0 / 3.0
-    willingness_rate_down: float = 1.0 / 9.0
-    willingness_reset: float = 0.5
-    lm_lambda_init: float = 1e-3
-    lm_step_tol: float = 1e-6
-    lm_cost_tol: float = 1e-12
-    lm_max_iterations: int = 100
-    lm_accept_rms_px: float = 100.0
+    iou_threshold: float = bound("(0, 1]", 0.5)
+    min_track_length: int = bound("[1, inf)", 5)
+    track_ttl: int = bound("[0, inf)", 3)
+    extraction_stride: int = bound("[1, inf)", 4)
+    assoc_dist_m: float = bound("(0, inf)", 0.3)
+    merge_overlap_ratio: float = bound("(0, 1]", 0.5)
+    overlap_radius_m: float = bound("(0, inf)", 0.05)
+    voxel_leaf_m: float = bound("(0, inf)", 0.01)
+    max_cloud_points: int = bound("[1, inf)", 50000)
+    attention_cone_deg: float = bound("(0, 180]", 15.0)
+    willingness_rate_up: float = DEFAULT_RATE_UP  # > willingness_rate_down
+    willingness_rate_down: float = bound("(0, inf)", DEFAULT_RATE_DOWN)
+    willingness_reset: float = bound("(0, 1)", DEFAULT_RESET)
+    lm_lambda_init: float = bound("(0, inf)", 1e-3)
+    lm_step_tol: float = bound("(0, inf)", 1e-6)
+    lm_cost_tol: float = bound("(0, inf)", 1e-12)
+    lm_max_iterations: int = bound("[1, inf)", 100)
+    lm_accept_rms_px: float = bound("(0, inf)", 100.0)
 
     def __post_init__(self):
-        checks = [
-            (0.0 < self.iou_threshold <= 1.0, "iou_threshold in (0, 1]"),
-            (self.min_track_length >= 1, "min_track_length >= 1"),
-            (self.track_ttl >= 0, "track_ttl >= 0"),
-            (self.extraction_stride >= 1, "extraction_stride >= 1"),
-            (self.assoc_dist_m > 0, "assoc_dist_m > 0"),
-            (0.0 < self.merge_overlap_ratio <= 1.0,
-             "merge_overlap_ratio in (0, 1]"),
-            (self.overlap_radius_m > 0, "overlap_radius_m > 0"),
-            (self.voxel_leaf_m > 0, "voxel_leaf_m > 0"),
-            (self.max_cloud_points >= 1, "max_cloud_points >= 1"),
-            (0.0 < self.attention_cone_deg <= 180.0,
-             "attention_cone_deg in (0, 180]"),
-            (self.willingness_rate_up > self.willingness_rate_down > 0,
-             "willingness_rate_up > willingness_rate_down > 0"),
-            (0.0 < self.willingness_reset < 1.0,
-             "willingness_reset in (0, 1)"),
-            (self.lm_lambda_init > 0, "lm_lambda_init > 0"),
-            (self.lm_step_tol > 0, "lm_step_tol > 0"),
-            (self.lm_cost_tol > 0, "lm_cost_tol > 0"),
-            (self.lm_max_iterations >= 1, "lm_max_iterations >= 1"),
-            (self.lm_accept_rms_px > 0, "lm_accept_rms_px > 0"),
-        ]
-        for ok, rule in checks:
-            if not ok:
-                raise ConfigError(f"config violates: {rule}")
+        check_bounds(self, ConfigError)
+        if not self.willingness_rate_up > self.willingness_rate_down:
+            raise ConfigError(
+                f"willingness_rate_up must exceed willingness_rate_down "
+                f"({self.willingness_rate_down}), got "
+                f"{self.willingness_rate_up}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

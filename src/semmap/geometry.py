@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Matrix3, Vector3, build
+from .config import Matrix3, Vector3, bound, build, check_bounds
 from .errors import (
     EmptyCloud,
     InvalidDepth,
@@ -44,24 +44,18 @@ def _trusted(cls, **fields):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    fx: float
-    fy: float
-    cx: float
+    fx: float = bound("(0, inf)")
+    fy: float = bound("(0, inf)")
+    cx: float  # the principal point lies in the image
     cy: float
-    width: int
-    height: int
+    width: int = bound(f"[1, {MAX_IMAGE_SIDE}]")
+    height: int = bound(f"[1, {MAX_IMAGE_SIDE}]")
 
     def __post_init__(self):
         # JSON may give integers; numpy arrays of them are cast at each use
         for name in ("fx", "fy", "cx", "cy"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
-            raise ValueError("focal lengths must be positive and finite")
-        for name in ("width", "height"):
-            if not 1 <= getattr(self, name) <= MAX_IMAGE_SIDE:
-                raise ValueError(
-                    f"{name} must be in [1, {MAX_IMAGE_SIDE}] px, got "
-                    f"{getattr(self, name)}")
+        check_bounds(self, ValueError)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -20,7 +20,9 @@ from .config import (
     PipelineConfig,
     Vector3,
     _echo,
+    bound,
     build,
+    check_bounds,
     finite_numbers,
     read_json_object,
 )
@@ -125,20 +127,15 @@ def look_at(position, target) -> RigidPose:
 @dataclass(frozen=True)
 class WorldObject:
     class_label: str
-    centroid: Vector3
-    extents: Vector3
-    sample_count: int = 400
+    centroid: Vector3  # the box lies within ±MAX_COORDINATE
+    extents: Vector3 = bound("(0, inf)")
+    sample_count: int = bound(f"[1, {MAX_SAMPLE_COUNT}]", 400)
 
     def __post_init__(self):
-        if len(self.extents) != 3 or not all(
-                0 < e < math.inf for e in self.extents):
+        if len(self.extents) != 3:
             raise ScenarioError(
-                f"extents must be three positive finite sizes, got "
-                f"{list(self.extents)}")
-        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
-            raise ScenarioError(
-                f"sample_count must be in [1, {MAX_SAMPLE_COUNT}], got "
-                f"{self.sample_count}")
+                f"extents must be three sizes, got {list(self.extents)}")
+        check_bounds(self, ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -157,26 +154,14 @@ class PersonSpec:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    bbox_jitter_px: float = 0.0
-    dropout_prob: float = 0.0
-    false_positive_rate: float = 0.0
-    depth_noise_m: float = 0.0
-    landmark_jitter_px: float = 0.0
+    bbox_jitter_px: float = bound("[0, inf)", 0.0)
+    dropout_prob: float = bound("[0, 1]", 0.0)
+    false_positive_rate: float = bound(f"[0, {MAX_FALSE_POSITIVE_RATE}]", 0.0)
+    depth_noise_m: float = bound("[0, inf)", 0.0)
+    landmark_jitter_px: float = bound(f"[0, {MAX_LANDMARK_JITTER_PX}]", 0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ScenarioError("dropout_prob must be in [0, 1]")
-        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVE_RATE:
-            raise ScenarioError(
-                f"false_positive_rate must be in [0, "
-                f"{MAX_FALSE_POSITIVE_RATE}] per frame")
-        for name in ("bbox_jitter_px", "depth_noise_m"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ScenarioError(f"{name} must be finite and >= 0")
-        if not 0.0 <= self.landmark_jitter_px <= MAX_LANDMARK_JITTER_PX:
-            raise ScenarioError(
-                f"landmark_jitter_px must be in [0, {MAX_LANDMARK_JITTER_PX}] "
-                f"px, got {self.landmark_jitter_px}")
+        check_bounds(self, ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -236,22 +221,14 @@ def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
 class Orbit:
     """`frames` camera poses on a circle about `center`, each looking at it."""
     center: Vector3
-    radius: float
-    frames: int
+    radius: float = bound("[0, inf)")
+    frames: int = bound(f"[1, {MAX_FRAMES}]")
     height: float | None = None  # None: the height of `center`
     start_deg: float = 0.0
-    sweep_deg: float = 360.0
+    sweep_deg: float = bound(f"[{-MAX_SWEEP_DEG}, {MAX_SWEEP_DEG}]", 360.0)
 
     def __post_init__(self):
-        if not 1 <= self.frames <= MAX_FRAMES:
-            raise ScenarioError(
-                f"orbit frames must be in [1, {MAX_FRAMES}], got {self.frames}")
-        if not 0.0 <= self.radius < math.inf:
-            raise ScenarioError(
-                f"orbit radius must be finite and >= 0, got {self.radius}")
-        if not abs(self.sweep_deg) <= MAX_SWEEP_DEG:
-            raise ScenarioError(f"orbit sweep_deg must be within "
-                                f"±{MAX_SWEEP_DEG}, got {self.sweep_deg}")
+        check_bounds(self, ScenarioError)
 
     def trajectory(self) -> list:
         center = np.asarray(self.center, dtype=np.float64)
@@ -276,13 +253,11 @@ class Sight:
 
 @dataclass(frozen=True)
 class Segment(Sight):
-    frames: int  # the camera holds the pose this many frames
+    # the camera holds the pose this many frames
+    frames: int = bound(f"[1, {MAX_FRAMES}]")
 
     def __post_init__(self):
-        if not 1 <= self.frames <= MAX_FRAMES:
-            raise ScenarioError(
-                f"segment frames must be in [1, {MAX_FRAMES}], got "
-                f"{self.frames}")
+        check_bounds(self, ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -331,9 +306,10 @@ class Scenario:
     world_objects: list
     trajectory: list  # RigidPose per frame (true camera poses)
     persons: list = field(default_factory=list)
-    fps: float = 10.0
-    max_range: float = 15.0
-    background_depth: float = 0.0  # 0 = invalid background pixels
+    fps: float = bound("(0, inf)", 10.0)
+    max_range: float = bound(f"({NEAR_PLANE}, inf)", 15.0)
+    # 0 = invalid background pixels
+    background_depth: float = bound("[0, inf)", 0.0)
     drift: DriftModel | None = None
     correction_events: list = field(default_factory=list)
     noise: NoiseModel = field(default_factory=NoiseModel)
@@ -357,19 +333,12 @@ class Scenario:
         frames = len(self.trajectory)
         if not frames:
             raise ScenarioError("trajectory must be non-empty")
-        if not 0 < self.fps < math.inf:
-            raise ScenarioError(
-                f"fps must be positive and finite, got {self.fps}")
-        if not self.max_range > NEAR_PLANE:
-            raise ScenarioError(
-                f"max_range must exceed the near plane ({NEAR_PLANE} m), "
-                f"got {self.max_range}")
         # an integer would give the z-buffer an integer dtype
         self.background_depth = float(self.background_depth)
-        if not 0 <= self.background_depth < math.inf:
+        check_bounds(self, ScenarioError)
+        if not (frames - 1) / self.fps < math.inf:
             raise ScenarioError(
-                f"background_depth must be finite and >= 0, got "
-                f"{self.background_depth}")
+                f"frame {frames - 1} at fps {self.fps} has no finite time")
         start = self.drift.start_frame if self.drift is not None else 0
         if not 0 <= start < frames:
             raise ScenarioError(

@@ -185,6 +185,7 @@ class TestRun:
             drift={"translation_per_frame": [5e307, 0.0, 0.0]}),
         lambda d: d.update(noise={"false_positive_rate": 1e308}),
         lambda d: d.update(noise={"false_positive_rate": 2**63}),
+        lambda d: d.update(fps=1e-307),
     ], ids=["window_of_three", "window_reversed", "fps_zero", "fps_negative",
             "max_range_negative", "no_samples", "flat_extents",
             "negative_jitter", "segment_negative_frames",
@@ -215,7 +216,10 @@ class TestRun:
             "drifted_estimate_overflows",
             # false positives past the per-frame cap died in the Poisson
             # draw, "lam value too large" (exit 1)
-            "false_positive_rate_1e308", "false_positive_rate_2**63"])
+            "false_positive_rate_1e308", "false_positive_rate_2**63",
+            # frame 79 at 7.9e308 s: ran to exit 0, and wrote "t": Infinity,
+            # which is no JSON, in 62 of the 80 events.jsonl rows
+            "fps_frame_times_overflow"])
     def test_out_of_range_scenario_exit_3(self, tmp_path, capsys, edit):
         d = json.loads((SCENARIO_DIR / "interaction.json").read_text())
         edit(d)

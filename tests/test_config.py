@@ -1,6 +1,7 @@
 """Strict JSON loading: the readers, the dataclass builder, PipelineConfig."""
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -215,5 +216,6 @@ class TestPipelineConfig:
             PipelineConfig.from_dict({key: value})
 
     def test_out_of_range_value_named(self):
-        with pytest.raises(ConfigError, match="iou_threshold in"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "iou_threshold must be in (0, 1], got 1.5")):
             PipelineConfig.from_dict({"iou_threshold": 1.5})

@@ -40,7 +40,7 @@ class TestIntrinsics:
         # before it
         d = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0,
              "width": 640, "height": 480, axis: bad}
-        with pytest.raises(ValueError, match="focal lengths"):
+        with pytest.raises(ValueError, match=rf"{axis} must be in \(0, inf\)"):
             CameraIntrinsics(**d)
 
     @pytest.mark.parametrize("side", ["width", "height"])

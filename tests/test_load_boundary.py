@@ -20,6 +20,16 @@ the sightings of the corrected keyframes, and on to the map metrics.
 Likewise every `PipelineConfig` field, one at a time, at each of
 `CONFIG_VALUES`: `semmap run --config` on a short scenario must exit with
 a config error, or succeed without a warning.
+
+Beside these fixed extremes, each range that a schema class declares
+with `config.bound` is tried at each of its finite ends, read from the
+same table that `config.check_bounds` reads: the last value inside it
+loads, and the first value outside it (one integer, or one float by
+`np.nextafter`) makes `semmap run` exit with a scenario or config error
+and write nothing. The sizing bounds are only loaded, never run. Every
+numeric field of the schema classes declares a bound or is listed in
+`UNBOUNDED` with the reason it needs none, and the README names each
+declared bound.
 """
 
 import copy
@@ -28,14 +38,27 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from semmap.cli import EXIT_CONFIG, EXIT_OK, main
-from semmap.config import PipelineConfig
+from semmap import cli
+from semmap.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, main
+from semmap.config import PipelineConfig, _annotations, bounds
 from semmap.errors import ScenarioError
+from semmap.geometry import CameraIntrinsics, RigidPose
 from semmap.pipeline import Pipeline
 from semmap.simulator import (
+    CorrectionEvent,
+    DriftModel,
+    NoiseModel,
+    Orbit,
+    PersonSpec,
+    Poses,
     Scenario,
+    Segment,
+    Segments,
+    Sight,
+    WorldObject,
     run_scenario_detailed,
     synthesize_frame_data,
 )
@@ -202,3 +225,172 @@ def test_correction_pose_rejected_or_runs_without_warning(
         except ScenarioError:
             return
         run_scenario_detailed(sc)
+
+
+# every dataclass that `config.build` makes from a JSON object
+SCHEMA = (PipelineConfig, Scenario, CameraIntrinsics, WorldObject,
+          PersonSpec, NoiseModel, DriftModel, CorrectionEvent, Orbit, Sight,
+          Segment, Segments, Poses, RigidPose, cli.FaceRecord,
+          cli.Observation, cli.TimelineRecord)
+NUMERIC = {"int", "float", "float | None", "Vector3"}
+# each numeric schema field that declares no bound, by its declaring
+# class, and why it needs none; "cross-ruled" names the hand-written rule
+# that checks it against other fields instead
+UNBOUNDED = {
+    "PipelineConfig.willingness_rate_up":
+        "cross-ruled: it must exceed willingness_rate_down",
+    "Scenario.seed": "any int64 seeds the random generators",
+    "CameraIntrinsics.cx": "cross-ruled: the principal point lies in "
+                           "the image",
+    "CameraIntrinsics.cy": "cross-ruled: the principal point lies in "
+                           "the image",
+    "WorldObject.centroid": "cross-ruled: the box lies within "
+                            "±MAX_COORDINATE",
+    "PersonSpec.position": "any head position: one out of range or "
+                           "behind the camera is not seen",
+    "PersonSpec.away_yaw_deg": "any angle: a rotation wraps",
+    "DriftModel.start_frame": "cross-ruled: it lies in [0, num_frames)",
+    "DriftModel.translation_per_frame":
+        "cross-ruled: each drifted estimate is finite and within "
+        "±MAX_COORDINATE",
+    "DriftModel.rotation_deg_per_frame":
+        "cross-ruled: each drifted estimate is finite and within "
+        "±MAX_COORDINATE",
+    "CorrectionEvent.frame": "cross-ruled: it lies in [0, num_frames)",
+    "Orbit.center": "cross-ruled: each camera lies within ±MAX_COORDINATE",
+    "Orbit.height": "cross-ruled: each camera lies within ±MAX_COORDINATE",
+    "Orbit.start_deg": "any angle: the orbit wraps",
+    "Sight.position": "cross-ruled: each camera lies within "
+                      "±MAX_COORDINATE",
+    "Sight.look_at": "cross-ruled: it lies at least 1e-12 m from the "
+                     "camera",
+    "RigidPose.translation": "cross-ruled: a camera or a corrected "
+                             "keyframe lies within ±MAX_COORDINATE",
+    "TimelineRecord.t": "any time: the willingness clock rejects one "
+                        "that goes backwards",
+}
+
+
+def owner(cls, name: str) -> str:
+    """"Class.field" of the class in `cls`'s MRO that declares `name`."""
+    klass = next(k for k in cls.__mro__
+                 if name in vars(k).get("__annotations__", {}))
+    return f"{klass.__name__}.{name}"
+
+
+def test_every_numeric_schema_field_is_bounded_or_listed():
+    numeric = {owner(cls, name) for cls in SCHEMA
+               for name, annotation in _annotations(cls).items()
+               if annotation in NUMERIC}
+    declared = {owner(cls, name) for cls in SCHEMA for name in bounds(cls)}
+    assert sorted(numeric - declared - set(UNBOUNDED)) == []
+    assert sorted(set(UNBOUNDED) & declared) == []
+    assert sorted(set(UNBOUNDED) - numeric) == []
+
+
+def test_readme_names_each_declared_bound():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    missing = [f"`{name}` in `{text}`" for cls in SCHEMA
+               for name, text in bounds(cls).items()
+               if f"`{name}` in `{text}`" not in readme]
+    assert missing == []
+
+
+# a one-frame scenario that each bound's ends leave valid: the principal
+# point at the origin fits a 1 px image, one frame has a finite time at
+# any fps, and the orbit's camera stays clear of its center at radius 0
+EDGE_SCENARIO = {
+    "seed": 0,
+    "intrinsics": {"fx": 500.0, "fy": 500.0, "cx": 0.0, "cy": 0.0,
+                   "width": 640, "height": 480},
+    "world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
+                       "extents": [0.1, 0.1, 0.1]}],
+    "trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
+                   "radius": 2.0, "frames": 1, "height": 2.0},
+    "noise": {},
+}
+SEGMENTS = {"kind": "segments", "segments": [
+    {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
+     "frames": 1}]}
+# where each bounded scenario class's fields lie in EDGE_SCENARIO
+FIELDS_AT = {Scenario: (), CameraIntrinsics: ("intrinsics",),
+             WorldObject: ("world_objects", 0), NoiseModel: ("noise",),
+             Orbit: ("trajectory",),
+             Segment: ("trajectory", "segments", 0)}
+
+
+def ends(text: str, integer: bool):
+    """(last value inside, first value outside) at each finite end of the
+    interval `text`: one integer, or one float by `np.nextafter`, apart."""
+    def step(value, toward):
+        return value + (1 if toward > 0 else -1) if integer \
+            else float(np.nextafter(value, toward))
+    lo, hi = map(float, text[1:-1].split(", "))
+    for end, closed, outward in ((lo, text[0] == "[", -np.inf),
+                                 (hi, text[-1] == "]", np.inf)):
+        if np.isfinite(end):
+            end = int(end) if integer else end
+            yield (end, step(end, outward)) if closed \
+                else (step(end, -outward), end)
+
+
+def edge_cases():
+    """(class, field, component or None, value, whether it lies inside)
+    at each finite end of each declared bound."""
+    for cls in SCHEMA:
+        types = _annotations(cls)
+        for name, text in bounds(cls).items():
+            components = range(3) if types[name] == "Vector3" else [None]
+            for pair in ends(text, types[name] == "int"):
+                for i in components:
+                    label = name if i is None else f"{name}[{i}]"
+                    for value, inside in zip(pair, (True, False)):
+                        yield pytest.param(
+                            cls, name, i, value, inside,
+                            id=f"{cls.__name__}.{label}={value!r}:"
+                               f"{'loads' if inside else 'rejected'}")
+
+
+def with_edge(cls, name, component, value) -> dict:
+    """A config or scenario document with `value` in field `name` of `cls`,
+    in its `component`th entry if that is not None."""
+    if cls is PipelineConfig:
+        return {name: value}
+    d = copy.deepcopy(EDGE_SCENARIO)
+    if cls is Segment:
+        d["trajectory"] = copy.deepcopy(SEGMENTS)
+    fields = d
+    for key in FIELDS_AT[cls]:
+        fields = fields[key]
+    if component is None:
+        fields[name] = value
+    else:
+        fields[name][component] = value
+    return d
+
+
+@pytest.mark.parametrize("cls, name, component, value, inside",
+                         edge_cases())
+def test_declared_bound_edge(tmp_path, capsys, cls, name, component, value,
+                             inside):
+    d = with_edge(cls, name, component, value)
+    if inside:  # loaded only: a sizing bound run would take gigabytes
+        (PipelineConfig if cls is PipelineConfig else Scenario).from_dict(d)
+        return
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    if cls is PipelineConfig:
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(EDGE_SCENARIO))
+        argv, code, prefix = ["--scenario", str(scenario), "--config",
+                              str(path)], EXIT_CONFIG, "config error: "
+    else:
+        argv, code, prefix = ["--scenario", str(path)], EXIT_SCENARIO, \
+            "scenario error: "
+    assert main(["run", *argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    label = name if component is None else f"{name}[{component}]"
+    assert err.startswith(prefix)
+    assert f"{label} must be in {bounds(cls)[name]}, got " in err
+    assert not out.exists()

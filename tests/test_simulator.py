@@ -925,12 +925,12 @@ class TestSchema:
             {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
              "frames": 5},
             {"position": [0.0, -1.0, 1.0], "look_at": [0.0, 0.0, 1.0],
-             "frames": frames}]}, "segment frames")
+             "frames": frames}]}, "frames must be in")
         for frames in (-3, 0)] + [
         ({"kind": "orbit", "center": [0.0, 0.0, 1.0], "radius": 2.0,
-          "frames": frames}, "orbit frames") for frames in (-2, 0)] + [
+          "frames": frames}, "frames must be in") for frames in (-2, 0)] + [
         ({"kind": "orbit", "center": [0.0, 0.0, 1.0], "radius": -2.0,
-          "frames": 12}, "orbit radius")],
+          "frames": 12}, "radius must be in")],
         ids=["segment_negative_frames", "segment_zero_frames",
              "orbit_negative_frames", "orbit_zero_frames",
              "orbit_negative_radius"])
@@ -1019,10 +1019,10 @@ class TestSchema:
          "sample_count"),
         ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
                          "radius": 2.0, "frames": MAX_FRAMES + 1}},
-         "orbit frames"),
+         "frames must be in"),
         ({"trajectory": {"kind": "segments", "segments": [
             {"position": [0.0, -2.0, 1.0], "look_at": [0.0, 0.0, 1.0],
-             "frames": MAX_FRAMES + 1}]}}, "segment frames"),
+             "frames": MAX_FRAMES + 1}]}}, "frames must be in"),
         ({"intrinsics": dict(BASE["intrinsics"], width=MAX_IMAGE_SIDE + 1)},
          "width"),
         ({"intrinsics": dict(BASE["intrinsics"], height=MAX_IMAGE_SIDE + 1)},
@@ -1031,7 +1031,7 @@ class TestSchema:
         # angles overflowed, and the load warned
         ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],
                          "radius": 2.0, "frames": 12, "sweep_deg": 1e308}},
-         "orbit sweep_deg"),
+         "sweep_deg must be in"),
         # a jitter past the widest image loaded; near the largest float its
         # draws overflowed, and the run died on a non-finite landmark
         ({"noise": {"landmark_jitter_px": math.nextafter(
@@ -1040,6 +1040,14 @@ class TestSchema:
     def test_out_of_range_field_rejected(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):
             scenario(**overrides)
+
+    def test_fps_whose_frame_times_overflow_rejected(self):
+        # frame 11 at 1.1e308 s loads; at 1e-308 fps it lay at inf s, the
+        # run wrote "t": Infinity and the willingness clock took inf - inf
+        assert scenario(fps=1e-307).fps == 1e-307
+        with pytest.raises(ScenarioError, match="frame 11 at fps 1e-308 "
+                                                "has no finite time"):
+            scenario(fps=1e-308)
 
     @pytest.mark.parametrize("overrides, key", [
         ({"trajectory": {"kind": "orbit", "center": [0.0, 0.0, 1.0],

@@ -190,8 +190,8 @@ def cmd_willingness(args) -> int:
             t = float(rec.t)
             triggers = wmap.step_frame(
                 [(p.id, p.attending) for p in rec.persons], t)
-            for pid in sorted(wmap.states):
-                state = wmap.states[pid]
+            for pid in sorted(wmap.persons):
+                state = wmap.persons[pid].willingness
                 out_lines.append(_dump_json({
                     "t": t, "id": pid, "value": state.value,
                     "triggered": state.triggered,

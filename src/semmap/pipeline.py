@@ -85,24 +85,23 @@ class Pipeline:
                                cost_tol=config.lm_cost_tol,
                                max_iterations=config.lm_max_iterations,
                                accept_rms=config.lm_accept_rms_px)
-        self.head_poses = {}  # person track id -> its last accepted HeadPose
 
     def solve_faces(self, pairs) -> list:
         """Head pose of each (person track, face) pair as a per-track
         estimate; per pair a HeadPose or the solver exception.
 
-        All faces descend in one batch, each from its track's last accepted
-        pose, or from the closed-form start if the track has none. A warm
-        fit that raised, or whose rms exceeds both WARM_RESTART_RMS_PX and
-        twice the last pose's rms, is solved again from the closed-form
-        start in a second batch. A solve that raises leaves the track
-        without a pose.
+        All faces descend in one batch, each from the last accepted pose in
+        its track's person record, or from the closed-form start if the
+        track has none. A warm fit that raised, or whose rms exceeds both
+        WARM_RESTART_RMS_PX and twice the last pose's rms, is solved again
+        from the closed-form start in a second batch.
         """
         if not pairs:
             return []
         faces = [face for _, face in pairs]
-        last = [self.head_poses.pop(track.track_id, None)
-                for track, _ in pairs]
+        persons = self.willingness.persons
+        last = [person.pose if (person := persons.get(track.track_id))
+                else None for track, _ in pairs]
         poses = lm_solve_poses(
             faces, self.face_model, self.intrinsics,
             inits=[None if pose is None
@@ -117,9 +116,6 @@ class Pipeline:
                                   self.intrinsics, **self.lm_options)
             for j, pose in zip(retry, fits):
                 poses[j] = pose
-        for (track, _), pose in zip(pairs, poses):
-            if isinstance(pose, HeadPose):
-                self.head_poses[track.track_id] = pose
         return poses
 
     def step(self, inp: FrameInput) -> dict:
@@ -127,6 +123,9 @@ class Pipeline:
         config, registry = self.config, self.registry
         willing = self.willingness
         i = inp.frame
+        # a frame out of order or before the clock changes no state
+        self.tracker.check_frame(i)
+        willing.check_clock(inp.t)
         registry.add_keyframe(i, inp.pose_estimate)
         confirmations = self.tracker.step(inp.detections, i)
 
@@ -150,7 +149,8 @@ class Pipeline:
         person_rows = []
         observations = []
         pairs = pair_faces(person_tracks, inp.faces)
-        for (track, face), pose in zip(pairs, self.solve_faces(pairs)):
+        poses = self.solve_faces(pairs)
+        for (track, face), pose in zip(pairs, poses):
             row = {"track": track.track_id, "person": face.face_id}
             person_rows.append(row)
             if not isinstance(pose, HeadPose):
@@ -167,10 +167,12 @@ class Pipeline:
         live = [t.track_id for t in self.tracker.tracks
                 if t.kind == KIND_PERSON]
         willing.prune(live)
-        self.head_poses = {tid: self.head_poses[tid] for tid in live
-                           if tid in self.head_poses}
-        for row in person_rows:
-            state = willing.states.get(row["track"])
+        # a paired track is live; a solve that raised drops its warm start
+        for row, pose in zip(person_rows, poses):
+            person = willing.persons.get(row["track"])
+            if person is not None:
+                person.pose = pose if isinstance(pose, HeadPose) else None
+            state = person.willingness if person else None
             row["value"] = state.value if state else 0.0
             row["triggered"] = state.triggered if state else False
 

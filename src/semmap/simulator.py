@@ -57,12 +57,13 @@ MAX_FALSE_POSITIVE_RATE = 100.0
 # landmark lands outside any image more often than not, and near the
 # largest float the draws themselves overflow
 MAX_LANDMARK_JITTER_PX = float(MAX_IMAGE_SIDE)
-# surface samples per object: a million put a 1 m cube's faces ~2.4 mm
-# apart, finer than a 500 px focal length resolves from 1 m (2 mm a
-# pixel), and the frame source projects every sample every frame
+# surface samples of a scenario, and so of each object: a million put a
+# 1 m cube's faces ~2.4 mm apart, finer than a 500 px focal length
+# resolves from 1 m (2 mm a pixel), and the frame source projects every
+# sample every frame
 MAX_SAMPLE_COUNT = 1_000_000
-# frames of one orbit or segment: an hour at 30 fps; an orbit builds a
-# pose per frame
+# frames of a scenario, and so of each orbit or segment: an hour at 30
+# fps; the load builds a pose per frame
 MAX_FRAMES = 108_000
 MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
 # a world coordinate, m, on each axis: of an object's box, a camera
@@ -198,6 +199,13 @@ class CorrectionEvent:
             raise ScenarioError("correction poses must be 'true' or a mapping")
 
 
+def _check_total(what: str, total: int, cap: int):
+    """ScenarioError if a scenario's `total` of `what` exceeds `cap`: each
+    item may lie within its own bound while their sum does not."""
+    if total > cap:
+        raise ScenarioError(f"scenario has {total} {what}, more than {cap}")
+
+
 def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
     """Uniform points on the surface of an axis-aligned box."""
     c = np.asarray(centroid, dtype=np.float64)
@@ -267,6 +275,7 @@ class Segments:
     def trajectory(self) -> list:
         segments = [build(Segment, s, ScenarioError, "segment")
                     for s in self.segments]
+        _check_total("frames", sum(s.frames for s in segments), MAX_FRAMES)
         return [pose for s in segments for pose in [s.pose()] * s.frames]
 
 
@@ -275,6 +284,7 @@ class Poses:
     poses: list  # per frame {position, look_at} or {rotation, translation}
 
     def trajectory(self) -> list:
+        _check_total("frames", len(self.poses), MAX_FRAMES)
         return [build(Sight, p, ScenarioError, "pose").pose() if "look_at" in p
                 else RigidPose.from_dict(p, ScenarioError) for p in self.poses]
 
@@ -286,6 +296,7 @@ def _trajectory(spec) -> list:
     """True camera pose per frame from a scenario's `trajectory`: a list of
     RigidPose objects, or a generator object named by its `kind`."""
     if isinstance(spec, list):
+        _check_total("frames", len(spec), MAX_FRAMES)
         return [RigidPose.from_dict(p, ScenarioError) for p in spec]
     spec = dict(spec)
     kind = spec.pop("kind", None)
@@ -333,6 +344,9 @@ class Scenario:
         frames = len(self.trajectory)
         if not frames:
             raise ScenarioError("trajectory must be non-empty")
+        _check_total("frames", frames, MAX_FRAMES)
+        _check_total("surface samples", sum(
+            obj.sample_count for obj in self.world_objects), MAX_SAMPLE_COUNT)
         # an integer would give the z-buffer an integer dtype
         self.background_depth = float(self.background_depth)
         check_bounds(self, ScenarioError)

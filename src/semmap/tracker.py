@@ -99,12 +99,15 @@ class IoUTracker:
         self._next_id = 0
         self._last_frame: int | None = None
 
-    def step(self, detections, frame_id: int):
-        """Advance one frame; returns [(track_id, Detection2D)] confirmations."""
+    def check_frame(self, frame_id: int):
+        """NonMonotonicFrame unless `frame_id` follows the last step's."""
         if self._last_frame is not None and frame_id <= self._last_frame:
             raise NonMonotonicFrame(
-                f"frame {frame_id} after frame {self._last_frame}"
-            )
+                f"frame {frame_id} after frame {self._last_frame}")
+
+    def step(self, detections, frame_id: int):
+        """Advance one frame; returns [(track_id, Detection2D)] confirmations."""
+        self.check_frame(frame_id)
         self._last_frame = frame_id
 
         # per class: (index, x0, y0, x1, y1, bbox) of each detection

@@ -46,9 +46,17 @@ def update(state: WillingnessState, attending: bool, dt: float,
     return replace(state, value=value, triggered=triggered)
 
 
+@dataclass
+class Person:
+    """What is kept about one person: its willingness, and its last
+    accepted head pose, from which its next solve starts (None: cold)."""
+    willingness: WillingnessState
+    pose: object = None  # a headpose.HeadPose, which imports this module
+
+
 class PersonWillingnessMap:
-    """Per-person willingness states keyed by person track id, on one
-    clock: the time of the map's last step."""
+    """One `Person` record per person track id, on one clock: the time of
+    the map's last step. `prune` is the one place a record is dropped."""
 
     def __init__(self, rate_up: float = DEFAULT_RATE_UP,
                  rate_down: float = DEFAULT_RATE_DOWN,
@@ -56,7 +64,7 @@ class PersonWillingnessMap:
         self.rate_up = rate_up
         self.rate_down = rate_down
         self.reset_threshold = reset_threshold
-        self.states: dict[int, WillingnessState] = {}
+        self.persons: dict[int, Person] = {}
         self.t: float | None = None  # time of the last step
 
     def step_frame(self, observations, t_now: float) -> list[int]:
@@ -67,8 +75,7 @@ class PersonWillingnessMap:
         Known persons not listed are treated as not attending. Unknown
         listed persons are created at value 0, after the step.
         """
-        if self.t is not None and t_now < self.t:
-            raise ClockWentBackwards(f"t={t_now} before last step {self.t}")
+        self.check_clock(t_now)
         attending_by_id = {}
         for pid, attending in observations:
             if pid in attending_by_id:
@@ -77,19 +84,24 @@ class PersonWillingnessMap:
         dt = 0.0 if self.t is None else t_now - self.t
         self.t = t_now
         triggers = []
-        for pid, state in self.states.items():
-            new = update(state, attending_by_id.get(pid, False), dt,
-                         self.reset_threshold)
-            if new.triggered and not state.triggered:
+        for pid, person in self.persons.items():
+            old = person.willingness
+            person.willingness = update(old, attending_by_id.get(pid, False),
+                                        dt, self.reset_threshold)
+            if person.willingness.triggered and not old.triggered:
                 triggers.append(pid)
-            self.states[pid] = new
         for pid in attending_by_id:
-            if pid not in self.states:
-                self.states[pid] = WillingnessState(
-                    rate_up=self.rate_up, rate_down=self.rate_down)
+            if pid not in self.persons:
+                self.persons[pid] = Person(WillingnessState(
+                    rate_up=self.rate_up, rate_down=self.rate_down))
         return triggers
 
+    def check_clock(self, t_now: float):
+        """ClockWentBackwards if `t_now` precedes the last step."""
+        if self.t is not None and t_now < self.t:
+            raise ClockWentBackwards(f"t={t_now} before last step {self.t}")
+
     def prune(self, live_ids):
-        """Drop states for person tracks that no longer exist."""
+        """Drop the records of person tracks that no longer exist."""
         live = set(live_ids)
-        self.states = {pid: s for pid, s in self.states.items() if pid in live}
+        self.persons = {k: p for k, p in self.persons.items() if k in live}

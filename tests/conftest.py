@@ -512,6 +512,14 @@ def reference_orbit(orbit) -> list:
     return poses
 
 
+def warm_poses(pipeline) -> dict:
+    """Person track id -> the warm start its person record holds, for each
+    record that holds one."""
+    return {tid: person.pose
+            for tid, person in pipeline.willingness.persons.items()
+            if person.pose is not None}
+
+
 def object_samples(scenario) -> list:
     """Each world object's surface samples: views of `scenario.samples`,
     sliced at `scenario.sample_starts`."""

@@ -15,6 +15,7 @@ from conftest import (
     rodrigues,
     skew,
     solve_one,
+    warm_poses,
 )
 
 from semmap import headpose
@@ -625,7 +626,7 @@ class TestNoSharedMemory:
         kept, seen = [], set()
         for i in range(20):
             pipeline.step(synthesize_frame_data(sc, i)[0])
-            new = [p for p in pipeline.head_poses.values()
+            new = [p for p in warm_poses(pipeline).values()
                    if id(p) not in seen]
             seen.update(map(id, new))
             self.check(kept, pose_arrays(new))

@@ -29,7 +29,8 @@ loads, and the first value outside it (one integer, or one float by
 and write nothing. The sizing bounds are only loaded, never run. Every
 numeric field of the schema classes declares a bound or is listed in
 `UNBOUNDED` with the reason it needs none, and the README names each
-declared bound.
+declared bound. So is each cap on a scenario's total: its frames, over
+all segments or poses, and its surface samples, over all objects.
 """
 
 import copy
@@ -48,6 +49,8 @@ from semmap.errors import ScenarioError
 from semmap.geometry import CameraIntrinsics, RigidPose
 from semmap.pipeline import Pipeline
 from semmap.simulator import (
+    MAX_FRAMES,
+    MAX_SAMPLE_COUNT,
     CorrectionEvent,
     DriftModel,
     NoiseModel,
@@ -394,3 +397,51 @@ def test_declared_bound_edge(tmp_path, capsys, cls, name, component, value,
     assert err.startswith(prefix)
     assert f"{label} must be in {bounds(cls)[name]}, got " in err
     assert not out.exists()
+
+
+def with_total(what: str, total: int) -> dict:
+    """EDGE_SCENARIO with `total` frames in two segments, or `total`
+    surface samples in two objects, each within its own bound."""
+    d = copy.deepcopy(EDGE_SCENARIO)
+    halves = (total // 2, total - total // 2)
+    if what == "frames":
+        d["trajectory"] = dict(SEGMENTS, segments=[
+            dict(SEGMENTS["segments"][0], frames=n) for n in halves])
+    else:
+        d["world_objects"] = [dict(d["world_objects"][0], sample_count=n)
+                              for n in halves]
+    return d
+
+
+@pytest.mark.parametrize("what, cap", [("frames", MAX_FRAMES),
+                                       ("surface samples", MAX_SAMPLE_COUNT)])
+def test_scenario_total_edge(tmp_path, capsys, what, cap):
+    # three segments of MAX_FRAMES each loaded 324,000 frames, and three
+    # objects of MAX_SAMPLE_COUNT each 3,000,000 samples
+    Scenario.from_dict(with_total(what, cap))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(with_total(what, cap + 1)))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) \
+        == EXIT_SCENARIO
+    assert capsys.readouterr().err == (
+        f"scenario error: scenario has {cap + 1} {what}, more than {cap}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["list", "poses"])
+def test_explicit_trajectory_total_capped(kind):
+    poses = [{"rotation": np.eye(3).tolist(),
+              "translation": [0.0, 0.0, 0.0]}] * (MAX_FRAMES + 1)
+    d = dict(EDGE_SCENARIO, trajectory=poses if kind == "list"
+             else {"kind": "poses", "poses": poses})
+    with pytest.raises(ScenarioError, match=f"scenario has {MAX_FRAMES + 1} "
+                                            f"frames, more than {MAX_FRAMES}"):
+        Scenario.from_dict(d)
+
+
+def test_constructed_scenario_total_capped():
+    sc = Scenario.from_dict(EDGE_SCENARIO)
+    with pytest.raises(ScenarioError, match=f"scenario has {MAX_FRAMES + 1} "
+                                            f"frames, more than {MAX_FRAMES}"):
+        dataclasses.replace(sc, trajectory=sc.trajectory * (MAX_FRAMES + 1))

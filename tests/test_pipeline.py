@@ -7,7 +7,7 @@ import pytest
 
 from semmap import headpose
 from semmap import pipeline as pipeline_module
-from semmap.errors import NoConvergence
+from semmap.errors import ClockWentBackwards, NoConvergence, NonMonotonicFrame
 from semmap.geometry import DepthImage, RigidPose
 from semmap.headpose import (
     FaceModel3D,
@@ -25,7 +25,7 @@ from semmap.simulator import (
 )
 from semmap.tracker import KIND_PERSON, Detection2D
 
-from conftest import solve_one
+from conftest import solve_one, warm_poses
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -199,7 +199,7 @@ class TestHeadPoseState:
         row, = self.run(pipeline, [(self.BBOX, 32.0)])
         assert spy.cold() == [True, False, True]
         assert row["persons"][0]["yaw"] == pytest.approx(32.0, abs=1e-6)
-        assert pipeline.head_poses[row["persons"][0]["track"]] \
+        assert warm_poses(pipeline)[row["persons"][0]["track"]] \
             is spy.calls[-1][1]
 
     @pytest.mark.parametrize("first_rms, warm_rms, cold_again", [
@@ -224,7 +224,7 @@ class TestHeadPoseState:
         spy.fail = "all"
         row, = self.run(pipeline, [(self.BBOX, 30.0)])
         assert row["persons"][0]["error"] == "NoConvergence"
-        assert pipeline.head_poses == {}
+        assert warm_poses(pipeline) == {}
         spy.fail = None
         self.run(pipeline, [(self.BBOX, 30.0)])
         assert spy.cold() == [True, False, True, True]
@@ -234,12 +234,96 @@ class TestHeadPoseState:
         gap = [(None, 30.0)] * (pipeline.config.track_ttl + 1)
         rows = self.run(pipeline, [(self.BBOX, 30.0), (self.MOVED, 30.0)]
                         + gap)
-        assert pipeline.head_poses == {}  # both tracks pruned
+        assert warm_poses(pipeline) == {}  # both tracks pruned
         rows += self.run(pipeline, [(self.MOVED, 30.0), (self.MOVED, 30.0)])
         tracks = [row["persons"][0]["track"] for row in rows if row["persons"]]
         assert len(set(tracks[:3])) == 3 and tracks[3] == tracks[2]
         assert spy.cold() == [True, True, True, False]
-        assert list(pipeline.head_poses) == [tracks[-1]]
+        assert list(warm_poses(pipeline)) == [tracks[-1]]
+
+    def test_failed_solve_keeps_willingness_not_warm_start(self, intrinsics,
+                                                           spy):
+        pipeline = Pipeline(intrinsics)
+        rows = self.run(pipeline, [(self.BBOX, 0.0)] * 4)
+        loaded = rows[-1]["persons"][0]["value"]
+        assert loaded == pytest.approx(0.3 * (1.0 / 3.0))
+        spy.fail = "all"
+        row, = self.run(pipeline, [(self.BBOX, 0.0)])
+        person, = pipeline.willingness.persons.values()
+        assert person.pose is None
+        unloaded = row["persons"][0]["value"]
+        assert unloaded == person.willingness.value
+        assert unloaded == pytest.approx(loaded - 0.1 / 9.0)
+        spy.fail = None
+        row, = self.run(pipeline, [(self.BBOX, 0.0)])
+        assert spy.cold()[-1]
+        assert row["persons"][0]["value"] == pytest.approx(
+            unloaded + 0.1 / 3.0)
+
+    def test_first_solve_failed_makes_no_record(self, intrinsics, spy):
+        pipeline = Pipeline(intrinsics)
+        spy.fail = "all"
+        row, = self.run(pipeline, [(self.BBOX, 0.0)])
+        person, = row["persons"]
+        assert person["error"] == "NoConvergence"
+        assert (person["value"], person["triggered"]) == (0.0, False)
+        assert pipeline.willingness.persons == {}
+
+    def test_dead_track_record_goes_at_the_one_prune(self, intrinsics, spy):
+        pipeline = Pipeline(intrinsics)
+        prunes = []
+
+        def prune(live, _real=pipeline.willingness.prune):
+            prunes.append(list(live))
+            _real(live)
+
+        pipeline.willingness.prune = prune
+        ttl = pipeline.config.track_ttl
+        rows = self.run(pipeline, [(self.BBOX, 0.0)] + [(None, 0.0)] * ttl)
+        track = rows[0]["persons"][0]["track"]
+        person, = pipeline.willingness.persons.values()
+        assert person.pose is not None and person.willingness.value == 0.0
+        self.run(pipeline, [(None, 0.0)])  # the track's last missed frame
+        assert pipeline.willingness.persons == {}
+        assert prunes == [[track]] * (ttl + 1) + [[]]
+
+
+class TestRejectedFrame:
+    """A frame that `step` rejects changes no state: the run goes on as if
+    the frame had never been sent."""
+
+    @staticmethod
+    def run_with(sc, at, bad, error):
+        """`sc`'s (map export, event rows), with `bad` sent before frame
+        `at` and rejected with `error`."""
+        pipeline = Pipeline(sc.intrinsics)
+        events = []
+        for i in range(sc.num_frames):
+            if i == at:
+                with pytest.raises(error):
+                    pipeline.step(bad)
+            events.append(pipeline.step(synthesize_frame_data(sc, i)[0]))
+        return pipeline.registry.export(), events
+
+    def test_repeated_frame_keeps_its_keyframe(self):
+        # frame 4 again, at the identity pose: its keyframe took that pose,
+        # and the map ended with 7 objects instead of 6
+        sc = Scenario.from_json(DATA_DIR / "tabletop_sweep.json")
+        registry, _, events = run_scenario_detailed(sc)
+        bad = dataclasses.replace(synthesize_frame_data(sc, 4)[0],
+                                  pose_estimate=RigidPose.identity())
+        assert self.run_with(sc, 5, bad, NonMonotonicFrame) \
+            == (registry.export(), events)
+
+    def test_frame_before_the_clock_can_be_sent_again(self):
+        # frame 6 at frame 3's time: the tracker had taken frame 6, so the
+        # same frame at its own time was a NonMonotonicFrame
+        sc = Scenario.from_json(DATA_DIR / "attention_crowd.json")
+        registry, _, events = run_scenario_detailed(sc)
+        bad = dataclasses.replace(synthesize_frame_data(sc, 6)[0],
+                                  t=3 / sc.fps)
+        assert self.run_with(sc, 6, bad, ClockWentBackwards) \
+            == (registry.export(), events)
 
 
 def interaction(jitter=0.0):

@@ -122,9 +122,9 @@ class TestPersonMap:
         m = PersonWillingnessMap()
         for frame in range(10):
             m.step_frame([(1, True)], frame * 0.1)
-        loaded = m.states[1].value
+        loaded = m.persons[1].willingness.value
         m.step_frame([], 2.0)
-        assert m.states[1].value < loaded
+        assert m.persons[1].willingness.value < loaded
 
     def test_two_persons_independent(self):
         m = PersonWillingnessMap()
@@ -146,13 +146,13 @@ class TestPersonMap:
         m.step_frame([(1, True)], 0.0)
         with pytest.raises(ValueError, match="person 1 observed twice"):
             m.step_frame([(1, True), (2, True), (1, False)], 0.1)
-        assert m.t == 0.0 and set(m.states) == {1}
+        assert m.t == 0.0 and set(m.persons) == {1}
 
     def test_prune_drops_dead_tracks(self):
         m = PersonWillingnessMap()
         m.step_frame([(1, True), (2, True)], 0.0)
         m.prune([2])
-        assert set(m.states) == {2}
+        assert set(m.persons) == {2}
 
     @given(times=st.lists(
                st.one_of(st.integers(0, 200).map(lambda n: n / 10),
@@ -177,7 +177,8 @@ class TestPersonMap:
             for pid in observed:
                 values.setdefault(pid, 0.0)
             m.step_frame(list(observed.items()), t)
-            assert {pid: s.value for pid, s in m.states.items()} == values
+            assert {pid: p.willingness.value
+                    for pid, p in m.persons.items()} == values
 
     def test_clock_backwards_rejected_before_any_person(self):
         m = PersonWillingnessMap()

@@ -180,9 +180,7 @@ def cmd_willingness(args) -> int:
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    wmap = PersonWillingnessMap(config.willingness_rate_up,
-                                config.willingness_rate_down,
-                                config.willingness_reset)
+    wmap = PersonWillingnessMap(config)
     out_lines = []
     trigger_summary = []
     try:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .errors import ConfigError
-from .willingness import DEFAULT_RATE_DOWN, DEFAULT_RATE_UP, DEFAULT_RESET
 
 
 # "class" is a Python keyword: it names `class_label`, which is no JSON key
@@ -192,6 +191,8 @@ def check_bounds(obj, error) -> None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every pipeline tunable, declared once: no layer defaults one."""
+
     iou_threshold: float = bound("(0, 1]", 0.5)
     min_track_length: int = bound("[1, inf)", 5)
     track_ttl: int = bound("[0, inf)", 3)
@@ -202,9 +203,9 @@ class PipelineConfig:
     voxel_leaf_m: float = bound("(0, inf)", 0.01)
     max_cloud_points: int = bound("[1, inf)", 50000)
     attention_cone_deg: float = bound("(0, 180]", 15.0)
-    willingness_rate_up: float = DEFAULT_RATE_UP  # > willingness_rate_down
-    willingness_rate_down: float = bound("(0, inf)", DEFAULT_RATE_DOWN)
-    willingness_reset: float = bound("(0, 1)", DEFAULT_RESET)
+    willingness_rate_up: float = 1.0 / 3.0  # > willingness_rate_down
+    willingness_rate_down: float = bound("(0, inf)", 1.0 / 9.0)
+    willingness_reset: float = bound("(0, 1)", 0.5)
     lm_lambda_init: float = bound("(0, inf)", 1e-3)
     lm_step_tol: float = bound("(0, inf)", 1e-6)
     lm_cost_tol: float = bound("(0, inf)", 1e-12)

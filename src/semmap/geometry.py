@@ -63,6 +63,13 @@ class CameraIntrinsics:
     def from_dict(cls, d: dict, error=ValueError) -> "CameraIntrinsics":
         return build(cls, d, error, "intrinsics")
 
+    def check_depth(self, depth: DepthImage):
+        """ValueError unless `depth` is (height, width) of this camera."""
+        if depth.data.shape != (self.height, self.width):
+            raise ValueError(
+                f"depth image shape {depth.data.shape} does not match the "
+                f"intrinsics' (height, width) {(self.height, self.width)}")
+
 
 @dataclass(frozen=True)
 class RigidPose:
@@ -201,7 +208,7 @@ def depth_band_halfwidth(bbox_w_px: float, bbox_h_px: float, median_depth: float
 
 
 def extract_object_cloud(bbox, depth: DepthImage, k: CameraIntrinsics,
-                         stride: int = 4) -> np.ndarray:
+                         stride: int) -> np.ndarray:
     """Cut an object's frozen (N, 3) camera-frame points out of a depth image.
 
     Samples every stride-th pixel inside the bbox, keeps only pixels whose
@@ -212,10 +219,7 @@ def extract_object_cloud(bbox, depth: DepthImage, k: CameraIntrinsics,
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if depth.data.shape != (k.height, k.width):
-        raise ValueError(
-            f"depth image shape {depth.data.shape} does not match the "
-            f"intrinsics' (height, width) {(k.height, k.width)}")
+    k.check_depth(depth)
     x0, y0, x1, y1 = bbox
     u0, u1 = max(0, math.ceil(x0)), min(k.width, math.ceil(x1))
     v0, v1 = max(0, math.ceil(y0)), min(k.height, math.ceil(y1))

@@ -18,7 +18,7 @@ from numbers import Real
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .config import read_json_object
+from .config import PipelineConfig, read_json_object
 from .errors import DegenerateConfiguration, NoConvergence, PointBehindCamera
 from .geometry import CameraIntrinsics, _freeze
 
@@ -511,10 +511,7 @@ def _checked_init(init) -> np.ndarray:
 
 
 def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
-                   inits=None, lambda_init: float = 1e-3,
-                   step_tol: float = 1e-8, cost_tol: float = 1e-12,
-                   max_iterations: int = 100,
-                   accept_rms: float = 100.0) -> list:
+                   inits=None, config: PipelineConfig | None = None) -> list:
     """Fit the model pose of each face by damped Gauss-Newton on
     reprojection error; returns, per face, its HeadPose or the exception
     its solve ends in (DegenerateConfiguration, PointBehindCamera or
@@ -523,10 +520,12 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
     Faces with the same landmark set descend as one stack, each once from
     `inits[i]`, six finite numbers (axis-angle rotation, translation, as a
     pose's own `(axis_angle, translation)`), or for None from the start of
-    `_closed_form_starts`. A pose whose rms over its landmarks exceeds
-    `accept_rms` is NoConvergence. The poses of one call share their
-    arrays' memory with each other and with nothing else.
+    `_closed_form_starts`, at the config's `lm_*` settings. A pose whose
+    rms over its landmarks exceeds `lm_accept_rms_px` is NoConvergence.
+    The poses of one call share their arrays' memory with each other and
+    with nothing else.
     """
+    config = config or PipelineConfig()
     if inits is None:
         inits = [None] * len(faces)
     elif len(inits) != len(faces):
@@ -534,7 +533,9 @@ def lm_solve_poses(faces, model: FaceModel3D, k: CameraIntrinsics,
     inits = [None if init is None else _checked_init(init) for init in inits]
     focal = np.array([k.fx, k.fy])
     center = np.array([k.cx, k.cy])
-    options = (lambda_init, step_tol, cost_tol, max_iterations)
+    options = (config.lm_lambda_init, config.lm_step_tol,
+               config.lm_cost_tol, config.lm_max_iterations)
+    accept_rms = config.lm_accept_rms_px
     outcomes = [None] * len(faces)
     groups = {}  # landmark names -> indices of the faces that have them
     for i, face in enumerate(faces):
@@ -616,7 +617,7 @@ def euler_from_rotation(rot: np.ndarray):
     return angles if rot.ndim == 3 else angles[0]
 
 
-def is_attending(pose: HeadPose, cone_deg: float = 15.0) -> bool:
+def is_attending(pose: HeadPose, cone_deg: float) -> bool:
     """Facing test: combined yaw/pitch deviation inside the cone; roll ignored."""
     return float(np.hypot(pose.yaw, pose.pitch)) <= cone_deg
 

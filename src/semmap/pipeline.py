@@ -69,22 +69,9 @@ class Pipeline:
         self.config = config = config or PipelineConfig()
         self.tracker = IoUTracker(config.iou_threshold,
                                   config.min_track_length, config.track_ttl)
-        self.registry = SemanticMap(
-            assoc_dist=config.assoc_dist_m,
-            merge_overlap=config.merge_overlap_ratio,
-            overlap_radius=config.overlap_radius_m,
-            voxel_leaf=config.voxel_leaf_m,
-            max_cloud_points=config.max_cloud_points,
-        )
-        self.willingness = PersonWillingnessMap(config.willingness_rate_up,
-                                                config.willingness_rate_down,
-                                                config.willingness_reset)
+        self.registry = SemanticMap(config)
+        self.willingness = PersonWillingnessMap(config)
         self.face_model = FaceModel3D.default()
-        self.lm_options = dict(lambda_init=config.lm_lambda_init,
-                               step_tol=config.lm_step_tol,
-                               cost_tol=config.lm_cost_tol,
-                               max_iterations=config.lm_max_iterations,
-                               accept_rms=config.lm_accept_rms_px)
 
     def solve_faces(self, pairs) -> list:
         """Head pose of each (person track, face) pair as a per-track
@@ -106,14 +93,14 @@ class Pipeline:
             faces, self.face_model, self.intrinsics,
             inits=[None if pose is None
                    else np.concatenate((pose.axis_angle, pose.translation))
-                   for pose in last], **self.lm_options)
+                   for pose in last], config=self.config)
         retry = [j for j, (pose, prev) in enumerate(zip(poses, last))
                  if prev is not None and not (
                      isinstance(pose, HeadPose) and pose.rms_residual <= max(
                          WARM_RESTART_RMS_PX, 2.0 * prev.rms_residual))]
         if retry:
             fits = lm_solve_poses([faces[j] for j in retry], self.face_model,
-                                  self.intrinsics, **self.lm_options)
+                                  self.intrinsics, config=self.config)
             for j, pose in zip(retry, fits):
                 poses[j] = pose
         return poses
@@ -123,9 +110,12 @@ class Pipeline:
         config, registry = self.config, self.registry
         willing = self.willingness
         i = inp.frame
-        # a frame out of order or before the clock changes no state
+        # a frame that any layer would reject changes no state
         self.tracker.check_frame(i)
         willing.check_clock(inp.t)
+        self.intrinsics.check_depth(inp.depth)
+        for poses in inp.corrections:
+            registry.check_keyframes((kf_id for kf_id, _ in poses), (i,))
         registry.add_keyframe(i, inp.pose_estimate)
         confirmations = self.tracker.step(inp.detections, i)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ClassMismatch, EmptyCloud, UnknownKeyframe
 from .geometry import PointCloud, RigidPose, _trusted, voxel_downsample
 
@@ -148,20 +149,26 @@ class MergeReport:
 class SemanticMap:
     """Registry of keyframes and semantic objects. Single-writer."""
 
-    def __init__(self, assoc_dist: float = 0.3, merge_overlap: float = 0.5,
-                 overlap_radius: float = 0.05, voxel_leaf: float = 0.01,
-                 max_cloud_points: int = 50000):
-        self.assoc_dist = assoc_dist
-        self.merge_overlap = merge_overlap
-        self.overlap_radius = overlap_radius
-        self.voxel_leaf = voxel_leaf
-        self.max_cloud_points = max_cloud_points
+    def __init__(self, config: PipelineConfig | None = None):
+        config = config or PipelineConfig()
+        self.assoc_dist = config.assoc_dist_m
+        self.merge_overlap = config.merge_overlap_ratio
+        self.overlap_radius = config.overlap_radius_m
+        self.voxel_leaf = config.voxel_leaf_m
+        self.max_cloud_points = config.max_cloud_points
         self.keyframes: dict[int, RigidPose] = {}
         self.objects: dict[int, SemanticObject] = {}
         self._next_object_id = 0
 
     def add_keyframe(self, keyframe_id: int, pose: RigidPose):
         self.keyframes[keyframe_id] = pose
+
+    def check_keyframes(self, keyframe_ids, adding=()):
+        """UnknownKeyframe for the first id that is neither registered nor
+        in `adding`, the ids about to be added."""
+        for kf_id in keyframe_ids:
+            if kf_id not in self.keyframes and kf_id not in adding:
+                raise UnknownKeyframe(f"keyframe {kf_id} not registered")
 
     def associate(self, candidate: PointCloud, class_label: str) -> int | None:
         """Nearest same-class object by chamfer distance, if close enough.
@@ -288,9 +295,7 @@ class SemanticMap:
         corrected clouds saliently overlap. An object whose observations
         all keep the keyframe pose that mapped them would rebuild to the
         same bits, so it is left as it is."""
-        for kf_id, _pose in corrected:
-            if kf_id not in self.keyframes:
-                raise UnknownKeyframe(f"keyframe {kf_id} not registered")
+        self.check_keyframes(kf_id for kf_id, _pose in corrected)
         for kf_id, pose in corrected:
             self.keyframes[kf_id] = pose
         for obj in self.objects.values():

@@ -86,8 +86,7 @@ class IoUTracker:
     # scores its objects 1.0 and its false positives 0.3
     START_SCORE = 0.5
 
-    def __init__(self, iou_threshold: float = 0.5, min_track_length: int = 5,
-                 ttl: int = 3):
+    def __init__(self, iou_threshold: float, min_track_length: int, ttl: int):
         if not 0.0 < iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in (0, 1]")
         if min_track_length < 1 or ttl < 0:

@@ -8,20 +8,19 @@ below a reset threshold (hysteresis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
+from .config import PipelineConfig
 from .errors import ClockWentBackwards, NegativeDt
-
-DEFAULT_RATE_UP = 1.0 / 3.0
-DEFAULT_RATE_DOWN = 1.0 / 9.0
-DEFAULT_RESET = 0.5
+from .headpose import HeadPose
 
 
 @dataclass(frozen=True)
 class WillingnessState:
+    rate_up: float
+    rate_down: float
     value: float = 0.0
-    rate_up: float = DEFAULT_RATE_UP
-    rate_down: float = DEFAULT_RATE_DOWN
     triggered: bool = False
 
     def __post_init__(self):
@@ -32,7 +31,7 @@ class WillingnessState:
 
 
 def update(state: WillingnessState, attending: bool, dt: float,
-           reset_threshold: float = DEFAULT_RESET) -> WillingnessState:
+           reset_threshold: float) -> WillingnessState:
     """Advance one interval; loads at rate_up when attending, else unloads."""
     if dt < 0:
         raise NegativeDt(f"dt = {dt}")
@@ -51,19 +50,15 @@ class Person:
     """What is kept about one person: its willingness, and its last
     accepted head pose, from which its next solve starts (None: cold)."""
     willingness: WillingnessState
-    pose: object = None  # a headpose.HeadPose, which imports this module
+    pose: HeadPose | None = None
 
 
 class PersonWillingnessMap:
     """One `Person` record per person track id, on one clock: the time of
     the map's last step. `prune` is the one place a record is dropped."""
 
-    def __init__(self, rate_up: float = DEFAULT_RATE_UP,
-                 rate_down: float = DEFAULT_RATE_DOWN,
-                 reset_threshold: float = DEFAULT_RESET):
-        self.rate_up = rate_up
-        self.rate_down = rate_down
-        self.reset_threshold = reset_threshold
+    def __init__(self, config: PipelineConfig | None = None):
+        self.config = config or PipelineConfig()
         self.persons: dict[int, Person] = {}
         self.t: float | None = None  # time of the last step
 
@@ -83,21 +78,25 @@ class PersonWillingnessMap:
             attending_by_id[pid] = attending
         dt = 0.0 if self.t is None else t_now - self.t
         self.t = t_now
+        config = self.config
         triggers = []
         for pid, person in self.persons.items():
             old = person.willingness
             person.willingness = update(old, attending_by_id.get(pid, False),
-                                        dt, self.reset_threshold)
+                                        dt, config.willingness_reset)
             if person.willingness.triggered and not old.triggered:
                 triggers.append(pid)
         for pid in attending_by_id:
             if pid not in self.persons:
                 self.persons[pid] = Person(WillingnessState(
-                    rate_up=self.rate_up, rate_down=self.rate_down))
+                    config.willingness_rate_up, config.willingness_rate_down))
         return triggers
 
     def check_clock(self, t_now: float):
-        """ClockWentBackwards if `t_now` precedes the last step."""
+        """ValueError unless `t_now` is finite; ClockWentBackwards if it
+        precedes the last step."""
+        if not -math.inf < t_now < math.inf:  # NaN fails both
+            raise ValueError(f"t={t_now} is not finite")
         if self.t is not None and t_now < self.t:
             raise ClockWentBackwards(f"t={t_now} before last step {self.t}")
 

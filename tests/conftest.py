@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semmap.config import PipelineConfig
 from semmap.errors import (
     DegenerateConfiguration,
     EmptyCloud,
@@ -268,12 +269,29 @@ def residuals_and_jacobian(params: np.ndarray, model_points: np.ndarray,
     return res[0], _jacobian(model_points, focal, *terms)[0]
 
 
+# the references' name of each solver setting -> its `PipelineConfig` field
+LM_FIELDS = {"lambda_init": "lm_lambda_init", "step_tol": "lm_step_tol",
+             "cost_tol": "lm_cost_tol", "max_iterations": "lm_max_iterations",
+             "accept_rms": "lm_accept_rms_px"}
+
+
+def solver_config(step_tol=1e-8, **options) -> PipelineConfig:
+    """The config of a solve with the given settings, under the references'
+    names. Its step tolerance is the references' 1e-8 unless given; the
+    pipeline's is the config's 1e-6."""
+    options["step_tol"] = step_tol
+    return PipelineConfig(**{LM_FIELDS[name]: value
+                             for name, value in options.items()})
+
+
 def solve_one(obs: LandmarkSet2D, model: FaceModel3D, k: CameraIntrinsics,
               init: np.ndarray | None = None, **options) -> HeadPose:
     """`lm_solve_poses` of one face; raises the exception its solve ends
-    in. `options` are those of `lm_solve_poses`."""
+    in. `options` are settings under the references' names, as
+    `solver_config` takes them."""
     pose, = lm_solve_poses([obs], model, k,
-                           None if init is None else [init], **options)
+                           None if init is None else [init],
+                           solver_config(**options))
     if isinstance(pose, Exception):
         raise pose
     return pose

@@ -173,7 +173,7 @@ def test_freeze_returns_a_frozen_array_as_is():
 
 def test_extracted_cloud_is_frozen(intrinsics):
     cloud = extract_object_cloud((0, 0, 100, 100), _flat_depth(2.0),
-                                 intrinsics)
+                                 intrinsics, stride=4)
     assert cloud.shape == (625, 3)
     assert _frozen_float64(cloud)
 
@@ -214,7 +214,7 @@ class TestExtractObjectCloud:
     def test_all_invalid_raises(self, intrinsics):
         with pytest.raises(EmptyCloud):
             extract_object_cloud((0, 0, 100, 100), _flat_depth(0.0),
-                                 intrinsics)
+                                 intrinsics, stride=4)
 
     def test_points_are_bbox_backprojections_within_band(self, intrinsics):
         rng = np.random.default_rng(4)
@@ -240,7 +240,8 @@ class TestExtractObjectCloud:
         depth = DepthImage(np.full(shape, 2.0))
         with pytest.raises(ValueError, match=re.escape(str(shape))
                            + r".*\(480, 640\)"):
-            extract_object_cloud((0, 0, 100, 100), depth, intrinsics)
+            extract_object_cloud((0, 0, 100, 100), depth, intrinsics,
+                                 stride=4)
 
     def test_overflowing_depths_raise_without_warning(self, intrinsics):
         # finite depths near the largest float overflow when back-projected;
@@ -249,7 +250,7 @@ class TestExtractObjectCloud:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 extract_object_cloud((0, 0, 100, 100), _flat_depth(1e307),
-                                     intrinsics)
+                                     intrinsics, stride=4)
 
 
 SMALL = CameraIntrinsics(fx=30.0, fy=30.0, cx=20.0, cy=15.0,

@@ -15,10 +15,12 @@ from conftest import (
     rodrigues,
     skew,
     solve_one,
+    solver_config,
     warm_poses,
 )
 
 from semmap import headpose
+from semmap.config import PipelineConfig
 from semmap.errors import (
     DegenerateConfiguration,
     NoConvergence,
@@ -501,7 +503,7 @@ class TestBatchedSolves:
         faces.insert(min(at, len(faces)), failing_face(failing))
         got = lm_solve_poses([obs for obs, _ in faces], EXTENDED_MODEL, K,
                              inits=[init for _, init in faces],
-                             accept_rms=accept_rms)
+                             config=solver_config(accept_rms=accept_rms))
         assert len(got) == len(faces)
         for (obs, init), pose in zip(faces, got):
             outcome = _outcome(lambda: _raised(pose))
@@ -761,16 +763,18 @@ class TestEuler:
 
 
 class TestAttending:
+    CONE_DEG = PipelineConfig().attention_cone_deg
+
     def pose(self, yaw, pitch, roll=0.0):
         return HeadPose(rotation_from_euler(yaw, pitch, roll),
                         np.array([0, 0, 1.0]), yaw, pitch, roll, 0.0)
 
     def test_facing_camera(self):
-        assert is_attending(self.pose(0, 0))
+        assert is_attending(self.pose(0, 0), self.CONE_DEG)
 
     def test_outside_cone(self):
-        assert not is_attending(self.pose(30, 0))
-        assert not is_attending(self.pose(0, -20))
+        assert not is_attending(self.pose(30, 0), self.CONE_DEG)
+        assert not is_attending(self.pose(0, -20), self.CONE_DEG)
 
     def test_boundary_inside(self):
         # hypot(9, 12) = 15 exactly, on the cone boundary
@@ -778,7 +782,7 @@ class TestAttending:
         assert not is_attending(self.pose(9.0, 12.001), cone_deg=15.0)
 
     def test_roll_does_not_matter(self):
-        assert is_attending(self.pose(5, 5, roll=170.0))
+        assert is_attending(self.pose(5, 5, roll=170.0), self.CONE_DEG)
 
 
 def test_skew_cross_product_identity():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 from semmap import headpose
 from semmap import pipeline as pipeline_module
-from semmap.errors import ClockWentBackwards, NoConvergence, NonMonotonicFrame
+from semmap.errors import (
+    ClockWentBackwards,
+    NoConvergence,
+    NonMonotonicFrame,
+    UnknownKeyframe,
+)
 from semmap.geometry import DepthImage, RigidPose
 from semmap.headpose import (
     FaceModel3D,
@@ -25,7 +31,7 @@ from semmap.simulator import (
 )
 from semmap.tracker import KIND_PERSON, Detection2D
 
-from conftest import solve_one, warm_poses
+from conftest import warm_poses
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -179,8 +185,8 @@ class TestHeadPoseState:
         assert spy.batches == [1, 2]
         assert spy.cold() == [True, False, True]
         for (init, pose), x in zip(spy.calls[1:], (-0.3, 0.3)):
-            alone = solve_one(faces[x], pipeline.face_model, intrinsics,
-                              init=init, **pipeline.lm_options)
+            alone, = lm_solve_poses([faces[x]], pipeline.face_model,
+                                    intrinsics, [init], pipeline.config)
             for name in ("rotation", "translation", "axis_angle"):
                 assert getattr(pose, name).tobytes() \
                     == getattr(alone, name).tobytes()
@@ -324,6 +330,48 @@ class TestRejectedFrame:
                                   t=3 / sc.fps)
         assert self.run_with(sc, 6, bad, ClockWentBackwards) \
             == (registry.export(), events)
+
+    @pytest.mark.parametrize("at, t", [(0, -math.inf), (6, math.nan),
+                                       (6, math.inf)])
+    def test_frame_at_a_non_finite_time_can_be_sent_again(self, at, t):
+        # NaN became the clock and the next step reset every value to 0;
+        # +inf made every later frame go back in time; -inf as the first
+        # time made a person trigger on the next frame
+        sc = Scenario.from_json(DATA_DIR / "attention_crowd.json")
+        registry, _, events = run_scenario_detailed(sc)
+        bad = dataclasses.replace(synthesize_frame_data(sc, at)[0], t=t)
+        assert self.run_with(sc, at, bad, ValueError) \
+            == (registry.export(), events)
+
+    def test_depth_of_the_wrong_shape_can_be_sent_again(self):
+        # the shape was first read at a confirmation: frame 4 raised after
+        # the tracker and keyframe 4 had advanced
+        sc = Scenario.from_json(DATA_DIR / "tabletop_sweep.json")
+        registry, _, events = run_scenario_detailed(sc)
+        bad = dataclasses.replace(synthesize_frame_data(sc, 4)[0],
+                                  depth=DepthImage(np.ones((10, 10))))
+        assert self.run_with(sc, 4, bad, ValueError) \
+            == (registry.export(), events)
+
+    def test_correction_of_an_unknown_keyframe_can_be_sent_again(self):
+        # keyframe 999 raised only after the tracker, the map, the clock
+        # and the warm poses had advanced
+        sc = Scenario.from_json(DATA_DIR / "tabletop_sweep.json")
+        registry, _, events = run_scenario_detailed(sc)
+        bad = dataclasses.replace(
+            synthesize_frame_data(sc, 10)[0],
+            corrections=[[(999, RigidPose.identity())]])
+        assert self.run_with(sc, 10, bad, UnknownKeyframe) \
+            == (registry.export(), events)
+
+    def test_correction_may_name_its_own_frame(self):
+        sc = Scenario.from_json(DATA_DIR / "tabletop_sweep.json")
+        pipeline = Pipeline(sc.intrinsics)
+        for i in range(3):
+            inp = synthesize_frame_data(sc, i)[0]
+            corrections = [[(i, RigidPose.identity())]] if i == 2 else []
+            pipeline.step(dataclasses.replace(inp, corrections=corrections))
+        assert pipeline.registry.keyframes[2] == RigidPose.identity()
 
 
 def interaction(jitter=0.0):

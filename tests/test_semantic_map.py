@@ -131,8 +131,8 @@ class TestBounds:
         assert hi.tobytes() == points.max(axis=0).tobytes()
 
 
-def make_map(**kw):
-    m = SemanticMap(**kw)
+def make_map(**config):
+    m = SemanticMap(PipelineConfig(**config))
     m.add_keyframe(0, RigidPose.identity())
     return m
 
@@ -186,7 +186,7 @@ class TestAssociate:
     def test_same_choice_as_scanning_every_object(self, seed, assoc_dist,
                                                   count):
         rng = np.random.default_rng(seed)
-        m = make_map(assoc_dist=assoc_dist)
+        m = make_map(assoc_dist_m=assoc_dist)
         if count == 0:
             m.register_candidate(np.array([[0.3, 0.0, 1.0]], float), "cup", 0)
             candidate = PointCloud([[0.0, 0.0, 1.0]])
@@ -242,7 +242,7 @@ class TestRegisterCandidate:
         data = np.where(rng.uniform(size=(480, 640)) < 0.8,
                         rng.uniform(1.5, 2.5, (480, 640)), 0.0)
         local = extract_object_cloud((100, 80, 220, 200), DepthImage(data),
-                                     intrinsics)
+                                     intrinsics, stride=4)
         pose = random_pose(rng)
         m = SemanticMap()
         m.add_keyframe(0, pose)
@@ -439,7 +439,7 @@ class TestRebuild:
         every observation afresh, also once the cap makes rebuild
         voxel-downsample."""
         rng = np.random.default_rng(seed)
-        m = make_map(max_cloud_points=150, voxel_leaf=0.02)
+        m = make_map(max_cloud_points=150, voxel_leaf_m=0.02)
         true = {0: RigidPose.identity()}
         for kf in range(1, 7):
             true[kf] = random_pose(rng)
@@ -506,7 +506,7 @@ class TestRebuild:
                                                              monkeypatch):
         # association too tight to match: two sightings of one cup become
         # two objects, which the correction's merge pass then joins
-        m = make_map(assoc_dist=1e-6)
+        m = make_map(assoc_dist_m=1e-6)
         m.add_keyframe(1, RigidPose(np.eye(3), [0.01, 0, 0]))
         a = m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 0)
         b = m.register_candidate(cube_cloud([0, 0, 1], seed=1).points,
@@ -534,7 +534,7 @@ class TestRebuild:
         registrations, a correction and merges, centroid and AABB are
         still bitwise those of a fresh rebuild."""
         rng = np.random.default_rng(seed)
-        m = make_map(assoc_dist=1e-6)
+        m = make_map(assoc_dist_m=1e-6)
         m.add_keyframe(1, RigidPose(np.eye(3), [0.0, 0.02, 0.0]))
         for kf in (0, 1, 0, 1):
             local = rng.choice([0.0, 0.01, 0.02], size=(30, 3)) * [1, -1, 1]
@@ -565,8 +565,8 @@ def random_clusters(seed: int, count: int) -> SemanticMap:
     """Objects scattered about a few centres, with ids in shuffled order:
     merges chain, and a survivor often overlaps a lower id."""
     rng = np.random.default_rng(seed)
-    m = make_map(merge_overlap=float(rng.choice([0.2, 0.5])),
-                 overlap_radius=0.05)
+    m = make_map(merge_overlap_ratio=float(rng.choice([0.2, 0.5])),
+                 overlap_radius_m=0.05)
     centres = rng.uniform(-0.3, 0.3, (3, 3))
     for obj_id in rng.permutation(count).tolist():
         obj = SemanticObject(obj_id, str(rng.choice(["cup", "book"])))

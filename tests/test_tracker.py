@@ -122,7 +122,7 @@ class TestDetection2D:
 
 class TestStep:
     def test_single_confirmation_at_threshold(self):
-        tracker = IoUTracker(min_track_length=5)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=5, ttl=3)
         bbox = (10, 10, 50, 50)
         confirmed = []
         for frame in range(1, 9):
@@ -131,13 +131,13 @@ class TestStep:
         track_id, d = confirmed[0]
         assert d.bbox == bbox
         # confirmation lands exactly on the 5th sighting
-        tracker2 = IoUTracker(min_track_length=5)
+        tracker2 = IoUTracker(iou_threshold=0.5, min_track_length=5, ttl=3)
         for frame in range(1, 5):
             assert tracker2.step([det(bbox)], frame) == []
         assert len(tracker2.step([det(bbox)], 5)) == 1
 
     def test_short_track_never_confirms(self):
-        tracker = IoUTracker(min_track_length=5, ttl=3)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=5, ttl=3)
         confirmed = []
         for frame in range(1, 5):
             confirmed += tracker.step([det((0, 0, 5, 5))], frame)
@@ -146,7 +146,7 @@ class TestStep:
         assert confirmed == []
 
     def test_class_gating_keeps_tracks_disjoint(self):
-        tracker = IoUTracker(min_track_length=3)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=3, ttl=3)
         bbox = (10, 10, 40, 40)
         confirmed = []
         for frame in range(1, 6):
@@ -157,7 +157,7 @@ class TestStep:
         assert len({tid for tid, _ in confirmed}) == 2
 
     def test_matching_is_injective(self):
-        tracker = IoUTracker(min_track_length=2)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=2, ttl=3)
         dets = [det((0, 0, 10, 10)), det((1, 0, 11, 10))]
         tracker.step(dets, 1)
         tracker.step(dets, 2)
@@ -165,13 +165,13 @@ class TestStep:
         assert sorted(indices) == [0, 1]
 
     def test_low_iou_spawns_new_track(self):
-        tracker = IoUTracker(iou_threshold=0.5)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=5, ttl=3)
         tracker.step([det((0, 0, 10, 10))], 1)
         tracker.step([det((8, 0, 18, 10))], 2)  # IoU = 2/18 < 0.5
         assert len(tracker.tracks) == 2
 
     def test_low_score_detection_extends_but_never_starts(self):
-        tracker = IoUTracker(min_track_length=3)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=3, ttl=3)
         tracker.step([det((0, 0, 10, 10), score=0.3)], 1)
         assert tracker.tracks == []
         tracker.step([det((0, 0, 10, 10), score=0.5)], 2)
@@ -182,14 +182,14 @@ class TestStep:
         assert [tid for tid, _ in confirmed] == [0]
 
     def test_ttl_drops_stale_tracks(self):
-        tracker = IoUTracker(ttl=2)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=5, ttl=2)
         tracker.step([det((0, 0, 10, 10))], 1)
         for frame in range(2, 5):
             tracker.step([], frame)
         assert tracker.tracks == []
 
     def test_track_never_confirms_twice(self):
-        tracker = IoUTracker(min_track_length=2)
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=2, ttl=3)
         bbox = (0, 0, 10, 10)
         confirmed = []
         for frame in range(1, 20):
@@ -197,7 +197,7 @@ class TestStep:
         assert len(confirmed) == 1
 
     def test_non_monotonic_frame_rejected(self):
-        tracker = IoUTracker()
+        tracker = IoUTracker(iou_threshold=0.5, min_track_length=5, ttl=3)
         tracker.step([], 5)
         with pytest.raises(NonMonotonicFrame):
             tracker.step([], 5)
@@ -216,7 +216,7 @@ class TestStep:
                            for b in boxes])
         runs = []
         for _ in range(2):
-            tracker = IoUTracker(min_track_length=2)
+            tracker = IoUTracker(iou_threshold=0.5, min_track_length=2, ttl=3)
             out = []
             for i, dets in enumerate(frames):
                 out.append([(tid, d.bbox) for tid, d in tracker.step(dets, i)])

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semmap.config import PipelineConfig
 from semmap.errors import ClockWentBackwards, NegativeDt
 from semmap.willingness import (
     PersonWillingnessMap,
@@ -9,16 +12,24 @@ from semmap.willingness import (
     update,
 )
 
+# the rates and reset threshold of the states below
+RATE_UP, RATE_DOWN, RESET = 1.0 / 3.0, 1.0 / 9.0, 0.5
+
+
+def state_at(value=0.0):
+    """A state holding `value`, at RATE_UP and RATE_DOWN."""
+    return WillingnessState(RATE_UP, RATE_DOWN, value)
+
 
 def run_schedule(schedule, dt=0.01):
     """Advance a fresh state through (duration, attending) segments."""
-    state = WillingnessState()
+    state = state_at()
     trigger_times = []
     t = 0.0
     for duration, attending in schedule:
         for _ in range(round(duration / dt)):
             prev = state
-            state = update(state, attending, dt)
+            state = update(state, attending, dt, RESET)
             t += dt
             if state.triggered and not prev.triggered:
                 trigger_times.append(t)
@@ -27,25 +38,25 @@ def run_schedule(schedule, dt=0.01):
 
 class TestUpdate:
     def test_loads_at_rate_up(self):
-        state = update(WillingnessState(), True, 1.0)
+        state = update(state_at(), True, 1.0, RESET)
         assert state.value == pytest.approx(1.0 / 3.0)
 
     def test_unloads_at_rate_down(self):
-        state = update(WillingnessState(value=0.5), False, 1.0)
+        state = update(state_at(0.5), False, 1.0, RESET)
         assert state.value == pytest.approx(0.5 - 1.0 / 9.0)
 
     def test_clamped_at_zero(self):
-        state = update(WillingnessState(), False, 100.0)
+        state = update(state_at(), False, 100.0, RESET)
         assert state.value == 0.0
 
     def test_triggers_at_saturation(self):
-        state = update(WillingnessState(value=0.9), True, 10.0)
+        state = update(state_at(0.9), True, 10.0, RESET)
         assert state.value == 1.0
         assert state.triggered
 
     def test_negative_dt_rejected(self):
         with pytest.raises(NegativeDt):
-            update(WillingnessState(), True, -0.1)
+            update(state_at(), True, -0.1, RESET)
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +66,7 @@ class TestUpdate:
            dt=st.floats(0, 100, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_clamp_law(self, value, attending, dt):
-        state = update(WillingnessState(value=value), attending, dt)
+        state = update(state_at(value), attending, dt, RESET)
         assert 0.0 <= state.value <= 1.0
         rate = 1.0 / 3.0 if attending else -1.0 / 9.0
         expected = min(1.0, max(0.0, value + rate * dt))
@@ -64,8 +75,8 @@ class TestUpdate:
     @given(value=st.floats(0, 1), dt=st.floats(0, 10, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_attending_dominates(self, value, dt):
-        up = update(WillingnessState(value=value), True, dt)
-        down = update(WillingnessState(value=value), False, dt)
+        up = update(state_at(value), True, dt, RESET)
+        down = update(state_at(value), False, dt, RESET)
         assert up.value >= down.value
 
 
@@ -186,8 +197,21 @@ class TestPersonMap:
         with pytest.raises(ClockWentBackwards):
             m.step_frame([], 0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_time_rejected(self, t, first):
+        m = PersonWillingnessMap()
+        if not first:
+            m.step_frame([(1, True)], 0.0)
+        before = (m.t, {pid: p.willingness for pid, p in m.persons.items()})
+        with pytest.raises(ValueError, match="not finite"):
+            m.step_frame([(1, True), (2, True)], t)
+        assert (m.t, {pid: p.willingness
+                      for pid, p in m.persons.items()}) == before
+
     def test_custom_rates(self):
-        m = PersonWillingnessMap(rate_up=1.0, rate_down=0.5)
+        m = PersonWillingnessMap(PipelineConfig(willingness_rate_up=1.0,
+                                                willingness_rate_down=0.5))
         triggers = m.step_frame([(1, True)], 0.0)
         assert triggers == []
         triggers = m.step_frame([(1, True)], 1.0)

@@ -46,12 +46,17 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def cmd_run(args) -> int:
+def _load_config(path) -> PipelineConfig | None:
+    """The config at `path`, or the defaults without one; None on error."""
     try:
-        config = PipelineConfig.from_json(args.config) if args.config \
-            else PipelineConfig()
+        return PipelineConfig.from_json(path) if path else PipelineConfig()
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return None
+
+
+def cmd_run(args) -> int:
+    if (config := _load_config(args.config)) is None:
         return EXIT_CONFIG
     try:
         scenario_dict = read_json_object(args.scenario, ScenarioError,
@@ -174,11 +179,7 @@ def _read_timeline(path):
 
 
 def cmd_willingness(args) -> int:
-    try:
-        config = PipelineConfig.from_json(args.config) if args.config \
-            else PipelineConfig()
-    except (ConfigError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+    if (config := _load_config(args.config)) is None:
         return EXIT_CONFIG
     wmap = PersonWillingnessMap(config)
     out_lines = []

@@ -17,6 +17,10 @@ class EmptyCloud(SemMapError):
     pass
 
 
+class NonFiniteCloud(SemMapError, ValueError):
+    pass
+
+
 class NonMonotonicFrame(SemMapError):
     pass
 

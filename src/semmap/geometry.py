@@ -17,6 +17,7 @@ from .config import Matrix3, Vector3, bound, build, check_bounds
 from .errors import (
     EmptyCloud,
     InvalidDepth,
+    NonFiniteCloud,
     PixelOutOfBounds,
 )
 
@@ -98,17 +99,16 @@ class RigidPose:
 
     @staticmethod
     def identity() -> "RigidPose":
-        return _trusted(RigidPose, rotation=np.eye(3), translation=np.zeros(3))
+        return RigidPose(np.eye(3), np.zeros(3))
 
     def compose(self, other: "RigidPose") -> "RigidPose":
         """self ∘ other: apply `other` first, then `self`."""
-        return _derived_pose(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation)
+        return RigidPose(self.rotation @ other.rotation,
+                         self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "RigidPose":
         rot_inv = self.rotation.T
-        return _derived_pose(rot_inv, -rot_inv @ self.translation)
+        return RigidPose(rot_inv, -rot_inv @ self.translation)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to one point (3,) or many (N, 3)."""
@@ -124,14 +124,6 @@ class RigidPose:
     @classmethod
     def from_dict(cls, d: dict, error=ValueError) -> "RigidPose":
         return build(cls, d, error, "pose")
-
-
-def _derived_pose(rotation: np.ndarray, translation: np.ndarray) -> RigidPose:
-    """A pose from checked ones: rotations stay rotations, but a translation
-    can overflow."""
-    if not all(map(math.isfinite, translation.tolist())):
-        raise ValueError("pose entries must be finite")
-    return _trusted(RigidPose, rotation=rotation, translation=translation)
 
 
 @dataclass(frozen=True)
@@ -246,7 +238,7 @@ def extract_object_cloud(bbox, depth: DepthImage, k: CameraIntrinsics,
         pts = _backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
                            d[keep], k)
     if not np.isfinite(pts).all():
-        raise ValueError("point cloud contains non-finite coordinates")
+        raise NonFiniteCloud("point cloud contains non-finite coordinates")
     return _freeze(pts)
 
 

@@ -195,9 +195,6 @@ class LandmarkSet2D:
     def __len__(self) -> int:
         return len(self.landmarks)
 
-    def array_for(self, names) -> np.ndarray:
-        return np.array([self.landmarks[n] for n in names], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class HeadPose:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import EmptyCloud
+from .errors import EmptyCloud, NonFiniteCloud
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -123,15 +123,18 @@ class Pipeline:
         for track_id, det in confirmations:
             if det.kind != KIND_OBJECT:
                 continue
+            row = {"track": track_id, "class": det.class_label}
             try:
                 local = extract_object_cloud(
                     det.bbox, inp.depth, self.intrinsics,
                     stride=config.extraction_stride)
-            except EmptyCloud:
+                row["object"] = registry.register_candidate(
+                    local, det.class_label, i)
+            except EmptyCloud:  # extraction's: it gives no empty cloud
                 continue
-            obj_id = registry.register_candidate(local, det.class_label, i)
-            registered.append({"track": track_id, "object": obj_id,
-                               "class": det.class_label})
+            except NonFiniteCloud as err:  # raised before the map changes
+                row["error"] = type(err).__name__
+            registered.append(row)
 
         # person tracks whose detection is in this frame
         person_tracks = [t for t in self.tracker.tracks

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import ClassMismatch, EmptyCloud, UnknownKeyframe
+from .errors import ClassMismatch, EmptyCloud, NonFiniteCloud, UnknownKeyframe
 from .geometry import PointCloud, RigidPose, _trusted, voxel_downsample
 
 
@@ -205,16 +205,20 @@ class SemanticMap:
                            keyframe_id: int) -> int:
         """Add a detection's keyframe-local (N, 3) points, kept if read-only
         and copied if not, to a recognized object or a new one. They are
-        mapped to world once; ValueError if finite points overflow there."""
-        if keyframe_id not in self.keyframes:
-            raise UnknownKeyframe(f"keyframe {keyframe_id} not registered")
+        mapped to world once; NonFiniteCloud before any change if they
+        overflow there."""
+        self.check_keyframes((keyframe_id,))
         if not isinstance(local, np.ndarray) or local.flags.writeable:
             local = np.array(local, dtype=np.float64)  # the caller may edit it
         if local.ndim != 2 or local.shape[1] != 3:
             raise ValueError(f"points must be (N, 3), got {local.shape}")
         pose = self.keyframes[keyframe_id]
         with np.errstate(over="ignore", invalid="ignore"):
-            candidate = PointCloud(pose.transform(local))
+            world = pose.transform(local)
+        try:
+            candidate = PointCloud(world)
+        except ValueError as err:  # finite points can overflow
+            raise NonFiniteCloud(err) from None
         match = self.associate(candidate, class_label)
         if match is None:
             match = self._next_object_id

@@ -72,6 +72,7 @@ MAX_SWEEP_DEG = 360.0 * MAX_FRAMES  # a turn a frame; more only aliases
 # and a centroid's sum of up to 1e158 points stay under the largest float,
 # 1.8e308
 MAX_COORDINATE = 1e150
+MATCH_RADIUS_M = 0.5  # m from a registered centroid to its ground truth
 # corners of a person's box, about the head centre: the bbox is their hull
 _HEAD_BOX = np.array([(sx * 0.25, sy * 0.25, dz) for sx in (-1, 1)
                       for sy in (-1, 1) for dz in (-1.5, 0.15)])
@@ -225,6 +226,17 @@ def _sample_box_surface(centroid, extents, count, rng) -> np.ndarray:
     return c + p
 
 
+def _check_positions(what: str, first: int, translations: np.ndarray):
+    """ScenarioError naming the first frame, from `first`, whose row of
+    `translations` (n, 3) is not within ±MAX_COORDINATE: NaN fails too."""
+    bad = np.flatnonzero(~(np.abs(translations) <= MAX_COORDINATE).all(axis=1))
+    if bad.size:
+        where = (f"lies beyond ±{MAX_COORDINATE} m"
+                 if np.isfinite(translations[bad[0]]).all()
+                 else "is not finite")
+        raise ScenarioError(f"{what} of frame {first + bad[0]} {where}")
+
+
 @dataclass(frozen=True)
 class Orbit:
     """`frames` camera poses on a circle about `center`, each looking at it."""
@@ -361,11 +373,12 @@ class Scenario:
         rot = np.concatenate([pose.rotation for pose in self.trajectory])
         t = np.concatenate([pose.translation for pose in self.trajectory])
         rot, t = rot.reshape(-1, 3, 3), t.reshape(-1, 3, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # -Rᵀ, then the product, as inverse() takes it: the same zeros
-            self.camera_t = _freeze((-rot.transpose(0, 2, 1) @ t)[..., 0])
-            checks = [("inverse", 0, self.camera_t)]
-            if self.drift is not None:
+        _check_positions("camera", 0, t[..., 0])
+        # -Rᵀ, then the product, as inverse() takes it: the same zeros.
+        # Within the bound, each component is at most √3 MAX_COORDINATE
+        self.camera_t = _freeze((-rot.transpose(0, 2, 1) @ t)[..., 0])
+        if self.drift is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
                 n = np.arange(1.0, frames - start + 1)[:, None]
                 w = np.radians(self.drift.rotation_deg_per_frame) * n
                 # a zero rate rotates by the identity
@@ -373,24 +386,8 @@ class Scenario:
                 t_d = n * np.asarray(self.drift.translation_per_frame, float)
                 self.estimate_rot = _freeze(r_d @ rot[start:])
                 self.estimate_t = _freeze((r_d @ t[start:])[..., 0] + t_d)
-                checks.append(("drifted estimate", start, self.estimate_t))
-        for kind, first, translations in checks:
-            bad = np.flatnonzero(~np.isfinite(translations).all(axis=1))
-            if bad.size:
-                raise ScenarioError(
-                    f"pose of frame {first + bad[0]} has no finite {kind}")
-        far = np.flatnonzero(np.abs(t[..., 0]).max(axis=1) > MAX_COORDINATE)
-        if far.size:
-            raise ScenarioError(f"camera of frame {far[0]} lies beyond "
-                                f"±{MAX_COORDINATE} m")
-        if self.drift is not None:
             # drift carries the map's clouds with the estimate
-            far = np.flatnonzero(
-                np.abs(self.estimate_t).max(axis=1) > MAX_COORDINATE)
-            if far.size:
-                raise ScenarioError(
-                    f"drifted estimate of frame {start + far[0]} lies beyond "
-                    f"±{MAX_COORDINATE} m")
+            _check_positions("drifted estimate", start, self.estimate_t)
         for idx, obj in enumerate(self.world_objects):
             if max(abs(c) + e / 2 for c, e in zip(obj.centroid, obj.extents)) \
                     > MAX_COORDINATE:
@@ -781,11 +778,10 @@ class MetricsReport:
 
 
 def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
-                        trigger_events: list,
-                        match_radius: float = 0.5) -> MetricsReport:
+                        trigger_events: list) -> MetricsReport:
     """Greedy class-gated centroid matching of registered objects to ground
-    truth; a registered object whose only nearby ground truth is already
-    claimed counts as a duplicate."""
+    truth within MATCH_RADIUS_M; a registered object whose only nearby
+    ground truth is already claimed counts as a duplicate."""
     gt = [(o.class_label, np.asarray(o.centroid, dtype=np.float64))
           for o in scenario.world_objects]
     claimed = [False] * len(gt)
@@ -795,7 +791,7 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
         centroid = obj.centroid
         cands = sorted(
             (d, gi) for gi, (cls, c) in enumerate(gt) if cls == obj.class_label
-            and (d := float(np.linalg.norm(centroid - c))) <= match_radius)
+            and (d := float(np.linalg.norm(centroid - c))) <= MATCH_RADIUS_M)
         free = [(d, gi) for d, gi in cands if not claimed[gi]]
         if free:
             d, gi = free[0]
@@ -821,7 +817,7 @@ def compute_map_metrics(scenario: Scenario, registry: SemanticMap,
         centroid_rmse_m=rmse,
         willingness_trigger_times=trigger_events,
         attention_windows=windows,
-        match_radius_m=match_radius,
+        match_radius_m=MATCH_RADIUS_M,
     )
 
 

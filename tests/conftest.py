@@ -428,6 +428,11 @@ def _reference_lm_minimize(params, points, observed, k, lambda_init,
     return params, cost
 
 
+def landmark_array(obs, names) -> np.ndarray:
+    """The (len(names), 2) pixels of `obs`'s landmarks `names`, in order."""
+    return np.array([obs.landmarks[n] for n in names], dtype=np.float64)
+
+
 def reference_lm_solve_pose(obs, model, k, init, lambda_init=1e-3,
                             step_tol=1e-8, cost_tol=1e-12,
                             max_iterations=100,
@@ -437,7 +442,7 @@ def reference_lm_solve_pose(obs, model, k, init, lambda_init=1e-3,
         raise DegenerateConfiguration(
             f"need >= 6 aligned landmarks, got {len(names)}")
     sub = model.subset(names)
-    observed = obs.array_for(names)
+    observed = landmark_array(obs, names)
     params, cost = _reference_lm_minimize(
         np.asarray(init, dtype=np.float64).copy(), sub.points, observed, k,
         lambda_init, step_tol, cost_tol, max_iterations)
@@ -458,7 +463,7 @@ def reference_descent(obs, model, k, init, lambda_init=1e-3, step_tol=1e-8,
     names = tuple(n for n in model.names if n in obs.landmarks)
     if init is not None and len(names) >= 6:
         res, jac = _reference_residuals_and_jacobian(
-            init, model.subset(names).points, obs.array_for(names), k)
+            init, model.subset(names).points, landmark_array(obs, names), k)
         step = np.linalg.solve(jac.T @ jac + lambda_init * np.eye(6),
                                -(jac.T @ res))
         if np.linalg.norm(step) < step_tol:

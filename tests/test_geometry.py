@@ -141,9 +141,9 @@ _translation = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
 @given(wa=_axis_angle, ta=_translation, wb=_axis_angle, tb=_translation)
 @settings(max_examples=100, deadline=None)
 def test_derived_poses_are_bitwise_checked_ones(wa, ta, wb, tb):
-    """inverse() and compose() skip the checks, not the freezing: their
-    arrays are the bytes the checked constructor makes of the same
-    expressions, C-contiguous, float64 and read-only."""
+    """inverse() and compose() derive the expressions that the checked
+    constructor is given here: the same bytes, C-contiguous, float64 and
+    read-only."""
     a = RigidPose(rodrigues(np.array(wa)), ta)
     b = RigidPose(rodrigues(np.array(wb)), tb)
     cases = [

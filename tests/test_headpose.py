@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import (
+    landmark_array,
     per_landmark_jacobian,
     reference_descent,
     reference_euler,
@@ -133,8 +134,8 @@ class TestResidualsAndJacobian:
     def test_zero_residual_at_ground_truth(self, intrinsics):
         params = np.array([0.1, -0.2, 0.05, 0.02, -0.01, 1.2])
         obs = synth_obs(rodrigues(params[:3]), params[3:], intrinsics)
-        res, _ = residuals_and_jacobian(params, MODEL.points,
-                                        obs.array_for(MODEL.names), intrinsics)
+        res, _ = residuals_and_jacobian(
+            params, MODEL.points, landmark_array(obs, MODEL.names), intrinsics)
         assert np.abs(res).max() < 1e-9
 
     def test_translation_column_at_identity(self, intrinsics):
@@ -142,8 +143,8 @@ class TestResidualsAndJacobian:
         z = 1.5
         params = np.array([0, 0, 0, 0.0, 0.0, z])
         obs = synth_obs(np.eye(3), params[3:], intrinsics)
-        _, jac = residuals_and_jacobian(params, MODEL.points,
-                                        obs.array_for(MODEL.names), intrinsics)
+        _, jac = residuals_and_jacobian(
+            params, MODEL.points, landmark_array(obs, MODEL.names), intrinsics)
         for i, pt in enumerate(MODEL.points):
             assert jac[2 * i, 3] == pytest.approx(
                 intrinsics.fx / (z + pt[2]), rel=1e-12)
@@ -372,7 +373,7 @@ def descent_start(obs, model, init):
     if init is not None or len(names) < 6:
         return init
     return headpose._closed_form_starts(
-        model.subset(names).points, obs.array_for(names)[None],
+        model.subset(names).points, landmark_array(obs, names)[None],
         np.array([K.fx, K.fy]), np.array([K.cx, K.cy]))[0]
 
 

@@ -374,6 +374,40 @@ class TestRejectedFrame:
         assert pipeline.registry.keyframes[2] == RigidPose.identity()
 
 
+class TestNonFiniteCloud:
+    """A confirmed object whose points overflow is recorded and not
+    registered; the frame completes, and the run goes on."""
+
+    # every valid depth at 1e307: the camera-frame points overflow. At
+    # 1e305 they do not, but under a pose estimate at the largest float
+    # their world points do
+    @pytest.mark.parametrize("depth, translation", [
+        (1e307, None), (1e305, [np.finfo(float).max] * 3)],
+        ids=["camera_frame", "world"])
+    def test_overflowing_object_is_recorded_and_the_next_frame_steps(
+            self, depth, translation):
+        # frame 10 confirms a plant with three objects in the map. Such a
+        # frame raised ValueError after the tracker and its keyframe had
+        # advanced, and the frame sent again raised NonMonotonicFrame
+        sc = Scenario.from_json(DATA_DIR / "tabletop_sweep.json")
+        pipeline = Pipeline(sc.intrinsics)
+        for i in range(10):
+            pipeline.step(synthesize_frame_data(sc, i)[0])
+        before = pipeline.registry.export()
+        assert len(before["objects"]) == 3
+        inp = synthesize_frame_data(sc, 10)[0]
+        data = inp.depth.data.copy()
+        data[data > 0] = depth
+        pose = inp.pose_estimate if translation is None \
+            else RigidPose(inp.pose_estimate.rotation, translation)
+        row = pipeline.step(dataclasses.replace(
+            inp, depth=DepthImage(data), pose_estimate=pose))
+        assert row["registered"] == [
+            {"track": 15, "class": "plant", "error": "NonFiniteCloud"}]
+        assert pipeline.registry.export() == before
+        assert pipeline.step(synthesize_frame_data(sc, 11)[0])["frame"] == 11
+
+
 def interaction(jitter=0.0):
     """The shipped interaction scenario with `jitter` px landmark noise."""
     d = json.loads((SCENARIO_DIR / "interaction.json").read_text())

@@ -1,10 +1,11 @@
 """No test-only API: each public top-level function and class of the
 package is read by one of its modules, other than at its own definition or
 in `__init__`'s re-export, and so is each public field that a dataclass
-derives itself (`init=False`). What only the tests need lives in
-`tests/conftest.py`."""
+derives itself (`init=False`) and each public method of a class. What only
+the tests need lives in `tests/conftest.py`."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,6 +17,11 @@ UNREAD = {
     # the checked public form of the kernel `geometry._backproject`, for
     # callers with pixels from outside the pipeline
     "geometry.backproject",
+    # the pose algebra: public API for callers, and the references in
+    # tests/conftest.py compose and invert poses with it
+    "geometry.RigidPose.identity",
+    "geometry.RigidPose.compose",
+    "geometry.RigidPose.inverse",
 }
 
 
@@ -61,3 +67,27 @@ def test_every_public_name_is_read_by_the_package():
                if name not in attributes]
     unread = sorted(set(unread) - UNREAD)
     assert not unread, f"read by no module of the package: {unread}"
+
+
+def attribute_reads(node) -> Counter:
+    """How often each attribute name is read inside `node`."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_method_is_called_by_the_package():
+    """A method counts as called where its name is read as an attribute
+    anywhere in the package outside its own body: by name, not by type."""
+    methods, reads = [], Counter()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += attribute_reads(tree)
+        methods += [(f"{path.stem}.{cls.name}.{fn.name}", fn)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and is_public(fn.name)]
+    unread = sorted({qualified for qualified, fn in methods
+                     if reads[fn.name] == attribute_reads(fn)[fn.name]}
+                    - UNREAD)
+    assert not unread, f"called by no module of the package: {unread}"

@@ -1006,11 +1006,11 @@ class TestSchema:
         # finite drift that overflows by the last frame loaded, and the
         # run died at a drifted frame
         ({"drift": {"translation_per_frame": [1e308, 0.0, 0.0]}},
-         "pose of frame 1 has no finite drifted estimate"),
+         "drifted estimate of frame 0 lies beyond"),
         ({"drift": {"rotation_deg_per_frame": [0.0, 1e308, 0.0]}},
-         "pose of frame 0 has no finite drifted estimate"),
+         "drifted estimate of frame 0 is not finite"),
         ({"drift": {"rotation_deg_per_frame": [1e200, 0.0, 0.0]}},
-         "pose of frame 0 has no finite drifted estimate"),
+         "drifted estimate of frame 0 is not finite"),
         # fields that size work or memory, one past their caps: they
         # loaded, and sized the frame source's arrays or the trajectory
         ({"world_objects": [{"class": "cup", "centroid": [0.0, 0.0, 1.0],
@@ -1133,13 +1133,13 @@ class TestDrift:
                                    [0, 0, 0.4], atol=1e-12)
         np.testing.assert_allclose(est.rotation, true.rotation)
 
-    # three frames at [1.3e308, 1.3e308, 1]: every inverse is finite, and
-    # each drift alone stays finite by the last frame. Such a camera lies
-    # beyond MAX_COORDINATE, rejected after these checks, so the drift
-    # that loads moves cameras at the bound, and towards the origin: the
-    # drifted estimate is held to the same bound
+    # three cameras at [MAX_COORDINATE, MAX_COORDINATE, 1]: each loads,
+    # with a finite inverse. A drift can carry their estimates past the
+    # bound, a 45° turn by a factor √2, or past the largest float, as
+    # 1e308 m a frame does from frame 1 on: the estimate is held to the
+    # camera's bound, and the error names the first frame beyond it
     @pytest.mark.parametrize("drift, frame, loads", [
-        ({"translation_per_frame": [4e307, 0.0, 0.0]}, 1, False),
+        ({"translation_per_frame": [1e308, 0.0, 0.0]}, 0, False),
         ({"rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 0, False),
         ({"start_frame": 1, "rotation_deg_per_frame": [0.0, 0.0, 45.0]}, 1,
          False),
@@ -1147,17 +1147,15 @@ class TestDrift:
     ], ids=["translation", "rotation", "rotation_from_frame_1", "in_range"])
     def test_estimate_that_overflows_rejected_at_load(self, drift, frame,
                                                        loads):
-        trajectory = [{"rotation": np.eye(3).tolist(),
-                       "translation": [1.3e308, 1.3e308, 1.0]}] * 3
-        if not loads:
-            # each died mid-run, at the frame the error names
-            with pytest.raises(ScenarioError, match=f"pose of frame {frame} "
-                               "has no finite drifted estimate"):
-                scenario(trajectory=trajectory, drift=drift)
-            return
         at_bound = [MAX_COORDINATE, MAX_COORDINATE, 1.0]
         trajectory = [{"rotation": np.eye(3).tolist(),
                        "translation": at_bound}] * 3
+        if not loads:
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"drifted estimate of frame {frame} lies beyond "
+                    "±1e+150 m")):
+                scenario(trajectory=trajectory, drift=drift)
+            return
         sc = scenario(trajectory=trajectory, drift=drift)
         for i in range(sc.num_frames):
             assert np.isfinite(sc.estimated_pose(i).translation).all()
@@ -1279,11 +1277,15 @@ class TestMetrics:
         assert report.precision == 0.0
         assert report.recall == 0.0
 
-    def test_report_names_the_radius_it_matched_at(self):
+    def test_report_names_the_radius_it_matched_at(self, monkeypatch):
         # the report said 0.5 whatever radius the recall was measured at
         sc = scenario()
         reg = fake_registry([("cup", [0.1, 0, 1.0])])
-        report = compute_map_metrics(sc, reg, [], match_radius=0.05)
+        report = compute_map_metrics(sc, reg, [])
+        assert report.recall == 1.0
+        assert report.to_dict()["match_radius_m"] == simulator.MATCH_RADIUS_M
+        monkeypatch.setattr(simulator, "MATCH_RADIUS_M", 0.05)
+        report = compute_map_metrics(sc, reg, [])
         assert report.recall == 0.0
         assert report.to_dict()["match_radius_m"] == 0.05
 

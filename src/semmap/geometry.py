@@ -224,19 +224,21 @@ def extract_object_cloud(bbox, depth: DepthImage, k: CameraIntrinsics,
         raise EmptyCloud("no valid depth pixels under the bounding box")
     # np.median's value without its per-call overhead: the middle order
     # statistic, or the mean of the two, which np.mean takes as (a + b) / 2
-    ordered = np.sort(d)
+    d.sort()
     half = d.size // 2
-    med = float(ordered[half]) if d.size % 2 else \
-        (float(ordered[half - 1]) + float(ordered[half])) / 2
+    med = float(d[half]) if d.size % 2 else \
+        (float(d[half - 1]) + float(d[half])) / 2
     band = depth_band_halfwidth(x1 - x0, y1 - y0, med, k)
-    keep = np.abs(d - med) <= band
-    if not keep.any():
+    # valid and within the band, as one mask over the patch
+    keep = np.abs(patch - med) <= band
+    keep &= valid
+    rows, cols = np.nonzero(keep)
+    if rows.size == 0:
         raise EmptyCloud("median depth band rejected every pixel")
     # valid pixels and depths by construction; huge depths can overflow
-    rows, cols = np.nonzero(valid)
     with np.errstate(over="ignore", invalid="ignore"):
-        pts = _backproject(u0 + stride * cols[keep], v0 + stride * rows[keep],
-                           d[keep], k)
+        pts = _backproject(u0 + stride * cols, v0 + stride * rows,
+                           patch[rows, cols], k)
     if not np.isfinite(pts).all():
         raise NonFiniteCloud("point cloud contains non-finite coordinates")
     return _freeze(pts)
@@ -253,7 +255,10 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
                                    return_counts=True)
     sums = np.zeros((counts.size, 3))
-    np.add.at(sums, inverse, pts)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        np.add.at(sums, inverse, pts)
+    if not np.isfinite(sums).all():
+        raise NonFiniteCloud("voxel centroid sums overflow")
     return PointCloud(sums / counts[:, None])
 
 

@@ -10,6 +10,7 @@ association decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -26,16 +27,16 @@ _AABB_MARGIN = 1e-9
 
 
 def _bounds(points: np.ndarray) -> tuple:
-    """`(points.min(axis=0), points.max(axis=0))` of an (N, 3) array, bit
-    for bit, taken over a contiguous (3, N) copy: a reduction along rows
-    of C-order points runs in inner loops of length 3, ~7x slower at
-    1,200 points. Min and max are exact either way, except that the two
-    forms may pick different zeros from a column holding both 0.0 and
-    -0.0, so a zero bound is taken the axis-0 way."""
+    """`(points.min(axis=0), points.max(axis=0))` of an (N, 3) array as two
+    lists of Python floats, bit for bit, taken over a contiguous (3, N)
+    copy: a reduction along rows of C-order points runs in inner loops of
+    length 3, ~7x slower at 1,200 points. Min and max are exact either
+    way, except that the two forms may pick different zeros from a column
+    holding both 0.0 and -0.0, so a zero bound is taken the axis-0 way."""
     cols = np.ascontiguousarray(points.T)
-    lo, hi = cols.min(axis=1), cols.max(axis=1)
-    if 0.0 in lo.tolist() + hi.tolist():  # -0.0 == 0.0 too
-        return points.min(axis=0), points.max(axis=0)
+    lo, hi = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
+    if 0.0 in lo + hi:  # -0.0 == 0.0 too
+        return points.min(axis=0).tolist(), points.max(axis=0).tolist()
     return lo, hi
 
 
@@ -52,8 +53,7 @@ def _nearest_sq_distances_both(a: np.ndarray, b: np.ndarray):
     """
     rows = max(1, _BLOCK_PAIRS // len(b))
     bx, by, bz = b.T
-    a_to_b = np.empty(len(a))
-    b_to_a = None
+    a_to_b, b_to_a = [], None
     for start in range(0, len(a), rows):
         ax, ay, az = a[start:start + rows].T[:, :, None]
         d2 = ax - bx
@@ -64,10 +64,11 @@ def _nearest_sq_distances_both(a: np.ndarray, b: np.ndarray):
         diff = az - bz
         diff *= diff
         d2 += diff
-        a_to_b[start:start + rows] = d2.min(1)
+        a_to_b.append(d2.min(1))
         col = d2.min(0)
         b_to_a = col if b_to_a is None else np.minimum(b_to_a, col, out=b_to_a)
-    return a_to_b, b_to_a
+    return (a_to_b[0] if len(a_to_b) == 1 else np.concatenate(a_to_b),
+            b_to_a)
 
 
 def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
@@ -75,9 +76,11 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
     if len(a) == 0 or len(b) == 0:
         raise EmptyCloud("chamfer distance needs non-empty clouds")
     a_to_b, b_to_a = _nearest_sq_distances_both(a.points, b.points)
-    # sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt)
-    return 0.5 * (float(np.mean(np.sqrt(a_to_b)))
-                  + float(np.mean(np.sqrt(b_to_a))))
+    # sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt).
+    # Each mean is np.mean's own sum and division, without its overhead.
+    return 0.5 * (float(np.add.reduce(np.sqrt(a_to_b, out=a_to_b))) / len(a)
+                  + float(np.add.reduce(np.sqrt(b_to_a, out=b_to_a)))
+                  / len(b))
 
 
 def overlap_ratio(a: np.ndarray, b: np.ndarray, radius: float) -> float:
@@ -104,11 +107,20 @@ class SemanticObject:
     class_label: str
     observations: list = field(default_factory=list)  # Observation each
     world_points: np.ndarray | None = None
-    aabb: tuple | None = None  # (min 3-vector, max 3-vector)
+    # (min, max) of the world points, three Python floats each
+    bounds: tuple | None = None
+    # True while `world_points` is every observation's world points,
+    # uncapped, each mapped by its keyframe's present pose
+    appendable: bool = False
 
     @property
     def world_cloud(self) -> PointCloud:
         return _trusted(PointCloud, points=self.world_points)
+
+    @property
+    def aabb(self) -> tuple:
+        """`bounds` as (min 3-vector, max 3-vector)."""
+        return np.array(self.bounds[0]), np.array(self.bounds[1])
 
     @property
     def centroid(self) -> np.ndarray:
@@ -119,17 +131,47 @@ class SemanticObject:
     def rebuild(self, keyframes: dict, leaf: float, max_points: int):
         """Recompute the cached world cloud from keyframe-local observations,
         transforming only those whose keyframe pose is not the very pose
-        their world points were mapped by: a new sighting or a merge
-        transforms nothing more, and a correction what it moved."""
-        for obs in self.observations:
+        their world points were mapped by: a merge transforms nothing more,
+        and a correction what it moved."""
+        self._rebuild(self.observations, keyframes, leaf, max_points)
+
+    def add(self, obs: Observation, bounds: tuple, keyframes: dict,
+            leaf: float, max_points: int):
+        """Add a sighting whose world points its keyframe's present pose
+        mapped, and whose `_bounds` are `bounds`. An appendable object
+        within `max_points` appends them, and its AABB becomes the running
+        min and max, which is exact. A bound of ±0.0, whose sign `_bounds`
+        takes from the whole cloud, and any other object rebuild."""
+        lo, hi = bounds
+        if (self.appendable
+                and len(self.world_points) + len(obs.world) <= max_points
+                and 0.0 not in self.bounds[0] + self.bounds[1] + lo + hi):
+            self.world_points = np.concatenate((self.world_points, obs.world))
+            self.bounds = (list(map(min, self.bounds[0], lo)),
+                           list(map(max, self.bounds[1], hi)))
+            self.observations.append(obs)
+        else:
+            self._rebuild(self.observations + [obs], keyframes, leaf,
+                          max_points)
+
+    def _rebuild(self, observations: list, keyframes: dict, leaf: float,
+                 max_points: int):
+        """Make `observations` this object's and derive its geometry from
+        them. NonFiniteCloud if the capped cloud's centroids overflow; the
+        object then keeps its observations and geometry, and only the
+        world points cached in a moved observation are brought up to date."""
+        for obs in observations:
             pose = keyframes[obs.keyframe_id]
             if obs.pose is not pose:
                 obs.pose, obs.world = pose, pose.transform(obs.local)
-        world = np.concatenate([obs.world for obs in self.observations])
-        if len(world) > max_points:
+        world = np.concatenate([obs.world for obs in observations])
+        capped = len(world) > max_points
+        if capped:
             world = voxel_downsample(PointCloud(world), leaf).points
+        self.observations = observations
         self.world_points = world
-        self.aabb = _bounds(world)
+        self.bounds = _bounds(world)
+        self.appendable = not capped
 
 
 @dataclass
@@ -161,6 +203,11 @@ class SemanticMap:
         self._next_object_id = 0
 
     def add_keyframe(self, keyframe_id: int, pose: RigidPose):
+        if keyframe_id in self.keyframes:
+            # a replaced pose may move any object's points: none is
+            # appended to until a rebuild re-derives it
+            for obj in self.objects.values():
+                obj.appendable = False
         self.keyframes[keyframe_id] = pose
 
     def check_keyframes(self, keyframe_ids, adding=()):
@@ -170,8 +217,10 @@ class SemanticMap:
             if kf_id not in self.keyframes and kf_id not in adding:
                 raise UnknownKeyframe(f"keyframe {kf_id} not registered")
 
-    def associate(self, candidate: PointCloud, class_label: str) -> int | None:
+    def associate(self, candidate: PointCloud, class_label: str,
+                  bounds: tuple | None = None) -> int | None:
         """Nearest same-class object by chamfer distance, if close enough.
+        `bounds` is the candidate's `_bounds`, if the caller has taken it.
 
         Every nearest-neighbour distance between two clouds is at least the
         gap between their AABBs on any one axis, so their chamfer distance
@@ -182,7 +231,7 @@ class SemanticMap:
         """
         if len(candidate) == 0:
             raise EmptyCloud("empty candidate cloud")
-        lo, hi = _bounds(candidate.points)
+        lo, hi = bounds or _bounds(candidate.points)
         reach = self.assoc_dist + _AABB_MARGIN
         best_id = None
         best_dist = np.inf
@@ -190,8 +239,9 @@ class SemanticMap:
             obj = self.objects[obj_id]
             if obj.class_label != class_label:
                 continue
-            if max(np.maximum(lo - obj.aabb[1], obj.aabb[0] - hi).tolist()) \
-                    > reach:
+            obj_lo, obj_hi = obj.bounds
+            # the gap on each axis, either way round
+            if max(map(sub, lo + obj_lo, obj_hi + hi)) > reach:
                 continue
             d = chamfer_distance(candidate, obj.world_cloud)
             if d < best_dist:
@@ -205,8 +255,10 @@ class SemanticMap:
                            keyframe_id: int) -> int:
         """Add a detection's keyframe-local (N, 3) points, kept if read-only
         and copied if not, to a recognized object or a new one. They are
-        mapped to world once; NonFiniteCloud before any change if they
-        overflow there."""
+        mapped to world once. The object's new geometry, or the new object,
+        is computed before anything is committed: NonFiniteCloud with the
+        map unchanged if the points overflow, to world or in the capped
+        cloud's centroids."""
         self.check_keyframes((keyframe_id,))
         if not isinstance(local, np.ndarray) or local.flags.writeable:
             local = np.array(local, dtype=np.float64)  # the caller may edit it
@@ -219,16 +271,17 @@ class SemanticMap:
             candidate = PointCloud(world)
         except ValueError as err:  # finite points can overflow
             raise NonFiniteCloud(err) from None
-        match = self.associate(candidate, class_label)
+        bounds = _bounds(candidate.points)
+        match = self.associate(candidate, class_label, bounds)
+        obj = (self.objects[match] if match is not None
+               else SemanticObject(self._next_object_id, class_label))
+        obj.add(Observation(keyframe_id, local, pose, candidate.points),
+                bounds, self.keyframes, self.voxel_leaf,
+                self.max_cloud_points)
         if match is None:
-            match = self._next_object_id
+            self.objects[obj.object_id] = obj
             self._next_object_id += 1
-            self.objects[match] = SemanticObject(match, class_label)
-        obj = self.objects[match]
-        obj.observations.append(
-            Observation(keyframe_id, local, pose, candidate.points))
-        obj.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
-        return match
+        return obj.object_id
 
     def merge_objects(self, survivor: SemanticObject,
                       absorbed: SemanticObject) -> SemanticObject:
@@ -238,8 +291,9 @@ class SemanticMap:
             )
         if survivor is absorbed:
             raise ValueError(f"object {survivor.object_id} cannot absorb itself")
-        survivor.observations.extend(absorbed.observations)
-        survivor.rebuild(self.keyframes, self.voxel_leaf, self.max_cloud_points)
+        survivor._rebuild(survivor.observations + absorbed.observations,
+                          self.keyframes, self.voxel_leaf,
+                          self.max_cloud_points)
         return survivor
 
     def _merge_pass(self) -> list:
@@ -261,8 +315,8 @@ class SemanticMap:
         cls = np.array([codes.setdefault(o.class_label, len(codes))
                         for o in objs])
         # one row per axis: a test over the axes combines rows of length n
-        lo = np.array([o.aabb[0] for o in objs]).T
-        reach = np.array([o.aabb[1] for o in objs]).T + self.overlap_radius
+        lo = np.array([o.bounds[0] for o in objs]).T
+        reach = np.array([o.bounds[1] for o in objs]).T + self.overlap_radius
         index = np.arange(n)
         # below[i, j]: object i's box starts within the radius of j's end
         below = np.ones((n, n), dtype=bool)
@@ -286,8 +340,8 @@ class SemanticMap:
             pairs.append((ids[a], ids[b]))
             cls[b] = -1  # matches nothing
             candidate[b] = candidate[:, b] = False
-            lo[:, a] = survivor.aabb[0]
-            reach[:, a] = survivor.aabb[1] + self.overlap_radius
+            lo[:, a] = survivor.bounds[0]
+            reach[:, a] = np.add(survivor.bounds[1], self.overlap_radius)
             near = (cls == cls[a]) & np.logical_and.reduce(
                 (lo[:, a, None] <= reach) & (lo <= reach[:, a, None]))
             candidate[a] = near & (index > a)

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,17 @@ from semmap.tracker import (
     IoUTracker,
     Track,
 )
+
+
+def load_workloads():
+    """The benchmark's workload generators, `perfbench/workloads.py`, which
+    is no package and is loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture

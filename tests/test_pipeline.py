@@ -8,6 +8,7 @@ import pytest
 
 from semmap import headpose
 from semmap import pipeline as pipeline_module
+from semmap.config import PipelineConfig
 from semmap.errors import (
     ClockWentBackwards,
     NoConvergence,
@@ -31,7 +32,7 @@ from semmap.simulator import (
 )
 from semmap.tracker import KIND_PERSON, Detection2D
 
-from conftest import warm_poses
+from conftest import load_workloads, warm_poses
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "configs" / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -406,6 +407,33 @@ class TestNonFiniteCloud:
             {"track": 15, "class": "plant", "error": "NonFiniteCloud"}]
         assert pipeline.registry.export() == before
         assert pipeline.step(synthesize_frame_data(sc, 11)[0])["frame"] == 11
+
+    def test_overflowing_capped_cloud_is_recorded_and_registers_nothing(
+            self):
+        # one voxel holds every point of an object past the cap, and from
+        # frame 10 the estimates sit 1.7e308 m out: frame 10's new box
+        # overflows its voxel's sum. It raised ValueError and left object
+        # 4 in the map with one observation and no AABB
+        sc = Scenario.from_dict(
+            load_workloads().generate("tabletop_sweep", 7)[0])
+        pipeline = Pipeline(sc.intrinsics, PipelineConfig(
+            max_cloud_points=5, voxel_leaf_m=1e300))
+        for i in range(10):
+            pipeline.step(synthesize_frame_data(sc, i)[0])
+        before = pipeline.registry.export()
+        assert len(before["objects"]) == 4
+        rows = []
+        for i in (10, 11):
+            inp = synthesize_frame_data(sc, i)[0]
+            pose = inp.pose_estimate
+            rows.append(pipeline.step(dataclasses.replace(
+                inp, pose_estimate=RigidPose(
+                    pose.rotation, pose.translation + [1.7e308, 0, 0]))))
+        assert rows[0]["registered"] == [
+            {"track": 11, "class": "box", "error": "NonFiniteCloud"}]
+        assert rows[1]["frame"] == 11
+        assert pipeline.registry.export() == before
+        assert sorted(pipeline.registry.objects) == [0, 1, 2, 3]
 
 
 def interaction(jitter=0.0):

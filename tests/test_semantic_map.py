@@ -9,7 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semmap.config import PipelineConfig
-from semmap.errors import ClassMismatch, EmptyCloud, UnknownKeyframe
+from semmap.errors import (
+    ClassMismatch,
+    EmptyCloud,
+    NonFiniteCloud,
+    UnknownKeyframe,
+)
 from semmap import semantic_map
 from semmap.geometry import (
     DepthImage,
@@ -65,6 +70,10 @@ class TestChamfer:
     @example(seed=0, sizes=(300, 300))
     # len(b) > _BLOCK_PAIRS: every block holds one row of a
     @example(seed=1, sizes=(4, semantic_map._BLOCK_PAIRS + 7))
+    # exactly _BLOCK_PAIRS pairs: the largest pair one block covers
+    @example(seed=2, sizes=(256, 256))
+    # _BLOCK_PAIRS + 1 pairs (a prime): a block of 2**16 rows, then one
+    @example(seed=3, sizes=(semantic_map._BLOCK_PAIRS + 1, 1))
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force_exactly(self, seed, sizes):
         rng = np.random.default_rng(seed)
@@ -90,6 +99,12 @@ class TestOverlapRatio:
            jitter=st.booleans())
     # 400 x 400 points: more than 2**16 pairs, so a block boundary is crossed
     @example(seed=0, radius=0.25, sizes=(400, 400), jitter=False)
+    # exactly _BLOCK_PAIRS pairs: the largest pair one block covers
+    @example(seed=1, radius=0.25, sizes=(256, 256), jitter=True)
+    # _BLOCK_PAIRS + 1 pairs: the scan goes from the one-point cloud, a
+    # block of one row
+    @example(seed=2, radius=0.25, sizes=(semantic_map._BLOCK_PAIRS + 1, 1),
+             jitter=False)
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force_exactly(self, seed, radius, sizes, jitter):
         rng = np.random.default_rng(seed)
@@ -119,6 +134,7 @@ class TestBounds:
         lo, hi = _bounds(points)
         for got, want in ((lo, points.min(axis=0)),
                           (hi, points.max(axis=0))):
+            got = np.array(got)
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -127,8 +143,8 @@ class TestBounds:
     def test_bitwise_axis0_min_max(self, seed, n):
         points = np.random.default_rng(seed).normal(0.0, 3.0, (n, 3))
         lo, hi = _bounds(points)
-        assert lo.tobytes() == points.min(axis=0).tobytes()
-        assert hi.tobytes() == points.max(axis=0).tobytes()
+        assert np.array(lo).tobytes() == points.min(axis=0).tobytes()
+        assert np.array(hi).tobytes() == points.max(axis=0).tobytes()
 
 
 def make_map(**config):
@@ -278,6 +294,29 @@ class TestRegisterCandidate:
                 m.register_candidate(np.array([[1e308, 0.0, 1.0]]), "cup", 1)
         assert m.objects == {}
 
+    @pytest.mark.parametrize("seen", [False, True], ids=["new", "sighting"])
+    def test_overflow_in_the_capped_cloud_changes_nothing(self, seen):
+        # past the cap of one point, one voxel sums points 1.7e308 m out.
+        # A new object was in the map, and a sighting had been appended,
+        # before the rebuild raised
+        m = make_map(max_cloud_points=1, voxel_leaf_m=1e300)
+        far = np.array([[1.7e308, 0.0, 0.0]])
+        if seen:
+            first = m.objects[m.register_candidate(far, "cup", 0)]
+            world, aabb = first.world_points, first.aabb
+        with pytest.raises(NonFiniteCloud):
+            m.register_candidate(far if seen else np.vstack([far, far]),
+                                 "cup", 0)
+        if seen:
+            assert list(m.objects.values()) == [first]
+            assert len(first.observations) == 1
+            assert first.world_points is world
+            assert [a.tobytes() for a in first.aabb] \
+                == [a.tobytes() for a in aabb]
+        else:
+            assert m.objects == {}
+        assert m.register_candidate(np.ones((1, 3)), "cup", 0) == int(seen)
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_size_law(self, seed):
@@ -423,13 +462,66 @@ class TestTrajectoryCorrection:
 class TestRebuild:
     @staticmethod
     def assert_fresh(m):
-        for obj in m.objects.values():
+        """Each object's world points, centroid and AABB, and the export,
+        are bitwise those of a fresh rebuild."""
+        objects = []
+        for obj_id, obj in sorted(m.objects.items()):
             world, centroid, (lo, hi) = reference_rebuild(
                 obj, m.keyframes, m.voxel_leaf, m.max_cloud_points)
             assert obj.world_points.tobytes() == world.tobytes()
             assert obj.centroid.tobytes() == centroid.tobytes()
             assert obj.aabb[0].tobytes() == lo.tobytes()
             assert obj.aabb[1].tobytes() == hi.tobytes()
+            objects.append({
+                "id": obj_id, "class": obj.class_label,
+                "centroid": centroid.tolist(),
+                "aabb": {"min": lo.tolist(), "max": hi.tolist()},
+                "num_points": len(world),
+                "num_observations": len(obj.observations)})
+        # JSON spells -0.0, which == takes for 0.0
+        assert json.dumps(m.export()) == json.dumps({"objects": objects})
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.sampled_from(["see", "see", "correct", "merge"]),
+                          min_size=4, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_appended_sightings_equal_fresh_rebuild(self, seed, steps):
+        """Sightings appended between corrections and merges leave world
+        points, AABB and export bitwise those of a fresh rebuild: also
+        with coordinates of ±0.0, where a zero bound makes the sighting
+        rebuild, and across `max_cloud_points`, past which every sighting
+        rebuilds."""
+        rng = np.random.default_rng(seed)
+        m = make_map(assoc_dist_m=0.05, max_cloud_points=int(
+            rng.integers(10, 60)), voxel_leaf_m=0.02,
+            merge_overlap_ratio=0.2, overlap_radius_m=0.05)
+        # translations keep exact zeros in world coordinates
+        poses = [RigidPose.identity(), RigidPose(np.eye(3), [-0.01, 0, 0]),
+                 RigidPose(np.eye(3), [0.0, 0.02, 0.0]),
+                 random_pose(rng, trans_scale=0.05)]
+        for kf, pose in enumerate(poses):
+            m.add_keyframe(kf, pose)
+        for step in steps:
+            if step == "see":
+                grid = [0.0, -0.0, 0.01] if rng.integers(3) == 0 \
+                    else [0.03, 0.035, 0.04]
+                m.register_candidate(
+                    rng.choice(grid, size=(int(rng.integers(1, 16)), 3)),
+                    str(rng.choice(["cup", "cup", "book"])),
+                    int(rng.integers(len(poses))))
+            elif step == "correct":
+                m.apply_trajectory_correction(
+                    [(int(rng.integers(len(poses))),
+                      poses[int(rng.integers(len(poses)))])])
+            else:
+                pairs = [(a, b) for a in sorted(m.objects)
+                         for b in sorted(m.objects) if a != b
+                         and m.objects[a].class_label
+                         == m.objects[b].class_label]
+                if pairs:
+                    a, b = pairs[int(rng.integers(len(pairs)))]
+                    m.merge_objects(m.objects[a], m.objects.pop(b))
+            self.assert_fresh(m)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -478,6 +570,35 @@ class TestRebuild:
         m.merge_objects(m.objects[0], m.objects.pop(1))
         self.assert_fresh(m)
         m.register_candidate(seen(6, cloud), "cup", 6)
+        self.assert_fresh(m)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 12), min_size=2, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_appended_aabb_is_bounds_of_the_whole_cloud(self, seed, sizes):
+        """The AABB of appended sightings is `_bounds` of their whole
+        cloud, bitwise, also for columns holding both -0.0 and 0.0. The
+        sightings are given in world: `RigidPose.transform`'s matmul sums
+        from +0.0 and gives no -0.0."""
+        rng = np.random.default_rng(seed)
+        pose = RigidPose.identity()
+        obj = SemanticObject(0, "cup")
+        for n in sizes:
+            world = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(n, 3))
+            obj.add(Observation(0, world, pose, world), _bounds(world),
+                    {0: pose}, 0.01, 100)
+            assert np.array(obj.bounds).tobytes() \
+                == np.array(_bounds(obj.world_points)).tobytes()
+
+    def test_sighting_after_a_replaced_keyframe_equals_fresh_rebuild(self):
+        # add_keyframe gives keyframe 1 a new pose: the cup's first
+        # sighting, seen from it, moves at the next sighting
+        m = make_map()
+        m.add_keyframe(1, RigidPose.identity())
+        m.register_candidate(cube_cloud([0, 0, 1]).points, "cup", 1)
+        m.add_keyframe(1, RigidPose(np.eye(3), [0.01, 0, 0]))
+        m.register_candidate(cube_cloud([0, 0, 1], seed=1).points, "cup", 0)
+        assert len(m.objects) == 1
         self.assert_fresh(m)
 
     def test_new_sighting_transforms_only_its_own_points(self, monkeypatch):

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import math
 import re
@@ -38,6 +37,7 @@ from semmap.simulator import (
 
 from conftest import (
     _jittered_bbox,
+    load_workloads,
     object_samples,
     per_object_frame_reference,
     reference_estimated_pose,
@@ -146,10 +146,7 @@ def orbit_specs():
     paths = sorted(SCENARIO_DIR.glob("*.json")) + sorted(
         (ROOT / "tests" / "data").glob("*.json"))
     scenarios = [(p.stem, json.loads(p.read_text())) for p in paths]
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads()
     for name in workloads.GENERATORS:
         for seed in (1, 2, 3):
             scenarios += [(f"{name}-{seed}-{i}", d) for i, d
